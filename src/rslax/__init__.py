@@ -42,6 +42,7 @@ from .elliptic import (
     theta_char,
     trig_lattice,
     wp,
+    zeta,
 )
 from .errors import (
     BranchCutWarning,
@@ -52,6 +53,7 @@ from .errors import (
     GaugeFitFailed,
     NoSolution,
     NonConvergent,
+    NonFiniteEntries,
     NonDiagonalizable,
     PoleAtLattice,
     RepeatedEigenvalues,
@@ -69,13 +71,16 @@ from .lax import (
     cm_config,
     cm_lax,
     composition_lax,
+    composition_lax_log_derivative,
     factorized_cm_lax,
     hasegawa_lax,
+    hasegawa_lax_log_derivative,
     intertwining_vector,
     krichever_lax,
     rs_config,
     ruijsenaars_equivalent_momenta,
     ruijsenaars_lax,
+    ruijsenaars_lax_log_derivative,
     spin_lax,
     xi_matrix,
 )

@@ -28,7 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elliptic
-from .errors import DegenerateConfiguration, PoleAtLattice, SingularMatrix
+from .errors import (
+    DegenerateConfiguration,
+    NonFiniteEntries,
+    PoleAtLattice,
+    SingularMatrix,
+)
 
 DISTINCT_TOL = 1e-6
 ENTRY_CONVENTIONS = ("plus_lambda", "q_inf_shift")
@@ -70,7 +75,7 @@ class SpectralMatrix:
         if arr.shape != (self.n, self.n):
             raise ValueError(f"entries must be {self.n}x{self.n}")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("entries must be finite")
+            raise NonFiniteEntries("entries must be finite")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)

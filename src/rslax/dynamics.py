@@ -1,11 +1,12 @@
-"""Hamiltonians generated from Lax matrices, finite-difference Hamiltonian
-vector fields, fixed-step RK4 integration of the flows, and finite-difference
-Poisson brackets.
+"""Hamiltonians generated from Lax matrices, their analytic Hamiltonian
+vector fields, fixed-step RK4 integration of the flows, and Poisson brackets.
 
 Coordinates are the canonical pair (q_i, p_i) with rapidities theta_i =
 exp(p_i); the symplectic form is sum_i dp_i ^ dq_i = sum_i (dtheta_i/theta_i)
-^ dq_i.  All Hamiltonians here are holomorphic away from collisions, so
-complex derivatives are computed by central differences along the real axis.
+^ dq_i.  Every Hamiltonian here is a trace function of a Lax matrix whose
+entries are exp(p_k) times products of sigma values, so its gradient is a
+closed-form contraction with zeta values at the same arguments; finite
+differences serve only as a test oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 from . import elliptic, lax
 from .errors import CollisionImminent, SingularMatrix
 
-H_FD = 1e-5
+# Smallest pairwise position distance (modulo the lattice) a flow may reach.
+COLLISION_MARGIN = 1e-4
 _LAX_FAMILIES = ("hasegawa", "composition", "ruijsenaars")
 _FAMILIES = ("trace_power", "rs_cosh", "hitchin")
 
@@ -81,6 +83,25 @@ def _build_lax(spec: HamiltonianSpec, conf: lax.RSConfig):
     return lax.hasegawa_lax(conf, z).entries
 
 
+def _lax_log_derivative(spec: HamiltonianSpec, conf: lax.RSConfig):
+    """The matrix _build_lax builds, with its log-derivative contraction."""
+    z = spec.eval_z
+    if spec.family == "hitchin" or spec.lax_family == "composition":
+        L, contract = lax.composition_lax_log_derivative(conf, z)
+    elif spec.family == "rs_cosh" or spec.lax_family == "ruijsenaars":
+        L, contract = lax.ruijsenaars_lax_log_derivative(conf, z)
+    else:
+        L, contract = lax.hasegawa_lax_log_derivative(conf, z)
+    return L.entries, contract
+
+
+def _inverse(L):
+    det = np.linalg.det(L)
+    if abs(det) < 1e-12 * float(np.max(np.abs(L))) ** L.shape[0]:
+        raise SingularMatrix("Ruijsenaars matrix is singular; L^{-1} undefined")
+    return np.linalg.inv(L)
+
+
 def hamiltonian(spec: HamiltonianSpec, conf: lax.RSConfig) -> complex:
     """Evaluate the conserved quantity described by spec at conf."""
     L = _build_lax(spec, conf)
@@ -91,10 +112,7 @@ def hamiltonian(spec: HamiltonianSpec, conf: lax.RSConfig) -> complex:
             spec.index + 1
         )
     # rs_cosh
-    det = np.linalg.det(L)
-    if abs(det) < 1e-12 * float(np.max(np.abs(L))) ** L.shape[0]:
-        raise SingularMatrix("Ruijsenaars matrix is singular; L^{-1} undefined")
-    return complex(np.trace(L) + np.trace(np.linalg.inv(L)))
+    return complex(np.trace(L) + np.trace(_inverse(L)))
 
 
 def _conf_at(conf: lax.RSConfig, q, p) -> lax.RSConfig:
@@ -115,37 +133,34 @@ def _collision_margin(q, lat) -> float:
 
 def _check_collision(q, lat):
     margin = _collision_margin(q, lat)
-    if margin < 10 * H_FD:
+    if margin < COLLISION_MARGIN:
         raise CollisionImminent(
-            f"pairwise position margin {margin:.3e} below {10 * H_FD:.1e}"
+            f"pairwise position margin {margin:.3e} below {COLLISION_MARGIN:.1e}"
         )
 
 
 def hamiltonian_vector_field(
     spec: HamiltonianSpec, point: PhasePoint, conf: lax.RSConfig
 ):
-    """Hamilton's equations dq_i/dt = dH/dp_i, dp_i/dt = -dH/dq_i with
-    central finite differences of step H_FD."""
+    """Hamilton's equations dq_i/dt = dH/dp_i, dp_i/dt = -dH/dq_i.
+
+    Each family has dH = Tr(G dL) with G = i L^{i-1} (trace_power), L^i
+    (hitchin) or I - L^{-2} (rs_cosh).  With W = G^T * L entrywise, dH =
+    sum_{kk'} W_{kk'} d(log L_{kk'}): dH/dp_k is the k-th row sum of W, and
+    dH/dq is the Lax form's log-derivative contraction of W.  That costs one
+    Lax build plus zeta values at the same arguments.
+    """
     _check_collision(point.q, conf.lat)
-    q = np.asarray(point.q, dtype=complex)
-    p = np.asarray(point.p, dtype=complex)
-    n = q.size
-
-    def H(qv, pv):
-        return hamiltonian(spec, _conf_at(conf, qv, pv))
-
-    dq = np.empty(n, dtype=complex)
-    dp = np.empty(n, dtype=complex)
-    for i in range(n):
-        pp, pm = p.copy(), p.copy()
-        pp[i] += H_FD
-        pm[i] -= H_FD
-        dq[i] = (H(q, pp) - H(q, pm)) / (2 * H_FD)
-        qp, qm = q.copy(), q.copy()
-        qp[i] += H_FD
-        qm[i] -= H_FD
-        dp[i] = -(H(qp, p) - H(qm, p)) / (2 * H_FD)
-    return dq, dp
+    L, contract = _lax_log_derivative(spec, _conf_at(conf, point.q, point.p))
+    if spec.family == "trace_power":
+        G = spec.index * np.linalg.matrix_power(L, spec.index - 1)
+    elif spec.family == "hitchin":
+        G = np.linalg.matrix_power(L, spec.index)
+    else:  # rs_cosh
+        Linv = _inverse(L)
+        G = np.eye(L.shape[0]) - Linv @ Linv
+    W = G.T * L
+    return W.sum(axis=1), -contract(W)
 
 
 def _match_drift(ev0, ev):
@@ -248,7 +263,7 @@ def poisson_bracket(
     point: PhasePoint,
     conf: lax.RSConfig,
 ) -> complex:
-    """{A, B} = sum_i (dA/dq_i dB/dp_i - dA/dp_i dB/dq_i), central differences."""
+    """{A, B} = sum_i (dA/dq_i dB/dp_i - dA/dp_i dB/dq_i) from the analytic fields."""
     _check_collision(point.q, conf.lat)
     dqA, dpA = hamiltonian_vector_field(specA, point, conf)
     dqB, dpB = hamiltonian_vector_field(specB, point, conf)

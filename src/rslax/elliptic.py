@@ -1,4 +1,4 @@
-"""Weierstrass sigma and wp functions, theta functions with characteristics,
+"""Weierstrass sigma, zeta and wp functions, theta functions with characteristics,
 their trigonometric/rational degenerations, and the non-vanishing gauge factor
 C*exp(A*z + B*z**2) relating the sigma and theta bases.
 
@@ -77,12 +77,16 @@ def _theta_series(a, b, z, tau, order=0):
 
     theta[a;b](z|tau) = sum_k exp(i*pi*tau*(k+a)^2 + 2*pi*i*(k+a)*(z+b)).
     Terms are summed over an index window centered on the dominant term and
-    widened until the boundary terms fall below _SERIES_RELTOL of the largest
-    term, with a hard cap of _SERIES_MAX_TERMS terms.
+    widened until the boundary terms of every requested order fall below
+    _SERIES_RELTOL of that order's largest term, with a hard cap of
+    _SERIES_MAX_TERMS terms.  order may be a tuple of orders, for which the
+    tuple of derivatives is returned from one series pass.
     """
     tau = complex(tau)
     if tau.imag <= 0:
         raise NonConvergent(f"theta series requires Im(tau) > 0, got tau={tau}")
+    single = isinstance(order, int)
+    orders = (order,) if single else order
     a = complex(a)
     b = complex(b)
     zarr = np.asarray(z, dtype=complex)
@@ -103,19 +107,25 @@ def _theta_series(a, b, z, tau, order=0):
             )
         ks = np.arange(kmin, kmax + 1, dtype=float)[:, None] + a
         expo = 1j * np.pi * tau * ks**2 + 2j * np.pi * ks * (zflat[None, :] + b)
-        terms = np.exp(expo)
-        if order:
-            terms = terms * (2j * np.pi * ks) ** order
-        mags = np.abs(terms)
-        peak = mags.max()
-        boundary = max(mags[0].max(), mags[-1].max())
-        if peak == 0.0 or boundary <= _SERIES_RELTOL * peak:
+        base = np.exp(expo)
+        terms = [base * (2j * np.pi * ks) ** o if o else base for o in orders]
+        if all(_settled(np.abs(t)) for t in terms):
             break
         kmin -= 4
         kmax += 4
 
-    total = terms.sum(axis=0)
-    return complex(total[0]) if scalar else total.reshape(zarr.shape)
+    totals = [t.sum(axis=0) for t in terms]
+    if scalar:
+        totals = [complex(t[0]) for t in totals]
+    else:
+        totals = [t.reshape(zarr.shape) for t in totals]
+    return totals[0] if single else tuple(totals)
+
+
+def _settled(mags):
+    """Whether the boundary rows of a term-magnitude window are negligible."""
+    peak = mags.max()
+    return peak == 0.0 or max(mags[0].max(), mags[-1].max()) <= _SERIES_RELTOL * peak
 
 
 def theta_char(ch: ThetaCharacteristic, z, tau) -> complex:
@@ -201,6 +211,41 @@ def sigma(z, lat: Lattice):
         t1, eta1_hat = _unit_constants(lat.tau)
         x = zarr / s
         out = s * np.exp(eta1_hat * x**2) * _theta_series(0.5, 0.5, x, lat.tau) / t1
+    return complex(out) if np.ndim(z) == 0 else out
+
+
+def _sigma_zeta(z, lat: Lattice):
+    """(sigma(z), zeta(z)) as arrays, from one theta series pass.
+
+    zeta = sigma'/sigma is not finite at the zeros of sigma; no pole check is
+    made, so callers discard the entries they do not need there.
+    """
+    zarr = np.asarray(z, dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if lat.kind == KIND_TRIG:
+            s = np.sin(zarr)
+            zt = np.cos(zarr) / s
+        elif lat.kind == KIND_RATIONAL:
+            s = zarr
+            zt = 1.0 / zarr
+        else:
+            w = complex(lat.omega1)
+            t1, eta1_hat = _unit_constants(lat.tau)
+            x = zarr / w
+            th, dth = _theta_series(0.5, 0.5, x, lat.tau, order=(0, 1))
+            s = w * np.exp(eta1_hat * x**2) * th / t1
+            zt = (2.0 * eta1_hat * x + dth / th) / w
+    return s, zt
+
+
+def zeta(z, lat: Lattice):
+    """Weierstrass zeta = sigma'/sigma; cot(z) / 1/z for the degenerate kinds.
+
+    Quasi-periodicity: zeta(z + omega_i) = zeta(z) + 2*eta_i.
+    """
+    if np.min(lattice_distance(z, lat)) < POLE_TOL:
+        raise PoleAtLattice(f"zeta argument within {POLE_TOL} of a lattice point")
+    out = _sigma_zeta(z, lat)[1]
     return complex(out) if np.ndim(z) == 0 else out
 
 

@@ -38,6 +38,10 @@ class ZeroLambda(RslaxError):
     """The spectral parameter is zero where a formula divides by it."""
 
 
+class NonFiniteEntries(RslaxError, ValueError):
+    """An evaluated matrix has a NaN or infinite entry."""
+
+
 class NoSolution(RslaxError):
     """A moment-map equation has no solution for the given data."""
 

@@ -193,6 +193,52 @@ def xi_matrix(conf: RSConfig, z) -> SpectralMatrix:
     return SpectralMatrix(n, entries, complex(z))
 
 
+def _off_diagonal(vals, diag, off):
+    """n x n array with vals on the off-diagonal mask off and diag on the rest."""
+    out = np.full(off.shape, diag, dtype=complex)
+    out[off] = vals
+    return out
+
+
+def _hasegawa_kernel(conf: RSConfig, z, with_zeta=False):
+    """The sigma-product part shared by the Hasegawa and spin matrices,
+
+        K_{kk'} = sigma(z + hbar + q_k - q_{k'}) / sigma(z)
+                  * prod_{l != k} sigma(hbar + q_l - q_{k'}) / sigma(q_l - q_k),
+
+    from one sigma evaluation over all its arguments.  with_zeta also returns
+    the zeta values at the q-dependent arguments: Z1[k, k'] = zeta(z + hbar +
+    q_k - q_{k'}), Z2[l, k'] = zeta(hbar + q_l - q_{k'}) and Z3[l, k] =
+    zeta(q_l - q_k).  The diagonals of Z2 and Z3 are zero: the l = k' factor
+    sigma(hbar) does not depend on q (and zeta(hbar) is infinite at hbar = 0),
+    and sigma(0) never enters K.
+    """
+    lat = conf.lat
+    if elliptic.lattice_distance(z, lat) < elliptic.POLE_TOL:
+        raise PoleAtLattice("spectral point z is on the lattice (pole of L)")
+    z = complex(z)
+    hbar = conf.hbar
+    n = conf.n
+    D = _diff_matrix(conf.q)
+    off = ~np.eye(n, dtype=bool)
+    args = np.concatenate([(z + hbar + D).ravel(), hbar + D[off], D[off], [hbar, z]])
+    if with_zeta:
+        s, zt = elliptic._sigma_zeta(args, lat)
+    else:
+        s = elliptic.sigma(args, lat)
+    m, o = n * n, n * n - n
+    S1 = s[:m].reshape(n, n)
+    S2 = _off_diagonal(s[m : m + o], s[-2], off)  # S2[l, k'] = sigma(hbar + q_l - q_k')
+    S3 = _off_diagonal(s[m + o : m + 2 * o], 1.0, off)  # S3[l, k] = sigma(q_l - q_k)
+    K = S1 / s[-1] * _masked_column_products(S2) / np.prod(S3, axis=0)[:, None]
+    if not with_zeta:
+        return K
+    Z1 = zt[:m].reshape(n, n)
+    Z2 = _off_diagonal(zt[m : m + o], 0.0, off)
+    Z3 = _off_diagonal(zt[m + o : m + 2 * o], 0.0, off)
+    return K, (Z1, Z2, Z3)
+
+
 def hasegawa_lax(conf: RSConfig, z) -> SpectralMatrix:
     """RS Lax matrix in Hasegawa form,
 
@@ -201,31 +247,34 @@ def hasegawa_lax(conf: RSConfig, z) -> SpectralMatrix:
 
     evaluated for any lattice kind through the sigma dispatch.
     """
-    lat = conf.lat
-    if elliptic.lattice_distance(z, lat) < elliptic.POLE_TOL:
-        raise PoleAtLattice("spectral point z is on the lattice (pole of L)")
-    z = complex(z)
-    hbar = conf.hbar
-    D = _diff_matrix(conf.q)
-
-    S1 = np.atleast_2d(elliptic.sigma(z + hbar + D, lat))
-    S2 = np.atleast_2d(elliptic.sigma(hbar + D, lat))  # S2[l, k'] after transpose fix
-    S3 = np.atleast_2d(elliptic.sigma(D, lat))  # S3[l, k] = sigma(q_l - q_k)
-
-    # prod_{l != k} sigma(hbar + q_l - q_{k'}): the l-index runs over rows of
-    # sigma(hbar + q_l - q_{k'}) = sigma(hbar + D)[l, k'].
-    prod_num = _masked_column_products(S2)
-    prod_den = np.diag(_masked_column_products(S3))
-
     expP = np.exp(np.asarray(conf.P, dtype=complex))
-    entries = (
-        expP[:, None]
-        * S1
-        / elliptic.sigma(z, lat)
-        * prod_num
-        / prod_den[:, None]
-    )
-    return SpectralMatrix(conf.n, entries, z)
+    return SpectralMatrix(conf.n, expP[:, None] * _hasegawa_kernel(conf, z), complex(z))
+
+
+def hasegawa_lax_log_derivative(conf: RSConfig, z):
+    """hasegawa_lax(conf, z) together with the contraction
+
+        W -> g,   g_j = sum_{k,k'} W_{kk'} d(log L_{kk'})/dq_j,
+
+    from one sigma and zeta evaluation (d(log L_{kk'})/dP_j = delta_{jk}).
+    log L_{kk'} is P_k plus log sigma at differences of positions, and a sum
+    sum_{a,b} M_{ab} psi(q_a - q_b) has q-gradient rowsum(M psi') -
+    colsum(M psi').  The weights M are W for zeta(z + hbar + q_k - q_{k'}),
+    sum_{k != l} W_{kk'} for zeta(hbar + q_l - q_{k'}) and -sum_{k'} W_{kk'}
+    for zeta(q_l - q_k) (Ruijsenaars, CMP 110 (1987); Hasegawa, CMP 187
+    (1997)).
+    """
+    K, (Z1, Z2, Z3) = _hasegawa_kernel(conf, z, with_zeta=True)
+    expP = np.exp(np.asarray(conf.P, dtype=complex))
+    L = SpectralMatrix(conf.n, expP[:, None] * K, complex(z))
+
+    def contract(W):
+        r = W.sum(axis=1)
+        c = W.sum(axis=0)
+        X = W * Z1 + (c[None, :] - W) * Z2 - r[None, :] * Z3
+        return X.sum(axis=1) - X.sum(axis=0)
+
+    return L, contract
 
 
 def composition_lax(conf: RSConfig, z) -> SpectralMatrix:
@@ -260,6 +309,17 @@ def composition_lax(conf: RSConfig, z) -> SpectralMatrix:
     expP = np.exp(np.asarray(conf.P, dtype=complex))
     entries = (expP / prod_den)[:, None] * C.entries * col[None, :]
     return SpectralMatrix(n, entries, complex(z))
+
+
+def composition_lax_log_derivative(conf: RSConfig, z):
+    """composition_lax(conf, z) and the contraction of hasegawa_lax_log_derivative.
+
+    The composition is the Hasegawa matrix, so it shares that log-derivative,
+    except at zero coupling, where it is diag(exp(P)) and does not depend on q.
+    """
+    if elliptic.lattice_distance(conf.hbar, conf.lat) < elliptic.POLE_TOL:
+        return composition_lax(conf, z), lambda W: np.zeros(conf.n, dtype=complex)
+    return hasegawa_lax_log_derivative(conf, z)
 
 
 def _f_squared(conf: RSConfig, mu):
@@ -329,6 +389,40 @@ def ruijsenaars_lax(
     theta = np.exp(np.asarray(conf.P, dtype=complex))
     entries = (theta * row_f)[:, None] * np.atleast_2d(core)
     return SpectralMatrix(conf.n, entries, lam)
+
+
+def ruijsenaars_lax_log_derivative(conf: RSConfig, lam):
+    """ruijsenaars_lax(conf, LaxParams(), lam) together with the contraction
+
+        W -> g,   g_j = sum_{i,k} W_{ik} d(log L'_{ik})/dq_j.
+
+    The core sigma(q + lam)/sigma(q + mu) has log-derivative zeta(q + lam) -
+    zeta(q + mu).  By the addition formula wp(mu) - wp(q) = -sigma(mu + q)
+    sigma(mu - q)/(sigma(mu)^2 sigma(q)^2), f(q)^2 = sigma(q + mu)
+    sigma(q - mu)/sigma(q)^2, so on any square-root branch
+
+        d(log f)/dq = -wp'(q)/(2 (wp(mu) - wp(q)))
+                    = (zeta(q + mu) + zeta(q - mu))/2 - zeta(q).
+    """
+    L = ruijsenaars_lax(conf, LaxParams(), lam)
+    n = conf.n
+    C = np.zeros((n, n), dtype=complex)  # core: zeta(q_ik + lam) - zeta(q_ik + mu)
+    F = np.zeros((n, n), dtype=complex)  # d(log f)/dq at q_il
+    if n > 1:
+        off = ~np.eye(n, dtype=bool)
+        d = _diff_matrix(conf.q)[off]
+        mu = conf.mu
+        args = np.concatenate([d + complex(lam), d + mu, d - mu, d])
+        zt = elliptic._sigma_zeta(args, conf.lat)[1]
+        zl, zp, zm, z0 = zt.reshape(4, -1)
+        C[off] = zl - zp
+        F[off] = 0.5 * (zp + zm) - z0
+
+    def contract(W):
+        X = W * C + W.sum(axis=1)[:, None] * F
+        return X.sum(axis=1) - X.sum(axis=0)
+
+    return L, contract
 
 
 def ruijsenaars_equivalent_momenta(conf: RSConfig, branch: str = "principal"):
@@ -407,23 +501,9 @@ def spin_lax(conf: RSConfig, spin: SpinFraming, z) -> SpectralMatrix:
 
     with u = n*hbar and f_{kk'} = (U0 V0)_{kk'} * (Uinf Vinf)_{k'k}.
     """
-    lat = conf.lat
-    if elliptic.lattice_distance(z, lat) < elliptic.POLE_TOL:
-        raise PoleAtLattice("spectral point z is on the lattice (pole of L)")
-    z = complex(z)
-    hbar = conf.hbar  # u/n with u = n*hbar
-    D = _diff_matrix(conf.q)
     F0 = spin.U0 @ spin.V0
     Finf = spin.Uinf @ spin.Vinf
-    f = F0 * Finf.T
-
-    S1 = np.atleast_2d(elliptic.sigma(z + hbar + D, lat))
-    S2 = np.atleast_2d(elliptic.sigma(hbar + D, lat))
-    S3 = np.atleast_2d(elliptic.sigma(D, lat))
-    prod_num = _masked_column_products(S2)
-    prod_den = np.diag(_masked_column_products(S3))
-    entries = f * S1 / elliptic.sigma(z, lat) * prod_num / prod_den[:, None]
-    return SpectralMatrix(conf.n, entries, z)
+    return SpectralMatrix(conf.n, F0 * Finf.T * _hasegawa_kernel(conf, z), complex(z))
 
 
 def cm_lax(conf: CMConfig, lam) -> SpectralMatrix:

@@ -169,8 +169,9 @@ def solve_trig_cm(q, orbit: OrbitSpec, gauge) -> ReductionPair:
             col = col / col[k] * gauge[j]
         X[:, j] = col
 
-    det = np.linalg.det(X)
-    if abs(det) < 1e-10 * max(1.0, float(np.max(np.abs(X))) ** n):
+    # The condition number does not depend on the scale of the columns, which
+    # the gauge sets; |det X| does.
+    if np.linalg.cond(X) > 1e12:
         raise NoSolution("constructed X is singular for this configuration")
 
     # beta from beta^T x_j = s_j, where s_j is fixed by any non-resonant row

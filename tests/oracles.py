@@ -1,7 +1,8 @@
 """Independent numerical oracles used to certify the library's special
 functions and determinant identities.  Every oracle here computes the target
 quantity by a route disjoint from the library implementation: truncated
-lattice products, mpmath theta series, and brute-force LU determinants.
+lattice products, mpmath theta series, brute-force LU determinants, and
+finite-difference Hamiltonian vector fields.
 """
 
 from __future__ import annotations
@@ -69,3 +70,35 @@ def brute_minor(M, k, l):
     rows = [i for i in range(M.shape[0]) if i != k - 1]
     cols = [j for j in range(M.shape[1]) if j != l - 1]
     return complex(np.linalg.det(M[np.ix_(rows, cols)]))
+
+
+H_FD = 2e-4
+
+
+def fd_vector_field(spec, point, conf, h=H_FD):
+    """Hamilton's equations (dH/dp, -dH/dq) by the 5-point stencil
+    (f(-2h) - 8 f(-h) + 8 f(h) - f(2h))/(12 h) of rslax.dynamics.hamiltonian
+    along the real axis (the Hamiltonians are holomorphic)."""
+    from rslax import dynamics, lax
+
+    weights = {-2: 1 / 12, -1: -8 / 12, 1: 8 / 12, 2: -1 / 12}
+    q = np.asarray(point.q, dtype=complex)
+    p = np.asarray(point.p, dtype=complex)
+
+    def H(qv, pv):
+        conf_v = lax.rs_config(
+            qv, pv, conf.hbar, conf.lat, mu=conf.mu, q_inf=conf.q_inf, q_zero=conf.q_zero
+        )
+        return dynamics.hamiltonian(spec, conf_v)
+
+    def partial(i, along_p):
+        total = 0.0
+        for k, w in weights.items():
+            e = np.zeros(q.size)
+            e[i] = k * h
+            total += w * (H(q, p + e) if along_p else H(q + e, p))
+        return total / h
+
+    dq = np.array([partial(i, True) for i in range(q.size)], dtype=complex)
+    dp = np.array([-partial(i, False) for i in range(q.size)], dtype=complex)
+    return dq, dp

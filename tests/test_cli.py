@@ -7,6 +7,7 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from rslax import cli
@@ -89,6 +90,12 @@ class TestVerify:
     def test_zero_tolerance_forces_failure(self, tmp_path):
         cfg = verify_cfg(tmp_path, checks=["legendre_relation"])
         assert cli.main(["verify", "--config", cfg, "--tol-scale", "0"]) == 1
+
+    def test_trig_cm_small_determinant_seed(self, tmp_path):
+        # This seed draws a trig CM input whose X is well conditioned but has
+        # |det X| below 1e-10 * max|X|^n.
+        cfg = verify_cfg(tmp_path, checks=["trig_cm_moment"], seed=86105372)
+        assert cli.main(["verify", "--config", cfg]) == 0
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = verify_cfg(tmp_path)
@@ -267,3 +274,27 @@ class TestReduceAndLax:
             rows = list(csv.reader(fh))
         assert rows[0] == ["row", "col", "re", "im"]
         assert len(rows) == 1 + 4
+
+    def test_lax_non_finite_entries_exit_one(self, tmp_path, capsys):
+        # sigma overflows to NaN 30i away from the fundamental parallelogram.
+        cfg = write_config(
+            tmp_path,
+            "x.json",
+            {
+                "schema_version": 1,
+                "command": "lax",
+                "output_dir": str(tmp_path / "out"),
+                "params": {
+                    "family": "hasegawa",
+                    "lattice": {"kind": "elliptic", "omega1": 1.0, "omega2": {"re": 0.2, "im": 2.4}},
+                    "q": [{"re": 0.1, "im": 0.05}, {"re": 0.1, "im": 30.05}],
+                    "P": [0.1, -0.07],
+                    "hbar": {"re": 0.08, "im": 0.02},
+                },
+            },
+        )
+        with np.errstate(all="ignore"):
+            assert cli.main(["lax", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: NonFiniteEntries")
+        assert "Traceback" not in err

@@ -1,11 +1,15 @@
-"""Tests for the flow layer: Hamiltonian evaluation, finite-difference
-vector fields, RK4 isospectral integration with drift tracking, Poisson
-brackets, coordinate-chart consistency, and collision handling.
+"""Tests for the flow layer: Hamiltonian evaluation, analytic vector fields
+against a finite-difference oracle, RK4 isospectral integration with drift
+tracking, Poisson brackets, coordinate-chart consistency, and collision
+handling.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
+import oracles
 from rslax import dynamics, elliptic, lax
 from rslax.errors import CollisionImminent
 
@@ -54,6 +58,41 @@ class TestVectorField:
         dq, dp = dynamics.hamiltonian_vector_field(SPEC1, pt, conf)
         assert np.max(np.abs(dq - np.exp(p))) < 1e-8
         assert np.max(np.abs(dp)) < 1e-8
+
+    # (family, index, lax_family): the five distinct Lax-form/trace-function
+    # pairs that hamiltonian() evaluates.
+    @pytest.mark.parametrize(
+        "family,index,lax_family",
+        [
+            ("trace_power", 1, "hasegawa"),
+            ("trace_power", 3, "composition"),
+            ("trace_power", 2, "ruijsenaars"),
+            ("hitchin", 2, "composition"),
+            ("rs_cosh", 1, "ruijsenaars"),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["elliptic", "trig", "rational"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("hbar", [0.08 + 0.03j, 0.0])
+    def test_matches_fourth_order_oracle(self, family, index, lax_family, kind, n, hbar):
+        lat = {
+            "elliptic": LAT,
+            "trig": elliptic.trig_lattice(),
+            "rational": elliptic.rational_lattice(),
+        }[kind]
+        step = {"elliptic": 0.9 / n, "trig": 2.7 / n, "rational": 0.7}[kind]
+        k = np.arange(n)
+        q = 0.11 + step * k + 0.03j * np.sin(k + 1)
+        P = 0.1 * np.cos(k + 0.5) - 0.04j * np.sin(2 * k + 1)
+        # mu is set apart from hbar so the Ruijsenaars forms exist at hbar = 0.
+        conf = lax.rs_config(q, P, hbar, lat, mu=0.09 + 0.02j)
+        spec = dynamics.HamiltonianSpec(family, index, lax_family)
+        pt = dynamics.PhasePoint(q, P)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field = np.concatenate(dynamics.hamiltonian_vector_field(spec, pt, conf))
+        ref = np.concatenate(oracles.fd_vector_field(spec, pt, conf))
+        assert np.max(np.abs(field - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     def test_bracket_of_conserved_quantities_vanishes(self):
         conf = mild_conf()

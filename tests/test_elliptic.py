@@ -48,6 +48,34 @@ class TestThetaSeries:
             elliptic.theta_char(elliptic.ThetaCharacteristic(0.5, 0.5), 0.3, 1e-9j)
 
 
+class TestZeta:
+    @pytest.mark.parametrize("kind", ["elliptic", "trig", "rational"])
+    def test_is_log_derivative_of_sigma(self, kind):
+        lat = {
+            "elliptic": LAT,
+            "trig": elliptic.trig_lattice(),
+            "rational": elliptic.rational_lattice(),
+        }[kind]
+        z = np.array([0.23 + 0.11j, -0.41 + 0.37j, 0.62 - 0.2j])
+        h = 1e-3
+        s = {k: elliptic.sigma(z + k * h, lat) for k in (-2, -1, 1, 2)}
+        dsigma = (s[-2] - 8 * s[-1] + 8 * s[1] - s[2]) / (12 * h)
+        ref = dsigma / elliptic.sigma(z, lat)
+        assert np.max(np.abs(elliptic.zeta(z, lat) - ref)) < 1e-9 * np.max(np.abs(ref))
+
+    def test_quasi_periodicity(self):
+        # zeta(z + omega_i) = zeta(z) + 2 eta_i
+        for z in (0.23 + 0.11j, -0.41 + 0.37j):
+            for w, eta in ((LAT.omega1, LAT.eta1), (LAT.omega2, LAT.eta2)):
+                lhs = elliptic.zeta(z + w, LAT)
+                rhs = elliptic.zeta(z, LAT) + 2 * eta
+                assert abs(lhs - rhs) < 1e-11 * abs(rhs)
+
+    def test_pole_rejected(self):
+        with pytest.raises(PoleAtLattice):
+            elliptic.zeta(LAT.omega1, LAT)
+
+
 class TestSigma:
     def test_matches_lattice_product(self):
         # Truncated Hadamard product oracle, radius sweep shows convergence
