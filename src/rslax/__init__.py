@@ -71,16 +71,13 @@ from .lax import (
     cm_config,
     cm_lax,
     composition_lax,
-    composition_lax_log_derivative,
     factorized_cm_lax,
     hasegawa_lax,
-    hasegawa_lax_log_derivative,
     intertwining_vector,
     krichever_lax,
     rs_config,
     ruijsenaars_equivalent_momenta,
     ruijsenaars_lax,
-    ruijsenaars_lax_log_derivative,
     spin_lax,
     xi_matrix,
 )

@@ -5,7 +5,7 @@ Coordinates are the canonical pair (q_i, p_i) with rapidities theta_i =
 exp(p_i); the symplectic form is sum_i dp_i ^ dq_i = sum_i (dtheta_i/theta_i)
 ^ dq_i.  Every Hamiltonian here is a trace function of a Lax matrix whose
 entries are exp(p_k) times products of sigma values, so its gradient is a
-closed-form contraction with zeta values at the same arguments; finite
+closed-form sum of sigma' and zeta values at the same arguments; finite
 differences serve only as a test oracle.
 """
 
@@ -74,25 +74,25 @@ class HamiltonianSpec:
             raise ValueError("index must be >= 1")
 
 
-def _build_lax(spec: HamiltonianSpec, conf: lax.RSConfig):
-    z = spec.eval_z
+def _lax_form(spec: HamiltonianSpec):
+    """(build, jacobian) of the Lax form spec's Hamiltonian is a trace function of.
+
+    build(conf, z) is a SpectralMatrix; jacobian(conf, z) gives its entries
+    and the map R -> (sum_{kk'} R_{kk'} dL_{kk'}/dq_j)_j.
+    """
     if spec.family == "hitchin" or spec.lax_family == "composition":
-        return lax.composition_lax(conf, z).entries
+        return lax.composition_lax, lax._composition_jacobian
     if spec.family == "rs_cosh" or spec.lax_family == "ruijsenaars":
-        return lax.ruijsenaars_lax(conf, lax.LaxParams(), z).entries
-    return lax.hasegawa_lax(conf, z).entries
+        return _ruijsenaars_lax, lax._ruijsenaars_jacobian
+    return lax.hasegawa_lax, lax._hasegawa_jacobian
 
 
-def _lax_log_derivative(spec: HamiltonianSpec, conf: lax.RSConfig):
-    """The matrix _build_lax builds, with its log-derivative contraction."""
-    z = spec.eval_z
-    if spec.family == "hitchin" or spec.lax_family == "composition":
-        L, contract = lax.composition_lax_log_derivative(conf, z)
-    elif spec.family == "rs_cosh" or spec.lax_family == "ruijsenaars":
-        L, contract = lax.ruijsenaars_lax_log_derivative(conf, z)
-    else:
-        L, contract = lax.hasegawa_lax_log_derivative(conf, z)
-    return L.entries, contract
+def _ruijsenaars_lax(conf: lax.RSConfig, lam):
+    return lax.ruijsenaars_lax(conf, lax.LaxParams(), lam)
+
+
+def _build_lax(spec: HamiltonianSpec, conf: lax.RSConfig):
+    return _lax_form(spec)[0](conf, spec.eval_z).entries
 
 
 def _inverse(L):
@@ -145,13 +145,13 @@ def hamiltonian_vector_field(
     """Hamilton's equations dq_i/dt = dH/dp_i, dp_i/dt = -dH/dq_i.
 
     Each family has dH = Tr(G dL) with G = i L^{i-1} (trace_power), L^i
-    (hitchin) or I - L^{-2} (rs_cosh).  With W = G^T * L entrywise, dH =
-    sum_{kk'} W_{kk'} d(log L_{kk'}): dH/dp_k is the k-th row sum of W, and
-    dH/dq is the Lax form's log-derivative contraction of W.  That costs one
-    Lax build plus zeta values at the same arguments.
+    (hitchin) or I - L^{-2} (rs_cosh).  With R = G^T, dH = sum_{kk'} R_{kk'}
+    dL_{kk'}: dH/dp_k is the k-th row sum of R * L (entrywise), and dH/dq is
+    the Lax form's Jacobian map applied to R.  That costs one Lax build plus
+    sigma' values at the same arguments.
     """
     _check_collision(point.q, conf.lat)
-    L, contract = _lax_log_derivative(spec, _conf_at(conf, point.q, point.p))
+    L, grad_q = _lax_form(spec)[1](_conf_at(conf, point.q, point.p), spec.eval_z)
     if spec.family == "trace_power":
         G = spec.index * np.linalg.matrix_power(L, spec.index - 1)
     elif spec.family == "hitchin":
@@ -159,8 +159,8 @@ def hamiltonian_vector_field(
     else:  # rs_cosh
         Linv = _inverse(L)
         G = np.eye(L.shape[0]) - Linv @ Linv
-    W = G.T * L
-    return W.sum(axis=1), -contract(W)
+    R = G.T
+    return (R * L).sum(axis=1), -grad_q(R)
 
 
 def _match_drift(ev0, ev):

@@ -201,41 +201,30 @@ def lattice_distance(z, lat: Lattice):
 
 def sigma(z, lat: Lattice):
     """Weierstrass sigma function (sin(z) / z for the degenerate kinds)."""
-    zarr = np.asarray(z, dtype=complex)
-    if lat.kind == KIND_TRIG:
-        out = np.sin(zarr)
-    elif lat.kind == KIND_RATIONAL:
-        out = zarr
-    else:
-        s = complex(lat.omega1)
-        t1, eta1_hat = _unit_constants(lat.tau)
-        x = zarr / s
-        out = s * np.exp(eta1_hat * x**2) * _theta_series(0.5, 0.5, x, lat.tau) / t1
+    out = _sigma_orders(np.asarray(z, dtype=complex), lat, (0,))[0]
     return complex(out) if np.ndim(z) == 0 else out
 
 
-def _sigma_zeta(z, lat: Lattice):
-    """(sigma(z), zeta(z)) as arrays, from one theta series pass.
+def _sigma_orders(zarr, lat: Lattice, orders):
+    """[d^o sigma/dz^o at zarr for o in orders], orders drawn from {0, 1}.
 
-    zeta = sigma'/sigma is not finite at the zeros of sigma; no pole check is
-    made, so callers discard the entries they do not need there.
+    Both orders come from one theta series pass.  sigma' is finite
+    everywhere, also at the zeros of sigma, where sigma'/sigma is not.
     """
-    zarr = np.asarray(z, dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if lat.kind == KIND_TRIG:
-            s = np.sin(zarr)
-            zt = np.cos(zarr) / s
-        elif lat.kind == KIND_RATIONAL:
-            s = zarr
-            zt = 1.0 / zarr
-        else:
-            w = complex(lat.omega1)
-            t1, eta1_hat = _unit_constants(lat.tau)
-            x = zarr / w
-            th, dth = _theta_series(0.5, 0.5, x, lat.tau, order=(0, 1))
-            s = w * np.exp(eta1_hat * x**2) * th / t1
-            zt = (2.0 * eta1_hat * x + dth / th) / w
-    return s, zt
+    if lat.kind == KIND_TRIG:
+        return [np.cos(zarr) if o else np.sin(zarr) for o in orders]
+    if lat.kind == KIND_RATIONAL:
+        return [np.ones_like(zarr) if o else zarr for o in orders]
+    w = complex(lat.omega1)
+    t1, eta1_hat = _unit_constants(lat.tau)
+    x = zarr / w
+    th = _theta_series(0.5, 0.5, x, lat.tau, order=(0, 1) if 1 in orders else (0,))
+    gauge = np.exp(eta1_hat * x**2) / t1
+    # sigma = w * gauge * theta1(x); d/dz = (1/w) d/dx.
+    return [
+        gauge * (2.0 * eta1_hat * x * th[0] + th[1]) if o else w * gauge * th[0]
+        for o in orders
+    ]
 
 
 def zeta(z, lat: Lattice):
@@ -245,7 +234,8 @@ def zeta(z, lat: Lattice):
     """
     if np.min(lattice_distance(z, lat)) < POLE_TOL:
         raise PoleAtLattice(f"zeta argument within {POLE_TOL} of a lattice point")
-    out = _sigma_zeta(z, lat)[1]
+    s, ds = _sigma_orders(np.asarray(z, dtype=complex), lat, (0, 1))
+    out = ds / s
     return complex(out) if np.ndim(z) == 0 else out
 
 

@@ -154,13 +154,16 @@ def _diff_matrix(q):
     return arr[:, None] - arr[None, :]
 
 
-def _masked_column_products(S):
-    """P[k, k'] = prod_{l != k} S[l, k'] for an n x n array S."""
-    n = S.shape[0]
-    T = np.broadcast_to(S[None, :, :], (n, n, n)).copy()
-    idx = np.arange(n)
-    T[idx, idx, :] = 1.0
-    return T.prod(axis=1)
+def _exclusive_products(S):
+    """out[k] = prod_{l != k} S[l] along the first axis of S.
+
+    Prefix times suffix products, with no division, so zero entries are
+    allowed.
+    """
+    out = np.ones_like(S)
+    np.cumprod(S[:-1], axis=0, out=out[1:])
+    out[:-1] *= np.cumprod(S[:0:-1], axis=0)[::-1]
+    return out
 
 
 def intertwining_vector(lam_vec, j, k, z, lat: elliptic.Lattice) -> complex:
@@ -200,18 +203,18 @@ def _off_diagonal(vals, diag, off):
     return out
 
 
-def _hasegawa_kernel(conf: RSConfig, z, with_zeta=False):
+def _hasegawa_kernel(conf: RSConfig, z, jacobian=False):
     """The sigma-product part shared by the Hasegawa and spin matrices,
 
         K_{kk'} = sigma(z + hbar + q_k - q_{k'}) / sigma(z)
                   * prod_{l != k} sigma(hbar + q_l - q_{k'}) / sigma(q_l - q_k),
 
-    from one sigma evaluation over all its arguments.  with_zeta also returns
-    the zeta values at the q-dependent arguments: Z1[k, k'] = zeta(z + hbar +
-    q_k - q_{k'}), Z2[l, k'] = zeta(hbar + q_l - q_{k'}) and Z3[l, k] =
-    zeta(q_l - q_k).  The diagonals of Z2 and Z3 are zero: the l = k' factor
-    sigma(hbar) does not depend on q (and zeta(hbar) is infinite at hbar = 0),
-    and sigma(0) never enters K.
+    from one sigma evaluation over all its arguments.  jacobian also returns
+    the factors of K = E_k A_{kk'} N_{kk'} and sigma' at the same arguments:
+    E_k = 1/(sigma(z) prod_{l != k} sigma(q_l - q_k)), A = sigma(z + hbar +
+    q_k - q_{k'}), B[l, k'] = sigma(hbar + q_l - q_{k'}) (diagonal sigma(hbar)),
+    N_{kk'} = prod_{l != k} B[l, k'], dA and dB their sigma', and Z[l, k] =
+    zeta(q_l - q_k) (diagonal 0, where sigma(0) never enters K).
     """
     lat = conf.lat
     if elliptic.lattice_distance(z, lat) < elliptic.POLE_TOL:
@@ -222,21 +225,25 @@ def _hasegawa_kernel(conf: RSConfig, z, with_zeta=False):
     D = _diff_matrix(conf.q)
     off = ~np.eye(n, dtype=bool)
     args = np.concatenate([(z + hbar + D).ravel(), hbar + D[off], D[off], [hbar, z]])
-    if with_zeta:
-        s, zt = elliptic._sigma_zeta(args, lat)
-    else:
-        s = elliptic.sigma(args, lat)
+    vals = elliptic._sigma_orders(args, lat, (0, 1) if jacobian else (0,))
     m, o = n * n, n * n - n
-    S1 = s[:m].reshape(n, n)
-    S2 = _off_diagonal(s[m : m + o], s[-2], off)  # S2[l, k'] = sigma(hbar + q_l - q_k')
-    S3 = _off_diagonal(s[m + o : m + 2 * o], 1.0, off)  # S3[l, k] = sigma(q_l - q_k)
-    K = S1 / s[-1] * _masked_column_products(S2) / np.prod(S3, axis=0)[:, None]
-    if not with_zeta:
+
+    def split(v, diag3):
+        return (
+            v[:m].reshape(n, n),
+            _off_diagonal(v[m : m + o], v[-2], off),
+            _off_diagonal(v[m + o : m + 2 * o], diag3, off),
+        )
+
+    A, B, S3 = split(vals[0], 1.0)  # S3[l, k] = sigma(q_l - q_k)
+    E = 1.0 / (vals[0][-1] * np.prod(S3, axis=0))
+    N = _exclusive_products(B)
+    K = E[:, None] * A * N
+    if not jacobian:
         return K
-    Z1 = zt[:m].reshape(n, n)
-    Z2 = _off_diagonal(zt[m : m + o], 0.0, off)
-    Z3 = _off_diagonal(zt[m + o : m + 2 * o], 0.0, off)
-    return K, (Z1, Z2, Z3)
+    dA, dB, dS3 = split(vals[1], 0.0)
+    Z = dS3 / S3
+    return K, (E, A, B, N, dA, dB, Z)
 
 
 def hasegawa_lax(conf: RSConfig, z) -> SpectralMatrix:
@@ -251,30 +258,49 @@ def hasegawa_lax(conf: RSConfig, z) -> SpectralMatrix:
     return SpectralMatrix(conf.n, expP[:, None] * _hasegawa_kernel(conf, z), complex(z))
 
 
-def hasegawa_lax_log_derivative(conf: RSConfig, z):
-    """hasegawa_lax(conf, z) together with the contraction
+def _hasegawa_jacobian(conf: RSConfig, z):
+    """hasegawa_lax(conf, z).entries and the map R -> g with
 
-        W -> g,   g_j = sum_{k,k'} W_{kk'} d(log L_{kk'})/dq_j,
+        g_j = sum_{k,k'} R_{kk'} dL_{kk'}/dq_j
 
-    from one sigma and zeta evaluation (d(log L_{kk'})/dP_j = delta_{jk}).
-    log L_{kk'} is P_k plus log sigma at differences of positions, and a sum
-    sum_{a,b} M_{ab} psi(q_a - q_b) has q-gradient rowsum(M psi') -
-    colsum(M psi').  The weights M are W for zeta(z + hbar + q_k - q_{k'}),
-    sum_{k != l} W_{kk'} for zeta(hbar + q_l - q_{k'}) and -sum_{k'} W_{kk'}
-    for zeta(q_l - q_k) (Ruijsenaars, CMP 110 (1987); Hasegawa, CMP 187
-    (1997)).
+    (dL_{kk'}/dP_j = delta_{jk} L_{kk'}), from one sigma and sigma' evaluation.
+    Every factor of L_{kk'} is sigma at a difference of positions, so the
+    weights M_{ab} of the factors at q_a - q_b give g = rowsum(M) - colsum(M),
+    and diagonal weights cancel (Ruijsenaars, CMP 110 (1987); Hasegawa, CMP
+    187 (1997)).  The numerator factors sigma(z + hbar + q_k - q_{k'}) and
+    sigma(hbar + q_l - q_{k'}) vanish where positions are spaced by hbar or
+    by z + hbar, so each is differentiated as sigma' times the product of
+    the other factors, never as L times zeta (0 * inf there).  Only the
+    denominator sigma(q_l - q_k), kept off zero by the collision guard,
+    enters through zeta.
     """
-    K, (Z1, Z2, Z3) = _hasegawa_kernel(conf, z, with_zeta=True)
+    K, (E, A, B, N, dA, dB, Z) = _hasegawa_kernel(conf, z, jacobian=True)
+    n = conf.n
     expP = np.exp(np.asarray(conf.P, dtype=complex))
-    L = SpectralMatrix(conf.n, expP[:, None] * K, complex(z))
+    L = expP[:, None] * K
+    E = expP * E
+    # X[l, k, k'] = prod_{m not in {k, l}} B[m, k'], zero at l = k, where
+    # B[l, k'] is not a factor of L_{kk'}.
+    idx = np.arange(n)
+    X = np.broadcast_to(B[:, None, :], (n, n, n)).copy()
+    X[idx, idx] = 1.0
+    X = _exclusive_products(X)
+    X[idx, idx] = 0.0
 
-    def contract(W):
-        r = W.sum(axis=1)
-        c = W.sum(axis=0)
-        X = W * Z1 + (c[None, :] - W) * Z2 - r[None, :] * Z3
-        return X.sum(axis=1) - X.sum(axis=0)
+    def grad_q(R):
+        V = R * E[:, None]
+        M = (
+            V * dA * N
+            + dB * np.einsum("kj,lkj->lj", V * A, X)
+            - (R * L).sum(axis=1)[None, :] * Z
+        )
+        return M.sum(axis=1) - M.sum(axis=0)
 
-    return L, contract
+    return L, grad_q
+
+
+def _zero_coupling(conf: RSConfig) -> bool:
+    return elliptic.lattice_distance(conf.hbar, conf.lat) < elliptic.POLE_TOL
 
 
 def composition_lax(conf: RSConfig, z) -> SpectralMatrix:
@@ -291,7 +317,7 @@ def composition_lax(conf: RSConfig, z) -> SpectralMatrix:
     lat = conf.lat
     hbar = conf.hbar
     n = conf.n
-    if elliptic.lattice_distance(hbar, lat) < elliptic.POLE_TOL:
+    if _zero_coupling(conf):
         # Zero coupling: the transport is trivial and only momenta remain.
         return SpectralMatrix(
             n, np.diag(np.exp(np.asarray(conf.P, dtype=complex))), complex(z)
@@ -302,7 +328,7 @@ def composition_lax(conf: RSConfig, z) -> SpectralMatrix:
 
     D = _diff_matrix(conf.q)
     S3 = np.atleast_2d(elliptic.sigma(D, lat))
-    prod_den = np.diag(_masked_column_products(S3))
+    prod_den = np.diag(_exclusive_products(S3))
     col = np.prod(
         np.atleast_2d(elliptic.sigma(hbar + D, lat)), axis=0
     )  # prod_l sigma(hbar + q_l - q_{k'})
@@ -311,15 +337,15 @@ def composition_lax(conf: RSConfig, z) -> SpectralMatrix:
     return SpectralMatrix(n, entries, complex(z))
 
 
-def composition_lax_log_derivative(conf: RSConfig, z):
-    """composition_lax(conf, z) and the contraction of hasegawa_lax_log_derivative.
+def _composition_jacobian(conf: RSConfig, z):
+    """composition_lax's entries and the map of _hasegawa_jacobian.
 
-    The composition is the Hasegawa matrix, so it shares that log-derivative,
-    except at zero coupling, where it is diag(exp(P)) and does not depend on q.
+    The composition is the Hasegawa matrix, except at zero coupling, where it
+    is diag(exp(P)) and does not depend on q.
     """
-    if elliptic.lattice_distance(conf.hbar, conf.lat) < elliptic.POLE_TOL:
-        return composition_lax(conf, z), lambda W: np.zeros(conf.n, dtype=complex)
-    return hasegawa_lax_log_derivative(conf, z)
+    if _zero_coupling(conf):
+        return composition_lax(conf, z).entries, lambda R: np.zeros(conf.n, dtype=complex)
+    return _hasegawa_jacobian(conf, z)
 
 
 def _f_squared(conf: RSConfig, mu):
@@ -350,11 +376,35 @@ def ruijsenaars_lax(
     single principal square root of each row's product, which differs only by
     per-row signs absorbable into the theta_i normalization.
     """
-    lat = conf.lat
-    mu = conf.mu
     lam = complex(lam)
     if not isinstance(params, LaxParams):
         raise TypeError("params must be a LaxParams instance")
+    return SpectralMatrix(conf.n, _ruijsenaars(conf, lam, branch), lam)
+
+
+def _ruijsenaars_jacobian(conf: RSConfig, lam):
+    """ruijsenaars_lax(conf, LaxParams(), lam).entries and the map R -> g,
+    g_j = sum_{i,k} R_{ik} dL'_{ik}/dq_j, in the form of _hasegawa_jacobian.
+
+    The factor sigma(q_i - q_k + lam) vanishes where positions are spaced by
+    -lam, so it is differentiated as sigma' times the other factors.  The
+    other factors are kept off zero by the pole checks and enter through
+    their log-derivatives: -zeta(q + mu) for 1/sigma(q + mu) and, for f,
+    since wp(mu) - wp(q) = -sigma(mu + q) sigma(mu - q)/(sigma(mu)^2
+    sigma(q)^2) gives f(q)^2 = sigma(q + mu) sigma(q - mu)/sigma(q)^2, on any
+    square-root branch
+
+        d(log f)/dq = -wp'(q)/(2 (wp(mu) - wp(q)))
+                    = (zeta(q + mu) + zeta(q - mu))/2 - zeta(q).
+    """
+    return _ruijsenaars(conf, complex(lam), jacobian=True)
+
+
+def _ruijsenaars(conf: RSConfig, lam, branch="principal", jacobian=False):
+    """Entries of ruijsenaars_lax, and with jacobian also its q-gradient map."""
+    lat = conf.lat
+    mu = conf.mu
+    n = conf.n
     for val, what in ((lam, "lambda"), (mu, "mu")):
         if elliptic.lattice_distance(val, lat) < elliptic.POLE_TOL:
             raise PoleAtLattice(f"{what} is on the lattice")
@@ -363,7 +413,7 @@ def ruijsenaars_lax(
         raise PoleAtLattice("some q_i - q_j + mu is on the lattice")
 
     f2 = _f_squared(conf, mu)
-    off = ~np.eye(conf.n, dtype=bool)
+    off = ~np.eye(n, dtype=bool)
     near_cut = (f2[off].real < 0) & (
         np.abs(f2[off].imag) < 1e-9 * np.abs(f2[off])
     )
@@ -381,48 +431,29 @@ def ruijsenaars_lax(
     else:
         raise ValueError(f"unknown branch mode {branch!r}")
 
-    core = (
-        elliptic.sigma(D + lam, lat)
-        * elliptic.sigma(mu, lat)
-        / (elliptic.sigma(lam, lat) * elliptic.sigma(D + mu, lat))
-    )
+    args = [(D + lam).ravel(), (D + mu).ravel(), [lam, mu]]
+    if jacobian:
+        args += [D[off] - mu, D[off]]
+    vals = elliptic._sigma_orders(np.concatenate(args), lat, (0, 1) if jacobian else (0,))
+    s = vals[0]
+    m = n * n
     theta = np.exp(np.asarray(conf.P, dtype=complex))
-    entries = (theta * row_f)[:, None] * np.atleast_2d(core)
-    return SpectralMatrix(conf.n, entries, lam)
+    # L' without its factor sigma(q_i - q_j + lam).
+    Lhat = (theta * row_f)[:, None] * s[2 * m + 1] / (s[2 * m] * s[m : 2 * m].reshape(n, n))
+    L = Lhat * s[:m].reshape(n, n)
+    if not jacobian:
+        return L
+    ds = vals[1]
+    dS_lam = ds[:m].reshape(n, n)
+    Z_mu = (ds[m : 2 * m] / s[m : 2 * m]).reshape(n, n)
+    Z_minus, Z_0 = (ds[2 * m + 2 :] / s[2 * m + 2 :]).reshape(2, -1)
+    F = _off_diagonal(0.5 * (Z_mu[off] + Z_minus) - Z_0, 0.0, off)  # d(log f) at q_il
 
+    def grad_q(R):
+        M = R * (Lhat * dS_lam - L * Z_mu) + (R * L).sum(axis=1)[:, None] * F
+        return M.sum(axis=1) - M.sum(axis=0)
 
-def ruijsenaars_lax_log_derivative(conf: RSConfig, lam):
-    """ruijsenaars_lax(conf, LaxParams(), lam) together with the contraction
-
-        W -> g,   g_j = sum_{i,k} W_{ik} d(log L'_{ik})/dq_j.
-
-    The core sigma(q + lam)/sigma(q + mu) has log-derivative zeta(q + lam) -
-    zeta(q + mu).  By the addition formula wp(mu) - wp(q) = -sigma(mu + q)
-    sigma(mu - q)/(sigma(mu)^2 sigma(q)^2), f(q)^2 = sigma(q + mu)
-    sigma(q - mu)/sigma(q)^2, so on any square-root branch
-
-        d(log f)/dq = -wp'(q)/(2 (wp(mu) - wp(q)))
-                    = (zeta(q + mu) + zeta(q - mu))/2 - zeta(q).
-    """
-    L = ruijsenaars_lax(conf, LaxParams(), lam)
-    n = conf.n
-    C = np.zeros((n, n), dtype=complex)  # core: zeta(q_ik + lam) - zeta(q_ik + mu)
-    F = np.zeros((n, n), dtype=complex)  # d(log f)/dq at q_il
-    if n > 1:
-        off = ~np.eye(n, dtype=bool)
-        d = _diff_matrix(conf.q)[off]
-        mu = conf.mu
-        args = np.concatenate([d + complex(lam), d + mu, d - mu, d])
-        zt = elliptic._sigma_zeta(args, conf.lat)[1]
-        zl, zp, zm, z0 = zt.reshape(4, -1)
-        C[off] = zl - zp
-        F[off] = 0.5 * (zp + zm) - z0
-
-    def contract(W):
-        X = W * C + W.sum(axis=1)[:, None] * F
-        return X.sum(axis=1) - X.sum(axis=0)
-
-    return L, contract
+    return L, grad_q
 
 
 def ruijsenaars_equivalent_momenta(conf: RSConfig, branch: str = "principal"):
@@ -445,7 +476,7 @@ def ruijsenaars_equivalent_momenta(conf: RSConfig, branch: str = "principal"):
     n = conf.n
     D = _diff_matrix(conf.q)
     S3 = np.atleast_2d(elliptic.sigma(D, lat))
-    prod_den = np.diag(_masked_column_products(S3))
+    prod_den = np.diag(_exclusive_products(S3))
     col = np.prod(np.atleast_2d(elliptic.sigma(hbar + D, lat)), axis=0)
     d_row = np.exp(np.asarray(conf.P, dtype=complex)) / prod_den
     f2 = _f_squared(conf, hbar)

@@ -94,6 +94,48 @@ class TestVectorField:
         ref = np.concatenate(oracles.fd_vector_field(spec, pt, conf))
         assert np.max(np.abs(field - ref)) <= 1e-9 * np.max(np.abs(ref))
 
+    # Points where a sigma factor of an entry of L is exactly zero: q spaced
+    # by hbar (a Hasegawa numerator factor sigma(hbar + q_l - q_k')), by
+    # z + hbar (the factor sigma(z + hbar + q_k - q_k')) and by -z (the
+    # Ruijsenaars factor sigma(q_i - q_k + lam)), plus a spacing one rounding
+    # error away from hbar.
+    @pytest.mark.parametrize(
+        "family,index,lax_family",
+        [
+            ("trace_power", 1, "hasegawa"),
+            ("trace_power", 2, "hasegawa"),
+            ("trace_power", 2, "ruijsenaars"),
+            ("rs_cosh", 1, "ruijsenaars"),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["elliptic", "trig", "rational"])
+    @pytest.mark.parametrize("spacing", ["hbar", "near_hbar", "z_plus_hbar", "minus_z"])
+    def test_matches_oracle_where_an_entry_factor_vanishes(
+        self, family, index, lax_family, kind, spacing
+    ):
+        lat = {
+            "elliptic": LAT,
+            "trig": elliptic.trig_lattice(),
+            "rational": elliptic.rational_lattice(),
+        }[kind]
+        spec = dynamics.HamiltonianSpec(family, index, lax_family)
+        hbar = 0.1
+        q = {
+            "hbar": [0.0, 0.1],
+            "near_hbar": [0.2, 0.3],
+            "z_plus_hbar": [0.0, spec.eval_z + hbar],
+            "minus_z": [0.0, spec.eval_z],
+        }[spacing]
+        P = [0.1, -0.05]
+        conf = lax.rs_config(q, P, hbar, lat, mu=0.3 + 0.02j)
+        pt = dynamics.PhasePoint(q, P)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field = np.concatenate(dynamics.hamiltonian_vector_field(spec, pt, conf))
+        ref = np.concatenate(oracles.fd_vector_field(spec, pt, conf))
+        assert np.all(np.isfinite(field))
+        assert np.max(np.abs(field - ref)) <= 1e-9 * np.max(np.abs(ref))
+
     def test_bracket_of_conserved_quantities_vanishes(self):
         conf = mild_conf()
         pt = dynamics.PhasePoint(conf.q, conf.P)
