@@ -22,7 +22,7 @@ lat = elliptic.lattice_from_periods(1.0, 0.3 + 2.1j)
 n = 4
 qs = np.arange(n) * 0.45 + 0.1j * rng.normal(size=n)
 rs = qs + 0.13 + 0.06j
-spec = CauchyMatrixSpec(tuple(qs), tuple(rs), 0.0, lat)
+spec = CauchyMatrixSpec(tuple(qs), tuple(rs), lat)
 lam = 0.21 + 0.17j
 
 F = build_elliptic_cauchy(spec, lam).entries

@@ -30,7 +30,7 @@ print(f"zero coupling collapse to diag(e^P): max |diff| = {np.max(np.abs(L0 - np
 # scalar sigma(z + hbar)/sigma(z), evaluated at lam = z + hbar.
 mom = lax.ruijsenaars_equivalent_momenta(conf)
 conf_r = lax.rs_config(q, mom, conf.hbar, lat, mu=conf.hbar)
-Lr = lax.ruijsenaars_lax(conf_r, lax.LaxParams(), z + conf.hbar).entries
+Lr = lax.ruijsenaars_lax(conf_r, z + conf.hbar).entries
 scale = elliptic.sigma(z + conf.hbar, lat) / elliptic.sigma(z, lat)
 evA = np.sort_complex(np.linalg.eigvals(A))
 evR = np.sort_complex(scale * np.linalg.eigvals(Lr))

@@ -65,7 +65,6 @@ from .errors import (
 )
 from .lax import (
     CMConfig,
-    LaxParams,
     RSConfig,
     SpinFraming,
     cm_config,

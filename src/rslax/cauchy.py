@@ -1,24 +1,14 @@
 """Elliptic Cauchy matrices with a spectral parameter and their closed-form
 determinant, minor, and shifted-inverse-product identities.
 
-Entry convention
-----------------
-Two variants of the entry formula circulate, differing in how the spectral
-parameter and the auxiliary point q_inf enter:
-
-* "plus_lambda" (default):  H(lam)_{ij} = sigma(lam + q_i - r_j)
-                                          / (sigma(lam) * sigma(q_i - r_j))
-* "q_inf_shift":            H(lam)_{ij} = sigma(q_i - r_j - lam)
-                                          / (sigma(lam - q_inf) * sigma(q_i - r_j - q_inf))
-
-Only the "plus_lambda" variant satisfies the Frobenius closed-form determinant
+The matrix is H(lam)_{ij} = sigma(lam + q_i - r_j) / (sigma(lam) * sigma(q_i - r_j)),
+and its determinant has the Frobenius closed form
 
     det H = sigma(lam + sum_i (q_i - r_i)) / sigma(lam)
             * prod_{i<j} sigma(q_i - q_j) * sigma(r_j - r_i)
-            / prod_{i,j} sigma(q_i - r_j)
+            / prod_{i,j} sigma(q_i - r_j),
 
-to machine precision; brute-force LU determinants certify this and reject the
-other variant, so "plus_lambda" ships as the default.
+which brute-force LU determinants certify to machine precision.
 """
 
 from __future__ import annotations
@@ -36,22 +26,19 @@ from .errors import (
 )
 
 DISTINCT_TOL = 1e-6
-ENTRY_CONVENTIONS = ("plus_lambda", "q_inf_shift")
 
 
 @dataclass(frozen=True)
 class CauchyMatrixSpec:
-    """Parameters (q_i, r_j, q_inf, lattice) of an elliptic Cauchy matrix."""
+    """Parameters (q_i, r_j, lattice) of an elliptic Cauchy matrix."""
 
     qs: tuple
     rs: tuple
-    q_inf: complex
     lat: elliptic.Lattice
 
     def __post_init__(self):
         object.__setattr__(self, "qs", tuple(complex(q) for q in self.qs))
         object.__setattr__(self, "rs", tuple(complex(r) for r in self.rs))
-        object.__setattr__(self, "q_inf", complex(self.q_inf))
         if len(self.qs) != len(self.rs) or len(self.qs) < 1:
             raise DegenerateConfiguration(
                 "qs and rs must have equal length n >= 1"
@@ -95,39 +82,25 @@ def _check_spec_distinct(spec: CauchyMatrixSpec, tol: float):
         )
 
 
-def build_elliptic_cauchy(
-    spec: CauchyMatrixSpec, lam, convention: str = "plus_lambda"
-) -> SpectralMatrix:
+def build_elliptic_cauchy(spec: CauchyMatrixSpec, lam) -> SpectralMatrix:
     """Evaluate the elliptic Cauchy matrix at spectral parameter lam."""
-    if convention not in ENTRY_CONVENTIONS:
-        raise ValueError(f"unknown entry convention {convention!r}")
     # Entry evaluation only needs pole safety; the tighter distinctness
     # threshold applies to the closed-form determinants, which divide by
     # sigma of every difference.
     _check_spec_distinct(spec, elliptic.POLE_TOL)
     lam = complex(lam)
     lat = spec.lat
+    if elliptic.lattice_distance(lam, lat) < elliptic.POLE_TOL:
+        raise PoleAtLattice("spectral parameter lam is on the lattice")
     diffs = _pairwise_diffs(spec.qs, spec.rs)
-    if convention == "plus_lambda":
-        if elliptic.lattice_distance(lam, lat) < elliptic.POLE_TOL:
-            raise PoleAtLattice("spectral parameter lam is on the lattice")
-        entries = elliptic.sigma(lam + diffs, lat) / (
-            elliptic.sigma(lam, lat) * elliptic.sigma(diffs, lat)
-        )
-    else:
-        if elliptic.lattice_distance(lam - spec.q_inf, lat) < elliptic.POLE_TOL:
-            raise PoleAtLattice("lam - q_inf is on the lattice")
-        den = elliptic.sigma(diffs - spec.q_inf, lat)
-        if np.min(np.abs(den)) < elliptic.POLE_TOL:
-            raise PoleAtLattice("some q_i - r_j - q_inf is on the lattice")
-        entries = elliptic.sigma(diffs - lam, lat) / (
-            elliptic.sigma(lam - spec.q_inf, lat) * den
-        )
+    entries = elliptic.sigma(lam + diffs, lat) / (
+        elliptic.sigma(lam, lat) * elliptic.sigma(diffs, lat)
+    )
     return SpectralMatrix(spec.n, entries, lam)
 
 
 def frobenius_determinant(spec: CauchyMatrixSpec, lam) -> complex:
-    """Closed-form determinant of the elliptic Cauchy matrix ("plus_lambda")."""
+    """Closed-form determinant of the elliptic Cauchy matrix."""
     lam = complex(lam)
     lat = spec.lat
     q = np.asarray(spec.qs, dtype=complex)
@@ -172,7 +145,7 @@ def minor_determinant(spec: CauchyMatrixSpec, lam, k: int, l: int) -> complex:
         return 1.0 + 0.0j
     qs = tuple(q for i, q in enumerate(spec.qs, start=1) if i != k)
     rs = tuple(r for j, r in enumerate(spec.rs, start=1) if j != l)
-    reduced = CauchyMatrixSpec(qs, rs, spec.q_inf, spec.lat)
+    reduced = CauchyMatrixSpec(qs, rs, spec.lat)
     return frobenius_determinant(reduced, lam)
 
 

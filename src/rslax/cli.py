@@ -24,7 +24,7 @@ import sys
 import tempfile
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 # Honor the thread cap before numpy initializes its BLAS backend.
 _threads = os.environ.get("RSLAX_THREADS")
@@ -62,11 +62,11 @@ class CheckRow:
 
 @dataclass
 class RunReport:
-    """Outcome of one CLI run: one row per scheduled check plus wall time."""
+    """Outcome of one CLI run, one row per scheduled check; written as
+    report.json.  It holds no wall time, so reruns write identical bytes."""
 
     command: str
     checks: list = field(default_factory=list)
-    wall_time: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -76,22 +76,6 @@ class RunReport:
         residual = float(residual)
         status = "pass" if residual < tolerance else "fail"
         self.checks.append(CheckRow(name, status, residual, float(tolerance)))
-
-    def to_dict(self):
-        # wall_time deliberately excluded: report files must be
-        # byte-identical across reruns.
-        return {
-            "command": self.command,
-            "checks": [
-                {
-                    "name": c.name,
-                    "status": c.status,
-                    "residual": c.residual,
-                    "tolerance": c.tolerance,
-                }
-                for c in self.checks
-            ],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +145,14 @@ def write_csv(path, header, rows):
     _write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
+def _write_matrix_csv(path, M):
+    write_csv(
+        path,
+        ["row", "col", "re", "im"],
+        [(i, j, float(v.real), float(v.imag)) for (i, j), v in np.ndenumerate(M)],
+    )
+
+
 def load_config(path, command, seed_override=None, out_override=None, tol_scale=1.0):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -217,7 +209,6 @@ def _rs_config_from_params(p, field_name="params"):
         _as_complex(p["hbar"], f"{field_name}.hbar"),
         lat,
         mu=_as_complex(p["mu"], f"{field_name}.mu") if "mu" in p else None,
-        q_inf=_as_complex(p.get("q_inf", 0.0), f"{field_name}.q_inf"),
     )
 
 
@@ -257,7 +248,7 @@ def _check_frobenius(rng, trials=25):
         qs = 0.25 * (rng.normal(size=n) + 1j * rng.normal(size=n)) + np.arange(n) * 0.4
         rs = qs + 0.13 + 0.07j + 0.05 * rng.normal(size=n)
         lam = 0.21 + 0.17j
-        spec = CauchyMatrixSpec(tuple(qs), tuple(rs), 0.0, lat)
+        spec = CauchyMatrixSpec(tuple(qs), tuple(rs), lat)
         det_closed = frobenius_determinant(spec, lam)
         det_lu = np.linalg.det(build_elliptic_cauchy(spec, lam).entries)
         worst = max(worst, abs(det_closed - det_lu) / abs(det_lu))
@@ -335,9 +326,7 @@ _VERIFY_CHECKS = {
 }
 
 
-def run_verify(cfg: ExperimentConfig) -> RunReport:
-    report = RunReport("verify")
-    t0 = time.perf_counter()
+def run_verify(cfg: ExperimentConfig, report: RunReport):
     names = cfg.params.get("checks")
     if names is None:
         names = list(_VERIFY_CHECKS)
@@ -347,62 +336,46 @@ def run_verify(cfg: ExperimentConfig) -> RunReport:
         fn, tol = _VERIFY_CHECKS[name]
         rng = np.random.default_rng([cfg.seed, zlib.crc32(name.encode("utf-8"))])
         report.add(name, fn(rng), tol * cfg.tol_scale)
-    report.wall_time = time.perf_counter() - t0
-    write_json(os.path.join(cfg.output_dir, "report.json"), report.to_dict())
-    return report
 
 
 # ---------------------------------------------------------------------------
 # lax
 
 
-def run_lax(cfg: ExperimentConfig) -> RunReport:
-    report = RunReport("lax")
-    t0 = time.perf_counter()
+# family -> the matrix at z for the command's params
+_LAX_BUILDERS = {
+    "hasegawa": lambda conf, z, p: lax.hasegawa_lax(conf, z),
+    "composition": lambda conf, z, p: lax.composition_lax(conf, z),
+    "ruijsenaars": lambda conf, z, p: lax.ruijsenaars_lax(conf, z),
+    "krichever": lambda conf, z, p: lax.krichever_lax(
+        conf, z, _as_complex(p.get("lam", 0.23 + 0.11j), "params.lam")
+    ),
+}
+
+
+def run_lax(cfg: ExperimentConfig, report: RunReport):
     p = cfg.params
     family = p.get("family", "hasegawa")
     conf = _rs_config_from_params(p)
     z = _as_complex(p.get("z", 0.31 + 0.43j), "params.z")
-    if family == "hasegawa":
-        M = lax.hasegawa_lax(conf, z)
-    elif family == "composition":
-        M = lax.composition_lax(conf, z)
-    elif family == "ruijsenaars":
-        M = lax.ruijsenaars_lax(conf, lax.LaxParams(), z)
-    elif family == "krichever":
-        lam = _as_complex(p.get("lam", 0.23 + 0.11j), "params.lam")
-        M = lax.krichever_lax(conf, z, lam)
-    else:
+    if family not in _LAX_BUILDERS:
         raise ConfigInvalid(f"unknown Lax family {family!r}", field="params.family")
+    M = _LAX_BUILDERS[family](conf, z, p)
 
-    rows = [
-        (i, j, float(M.entries[i, j].real), float(M.entries[i, j].imag))
-        for i in range(conf.n)
-        for j in range(conf.n)
-    ]
-    write_csv(
-        os.path.join(cfg.output_dir, "lax.csv"),
-        ["row", "col", "re", "im"],
-        rows,
-    )
+    _write_matrix_csv(os.path.join(cfg.output_dir, "lax.csv"), M.entries)
     write_json(
         os.path.join(cfg.output_dir, "lax.json"),
         {"family": family, "n": conf.n, "z": z, "entries": M.entries},
     )
     finite = 0.0 if np.all(np.isfinite(M.entries)) else np.inf
     report.add("entries_finite", finite, 1.0)
-    report.wall_time = time.perf_counter() - t0
-    write_json(os.path.join(cfg.output_dir, "report.json"), report.to_dict())
-    return report
 
 
 # ---------------------------------------------------------------------------
 # evolve
 
 
-def run_evolve(cfg: ExperimentConfig) -> RunReport:
-    report = RunReport("evolve")
-    t0 = time.perf_counter()
+def run_evolve(cfg: ExperimentConfig, report: RunReport):
     p = cfg.params
     dt = p.get("dt", 1e-3)
     t_end = p.get("t_end", 1.0)
@@ -458,22 +431,15 @@ def run_evolve(cfg: ExperimentConfig) -> RunReport:
         },
     )
     report.add("spectral_drift", max_drift, drift_tol)
-    if collided:
-        report.add("completed", np.inf, 1.0)
-    else:
-        report.add("completed", 0.0, 1.0)
-    report.wall_time = time.perf_counter() - t0
-    write_json(os.path.join(cfg.output_dir, "report.json"), report.to_dict())
-    return report
+    # 1.0 is not below the tolerance 1.0: a collision fails the check.
+    report.add("completed", float(collided), 1.0)
 
 
 # ---------------------------------------------------------------------------
 # limit
 
 
-def run_limit(cfg: ExperimentConfig) -> RunReport:
-    report = RunReport("limit")
-    t0 = time.perf_counter()
+def run_limit(cfg: ExperimentConfig, report: RunReport):
     p = cfg.params
     sweep_kind = p.get("sweep")
     if sweep_kind not in ("degeneration", "cm"):
@@ -515,34 +481,26 @@ def run_limit(cfg: ExperimentConfig) -> RunReport:
             "fitted_order": sweep.fitted_order,
         },
     )
-    report.wall_time = time.perf_counter() - t0
-    write_json(os.path.join(cfg.output_dir, "report.json"), report.to_dict())
-    return report
 
 
 # ---------------------------------------------------------------------------
 # reduce
 
 
-def run_reduce(cfg: ExperimentConfig) -> RunReport:
-    report = RunReport("reduce")
-    t0 = time.perf_counter()
+def run_reduce(cfg: ExperimentConfig, report: RunReport):
     p = cfg.params
     kind = p.get("kind")
-    g = _as_complex(p.get("g", 1.0), "params.g")
+    orb = reductions.OrbitSpec(g=_as_complex(p.get("g", 1.0), "params.g"))
     if kind == "rational_cm":
         q = _complex_list(p.get("q", []), "params.q")
         mom = _complex_list(p.get("p", [0.0] * len(q)), "params.p")
-        orb = reductions.OrbitSpec(g=g)
         pair = reductions.solve_rational_cm(q, mom, orb)
     elif kind == "trig_cm":
         q = _complex_list(p.get("q", []), "params.q")
         gauge = _complex_list(p.get("gauge", [1.0] * len(q)), "params.gauge")
-        orb = reductions.OrbitSpec(g=g)
         pair = reductions.solve_trig_cm(q, orb, gauge)
     elif kind == "rational_rs":
         th = _complex_list(p.get("theta", []), "params.theta")
-        orb = reductions.OrbitSpec(g=g)
         diag = _complex_list(p.get("diag_free", [0.0] * len(th)), "params.diag_free")
         pair = reductions.solve_rational_rs(th, orb, diag)
     elif kind == "trig_rs":
@@ -558,22 +516,14 @@ def run_reduce(cfg: ExperimentConfig) -> RunReport:
             field="params.kind",
         )
 
-    for name, M in (("X", pair.X), ("Y", pair.Y)):
-        rows = [
-            (i, j, float(M[i, j].real), float(M[i, j].imag))
-            for i in range(M.shape[0])
-            for j in range(M.shape[1])
-        ]
-        write_csv(os.path.join(cfg.output_dir, f"{name}.csv"), ["row", "col", "re", "im"], rows)
+    _write_matrix_csv(os.path.join(cfg.output_dir, "X.csv"), pair.X)
+    _write_matrix_csv(os.path.join(cfg.output_dir, "Y.csv"), pair.Y)
     residual = reductions.moment_residual(pair, orb)
     write_json(
         os.path.join(cfg.output_dir, "reduce.json"),
         {"kind": kind, "residual": residual, "X": pair.X, "Y": pair.Y},
     )
     report.add("moment_residual", residual, 1e-10 * cfg.tol_scale)
-    report.wall_time = time.perf_counter() - t0
-    write_json(os.path.join(cfg.output_dir, "report.json"), report.to_dict())
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +559,11 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config, args.command, args.seed, args.out, args.tol_scale)
-        report = _RUNNERS[args.command](cfg)
+        report = RunReport(args.command)
+        t0 = time.perf_counter()
+        _RUNNERS[args.command](cfg, report)
+        wall_time = time.perf_counter() - t0
+        write_json(os.path.join(cfg.output_dir, "report.json"), asdict(report))
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -619,7 +573,7 @@ def main(argv=None) -> int:
 
     for c in report.checks:
         print(f"{c.status:4s}  {c.name}  residual={c.residual:.3e}  tol={c.tolerance:.3e}")
-    print(f"wall time: {report.wall_time:.2f}s")
+    print(f"wall time: {wall_time:.2f}s")
     return 0 if report.ok else 1
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import elliptic, lax
-from .errors import CollisionImminent, SingularMatrix
+from . import lax
+from .errors import CollisionImminent, DegenerateConfiguration, SingularMatrix
 
 # Smallest pairwise position distance (modulo the lattice) a flow may reach.
 COLLISION_MARGIN = 1e-4
@@ -83,12 +83,8 @@ def _lax_form(spec: HamiltonianSpec):
     if spec.family == "hitchin" or spec.lax_family == "composition":
         return lax.composition_lax, lax._composition_jacobian
     if spec.family == "rs_cosh" or spec.lax_family == "ruijsenaars":
-        return _ruijsenaars_lax, lax._ruijsenaars_jacobian
+        return lax.ruijsenaars_lax, lax._ruijsenaars_jacobian
     return lax.hasegawa_lax, lax._hasegawa_jacobian
-
-
-def _ruijsenaars_lax(conf: lax.RSConfig, lam):
-    return lax.ruijsenaars_lax(conf, lax.LaxParams(), lam)
 
 
 def _build_lax(spec: HamiltonianSpec, conf: lax.RSConfig):
@@ -115,28 +111,25 @@ def hamiltonian(spec: HamiltonianSpec, conf: lax.RSConfig) -> complex:
     return complex(np.trace(L) + np.trace(_inverse(L)))
 
 
-def _conf_at(conf: lax.RSConfig, q, p) -> lax.RSConfig:
-    return lax.rs_config(
-        q, p, conf.hbar, conf.lat, mu=conf.mu, q_inf=conf.q_inf, q_zero=conf.q_zero
-    )
-
-
-def _collision_margin(q, lat) -> float:
-    q = np.asarray(q, dtype=complex)
-    n = q.size
-    if n < 2:
-        return np.inf
-    d = q[:, None] - q[None, :]
-    iu = np.triu_indices(n, k=1)
-    return float(np.min(elliptic.lattice_distance(d[iu], lat)))
-
-
-def _check_collision(q, lat):
-    margin = _collision_margin(q, lat)
+def _check_collision(conf: lax.RSConfig):
+    margin = conf.min_separation
     if margin < COLLISION_MARGIN:
         raise CollisionImminent(
             f"pairwise position margin {margin:.3e} below {COLLISION_MARGIN:.1e}"
         )
+
+
+def _conf_at(conf: lax.RSConfig, q, p) -> lax.RSConfig:
+    """conf moved to the phase point (q, p), validated once: positions
+    closer than COLLISION_MARGIN modulo the lattice raise CollisionImminent."""
+    try:
+        moved = lax.rs_config(
+            q, p, conf.hbar, conf.lat, mu=conf.mu, q_inf=conf.q_inf, q_zero=conf.q_zero
+        )
+    except DegenerateConfiguration as exc:
+        raise CollisionImminent(str(exc)) from None
+    _check_collision(moved)
+    return moved
 
 
 def hamiltonian_vector_field(
@@ -150,7 +143,6 @@ def hamiltonian_vector_field(
     the Lax form's Jacobian map applied to R.  That costs one Lax build plus
     sigma' values at the same arguments.
     """
-    _check_collision(point.q, conf.lat)
     L, grad_q = _lax_form(spec)[1](_conf_at(conf, point.q, point.p), spec.eval_z)
     if spec.family == "trace_power":
         G = spec.index * np.linalg.matrix_power(L, spec.index - 1)
@@ -164,15 +156,17 @@ def hamiltonian_vector_field(
 
 
 def _match_drift(ev0, ev):
-    """Greedy nearest-neighbor eigenvalue matching; returns max deviation."""
-    remaining = list(ev)
-    worst = 0.0
-    for v in ev0:
-        dists = [abs(v - w) for w in remaining]
-        j = int(np.argmin(dists))
-        worst = max(worst, dists[j])
-        remaining.pop(j)
-    return worst
+    """Largest |ev0_i - ev_j| over the pairing of the two spectra with the
+    least summed deviation."""
+    # Importing scipy.optimize takes most of a second; only a flow pays it.
+    from scipy.optimize import linear_sum_assignment
+
+    d = np.asarray(ev0)[:, None] - np.asarray(ev)[None, :]
+    # hypot rounds as abs() of one complex number does; np.abs of a complex
+    # array can differ in the last bit.
+    cost = np.hypot(d.real, d.imag)
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
 
 
 def integrate(
@@ -198,13 +192,9 @@ def integrate(
     if coordinates not in ("p", "theta"):
         raise ValueError("coordinates must be 'p' or 'theta'")
 
-    traj = Trajectory()
+    traj = Trajectory([0.0], [start], [0.0])
     q = np.asarray(start.q, dtype=complex)
     p = np.asarray(start.p, dtype=complex)
-    ev0 = np.linalg.eigvals(_build_lax(spec, _conf_at(conf, q, p)))
-    traj.times.append(0.0)
-    traj.points.append(PhasePoint(tuple(q), tuple(p)))
-    traj.spectral_drift.append(0.0)
 
     def field_p(qv, pv):
         dq, dp = hamiltonian_vector_field(
@@ -215,6 +205,7 @@ def integrate(
     nsteps = int(round(t_end / dt))
     theta = np.exp(p)
     try:
+        ev0 = np.linalg.eigvals(_build_lax(spec, _conf_at(conf, q, p)))
         for step in range(1, nsteps + 1):
             if coordinates == "p":
                 state = (q, p)
@@ -247,7 +238,6 @@ def integrate(
                 theta = new1
                 pv = np.log(theta)
                 p = pv + 2j * np.pi * np.round((p - pv).imag / (2 * np.pi))
-            _check_collision(q, conf.lat)
             ev = np.linalg.eigvals(_build_lax(spec, _conf_at(conf, q, p)))
             traj.times.append(step * dt)
             traj.points.append(PhasePoint(tuple(q), tuple(p)))
@@ -264,7 +254,6 @@ def poisson_bracket(
     conf: lax.RSConfig,
 ) -> complex:
     """{A, B} = sum_i (dA/dq_i dB/dp_i - dA/dp_i dB/dq_i) from the analytic fields."""
-    _check_collision(point.q, conf.lat)
     dqA, dpA = hamiltonian_vector_field(specA, point, conf)
     dqB, dpB = hamiltonian_vector_field(specB, point, conf)
     # field = (dH/dp, -dH/dq), so dH/dq = -dp_field and dH/dp = dq_field.

@@ -47,19 +47,15 @@ class RSConfig:
     lat: elliptic.Lattice
     q_inf: complex = 0.0
     q_zero: complex = 0.0
+    # Smallest pairwise distance of q modulo the lattice (inf for n = 1).
+    min_separation: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "q", tuple(complex(v) for v in self.q))
         object.__setattr__(self, "P", tuple(complex(v) for v in self.P))
         if len(self.q) != self.n or len(self.P) != self.n:
             raise DegenerateConfiguration("q and P must both have length n")
-        if self.n > 1:
-            d = _diff_matrix(self.q)
-            iu = np.triu_indices(self.n, k=1)
-            if np.min(elliptic.lattice_distance(d[iu], self.lat)) < DISTINCT_TOL:
-                raise DegenerateConfiguration(
-                    "positions are not pairwise distinct modulo the lattice"
-                )
+        object.__setattr__(self, "min_separation", _separation(self.q, self.lat))
 
 
 def rs_config(q, P, hbar, lat, mu=None, q_inf=0.0, q_zero=None) -> RSConfig:
@@ -121,13 +117,7 @@ class CMConfig:
         object.__setattr__(self, "p", tuple(complex(v) for v in self.p))
         if len(self.q) != self.n or len(self.p) != self.n:
             raise DegenerateConfiguration("q and p must both have length n")
-        if self.n > 1:
-            d = _diff_matrix(self.q)
-            iu = np.triu_indices(self.n, k=1)
-            if np.min(elliptic.lattice_distance(d[iu], self.lat)) < DISTINCT_TOL:
-                raise DegenerateConfiguration(
-                    "positions are not pairwise distinct modulo the lattice"
-                )
+        _separation(self.q, self.lat)
 
 
 def cm_config(q, p, g, lat) -> CMConfig:
@@ -135,23 +125,24 @@ def cm_config(q, p, g, lat) -> CMConfig:
     return CMConfig(len(q), q, tuple(complex(v) for v in p), complex(g), lat)
 
 
-@dataclass(frozen=True)
-class LaxParams:
-    """Physical constants (mass, speed, nu, kappa) of the RS Hamiltonian."""
-
-    m: float = 1.0
-    c: float = 1.0
-    nu: complex = 0.0
-    kappa: complex = 0.0
-
-    def __post_init__(self):
-        if not (self.m > 0 and self.c > 0):
-            raise ValueError("mass and speed parameters must be positive")
-
-
 def _diff_matrix(q):
     arr = np.asarray(q, dtype=complex)
     return arr[:, None] - arr[None, :]
+
+
+def _separation(q, lat) -> float:
+    """Smallest pairwise distance of the positions q modulo the lattice (inf
+    for one position); DegenerateConfiguration below DISTINCT_TOL."""
+    n = len(q)
+    if n < 2:
+        return np.inf
+    d = _diff_matrix(q)[np.triu_indices(n, k=1)]
+    sep = float(np.min(elliptic.lattice_distance(d, lat)))
+    if sep < DISTINCT_TOL:
+        raise DegenerateConfiguration(
+            "positions are not pairwise distinct modulo the lattice"
+        )
+    return sep
 
 
 def _exclusive_products(S):
@@ -299,6 +290,16 @@ def _hasegawa_jacobian(conf: RSConfig, z):
     return L, grad_q
 
 
+def _transport_diagonals(conf: RSConfig):
+    """The diagonals prod_{l != k} sigma(q_l - q_k) and prod_l sigma(hbar +
+    q_l - q_k) that scale the rows and columns of the transport matrix."""
+    D = _diff_matrix(conf.q)
+    S3 = np.atleast_2d(elliptic.sigma(D, conf.lat))
+    prod_den = np.diag(_exclusive_products(S3))
+    col = np.prod(np.atleast_2d(elliptic.sigma(conf.hbar + D, conf.lat)), axis=0)
+    return prod_den, col
+
+
 def _zero_coupling(conf: RSConfig) -> bool:
     return elliptic.lattice_distance(conf.hbar, conf.lat) < elliptic.POLE_TOL
 
@@ -323,15 +324,8 @@ def composition_lax(conf: RSConfig, z) -> SpectralMatrix:
             n, np.diag(np.exp(np.asarray(conf.P, dtype=complex))), complex(z)
         )
     qs = tuple(qq + hbar for qq in conf.q)
-    spec = CauchyMatrixSpec(qs, conf.q, conf.q_inf, lat)
-    C = build_elliptic_cauchy(spec, z)
-
-    D = _diff_matrix(conf.q)
-    S3 = np.atleast_2d(elliptic.sigma(D, lat))
-    prod_den = np.diag(_exclusive_products(S3))
-    col = np.prod(
-        np.atleast_2d(elliptic.sigma(hbar + D, lat)), axis=0
-    )  # prod_l sigma(hbar + q_l - q_{k'})
+    C = build_elliptic_cauchy(CauchyMatrixSpec(qs, conf.q, lat), z)
+    prod_den, col = _transport_diagonals(conf)
     expP = np.exp(np.asarray(conf.P, dtype=complex))
     entries = (expP / prod_den)[:, None] * C.entries * col[None, :]
     return SpectralMatrix(n, entries, complex(z))
@@ -362,28 +356,22 @@ def _f_squared(conf: RSConfig, mu):
     return vals
 
 
-def ruijsenaars_lax(
-    conf: RSConfig, params: LaxParams, lam, branch: str = "principal"
-) -> SpectralMatrix:
+def ruijsenaars_lax(conf: RSConfig, lam) -> SpectralMatrix:
     """Ruijsenaars form of the RS Lax matrix,
 
         L'_{ij} = exp(theta_i) * prod_{l != i} f(q_i - q_l)
                   * sigma(q_i - q_j + lam) * sigma(mu)
                   / (sigma(lam) * sigma(q_i - q_j + mu))
 
-    with f(q)^2 = sigma(mu)^2 * (wp(mu) - wp(q)).  branch "principal" takes
-    the principal square root factor by factor; branch "product" takes a
-    single principal square root of each row's product, which differs only by
-    per-row signs absorbable into the theta_i normalization.
+    with f(q)^2 = sigma(mu)^2 * (wp(mu) - wp(q)) and the principal square
+    root taken factor by factor.
     """
     lam = complex(lam)
-    if not isinstance(params, LaxParams):
-        raise TypeError("params must be a LaxParams instance")
-    return SpectralMatrix(conf.n, _ruijsenaars(conf, lam, branch), lam)
+    return SpectralMatrix(conf.n, _ruijsenaars(conf, lam), lam)
 
 
 def _ruijsenaars_jacobian(conf: RSConfig, lam):
-    """ruijsenaars_lax(conf, LaxParams(), lam).entries and the map R -> g,
+    """ruijsenaars_lax(conf, lam).entries and the map R -> g,
     g_j = sum_{i,k} R_{ik} dL'_{ik}/dq_j, in the form of _hasegawa_jacobian.
 
     The factor sigma(q_i - q_k + lam) vanishes where positions are spaced by
@@ -400,7 +388,7 @@ def _ruijsenaars_jacobian(conf: RSConfig, lam):
     return _ruijsenaars(conf, complex(lam), jacobian=True)
 
 
-def _ruijsenaars(conf: RSConfig, lam, branch="principal", jacobian=False):
+def _ruijsenaars(conf: RSConfig, lam, jacobian=False):
     """Entries of ruijsenaars_lax, and with jacobian also its q-gradient map."""
     lat = conf.lat
     mu = conf.mu
@@ -423,13 +411,7 @@ def _ruijsenaars(conf: RSConfig, lam, branch="principal", jacobian=False):
             "may be discontinuous",
             BranchCutWarning,
         )
-    if branch == "principal":
-        fvals = np.sqrt(f2)
-        row_f = np.prod(np.where(off, fvals, 1.0), axis=1)
-    elif branch == "product":
-        row_f = np.sqrt(np.prod(np.where(off, f2, 1.0), axis=1))
-    else:
-        raise ValueError(f"unknown branch mode {branch!r}")
+    row_f = np.prod(np.where(off, np.sqrt(f2), 1.0), axis=1)
 
     args = [(D + lam).ravel(), (D + mu).ravel(), [lam, mu]]
     if jacobian:
@@ -456,7 +438,7 @@ def _ruijsenaars(conf: RSConfig, lam, branch="principal", jacobian=False):
     return L, grad_q
 
 
-def ruijsenaars_equivalent_momenta(conf: RSConfig, branch: str = "principal"):
+def ruijsenaars_equivalent_momenta(conf: RSConfig):
     """Momentum exponents theta for which ruijsenaars_lax(mu=hbar) is related
     to hasegawa_lax by a diagonal conjugation and the overall scalar
     sigma(z + hbar)/sigma(z).
@@ -464,30 +446,17 @@ def ruijsenaars_equivalent_momenta(conf: RSConfig, branch: str = "principal"):
     Concretely, with theta from this function, the eigenvalue multisets obey
 
         eig(hasegawa_lax(conf, z))
-            = (sigma(z + hbar)/sigma(z)) * eig(ruijsenaars_lax(conf', params,
-                                               lam = z + hbar))
+            = (sigma(z + hbar)/sigma(z)) * eig(ruijsenaars_lax(conf', z + hbar))
 
     where conf' replaces P by the returned exponents.  The formula matches
     the diagonal factors of the two matrices row by row, absorbing the square
     root branch choices into the momentum normalization.
     """
-    lat = conf.lat
-    hbar = conf.hbar
-    n = conf.n
-    D = _diff_matrix(conf.q)
-    S3 = np.atleast_2d(elliptic.sigma(D, lat))
-    prod_den = np.diag(_exclusive_products(S3))
-    col = np.prod(np.atleast_2d(elliptic.sigma(hbar + D, lat)), axis=0)
+    prod_den, col = _transport_diagonals(conf)
     d_row = np.exp(np.asarray(conf.P, dtype=complex)) / prod_den
-    f2 = _f_squared(conf, hbar)
-    off = ~np.eye(n, dtype=bool)
-    if branch == "principal":
-        row_f = np.prod(np.where(off, np.sqrt(f2), 1.0), axis=1)
-    elif branch == "product":
-        row_f = np.sqrt(np.prod(np.where(off, f2, 1.0), axis=1))
-    else:
-        raise ValueError(f"unknown branch mode {branch!r}")
-    sig_h = elliptic.sigma(hbar, lat)
+    off = ~np.eye(conf.n, dtype=bool)
+    row_f = np.prod(np.where(off, np.sqrt(_f_squared(conf, conf.hbar)), 1.0), axis=1)
+    sig_h = elliptic.sigma(conf.hbar, conf.lat)
     return np.log(d_row * col / (sig_h * row_f))
 
 

@@ -52,7 +52,7 @@ def random_lattice(rng):
 def random_cauchy_spec(rng, n, lat):
     qs = 0.2 * (rng.normal(size=n) + 1j * rng.normal(size=n)) + np.arange(n) * 0.45
     rs = qs + 0.12 + 0.05j + 0.04 * (rng.normal(size=n) + 1j * rng.normal(size=n))
-    return CauchyMatrixSpec(tuple(qs), tuple(rs), 0.0, lat)
+    return CauchyMatrixSpec(tuple(qs), tuple(rs), lat)
 
 
 def mild_rs_config(rng, n, lat, hbar=0.08 + 0.03j, p_scale=0.15):

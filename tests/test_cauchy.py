@@ -26,7 +26,7 @@ LAM = 0.21 + 0.17j
 def make_spec(rng, n, lat=LAT):
     qs = 0.22 * (rng.normal(size=n) + 1j * rng.normal(size=n)) + np.arange(n) * 0.45
     rs = qs + 0.11 + 0.06j + 0.04 * (rng.normal(size=n) + 1j * rng.normal(size=n))
-    return CauchyMatrixSpec(tuple(qs), tuple(rs), 0.0, lat)
+    return CauchyMatrixSpec(tuple(qs), tuple(rs), lat)
 
 
 class TestBuild:
@@ -51,7 +51,7 @@ class TestBuild:
     def test_coincident_q_r_rejected(self):
         qs = (0.1, 0.5)
         with pytest.raises(DegenerateConfiguration):
-            build_elliptic_cauchy(CauchyMatrixSpec(qs, qs, 0.0, LAT), LAM)
+            build_elliptic_cauchy(CauchyMatrixSpec(qs, qs, LAT), LAM)
 
 
 class TestFrobeniusDeterminant:
@@ -65,7 +65,7 @@ class TestFrobeniusDeterminant:
         assert abs(closed - lu) < 1e-9 * max(abs(lu), 1e-30)
 
     def test_n1_scalar(self):
-        spec = CauchyMatrixSpec((0.3,), (0.05,), 0.0, LAT)
+        spec = CauchyMatrixSpec((0.3,), (0.05,), LAT)
         closed = frobenius_determinant(spec, LAM)
         direct = build_elliptic_cauchy(spec, LAM).entries[0, 0]
         assert abs(closed - direct) < 1e-13 * abs(direct)
@@ -77,7 +77,7 @@ class TestFrobeniusDeterminant:
         spec = make_spec(rng, 3)
         c = 0.17 - 0.23j
         shifted = CauchyMatrixSpec(
-            tuple(q + c for q in spec.qs), tuple(r + c for r in spec.rs), 0.0, LAT
+            tuple(q + c for q in spec.qs), tuple(r + c for r in spec.rs), LAT
         )
         d1 = frobenius_determinant(spec, LAM)
         d2 = frobenius_determinant(shifted, LAM)
@@ -99,11 +99,11 @@ class TestMinors:
                 assert abs(closed - brute) < 1e-9 * max(abs(brute), 1e-30)
 
     def test_n1_minor_is_one(self):
-        spec = CauchyMatrixSpec((0.3,), (0.05,), 0.0, LAT)
+        spec = CauchyMatrixSpec((0.3,), (0.05,), LAT)
         assert minor_determinant(spec, LAM, 1, 1) == 1.0
 
     def test_index_range_checked(self):
-        spec = CauchyMatrixSpec((0.3, 0.8), (0.05, 0.55), 0.0, LAT)
+        spec = CauchyMatrixSpec((0.3, 0.8), (0.05, 0.55), LAT)
         with pytest.raises(ValueError):
             minor_determinant(spec, LAM, 0, 1)
 

@@ -152,6 +152,15 @@ class TestEvolve:
         assert abs(fit[0] - np.exp(0.3)) < 1e-9
         assert abs(fit[1] - 0.1) < 1e-12
 
+    def test_collision_fails_the_completed_check(self, tmp_path):
+        cfg = self._cfg(tmp_path, q=[0.1, 0.1 + 5e-5], P=[0.0, 0.0], hbar=0.02)
+        assert cli.main(["evolve", "--config", cfg]) == 1
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        status = {c["name"]: c["status"] for c in report["checks"]}
+        assert status["completed"] == "fail"
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["collision"] is True
+
     def test_determinism(self, tmp_path):
         cfg = self._cfg(tmp_path)
         cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "a")])
@@ -298,3 +307,60 @@ class TestReduceAndLax:
         err = capsys.readouterr().err
         assert err.startswith("error: NonFiniteEntries")
         assert "Traceback" not in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+
+# command -> (params, the files the command writes)
+OUTPUTS = {
+    "verify": ({"checks": ["legendre_relation"]}, {"report.json"}),
+    "lax": (
+        {
+            "family": "krichever",
+            "lattice": {"kind": "elliptic", "omega1": 1.0, "omega2": {"re": 0, "im": 2}},
+            "q": [0.1, 0.45, 0.8],
+            "P": [0.1, -0.07, 0.02],
+            "hbar": {"re": 0.08, "im": 0.02},
+        },
+        {"lax.csv", "lax.json", "report.json"},
+    ),
+    "evolve": (EVOLVE_PARAMS, {"trajectory.csv", "summary.json", "report.json"}),
+    "limit": (
+        {
+            "sweep": "degeneration",
+            "im_tau_values": [5, 10],
+            "q": [0.1, 0.45],
+            "P": [0.1, -0.07],
+            "hbar": {"re": 0.08, "im": 0.02},
+        },
+        {"sweep.csv", "sweep.json", "report.json"},
+    ),
+    "reduce": (
+        {"kind": "rational_rs", "theta": [0.1, 0.5, 1.2], "g": 0.4},
+        {"X.csv", "Y.csv", "reduce.json", "report.json"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUTS))
+def test_output_files(tmp_path, command):
+    params, files = OUTPUTS[command]
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        "c.json",
+        {"schema_version": 1, "command": command, "output_dir": str(out), "params": params},
+    )
+    assert cli.main([command, "--config", cfg]) == 0
+    assert set(os.listdir(out)) == files
+    assert json.loads((out / "report.json").read_text())["command"] == command
+    if command == "reduce":
+        data = json.loads((out / "reduce.json").read_text())
+        for name in ("X", "Y"):
+            with open(out / f"{name}.csv", newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["row", "col", "re", "im"]
+            assert [(int(i), int(j), float(re), float(im)) for i, j, re, im in rows[1:]] == [
+                (i, j, v["re"], v["im"])
+                for i, row in enumerate(data[name])
+                for j, v in enumerate(row)
+            ]

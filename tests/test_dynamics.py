@@ -43,7 +43,7 @@ class TestHamiltonian:
         conf = lax.rs_config([0.2], [0.3], 0.07, LAT, mu=0.07)
         spec = dynamics.HamiltonianSpec("rs_cosh")
         H = dynamics.hamiltonian(spec, conf)
-        L = lax.ruijsenaars_lax(conf, lax.LaxParams(), spec.eval_z).entries[0, 0]
+        L = lax.ruijsenaars_lax(conf, spec.eval_z).entries[0, 0]
         assert abs(H - (L + 1.0 / L)) < 1e-12 * abs(H)
 
 
@@ -181,6 +181,22 @@ class TestIntegrate:
         with pytest.raises(CollisionImminent) as exc:
             dynamics.integrate(SPEC1, dynamics.PhasePoint(q, p), conf, 0.5, 1e-3)
         assert exc.value.trajectory is not None
+
+    def test_collision_below_distinctness_tolerance_carries_trajectory(self):
+        # 5e-7 is also below RSConfig's distinctness tolerance, so conf is
+        # built at other positions; integrate reads only its coupling and
+        # lattice.
+        p = [0.0, 0.0]
+        start = dynamics.PhasePoint([0.1, 0.1 + 5e-7], p)
+        conf = lax.rs_config([0.1, 0.6], p, 0.02, LAT)
+        with pytest.raises(CollisionImminent) as exc:
+            dynamics.integrate(SPEC1, start, conf, 0.5, 1e-3)
+        assert exc.value.trajectory.points == [start]
+
+    def test_drift_matches_spectra_optimally(self):
+        # Greedy nearest-neighbour matching pairs 0 with 0.3, leaving 0.5
+        # with -0.3 (0.8).
+        assert dynamics._match_drift([0.0, 0.5], [0.3, -0.3]) == 0.3
 
     def test_trig_kind_flow(self):
         lat = elliptic.trig_lattice()

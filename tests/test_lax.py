@@ -104,7 +104,7 @@ class TestRuijsenaars:
             lat=conf.lat, q_inf=conf.q_inf, q_zero=conf.q_zero,
         )
         Lh = lax.hasegawa_lax(conf, Z).entries
-        Lr = lax.ruijsenaars_lax(conf_r, lax.LaxParams(), Z + conf.hbar).entries
+        Lr = lax.ruijsenaars_lax(conf_r, Z + conf.hbar).entries
         scale = elliptic.sigma(Z + conf.hbar, LAT) / elliptic.sigma(Z, LAT)
         ev_h = np.sort_complex(np.linalg.eigvals(Lh))
         ev_r = np.sort_complex(scale * np.linalg.eigvals(Lr))
@@ -115,7 +115,7 @@ class TestRuijsenaars:
         # sigma(mu) = 0 at mu = 0: the Ruijsenaars form reports the lattice
         # pole; the Krichever form reports the zero-mu division.
         with pytest.raises(PoleAtLattice):
-            lax.ruijsenaars_lax(conf, lax.LaxParams(), 0.3 + 0.2j)
+            lax.ruijsenaars_lax(conf, 0.3 + 0.2j)
         with pytest.raises(ZeroMu):
             lax.krichever_lax(conf, Z, 0.23 + 0.11j)
 
