@@ -367,8 +367,6 @@ def run_lax(cfg: ExperimentConfig, report: RunReport):
         os.path.join(cfg.output_dir, "lax.json"),
         {"family": family, "n": conf.n, "z": z, "entries": M.entries},
     )
-    finite = 0.0 if np.all(np.isfinite(M.entries)) else np.inf
-    report.add("entries_finite", finite, 1.0)
 
 
 # ---------------------------------------------------------------------------

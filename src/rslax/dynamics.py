@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lax
-from .errors import CollisionImminent, DegenerateConfiguration, SingularMatrix
+from . import elliptic, lax
+from .errors import CollisionImminent, SingularMatrix
 
 # Smallest pairwise position distance (modulo the lattice) a flow may reach.
 COLLISION_MARGIN = 1e-4
@@ -77,18 +77,15 @@ class HamiltonianSpec:
 def _lax_form(spec: HamiltonianSpec):
     """(build, jacobian) of the Lax form spec's Hamiltonian is a trace function of.
 
-    build(conf, z) is a SpectralMatrix; jacobian(conf, z) gives its entries
-    and the map R -> (sum_{kk'} R_{kk'} dL_{kk'}/dq_j)_j.
+    build(conf, z) is a SpectralMatrix.  jacobian(conf, z) checks the points
+    fixed along a flow (z, and mu for the Ruijsenaars form) once and returns
+    the map (q, P) -> (entries, R -> (sum_{kk'} R_{kk'} dL_{kk'}/dq_j)_j).
     """
     if spec.family == "hitchin" or spec.lax_family == "composition":
         return lax.composition_lax, lax._composition_jacobian
     if spec.family == "rs_cosh" or spec.lax_family == "ruijsenaars":
         return lax.ruijsenaars_lax, lax._ruijsenaars_jacobian
     return lax.hasegawa_lax, lax._hasegawa_jacobian
-
-
-def _build_lax(spec: HamiltonianSpec, conf: lax.RSConfig):
-    return _lax_form(spec)[0](conf, spec.eval_z).entries
 
 
 def _inverse(L):
@@ -100,7 +97,7 @@ def _inverse(L):
 
 def hamiltonian(spec: HamiltonianSpec, conf: lax.RSConfig) -> complex:
     """Evaluate the conserved quantity described by spec at conf."""
-    L = _build_lax(spec, conf)
+    L = _lax_form(spec)[0](conf, spec.eval_z).entries
     if spec.family == "trace_power":
         return complex(np.trace(np.linalg.matrix_power(L, spec.index)))
     if spec.family == "hitchin":
@@ -111,31 +108,10 @@ def hamiltonian(spec: HamiltonianSpec, conf: lax.RSConfig) -> complex:
     return complex(np.trace(L) + np.trace(_inverse(L)))
 
 
-def _check_collision(conf: lax.RSConfig):
-    margin = conf.min_separation
-    if margin < COLLISION_MARGIN:
-        raise CollisionImminent(
-            f"pairwise position margin {margin:.3e} below {COLLISION_MARGIN:.1e}"
-        )
-
-
-def _conf_at(conf: lax.RSConfig, q, p) -> lax.RSConfig:
-    """conf moved to the phase point (q, p), validated once: positions
-    closer than COLLISION_MARGIN modulo the lattice raise CollisionImminent."""
-    try:
-        moved = lax.rs_config(
-            q, p, conf.hbar, conf.lat, mu=conf.mu, q_inf=conf.q_inf, q_zero=conf.q_zero
-        )
-    except DegenerateConfiguration as exc:
-        raise CollisionImminent(str(exc)) from None
-    _check_collision(moved)
-    return moved
-
-
-def hamiltonian_vector_field(
-    spec: HamiltonianSpec, point: PhasePoint, conf: lax.RSConfig
-):
-    """Hamilton's equations dq_i/dt = dH/dp_i, dp_i/dt = -dH/dq_i.
+def _field(spec: HamiltonianSpec, jacobian, lat, q, p):
+    """(L, dq/dt, dp/dt) at positions q and exponents p (complex arrays);
+    CollisionImminent if q or p is not finite, two positions are closer than
+    COLLISION_MARGIN modulo the lattice, or L is not finite.
 
     Each family has dH = Tr(G dL) with G = i L^{i-1} (trace_power), L^i
     (hitchin) or I - L^{-2} (rs_cosh).  With R = G^T, dH = sum_{kk'} R_{kk'}
@@ -143,7 +119,21 @@ def hamiltonian_vector_field(
     the Lax form's Jacobian map applied to R.  That costs one Lax build plus
     sigma' values at the same arguments.
     """
-    L, grad_q = _lax_form(spec)[1](_conf_at(conf, point.q, point.p), spec.eval_z)
+    if not (np.isfinite(q).all() and np.isfinite(p).all()):
+        raise CollisionImminent("positions or momenta are not finite")
+    dist = elliptic.lattice_distance(q[:, None] - q[None, :], lat)
+    np.fill_diagonal(dist, np.inf)
+    k = int(np.argmin(dist))
+    # Written so that a NaN distance fails too.
+    if not dist.flat[k] >= COLLISION_MARGIN:
+        i, j = divmod(k, q.size)
+        raise CollisionImminent(
+            f"positions {i} and {j} are {dist.flat[k]:.3e} apart modulo the "
+            f"lattice, below the collision margin {COLLISION_MARGIN:.1e}"
+        )
+    L, grad_q = jacobian(q, p)
+    if not np.isfinite(L).all():
+        raise CollisionImminent("the Lax matrix is not finite")
     if spec.family == "trace_power":
         G = spec.index * np.linalg.matrix_power(L, spec.index - 1)
     elif spec.family == "hitchin":
@@ -152,19 +142,38 @@ def hamiltonian_vector_field(
         Linv = _inverse(L)
         G = np.eye(L.shape[0]) - Linv @ Linv
     R = G.T
-    return (R * L).sum(axis=1), -grad_q(R)
+    return L, (R * L).sum(axis=1), -grad_q(R)
+
+
+def hamiltonian_vector_field(
+    spec: HamiltonianSpec, point: PhasePoint, conf: lax.RSConfig
+):
+    """Hamilton's equations dq_i/dt = dH/dp_i, dp_i/dt = -dH/dq_i at point,
+    with conf's coupling, mu and lattice (see _field)."""
+    jacobian = _lax_form(spec)[1](conf, spec.eval_z)
+    q = np.asarray(point.q, dtype=complex)
+    return _field(spec, jacobian, conf.lat, q, np.asarray(point.p, dtype=complex))[1:]
 
 
 def _match_drift(ev0, ev):
     """Largest |ev0_i - ev_j| over the pairing of the two spectra with the
     least summed deviation."""
-    # Importing scipy.optimize takes most of a second; only a flow pays it.
-    from scipy.optimize import linear_sum_assignment
-
-    d = np.asarray(ev0)[:, None] - np.asarray(ev)[None, :]
+    ev0 = np.asarray(ev0, dtype=complex)
+    d = ev0[:, None] - np.asarray(ev)[None, :]
     # hypot rounds as abs() of one complex number does; np.abs of a complex
     # array can differ in the last bit.
     cost = np.hypot(d.real, d.imag)
+    nearest = cost.min(axis=1)
+    gaps = np.abs(ev0[:, None] - ev0)
+    np.fill_diagonal(gaps, np.inf)
+    # Within half the smallest gap of ev0, no two ev0_i share a nearest ev_j,
+    # and any other pairing moves some ev0_i further than that: the
+    # nearest-neighbour pairing is then the unique optimal one.
+    if nearest.max() < gaps.min() / 2:
+        return float(nearest.max())
+    # Importing scipy.optimize takes most of a second; only this case pays it.
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
 
@@ -184,64 +193,50 @@ def integrate(
     log theta on a branch continuous along the trajectory.  Both yield the
     same trajectory up to integrator roundoff.
 
-    On a near-collision the partial trajectory is attached to the raised
-    CollisionImminent exception.
+    The field at each accepted point gives both its spectrum and the next
+    step's first stage: four Lax evaluations per step.  A stage that fails
+    _field's checks raises CollisionImminent with the partial trajectory.
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
     if coordinates not in ("p", "theta"):
         raise ValueError("coordinates must be 'p' or 'theta'")
+    jacobian = _lax_form(spec)[1](conf, spec.eval_z)
+    theta = coordinates == "theta"
+
+    def momenta(y):
+        if not theta:
+            return y
+        pv = np.log(y)
+        # Keep the momentum branch continuous with the current p.
+        return pv + 2j * np.pi * np.round((p - pv).imag / (2 * np.pi))
+
+    def stage(qs, ys):
+        """(L, (dq/dt, dy/dt)) at the stage (qs, ys), y = p or theta."""
+        L, dq, dp = _field(spec, jacobian, conf.lat, qs, momenta(ys))
+        return L, (dq, ys * dp if theta else dp)
 
     traj = Trajectory([0.0], [start], [0.0])
     q = np.asarray(start.q, dtype=complex)
     p = np.asarray(start.p, dtype=complex)
-
-    def field_p(qv, pv):
-        dq, dp = hamiltonian_vector_field(
-            spec, PhasePoint(tuple(qv), tuple(pv)), conf
-        )
-        return dq, dp
-
-    nsteps = int(round(t_end / dt))
-    theta = np.exp(p)
+    y = np.exp(p) if theta else p
     try:
-        ev0 = np.linalg.eigvals(_build_lax(spec, _conf_at(conf, q, p)))
-        for step in range(1, nsteps + 1):
-            if coordinates == "p":
-                state = (q, p)
-
-                def rhs(s):
-                    return field_p(s[0], s[1])
-
-            else:
-                state = (q, theta)
-
-                def rhs(s):
-                    qv, thv = s
-                    pv = np.log(thv)
-                    # Keep the momentum branch continuous with the current p.
-                    pv = pv + 2j * np.pi * np.round((p - pv).imag / (2 * np.pi))
-                    dq, dp = field_p(qv, pv)
-                    return dq, thv * dp
-
-            k1 = rhs(state)
-            k2 = rhs((state[0] + dt / 2 * k1[0], state[1] + dt / 2 * k1[1]))
-            k3 = rhs((state[0] + dt / 2 * k2[0], state[1] + dt / 2 * k2[1]))
-            k4 = rhs((state[0] + dt * k3[0], state[1] + dt * k3[1]))
-            new0 = state[0] + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            new1 = state[1] + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            q = new0
-            if coordinates == "p":
-                p = new1
-                theta = np.exp(p)
-            else:
-                theta = new1
-                pv = np.log(theta)
-                p = pv + 2j * np.pi * np.round((p - pv).imag / (2 * np.pi))
-            ev = np.linalg.eigvals(_build_lax(spec, _conf_at(conf, q, p)))
+        L, k1 = stage(q, y)
+        if theta:
+            # The spectrum at start.p itself, which log(exp(p)) can miss.
+            L = _field(spec, jacobian, conf.lat, q, p)[0]
+        ev0 = np.linalg.eigvals(L)
+        for step in range(1, int(round(t_end / dt)) + 1):
+            k2 = stage(q + dt / 2 * k1[0], y + dt / 2 * k1[1])[1]
+            k3 = stage(q + dt / 2 * k2[0], y + dt / 2 * k2[1])[1]
+            k4 = stage(q + dt * k3[0], y + dt * k3[1])[1]
+            q = q + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+            y = y + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+            p = momenta(y)
+            L, k1 = stage(q, y)
             traj.times.append(step * dt)
             traj.points.append(PhasePoint(tuple(q), tuple(p)))
-            traj.spectral_drift.append(_match_drift(ev0, ev))
+            traj.spectral_drift.append(_match_drift(ev0, np.linalg.eigvals(L)))
     except CollisionImminent as exc:
         raise CollisionImminent(str(exc), trajectory=traj) from None
     return traj

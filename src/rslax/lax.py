@@ -11,7 +11,7 @@ Index convention: all particle indices in this module are 0-based.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,15 +47,13 @@ class RSConfig:
     lat: elliptic.Lattice
     q_inf: complex = 0.0
     q_zero: complex = 0.0
-    # Smallest pairwise distance of q modulo the lattice (inf for n = 1).
-    min_separation: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "q", tuple(complex(v) for v in self.q))
         object.__setattr__(self, "P", tuple(complex(v) for v in self.P))
         if len(self.q) != self.n or len(self.P) != self.n:
             raise DegenerateConfiguration("q and P must both have length n")
-        object.__setattr__(self, "min_separation", _separation(self.q, self.lat))
+        _separation(self.q, self.lat)
 
 
 def rs_config(q, P, hbar, lat, mu=None, q_inf=0.0, q_zero=None) -> RSConfig:
@@ -130,19 +128,17 @@ def _diff_matrix(q):
     return arr[:, None] - arr[None, :]
 
 
-def _separation(q, lat) -> float:
-    """Smallest pairwise distance of the positions q modulo the lattice (inf
-    for one position); DegenerateConfiguration below DISTINCT_TOL."""
+def _separation(q, lat):
+    """DegenerateConfiguration if two of the positions q are closer than
+    DISTINCT_TOL modulo the lattice."""
     n = len(q)
     if n < 2:
-        return np.inf
+        return
     d = _diff_matrix(q)[np.triu_indices(n, k=1)]
-    sep = float(np.min(elliptic.lattice_distance(d, lat)))
-    if sep < DISTINCT_TOL:
+    if np.min(elliptic.lattice_distance(d, lat)) < DISTINCT_TOL:
         raise DegenerateConfiguration(
             "positions are not pairwise distinct modulo the lattice"
         )
-    return sep
 
 
 def _exclusive_products(S):
@@ -194,29 +190,34 @@ def _off_diagonal(vals, diag, off):
     return out
 
 
-def _hasegawa_kernel(conf: RSConfig, z, jacobian=False):
+def _off_lattice(lat, **points):
+    """PoleAtLattice naming the first named value (scalar or array) on the lattice."""
+    for what, val in points.items():
+        if np.min(elliptic.lattice_distance(val, lat)) < elliptic.POLE_TOL:
+            raise PoleAtLattice(f"{what} is on the lattice")
+
+
+def _hasegawa_kernel(conf: RSConfig, q, z: complex, jacobian=False):
     """The sigma-product part shared by the Hasegawa and spin matrices,
 
         K_{kk'} = sigma(z + hbar + q_k - q_{k'}) / sigma(z)
                   * prod_{l != k} sigma(hbar + q_l - q_{k'}) / sigma(q_l - q_k),
 
-    from one sigma evaluation over all its arguments.  jacobian also returns
+    with conf's coupling and lattice at positions q, from one sigma
+    evaluation over all its arguments (z checked by the caller).  jacobian
+    also returns
     the factors of K = E_k A_{kk'} N_{kk'} and sigma' at the same arguments:
     E_k = 1/(sigma(z) prod_{l != k} sigma(q_l - q_k)), A = sigma(z + hbar +
     q_k - q_{k'}), B[l, k'] = sigma(hbar + q_l - q_{k'}) (diagonal sigma(hbar)),
     N_{kk'} = prod_{l != k} B[l, k'], dA and dB their sigma', and Z[l, k] =
     zeta(q_l - q_k) (diagonal 0, where sigma(0) never enters K).
     """
-    lat = conf.lat
-    if elliptic.lattice_distance(z, lat) < elliptic.POLE_TOL:
-        raise PoleAtLattice("spectral point z is on the lattice (pole of L)")
-    z = complex(z)
     hbar = conf.hbar
-    n = conf.n
-    D = _diff_matrix(conf.q)
+    D = _diff_matrix(q)
+    n = D.shape[0]
     off = ~np.eye(n, dtype=bool)
     args = np.concatenate([(z + hbar + D).ravel(), hbar + D[off], D[off], [hbar, z]])
-    vals = elliptic._sigma_orders(args, lat, (0, 1) if jacobian else (0,))
+    vals = elliptic._sigma_orders(args, conf.lat, (0, 1) if jacobian else (0,))
     m, o = n * n, n * n - n
 
     def split(v, diag3):
@@ -245,12 +246,15 @@ def hasegawa_lax(conf: RSConfig, z) -> SpectralMatrix:
 
     evaluated for any lattice kind through the sigma dispatch.
     """
+    _off_lattice(conf.lat, z=z)
     expP = np.exp(np.asarray(conf.P, dtype=complex))
-    return SpectralMatrix(conf.n, expP[:, None] * _hasegawa_kernel(conf, z), complex(z))
+    z = complex(z)
+    return SpectralMatrix(conf.n, expP[:, None] * _hasegawa_kernel(conf, conf.q, z), z)
 
 
 def _hasegawa_jacobian(conf: RSConfig, z):
-    """hasegawa_lax(conf, z).entries and the map R -> g with
+    """Check z and return the map (q, P) -> (L, grad_q) at positions q and
+    exponents P (arrays): L is hasegawa_lax's entries there, grad_q maps R -> g
 
         g_j = sum_{k,k'} R_{kk'} dL_{kk'}/dq_j
 
@@ -265,29 +269,35 @@ def _hasegawa_jacobian(conf: RSConfig, z):
     denominator sigma(q_l - q_k), kept off zero by the collision guard,
     enters through zeta.
     """
-    K, (E, A, B, N, dA, dB, Z) = _hasegawa_kernel(conf, z, jacobian=True)
-    n = conf.n
-    expP = np.exp(np.asarray(conf.P, dtype=complex))
-    L = expP[:, None] * K
-    E = expP * E
-    # X[l, k, k'] = prod_{m not in {k, l}} B[m, k'], zero at l = k, where
-    # B[l, k'] is not a factor of L_{kk'}.
-    idx = np.arange(n)
-    X = np.broadcast_to(B[:, None, :], (n, n, n)).copy()
-    X[idx, idx] = 1.0
-    X = _exclusive_products(X)
-    X[idx, idx] = 0.0
+    _off_lattice(conf.lat, z=z)
+    z = complex(z)
 
-    def grad_q(R):
-        V = R * E[:, None]
-        M = (
-            V * dA * N
-            + dB * np.einsum("kj,lkj->lj", V * A, X)
-            - (R * L).sum(axis=1)[None, :] * Z
-        )
-        return M.sum(axis=1) - M.sum(axis=0)
+    def at(q, P):
+        K, (E, A, B, N, dA, dB, Z) = _hasegawa_kernel(conf, q, z, jacobian=True)
+        n = K.shape[0]
+        expP = np.exp(P)
+        L = expP[:, None] * K
+        E = expP * E
+        # X[l, k, k'] = prod_{m not in {k, l}} B[m, k'], zero at l = k, where
+        # B[l, k'] is not a factor of L_{kk'}.
+        idx = np.arange(n)
+        X = np.broadcast_to(B[:, None, :], (n, n, n)).copy()
+        X[idx, idx] = 1.0
+        X = _exclusive_products(X)
+        X[idx, idx] = 0.0
 
-    return L, grad_q
+        def grad_q(R):
+            V = R * E[:, None]
+            M = (
+                V * dA * N
+                + dB * np.einsum("kj,lkj->lj", V * A, X)
+                - (R * L).sum(axis=1)[None, :] * Z
+            )
+            return M.sum(axis=1) - M.sum(axis=0)
+
+        return L, grad_q
+
+    return at
 
 
 def _transport_diagonals(conf: RSConfig):
@@ -332,21 +342,17 @@ def composition_lax(conf: RSConfig, z) -> SpectralMatrix:
 
 
 def _composition_jacobian(conf: RSConfig, z):
-    """composition_lax's entries and the map of _hasegawa_jacobian.
-
-    The composition is the Hasegawa matrix, except at zero coupling, where it
-    is diag(exp(P)) and does not depend on q.
-    """
+    """The map of _hasegawa_jacobian for composition_lax, which is the Hasegawa
+    matrix except at zero coupling, where it is diag(exp(P)) and does not
+    depend on q."""
     if _zero_coupling(conf):
-        return composition_lax(conf, z).entries, lambda R: np.zeros(conf.n, dtype=complex)
+        return lambda q, P: (np.diag(np.exp(P)), lambda R: np.zeros(len(q), dtype=complex))
     return _hasegawa_jacobian(conf, z)
 
 
-def _f_squared(conf: RSConfig, mu):
-    """sigma(mu)^2 * (wp(mu) - wp(q_i - q_l)) for all off-diagonal pairs."""
-    lat = conf.lat
-    D = _diff_matrix(conf.q)
-    n = conf.n
+def _f_squared(D, mu, lat):
+    """sigma(mu)^2 * (wp(mu) - wp(D_il)) off the diagonal of D = _diff_matrix(q)."""
+    n = D.shape[0]
     off = ~np.eye(n, dtype=bool)
     vals = np.ones((n, n), dtype=complex)
     if n > 1:
@@ -366,13 +372,15 @@ def ruijsenaars_lax(conf: RSConfig, lam) -> SpectralMatrix:
     with f(q)^2 = sigma(mu)^2 * (wp(mu) - wp(q)) and the principal square
     root taken factor by factor.
     """
+    _off_lattice(conf.lat, lam=lam, mu=conf.mu)
     lam = complex(lam)
-    return SpectralMatrix(conf.n, _ruijsenaars(conf, lam), lam)
+    return SpectralMatrix(conf.n, _ruijsenaars(conf, conf.q, conf.P, lam), lam)
 
 
 def _ruijsenaars_jacobian(conf: RSConfig, lam):
-    """ruijsenaars_lax(conf, lam).entries and the map R -> g,
-    g_j = sum_{i,k} R_{ik} dL'_{ik}/dq_j, in the form of _hasegawa_jacobian.
+    """Check lam and mu and return the map (q, P) -> (L', grad_q) of
+    ruijsenaars_lax, g_j = sum_{i,k} R_{ik} dL'_{ik}/dq_j, in the form of
+    _hasegawa_jacobian.
 
     The factor sigma(q_i - q_k + lam) vanishes where positions are spaced by
     -lam, so it is differentiated as sigma' times the other factors.  The
@@ -385,22 +393,21 @@ def _ruijsenaars_jacobian(conf: RSConfig, lam):
         d(log f)/dq = -wp'(q)/(2 (wp(mu) - wp(q)))
                     = (zeta(q + mu) + zeta(q - mu))/2 - zeta(q).
     """
-    return _ruijsenaars(conf, complex(lam), jacobian=True)
+    _off_lattice(conf.lat, lam=lam, mu=conf.mu)
+    lam = complex(lam)
+    return lambda q, P: _ruijsenaars(conf, q, P, lam, jacobian=True)
 
 
-def _ruijsenaars(conf: RSConfig, lam, jacobian=False):
-    """Entries of ruijsenaars_lax, and with jacobian also its q-gradient map."""
+def _ruijsenaars(conf: RSConfig, q, P, lam: complex, jacobian=False):
+    """Entries of ruijsenaars_lax at positions q and exponents P (lam and mu
+    checked by the caller), and with jacobian also its q-gradient map."""
     lat = conf.lat
     mu = conf.mu
-    n = conf.n
-    for val, what in ((lam, "lambda"), (mu, "mu")):
-        if elliptic.lattice_distance(val, lat) < elliptic.POLE_TOL:
-            raise PoleAtLattice(f"{what} is on the lattice")
-    D = _diff_matrix(conf.q)
-    if np.min(elliptic.lattice_distance(D + mu, lat)) < elliptic.POLE_TOL:
-        raise PoleAtLattice("some q_i - q_j + mu is on the lattice")
+    D = _diff_matrix(q)
+    n = D.shape[0]
+    _off_lattice(lat, **{"some q_i - q_j + mu": D + mu})
 
-    f2 = _f_squared(conf, mu)
+    f2 = _f_squared(D, mu, lat)
     off = ~np.eye(n, dtype=bool)
     near_cut = (f2[off].real < 0) & (
         np.abs(f2[off].imag) < 1e-9 * np.abs(f2[off])
@@ -419,7 +426,7 @@ def _ruijsenaars(conf: RSConfig, lam, jacobian=False):
     vals = elliptic._sigma_orders(np.concatenate(args), lat, (0, 1) if jacobian else (0,))
     s = vals[0]
     m = n * n
-    theta = np.exp(np.asarray(conf.P, dtype=complex))
+    theta = np.exp(np.asarray(P, dtype=complex))
     # L' without its factor sigma(q_i - q_j + lam).
     Lhat = (theta * row_f)[:, None] * s[2 * m + 1] / (s[2 * m] * s[m : 2 * m].reshape(n, n))
     L = Lhat * s[:m].reshape(n, n)
@@ -455,7 +462,8 @@ def ruijsenaars_equivalent_momenta(conf: RSConfig):
     prod_den, col = _transport_diagonals(conf)
     d_row = np.exp(np.asarray(conf.P, dtype=complex)) / prod_den
     off = ~np.eye(conf.n, dtype=bool)
-    row_f = np.prod(np.where(off, np.sqrt(_f_squared(conf, conf.hbar)), 1.0), axis=1)
+    f2 = _f_squared(_diff_matrix(conf.q), conf.hbar, conf.lat)
+    row_f = np.prod(np.where(off, np.sqrt(f2), 1.0), axis=1)
     sig_h = elliptic.sigma(conf.hbar, conf.lat)
     return np.log(d_row * col / (sig_h * row_f))
 
@@ -475,14 +483,9 @@ def krichever_lax(conf: RSConfig, z, lam) -> SpectralMatrix:
     if abs(mu) < 1e-12:
         raise ZeroMu("krichever matrix requires mu != 0")
     D = _diff_matrix(conf.q)
-    for val, what in (
-        (np.atleast_1d(lam + mu), "lam + mu"),
-        (np.atleast_1d(z - mu), "z - mu"),
-        (np.atleast_1d(z + mu), "z + mu"),
-        ((D - mu).ravel(), "q_i - q_j - mu"),
-    ):
-        if np.min(elliptic.lattice_distance(val, lat)) < elliptic.POLE_TOL:
-            raise PoleAtLattice(f"{what} is on the lattice")
+    _off_lattice(
+        lat, **{"lam + mu": lam + mu, "z - mu": z - mu, "z + mu": z + mu, "q_i - q_j - mu": D - mu}
+    )
     ratio = elliptic.sigma(z - mu, lat) / elliptic.sigma(z + mu, lat)
     power = np.exp((D - mu) / (2.0 * mu) * np.log(ratio))
     entries = (
@@ -503,7 +506,9 @@ def spin_lax(conf: RSConfig, spin: SpinFraming, z) -> SpectralMatrix:
     """
     F0 = spin.U0 @ spin.V0
     Finf = spin.Uinf @ spin.Vinf
-    return SpectralMatrix(conf.n, F0 * Finf.T * _hasegawa_kernel(conf, z), complex(z))
+    _off_lattice(conf.lat, z=z)
+    z = complex(z)
+    return SpectralMatrix(conf.n, F0 * Finf.T * _hasegawa_kernel(conf, conf.q, z), z)
 
 
 def cm_lax(conf: CMConfig, lam) -> SpectralMatrix:
@@ -529,8 +534,8 @@ def cm_lax(conf: CMConfig, lam) -> SpectralMatrix:
         if lat.kind == elliptic.KIND_RATIONAL:
             if abs(lam) < 1e-12:
                 raise ZeroLambda("cm_lax requires lam != 0")
-        elif elliptic.lattice_distance(lam, lat) < elliptic.POLE_TOL:
-            raise PoleAtLattice("lam is on the lattice")
+        else:
+            _off_lattice(lat, lam=lam)
 
     off = ~np.eye(n, dtype=bool)
     entries = np.diag(np.asarray(conf.p, dtype=complex))

@@ -161,6 +161,19 @@ class TestEvolve:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["collision"] is True
 
+    def test_non_finite_stage_ends_as_collision(self, tmp_path):
+        # An RK4 stage of this near-collision throws the momenta to inf; the
+        # run writes its partial trajectory and fails the completed check.
+        cfg = self._cfg(tmp_path, q=[0.1, 0.1002], P=[0.0, 0.3], t_end=0.2)
+        with np.errstate(all="ignore"):
+            assert cli.main(["evolve", "--config", cfg]) == 1
+        out = tmp_path / "out"
+        assert set(os.listdir(out)) == {"trajectory.csv", "summary.json", "report.json"}
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["collision"] is True
+        report = json.loads((out / "report.json").read_text())
+        assert {c["name"]: c["status"] for c in report["checks"]}["completed"] == "fail"
+
     def test_determinism(self, tmp_path):
         cfg = self._cfg(tmp_path)
         cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "a")])

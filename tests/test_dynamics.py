@@ -4,12 +4,17 @@ tracking, Poisson brackets, coordinate-chart consistency, and collision
 handling.
 """
 
+import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 import oracles
+import rslax
 from rslax import dynamics, elliptic, lax
 from rslax.errors import CollisionImminent
 
@@ -205,3 +210,137 @@ class TestIntegrate:
         conf = lax.rs_config(q, P, 0.09, lat)
         traj = dynamics.integrate(SPEC1, dynamics.PhasePoint(q, P), conf, 0.1, 2e-3)
         assert max(traj.spectral_drift) < 1e-7
+
+
+class TestFlowLoop:
+    """What integrate evaluates per step, how it pairs spectra, and how a
+    stage that leaves the flow's domain ends it."""
+
+    # (lax_family, the Jacobian factory its flow uses)
+    @pytest.mark.parametrize(
+        "lax_family,factory",
+        [
+            ("hasegawa", "_hasegawa_jacobian"),
+            ("composition", "_composition_jacobian"),
+            ("ruijsenaars", "_ruijsenaars_jacobian"),
+        ],
+    )
+    @pytest.mark.parametrize("coordinates,at_start", [("p", 1), ("theta", 2)])
+    def test_four_lax_evaluations_per_step(
+        self, monkeypatch, lax_family, factory, coordinates, at_start
+    ):
+        made, evaluations = [], []
+        original = getattr(lax, factory)
+
+        def counting(conf, z):
+            made.append(z)
+            at = original(conf, z)
+
+            def counted(q, P):
+                evaluations.append(q)
+                return at(q, P)
+
+            return counted
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("integrate called a Lax builder")
+
+        monkeypatch.setattr(lax, factory, counting)
+        for name in ("hasegawa_lax", "composition_lax", "ruijsenaars_lax"):
+            monkeypatch.setattr(lax, name, forbidden)
+        conf = mild_conf()
+        spec = dynamics.HamiltonianSpec("trace_power", 1, lax_family)
+        start = dynamics.PhasePoint(conf.q, conf.P)
+        traj = dynamics.integrate(spec, start, conf, 0.02, 2e-3, coordinates)
+        assert len(traj.times) == 11
+        assert len(made) == 1
+        assert len(evaluations) == 4 * 10 + at_start
+
+    def test_fast_drift_pairing_equals_optimal_assignment(self, monkeypatch):
+        import scipy.optimize
+
+        assignment = scipy.optimize.linear_sum_assignment
+        fallbacks = []
+
+        def counted(cost):
+            fallbacks.append(cost.shape[0])
+            return assignment(cost)
+
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counted)
+        rng = np.random.default_rng(20261018)
+        trials = 400
+        for trial in range(trials):
+            n = int(rng.integers(1, 17))
+            ev0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+            if n > 1 and trial % 3 == 0:
+                # Near-degenerate: one pair of ev0 1e-9 to 1e-3 apart.
+                gap = 10.0 ** rng.uniform(-9, -3) * np.exp(2j * np.pi * rng.uniform())
+                ev0[1] = ev0[0] + gap
+            noise = 10.0 ** rng.uniform(-13, 0)
+            ev = rng.permutation(ev0) + noise * (rng.normal(size=n) + 1j * rng.normal(size=n))
+            d = ev0[:, None] - ev[None, :]
+            cost = np.hypot(d.real, d.imag)
+            rows, cols = assignment(cost)
+            assert dynamics._match_drift(ev0, ev) == float(cost[rows, cols].max())
+        # Both the nearest-neighbour pairing and the fallback were taken.
+        assert 0 < len(fallbacks) < trials
+
+    def test_flow_does_not_import_scipy_optimize(self, tmp_path):
+        cfg = tmp_path / "e.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "schema_version": 1,
+                    "command": "evolve",
+                    "output_dir": str(tmp_path / "out"),
+                    "params": {
+                        "lattice": {"kind": "elliptic", "omega1": 1.0, "omega2": {"re": 0.0, "im": 2.5}},
+                        "q": [0.12, 0.48, 0.83],
+                        "P": [0.12, -0.1, 0.05],
+                        "hbar": {"re": 0.08, "im": 0.03},
+                        "t_end": 0.01,
+                        "dt": 0.002,
+                    },
+                }
+            )
+        )
+        code = (
+            "import sys\n"
+            "from rslax import cli\n"
+            f"code = cli.main(['evolve', '--config', {str(cfg)!r}])\n"
+            "print(code, 'scipy.optimize' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(rslax.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split()[-2:] == ["0", "False"]
+
+    @pytest.mark.parametrize(
+        "q,message",
+        [
+            ([0.1, 0.1 + 5e-5], "positions 0 and 1 are 5.000e-05 apart"),
+            ([0.1, 0.45, 0.45 + 3e-5], "positions 1 and 2 are 3.000e-05 apart"),
+        ],
+    )
+    def test_collision_names_the_closest_pair(self, q, message):
+        lat = elliptic.lattice_from_periods(1.0, 2.5j)
+        P = [0.0] * len(q)
+        conf = lax.rs_config(q, P, 0.02, lat)
+        with pytest.raises(CollisionImminent, match=message) as exc:
+            dynamics.integrate(SPEC1, dynamics.PhasePoint(q, P), conf, 0.5, 1e-3)
+        assert exc.value.trajectory.times == [0.0]
+
+    def test_non_finite_stage_ends_as_collision(self):
+        # An RK4 stage of this near-collision throws the momenta to inf.
+        lat = elliptic.lattice_from_periods(1.0, 2.5j)
+        q, P = [0.1, 0.1002], [0.0, 0.3]
+        conf = lax.rs_config(q, P, 0.08 + 0.03j, lat)
+        with np.errstate(all="ignore"), pytest.raises(CollisionImminent) as exc:
+            dynamics.integrate(SPEC1, dynamics.PhasePoint(q, P), conf, 0.2, 2e-3)
+        traj = exc.value.trajectory
+        assert traj.points and all(
+            np.all(np.isfinite(pt.q)) and np.all(np.isfinite(pt.p)) for pt in traj.points
+        )
