@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -398,6 +399,10 @@ def run_evolve(cfg: ExperimentConfig, report: RunReport):
     except CollisionImminent as exc:
         traj = exc.trajectory
         collided = True
+        print(
+            f"flow stopped after t = {traj.times[-1]:g}: CollisionImminent: {exc}",
+            file=sys.stderr,
+        )
 
     n = conf.n
     header = ["t"]
@@ -536,7 +541,10 @@ _RUNNERS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at its first use and kept for the
+    process: parse_args does not change it."""
     parser = argparse.ArgumentParser(
         prog="rslax",
         description="Numerical toolkit for Ruijsenaars-Schneider and Calogero-Moser Lax matrices.",
@@ -553,7 +561,11 @@ def main(argv=None) -> int:
             default=1.0,
             help="multiply every check tolerance by this factor",
         )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = load_config(args.config, args.command, args.seed, args.out, args.tol_scale)

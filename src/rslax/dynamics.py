@@ -56,7 +56,8 @@ class HamiltonianSpec:
     """A conserved quantity built from a Lax matrix.
 
     family "trace_power" with index i gives Tr L^i; "hitchin" with index i
-    gives Tr(L^{i+1})/(i+1) evaluated through the geometric composition;
+    gives Tr(L^{i+1})/(i+1) of the geometric composition (equal to the
+    Hasegawa matrix, through which it is evaluated);
     "rs_cosh" gives Tr(L' + L'^{-1}) of the Ruijsenaars matrix.
     """
 
@@ -78,11 +79,16 @@ def _lax_form(spec: HamiltonianSpec):
     """(build, jacobian) of the Lax form spec's Hamiltonian is a trace function of.
 
     build(conf, z) is a SpectralMatrix.  jacobian(conf, z) checks the points
-    fixed along a flow (z, and mu for the Ruijsenaars form) once and returns
-    the map (q, P) -> (entries, R -> (sum_{kk'} R_{kk'} dL_{kk'}/dq_j)_j).
+    fixed along a flow (z, and lam and mu for the Ruijsenaars form) and
+    evaluates its constants once, and returns the plan (q, P) ->
+    (differences q_a - q_b over a != b, row-major; a function giving the
+    entries and R -> (sum_{kk'} R_{kk'} dL_{kk'}/dq_j)_j).
     """
     if spec.family == "hitchin" or spec.lax_family == "composition":
-        return lax.composition_lax, lax._composition_jacobian
+        # The composition equals the Hasegawa matrix, and its Cauchy
+        # factorization divides by sigma(hbar + q_k - q_k'), which vanishes
+        # where positions are spaced by hbar.
+        return lax.hasegawa_lax, lax._hasegawa_jacobian
     if spec.family == "rs_cosh" or spec.lax_family == "ruijsenaars":
         return lax.ruijsenaars_lax, lax._ruijsenaars_jacobian
     return lax.hasegawa_lax, lax._hasegawa_jacobian
@@ -121,17 +127,20 @@ def _field(spec: HamiltonianSpec, jacobian, lat, q, p):
     """
     if not (np.isfinite(q).all() and np.isfinite(p).all()):
         raise CollisionImminent("positions or momenta are not finite")
-    dist = elliptic.lattice_distance(q[:, None] - q[None, :], lat)
-    np.fill_diagonal(dist, np.inf)
-    k = int(np.argmin(dist))
-    # Written so that a NaN distance fails too.
-    if not dist.flat[k] >= COLLISION_MARGIN:
-        i, j = divmod(k, q.size)
-        raise CollisionImminent(
-            f"positions {i} and {j} are {dist.flat[k]:.3e} apart modulo the "
-            f"lattice, below the collision margin {COLLISION_MARGIN:.1e}"
-        )
-    L, grad_q = jacobian(q, p)
+    diffs, evaluate = jacobian(q, p)
+    if diffs.size:
+        dist = elliptic.lattice_distance(diffs, lat)
+        k = int(np.argmin(dist))
+        # Written so that a NaN distance fails too.
+        if not dist[k] >= COLLISION_MARGIN:
+            # diffs holds q_i - q_j over j != i, n - 1 of them per row i.
+            i, j = divmod(k, q.size - 1)
+            j += j >= i
+            raise CollisionImminent(
+                f"positions {i} and {j} are {dist[k]:.3e} apart modulo the "
+                f"lattice, below the collision margin {COLLISION_MARGIN:.1e}"
+            )
+    L, grad_q = evaluate()
     if not np.isfinite(L).all():
         raise CollisionImminent("the Lax matrix is not finite")
     if spec.family == "trace_power":
@@ -221,22 +230,25 @@ def integrate(
     p = np.asarray(start.p, dtype=complex)
     y = np.exp(p) if theta else p
     try:
-        L, k1 = stage(q, y)
-        if theta:
-            # The spectrum at start.p itself, which log(exp(p)) can miss.
-            L = _field(spec, jacobian, conf.lat, q, p)[0]
-        ev0 = np.linalg.eigvals(L)
-        for step in range(1, int(round(t_end / dt)) + 1):
-            k2 = stage(q + dt / 2 * k1[0], y + dt / 2 * k1[1])[1]
-            k3 = stage(q + dt / 2 * k2[0], y + dt / 2 * k2[1])[1]
-            k4 = stage(q + dt * k3[0], y + dt * k3[1])[1]
-            q = q + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            y = y + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            p = momenta(y)
+        # A non-finite value ends the flow as CollisionImminent at the next
+        # _field check, so numpy need not warn about it.
+        with np.errstate(all="ignore"):
             L, k1 = stage(q, y)
-            traj.times.append(step * dt)
-            traj.points.append(PhasePoint(tuple(q), tuple(p)))
-            traj.spectral_drift.append(_match_drift(ev0, np.linalg.eigvals(L)))
+            if theta:
+                # The spectrum at start.p itself, which log(exp(p)) can miss.
+                L = _field(spec, jacobian, conf.lat, q, p)[0]
+            ev0 = np.linalg.eigvals(L)
+            for step in range(1, int(round(t_end / dt)) + 1):
+                k2 = stage(q + dt / 2 * k1[0], y + dt / 2 * k1[1])[1]
+                k3 = stage(q + dt / 2 * k2[0], y + dt / 2 * k2[1])[1]
+                k4 = stage(q + dt * k3[0], y + dt * k3[1])[1]
+                q = q + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+                y = y + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+                p = momenta(y)
+                L, k1 = stage(q, y)
+                traj.times.append(step * dt)
+                traj.points.append(PhasePoint(tuple(q), tuple(p)))
+                traj.spectral_drift.append(_match_drift(ev0, np.linalg.eigvals(L)))
     except CollisionImminent as exc:
         raise CollisionImminent(str(exc), trajectory=traj) from None
     return traj

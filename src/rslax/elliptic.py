@@ -18,6 +18,8 @@ Conventions
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +29,8 @@ from .errors import FitDegenerate, NonConvergent, PoleAtLattice
 POLE_TOL = 1e-8
 _SERIES_RELTOL = 1e-16
 _SERIES_MAX_TERMS = 200
+# Theta series index windows kept (a few per lattice and characteristic).
+_WINDOW_CACHE_SIZE = 128
 
 KIND_ELLIPTIC = "elliptic"
 KIND_TRIG = "trigonometric"
@@ -85,19 +89,17 @@ def _theta_series(a, b, z, tau, order=0):
     tau = complex(tau)
     if tau.imag <= 0:
         raise NonConvergent(f"theta series requires Im(tau) > 0, got tau={tau}")
-    single = isinstance(order, int)
-    orders = (order,) if single else order
     a = complex(a)
     b = complex(b)
     zarr = np.asarray(z, dtype=complex)
-    scalar = zarr.ndim == 0
-    zflat = zarr.reshape(-1)
+    zb = zarr.reshape(1, -1) + b
 
     # Dominant index of the Gaussian-weighted series for each argument.
-    centers = -a.real - (zflat.imag + b.imag) / tau.imag
-    base_width = int(np.ceil(np.sqrt(40.0 / (np.pi * tau.imag)))) + 2
-    kmin = int(np.floor(centers.min())) - base_width
-    kmax = int(np.ceil(centers.max())) + base_width
+    centers = -a.real - zb.imag / tau.imag
+    base_width = math.ceil(math.sqrt(40.0 / (math.pi * tau.imag))) + 2
+    kmin = math.floor(centers.min()) - base_width
+    kmax = math.ceil(centers.max()) + base_width
+    powers = np.atleast_1d(order)[:, None]
 
     while True:
         if kmax - kmin + 1 > _SERIES_MAX_TERMS:
@@ -105,27 +107,39 @@ def _theta_series(a, b, z, tau, order=0):
                 "theta series needs more than "
                 f"{_SERIES_MAX_TERMS} terms for tau={tau}"
             )
-        ks = np.arange(kmin, kmax + 1, dtype=float)[:, None] + a
-        expo = 1j * np.pi * tau * ks**2 + 2j * np.pi * ks * (zflat[None, :] + b)
-        base = np.exp(expo)
-        terms = [base * (2j * np.pi * ks) ** o if o else base for o in orders]
-        if all(_settled(np.abs(t)) for t in terms):
+        gauss, w, absw = _theta_window(tau, a, kmin, kmax)
+        base = np.exp(gauss + w * zb)
+        # |d^o term/dz^o| = |term| * |2*pi*(k+a)|^o: per order, the largest
+        # term magnitude in each row k.  Written so that NaN widens the window.
+        mags = np.abs(base).max(axis=1) * absw**powers
+        if (np.maximum(mags[:, 0], mags[:, -1]) <= _SERIES_RELTOL * mags.max(axis=1)).all():
             break
         kmin -= 4
         kmax += 4
 
-    totals = [t.sum(axis=0) for t in terms]
-    if scalar:
-        totals = [complex(t[0]) for t in totals]
-    else:
-        totals = [t.reshape(zarr.shape) for t in totals]
-    return totals[0] if single else tuple(totals)
+    def total(o):
+        t = (base * w**o if o else base).sum(axis=0)
+        return complex(t[0]) if zarr.ndim == 0 else t.reshape(zarr.shape)
+
+    return total(order) if isinstance(order, int) else tuple(map(total, order))
 
 
-def _settled(mags):
-    """Whether the boundary rows of a term-magnitude window are negligible."""
-    peak = mags.max()
-    return peak == 0.0 or max(mags[0].max(), mags[-1].max()) <= _SERIES_RELTOL * peak
+@functools.lru_cache(maxsize=_WINDOW_CACHE_SIZE)
+def _theta_window(tau, a, kmin, kmax):
+    """Read-only columns over k = kmin..kmax of the theta series exponent
+    i*pi*tau*(k+a)^2 and of 2*pi*i*(k+a), and |2*pi*(k+a)| as a row.
+
+    The exponent, not its exponential, is cached: each term is one exp of
+    the summed exponent, which stays finite where the two factors taken
+    apart would overflow and underflow.
+    """
+    ks = np.arange(kmin, kmax + 1, dtype=float)[:, None] + a
+    gauss = 1j * np.pi * tau * ks**2
+    w = 2j * np.pi * ks
+    absw = np.abs(w).T
+    for arr in (gauss, w, absw):
+        arr.setflags(write=False)
+    return gauss, w, absw
 
 
 def theta_char(ch: ThetaCharacteristic, z, tau) -> complex:
@@ -145,8 +159,7 @@ def _unit_constants(tau):
     tau = complex(tau)
     cached = _UNIT_CACHE.get(tau)
     if cached is None:
-        t1 = _theta_series(0.5, 0.5, 0.0, tau, order=1)
-        t3 = _theta_series(0.5, 0.5, 0.0, tau, order=3)
+        t1, t3 = _theta_series(0.5, 0.5, 0.0, tau, order=(1, 3))
         cached = (t1, -t3 / (6.0 * t1))
         _UNIT_CACHE[tau] = cached
     return cached
@@ -252,9 +265,7 @@ def wp(z, lat: Lattice):
         s = complex(lat.omega1)
         _, eta1_hat = _unit_constants(lat.tau)
         x = zarr / s
-        t0 = _theta_series(0.5, 0.5, x, lat.tau)
-        td1 = _theta_series(0.5, 0.5, x, lat.tau, order=1)
-        td2 = _theta_series(0.5, 0.5, x, lat.tau, order=2)
+        t0, td1, td2 = _theta_series(0.5, 0.5, x, lat.tau, order=(0, 1, 2))
         # wp = -(log sigma)'' on the unit lattice, rescaled by homogeneity.
         out = (-2.0 * eta1_hat - (td2 * t0 - td1**2) / t0**2) / s**2
     return complex(out) if np.ndim(z) == 0 else out

@@ -10,6 +10,7 @@ Index convention: all particle indices in this module are 0-based.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -183,13 +184,6 @@ def xi_matrix(conf: RSConfig, z) -> SpectralMatrix:
     return SpectralMatrix(n, entries, complex(z))
 
 
-def _off_diagonal(vals, diag, off):
-    """n x n array with vals on the off-diagonal mask off and diag on the rest."""
-    out = np.full(off.shape, diag, dtype=complex)
-    out[off] = vals
-    return out
-
-
 def _off_lattice(lat, **points):
     """PoleAtLattice naming the first named value (scalar or array) on the lattice."""
     for what, val in points.items():
@@ -197,93 +191,118 @@ def _off_lattice(lat, **points):
             raise PoleAtLattice(f"{what} is on the lattice")
 
 
-def _hasegawa_kernel(conf: RSConfig, q, z: complex, jacobian=False):
-    """The sigma-product part shared by the Hasegawa and spin matrices,
+@functools.lru_cache(maxsize=32)
+def _pairs(n):
+    """Read-only (rows, cols) of the n*n ordered index pairs, row-major, and
+    the flat positions off of the n*(n-1) pairs with row != col."""
+    rows, cols = np.divmod(np.arange(n * n), n)
+    off = np.flatnonzero(rows != cols)
+    for arr in (rows, cols, off):
+        arr.setflags(write=False)
+    return rows, cols, off
+
+
+@functools.lru_cache(maxsize=32)
+def _hasegawa_layout(n):
+    """Index maps of _HasegawaPlan for n particles.
+
+    I, J: the argument vector is q[I] - q[J] + c over the blocks A (all
+    pairs (k, k')), B and S (the pairs (l, k) with l != k).  layout (3, n, n)
+    gathers the matrices A, B, S from the sigma values extended by [the
+    diagonal of B, the diagonal of S]; xlayout (n, n, n) gathers X[l, k, k']
+    = B[l, k'], and 1 (the diagonal of S) at l = k.
+    """
+    rows, cols, off = _pairs(n)
+    m, o = n * n, off.size
+    I = np.concatenate([rows, rows[off], rows[off]])
+    J = np.concatenate([cols, cols[off], cols[off]])
+    pos = np.full(m, m + 2 * o)  # the diagonal of B
+    pos[off] = m + np.arange(o)
+    layout = np.stack([np.arange(m), pos, pos + o]).reshape(3, n, n)
+    layout[2].flat[:: n + 1] = m + 2 * o + 1  # the diagonal of S
+    xlayout = np.where(np.eye(n, dtype=bool)[:, :, None], m + 2 * o + 1, layout[1][:, None, :])
+    for arr in (I, J, layout, xlayout):
+        arr.setflags(write=False)
+    return I, J, layout, xlayout
+
+
+class _Plan:
+    """A Lax form laid out once for a flow's constants.  Every
+    position-dependent sigma argument is q[I] - q[J] + c, and args[diffs]
+    are the differences q_a - q_b over a != b, row-major."""
+
+    def matrix(self, q, P):
+        """The entries at the position and exponent arrays (q, P)."""
+        return self._evaluate(q[self.I] - q[self.J] + self.c, P)
+
+    def __call__(self, q, P):
+        """One stage of a flow: the differences, and a function giving the
+        entries and their q-gradient map (see _evaluate)."""
+        args = q[self.I] - q[self.J] + self.c
+        return args[self.diffs], lambda: self._evaluate(args, P, jacobian=True)
+
+
+class _HasegawaPlan(_Plan):
+    """The sigma-product kernel shared by the Hasegawa and spin matrices,
 
         K_{kk'} = sigma(z + hbar + q_k - q_{k'}) / sigma(z)
                   * prod_{l != k} sigma(hbar + q_l - q_{k'}) / sigma(q_l - q_k),
 
-    with conf's coupling and lattice at positions q, from one sigma
-    evaluation over all its arguments (z checked by the caller).  jacobian
-    also returns
-    the factors of K = E_k A_{kk'} N_{kk'} and sigma' at the same arguments:
-    E_k = 1/(sigma(z) prod_{l != k} sigma(q_l - q_k)), A = sigma(z + hbar +
-    q_k - q_{k'}), B[l, k'] = sigma(hbar + q_l - q_{k'}) (diagonal sigma(hbar)),
-    N_{kk'} = prod_{l != k} B[l, k'], dA and dB their sigma', and Z[l, k] =
-    zeta(q_l - q_k) (diagonal 0, where sigma(0) never enters K).
+    laid out for conf's n, coupling and lattice and the spectral point z
+    (checked here); sigma and sigma' at hbar and z are evaluated here, once.
+    K = E_k A_{kk'} N_{kk'} with E_k = 1/(sigma(z) prod_{l != k} S[l, k]),
+    A = sigma(z + hbar + q_k - q_{k'}), S[l, k] = sigma(q_l - q_k) (diagonal
+    1), B[l, k'] = sigma(hbar + q_l - q_{k'}) (diagonal sigma(hbar)) and
+    N_{kk'} = prod_{l != k} B[l, k'].  The entries are exp(P_k) K_{kk'}.
     """
-    hbar = conf.hbar
-    D = _diff_matrix(q)
-    n = D.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    args = np.concatenate([(z + hbar + D).ravel(), hbar + D[off], D[off], [hbar, z]])
-    vals = elliptic._sigma_orders(args, conf.lat, (0, 1) if jacobian else (0,))
-    m, o = n * n, n * n - n
 
-    def split(v, diag3):
-        return (
-            v[:m].reshape(n, n),
-            _off_diagonal(v[m : m + o], v[-2], off),
-            _off_diagonal(v[m + o : m + 2 * o], diag3, off),
-        )
+    def __init__(self, conf: RSConfig, z):
+        _off_lattice(conf.lat, z=z)
+        z = complex(z)
+        hbar = conf.hbar
+        n = conf.n
+        self.lat = conf.lat
+        self.I, self.J, self.layout, self.xlayout = _hasegawa_layout(n)
+        m, o = n * n, n * n - n
+        self.c = np.concatenate([np.full(m, z + hbar), np.full(o, hbar), np.zeros(o)])
+        self.diffs = slice(m + o, None)
+        s, ds = elliptic._sigma_orders(np.array([hbar, z]), self.lat, (0, 1))
+        self.sigma_z = s[1]
+        # The diagonals of B and S, for sigma and for sigma'.
+        self.diagonals = ((s[0], 1.0), (ds[0], 0.0))
 
-    A, B, S3 = split(vals[0], 1.0)  # S3[l, k] = sigma(q_l - q_k)
-    E = 1.0 / (vals[0][-1] * np.prod(S3, axis=0))
-    N = _exclusive_products(B)
-    K = E[:, None] * A * N
-    if not jacobian:
-        return K
-    dA, dB, dS3 = split(vals[1], 0.0)
-    Z = dS3 / S3
-    return K, (E, A, B, N, dA, dB, Z)
+    def _evaluate(self, args, P, jacobian=False):
+        """L at the arguments of positions q and exponents P, and with
+        jacobian also the map R -> g,
 
+            g_j = sum_{k,k'} R_{kk'} dL_{kk'}/dq_j
 
-def hasegawa_lax(conf: RSConfig, z) -> SpectralMatrix:
-    """RS Lax matrix in Hasegawa form,
-
-        L_{kk'} = exp(P_k) * sigma(z + hbar + q_k - q_{k'}) / sigma(z)
-                  * prod_{l != k} sigma(hbar + q_l - q_{k'}) / sigma(q_l - q_k)
-
-    evaluated for any lattice kind through the sigma dispatch.
-    """
-    _off_lattice(conf.lat, z=z)
-    expP = np.exp(np.asarray(conf.P, dtype=complex))
-    z = complex(z)
-    return SpectralMatrix(conf.n, expP[:, None] * _hasegawa_kernel(conf, conf.q, z), z)
-
-
-def _hasegawa_jacobian(conf: RSConfig, z):
-    """Check z and return the map (q, P) -> (L, grad_q) at positions q and
-    exponents P (arrays): L is hasegawa_lax's entries there, grad_q maps R -> g
-
-        g_j = sum_{k,k'} R_{kk'} dL_{kk'}/dq_j
-
-    (dL_{kk'}/dP_j = delta_{jk} L_{kk'}), from one sigma and sigma' evaluation.
-    Every factor of L_{kk'} is sigma at a difference of positions, so the
-    weights M_{ab} of the factors at q_a - q_b give g = rowsum(M) - colsum(M),
-    and diagonal weights cancel (Ruijsenaars, CMP 110 (1987); Hasegawa, CMP
-    187 (1997)).  The numerator factors sigma(z + hbar + q_k - q_{k'}) and
-    sigma(hbar + q_l - q_{k'}) vanish where positions are spaced by hbar or
-    by z + hbar, so each is differentiated as sigma' times the product of
-    the other factors, never as L times zeta (0 * inf there).  Only the
-    denominator sigma(q_l - q_k), kept off zero by the collision guard,
-    enters through zeta.
-    """
-    _off_lattice(conf.lat, z=z)
-    z = complex(z)
-
-    def at(q, P):
-        K, (E, A, B, N, dA, dB, Z) = _hasegawa_kernel(conf, q, z, jacobian=True)
-        n = K.shape[0]
+        (dL_{kk'}/dP_j = delta_{jk} L_{kk'}).  Every factor of L_{kk'} is
+        sigma at a difference of positions, so the weights M_{ab} of the
+        factors at q_a - q_b give g = rowsum(M) - colsum(M), and diagonal
+        weights cancel (Ruijsenaars, CMP 110 (1987); Hasegawa, CMP 187
+        (1997)).  The numerator factors A and B vanish where positions are
+        spaced by hbar or by z + hbar, so each is differentiated as sigma'
+        times the product of the other factors, never as L times zeta (0 *
+        inf there).  Only the denominator S, kept off zero by the collision
+        guard, enters through zeta.
+        """
+        vals = elliptic._sigma_orders(args, self.lat, (0, 1) if jacobian else (0,))
+        s = np.append(vals[0], self.diagonals[0])
+        A, B, S = s[self.layout]
+        E = 1.0 / (self.sigma_z * np.prod(S, axis=0))
+        N = _exclusive_products(B)
         expP = np.exp(P)
-        L = expP[:, None] * K
+        L = expP[:, None] * (E[:, None] * A * N)
+        if not jacobian:
+            return L
+        dA, dB, dS = np.append(vals[1], self.diagonals[1])[self.layout]
+        Z = dS / S  # zeta(q_l - q_k), 0 on the diagonal
         E = expP * E
         # X[l, k, k'] = prod_{m not in {k, l}} B[m, k'], zero at l = k, where
         # B[l, k'] is not a factor of L_{kk'}.
-        idx = np.arange(n)
-        X = np.broadcast_to(B[:, None, :], (n, n, n)).copy()
-        X[idx, idx] = 1.0
-        X = _exclusive_products(X)
+        X = _exclusive_products(s[self.xlayout])
+        idx = np.arange(X.shape[0])
         X[idx, idx] = 0.0
 
         def grad_q(R):
@@ -297,7 +316,19 @@ def _hasegawa_jacobian(conf: RSConfig, z):
 
         return L, grad_q
 
-    return at
+
+def hasegawa_lax(conf: RSConfig, z) -> SpectralMatrix:
+    """RS Lax matrix in Hasegawa form,
+
+        L_{kk'} = exp(P_k) * sigma(z + hbar + q_k - q_{k'}) / sigma(z)
+                  * prod_{l != k} sigma(hbar + q_l - q_{k'}) / sigma(q_l - q_k)
+
+    evaluated for any lattice kind through the sigma dispatch.
+    """
+    L = _HasegawaPlan(conf, z).matrix(
+        np.asarray(conf.q, dtype=complex), np.asarray(conf.P, dtype=complex)
+    )
+    return SpectralMatrix(conf.n, L, complex(z))
 
 
 def _transport_diagonals(conf: RSConfig):
@@ -341,25 +372,12 @@ def composition_lax(conf: RSConfig, z) -> SpectralMatrix:
     return SpectralMatrix(n, entries, complex(z))
 
 
-def _composition_jacobian(conf: RSConfig, z):
-    """The map of _hasegawa_jacobian for composition_lax, which is the Hasegawa
-    matrix except at zero coupling, where it is diag(exp(P)) and does not
-    depend on q."""
-    if _zero_coupling(conf):
-        return lambda q, P: (np.diag(np.exp(P)), lambda R: np.zeros(len(q), dtype=complex))
-    return _hasegawa_jacobian(conf, z)
-
-
-def _f_squared(D, mu, lat):
-    """sigma(mu)^2 * (wp(mu) - wp(D_il)) off the diagonal of D = _diff_matrix(q)."""
-    n = D.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    vals = np.ones((n, n), dtype=complex)
-    if n > 1:
-        wp_mu = elliptic.wp(mu, lat)
-        wp_q = elliptic.wp(D[off], lat)
-        vals[off] = elliptic.sigma(mu, lat) ** 2 * (wp_mu - wp_q)
-    return vals
+def _row_f(d, n, sigma_mu, wp_mu, lat):
+    """(f^2, prod_{l != i} f(q_i - q_l) per row i) from the differences d of
+    positions over i != l (row-major), with f(q)^2 = sigma(mu)^2 * (wp(mu) -
+    wp(q)) and the principal square root taken factor by factor."""
+    f2 = sigma_mu**2 * (wp_mu - elliptic.wp(d, lat)) if n > 1 else d
+    return f2, np.prod(np.sqrt(f2).reshape(n, n - 1), axis=1)
 
 
 def ruijsenaars_lax(conf: RSConfig, lam) -> SpectralMatrix:
@@ -372,15 +390,19 @@ def ruijsenaars_lax(conf: RSConfig, lam) -> SpectralMatrix:
     with f(q)^2 = sigma(mu)^2 * (wp(mu) - wp(q)) and the principal square
     root taken factor by factor.
     """
-    _off_lattice(conf.lat, lam=lam, mu=conf.mu)
-    lam = complex(lam)
-    return SpectralMatrix(conf.n, _ruijsenaars(conf, conf.q, conf.P, lam), lam)
+    L = _RuijsenaarsPlan(conf, lam).matrix(
+        np.asarray(conf.q, dtype=complex), np.asarray(conf.P, dtype=complex)
+    )
+    return SpectralMatrix(conf.n, L, complex(lam))
 
 
-def _ruijsenaars_jacobian(conf: RSConfig, lam):
-    """Check lam and mu and return the map (q, P) -> (L', grad_q) of
-    ruijsenaars_lax, g_j = sum_{i,k} R_{ik} dL'_{ik}/dq_j, in the form of
-    _hasegawa_jacobian.
+class _RuijsenaarsPlan(_Plan):
+    """ruijsenaars_lax laid out once for conf's n, mu and lattice and the
+    spectral point lam (lam and mu checked here): the sigma arguments are
+    the blocks q_i - q_k + lam and q_i - q_k + mu (all pairs), q_i - q_k -
+    mu and q_i - q_k (i != k); sigma(lam), sigma(mu) and wp(mu) are
+    evaluated here.  The q-gradient map is R -> g, g_j = sum_{i,k} R_{ik}
+    dL'_{ik}/dq_j.
 
     The factor sigma(q_i - q_k + lam) vanishes where positions are spaced by
     -lam, so it is differentiated as sigma' times the other factors.  The
@@ -393,56 +415,67 @@ def _ruijsenaars_jacobian(conf: RSConfig, lam):
         d(log f)/dq = -wp'(q)/(2 (wp(mu) - wp(q)))
                     = (zeta(q + mu) + zeta(q - mu))/2 - zeta(q).
     """
-    _off_lattice(conf.lat, lam=lam, mu=conf.mu)
-    lam = complex(lam)
-    return lambda q, P: _ruijsenaars(conf, q, P, lam, jacobian=True)
 
+    def __init__(self, conf: RSConfig, lam):
+        _off_lattice(conf.lat, lam=lam, mu=conf.mu)
+        lam = complex(lam)
+        mu = conf.mu
+        self.n = n = conf.n
+        self.lat = conf.lat
+        rows, cols, self.off = _pairs(n)
+        m, o = n * n, self.off.size
+        self.I = np.concatenate([rows, rows, rows[self.off], rows[self.off]])
+        self.J = np.concatenate([cols, cols, cols[self.off], cols[self.off]])
+        self.c = np.concatenate([np.full(m, lam), np.full(m, mu), np.full(o, -mu), np.zeros(o)])
+        self.sigma_lam, self.sigma_mu = elliptic._sigma_orders(
+            np.array([lam, mu]), self.lat, (0,)
+        )[0]
+        self.wp_mu = elliptic.wp(mu, self.lat) if n > 1 else None
+        self.diffs = slice(2 * m + o, None)
 
-def _ruijsenaars(conf: RSConfig, q, P, lam: complex, jacobian=False):
-    """Entries of ruijsenaars_lax at positions q and exponents P (lam and mu
-    checked by the caller), and with jacobian also its q-gradient map."""
-    lat = conf.lat
-    mu = conf.mu
-    D = _diff_matrix(q)
-    n = D.shape[0]
-    _off_lattice(lat, **{"some q_i - q_j + mu": D + mu})
-
-    f2 = _f_squared(D, mu, lat)
-    off = ~np.eye(n, dtype=bool)
-    near_cut = (f2[off].real < 0) & (
-        np.abs(f2[off].imag) < 1e-9 * np.abs(f2[off])
-    )
-    if np.any(near_cut):
-        warnings.warn(
-            "f^2 value near the negative real axis: principal square root "
-            "may be discontinuous",
-            BranchCutWarning,
+    def _evaluate(self, args, P, jacobian=False):
+        """L' at the arguments of positions q and exponents P, and with
+        jacobian also its q-gradient map."""
+        n, lat = self.n, self.lat
+        m, o = n * n, self.off.size
+        _off_lattice(lat, **{"some q_i - q_j + mu": args[m : 2 * m]})
+        f2, row_f = _row_f(args[2 * m + o :], n, self.sigma_mu, self.wp_mu, lat)
+        if np.any((f2.real < 0) & (np.abs(f2.imag) < 1e-9 * np.abs(f2))):
+            warnings.warn(
+                "f^2 value near the negative real axis: principal square root "
+                "may be discontinuous",
+                BranchCutWarning,
+            )
+        vals = elliptic._sigma_orders(
+            args if jacobian else args[: 2 * m], lat, (0, 1) if jacobian else (0,)
         )
-    row_f = np.prod(np.where(off, np.sqrt(f2), 1.0), axis=1)
+        s = vals[0]
+        S_mu = s[m : 2 * m].reshape(n, n)
+        theta = np.exp(P)
+        # L' without its factor sigma(q_i - q_k + lam).
+        Lhat = (theta * row_f)[:, None] * self.sigma_mu / (self.sigma_lam * S_mu)
+        L = Lhat * s[:m].reshape(n, n)
+        if not jacobian:
+            return L
+        ds = vals[1]
+        dS_lam = ds[:m].reshape(n, n)
+        Z_mu = ds[m : 2 * m] / s[m : 2 * m]
+        Z_minus, Z_0 = (ds[2 * m :] / s[2 * m :]).reshape(2, -1)
+        F = np.zeros(m, dtype=complex)  # d(log f) at q_i - q_l
+        F[self.off] = 0.5 * (Z_mu[self.off] + Z_minus) - Z_0
+        F = F.reshape(n, n)
+        Z_mu = Z_mu.reshape(n, n)
 
-    args = [(D + lam).ravel(), (D + mu).ravel(), [lam, mu]]
-    if jacobian:
-        args += [D[off] - mu, D[off]]
-    vals = elliptic._sigma_orders(np.concatenate(args), lat, (0, 1) if jacobian else (0,))
-    s = vals[0]
-    m = n * n
-    theta = np.exp(np.asarray(P, dtype=complex))
-    # L' without its factor sigma(q_i - q_j + lam).
-    Lhat = (theta * row_f)[:, None] * s[2 * m + 1] / (s[2 * m] * s[m : 2 * m].reshape(n, n))
-    L = Lhat * s[:m].reshape(n, n)
-    if not jacobian:
-        return L
-    ds = vals[1]
-    dS_lam = ds[:m].reshape(n, n)
-    Z_mu = (ds[m : 2 * m] / s[m : 2 * m]).reshape(n, n)
-    Z_minus, Z_0 = (ds[2 * m + 2 :] / s[2 * m + 2 :]).reshape(2, -1)
-    F = _off_diagonal(0.5 * (Z_mu[off] + Z_minus) - Z_0, 0.0, off)  # d(log f) at q_il
+        def grad_q(R):
+            M = R * (Lhat * dS_lam - L * Z_mu) + (R * L).sum(axis=1)[:, None] * F
+            return M.sum(axis=1) - M.sum(axis=0)
 
-    def grad_q(R):
-        M = R * (Lhat * dS_lam - L * Z_mu) + (R * L).sum(axis=1)[:, None] * F
-        return M.sum(axis=1) - M.sum(axis=0)
+        return L, grad_q
 
-    return L, grad_q
+
+# The plans dynamics builds once per flow for each Lax form.
+_hasegawa_jacobian = _HasegawaPlan
+_ruijsenaars_jacobian = _RuijsenaarsPlan
 
 
 def ruijsenaars_equivalent_momenta(conf: RSConfig):
@@ -459,13 +492,13 @@ def ruijsenaars_equivalent_momenta(conf: RSConfig):
     the diagonal factors of the two matrices row by row, absorbing the square
     root branch choices into the momentum normalization.
     """
+    n, lat = conf.n, conf.lat
     prod_den, col = _transport_diagonals(conf)
     d_row = np.exp(np.asarray(conf.P, dtype=complex)) / prod_den
-    off = ~np.eye(conf.n, dtype=bool)
-    f2 = _f_squared(_diff_matrix(conf.q), conf.hbar, conf.lat)
-    row_f = np.prod(np.where(off, np.sqrt(f2), 1.0), axis=1)
-    sig_h = elliptic.sigma(conf.hbar, conf.lat)
-    return np.log(d_row * col / (sig_h * row_f))
+    sig_h = elliptic.sigma(conf.hbar, lat)
+    wp_h = elliptic.wp(conf.hbar, lat) if n > 1 else None
+    d = _diff_matrix(conf.q).reshape(-1)[_pairs(n)[2]]
+    return np.log(d_row * col / (sig_h * _row_f(d, n, sig_h, wp_h, lat)[1]))
 
 
 def krichever_lax(conf: RSConfig, z, lam) -> SpectralMatrix:
@@ -506,9 +539,9 @@ def spin_lax(conf: RSConfig, spin: SpinFraming, z) -> SpectralMatrix:
     """
     F0 = spin.U0 @ spin.V0
     Finf = spin.Uinf @ spin.Vinf
-    _off_lattice(conf.lat, z=z)
-    z = complex(z)
-    return SpectralMatrix(conf.n, F0 * Finf.T * _hasegawa_kernel(conf, conf.q, z), z)
+    # exp(P) = 1 leaves the kernel K itself.
+    K = _HasegawaPlan(conf, z).matrix(np.asarray(conf.q, dtype=complex), np.zeros(conf.n))
+    return SpectralMatrix(conf.n, F0 * Finf.T * K, complex(z))
 
 
 def cm_lax(conf: CMConfig, lam) -> SpectralMatrix:

@@ -35,11 +35,31 @@ def sigma_lattice_product(z, omega1, omega2, radius=40):
     return complex(total * mp.exp(logsum))
 
 
-def theta1_mpmath(z, tau):
-    """theta[1/2;1/2](z|tau) through mpmath's jtheta:
+def theta1_mpmath(z, tau, order=0):
+    """d^order/dz^order of theta[1/2;1/2](z|tau) through mpmath's jtheta:
     theta[1/2;1/2](z|tau) = -jtheta(1, pi z, q) with q = exp(i pi tau)."""
     q = mp.exp(1j * mp.pi * mp.mpc(tau))
-    return complex(-mp.jtheta(1, mp.pi * mp.mpc(z), q))
+    return complex(-(mp.pi**order) * mp.jtheta(1, mp.pi * mp.mpc(z), q, derivative=order))
+
+
+def theta_series_mpmath(a, b, z, tau, order=0, terms=60):
+    """d^order/dz^order of theta[a;b](z|tau) by direct summation in mpmath
+    at 30 digits over the 2*terms + 1 indices k around the largest term of
+
+        sum_k exp(i pi tau (k+a)^2 + 2 pi i (k+a)(z+b)),
+
+    whose position also accounts for a complex characteristic a."""
+    with mp.workdps(30):
+        a, b, z, tau = (mp.mpc(v) for v in (a, b, z, tau))
+        center = -a.real - (mp.im(z + b) + tau.real * a.imag) / tau.imag
+        k0 = int(mp.nint(center))
+        return complex(
+            mp.fsum(
+                (2j * mp.pi * (k + a)) ** order
+                * mp.exp(1j * mp.pi * tau * (k + a) ** 2 + 2j * mp.pi * (k + a) * (z + b))
+                for k in range(k0 - terms, k0 + terms + 1)
+            )
+        )
 
 
 def theta1_prime0_mpmath(tau):

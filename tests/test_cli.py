@@ -6,6 +6,7 @@ contract, and output schema validity.
 import csv
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,18 @@ class TestEvolve:
         assert summary["collision"] is True
         report = json.loads((out / "report.json").read_text())
         assert {c["name"]: c["status"] for c in report["checks"]}["completed"] == "fail"
+
+    def test_non_finite_stage_names_the_cause_without_warnings(self, tmp_path, capsys):
+        cfg = self._cfg(tmp_path, q=[0.1, 0.1002], P=[0.0, 0.3], t_end=0.2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["evolve", "--config", cfg]) == 1
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        err = capsys.readouterr().err
+        assert "CollisionImminent: the Lax matrix is not finite" in err
+        out = tmp_path / "out"
+        assert set(os.listdir(out)) == {"trajectory.csv", "summary.json", "report.json"}
+        assert json.loads((out / "summary.json").read_text())["collision"] is True
 
     def test_determinism(self, tmp_path):
         cfg = self._cfg(tmp_path)
@@ -377,3 +390,49 @@ def test_output_files(tmp_path, command):
                 for i, row in enumerate(data[name])
                 for j, v in enumerate(row)
             ]
+
+
+def test_parser_is_built_once_and_reused(tmp_path):
+    # Interleave runs that write artifacts with a config error (exit 2) and
+    # an argparse usage error (SystemExit 2); each call with the cached
+    # parser must behave as a call with a freshly built one.
+    lax_cfg = write_config(
+        tmp_path,
+        "lax.json",
+        {"schema_version": 1, "command": "lax", "params": OUTPUTS["lax"][0]},
+    )
+    bad_cfg = write_config(tmp_path, "bad.json", {"schema_version": 2, "params": {}})
+
+    def calls(out):
+        return [
+            ["lax", "--config", lax_cfg, "--out", str(out / "a")],
+            ["lax", "--config", bad_cfg],
+            ["lax", "--no-such-option"],
+            ["evolve"],
+            ["lax", "--config", lax_cfg, "--out", str(out / "b"), "--tol-scale", "2"],
+            ["nonsense"],
+            ["lax", "--config", lax_cfg, "--out", str(out / "c")],
+        ]
+
+    def run(argv):
+        try:
+            return cli.main(argv)
+        except SystemExit as exc:
+            return ("SystemExit", exc.code)
+
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    fresh_codes = []
+    for argv in calls(fresh):
+        cli._parser.cache_clear()
+        fresh_codes.append(run(argv))
+    parser = cli._parser()
+    reused_codes = [run(argv) for argv in calls(reused)]
+    assert cli._parser() is parser
+    assert fresh_codes == reused_codes == [
+        0, 2, ("SystemExit", 2), ("SystemExit", 2), 0, ("SystemExit", 2), 0
+    ]
+    for run_dir in ("a", "b", "c"):
+        names = sorted(os.listdir(fresh / run_dir))
+        assert names == sorted(os.listdir(reused / run_dir)) == ["lax.csv", "lax.json", "report.json"]
+        for name in names:
+            assert (fresh / run_dir / name).read_bytes() == (reused / run_dir / name).read_bytes()

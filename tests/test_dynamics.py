@@ -44,6 +44,27 @@ class TestHamiltonian:
         L = lax.composition_lax(conf, spec.eval_z).entries
         assert abs(H - np.trace(L @ L) / 2) < 1e-12 * abs(H)
 
+    @pytest.mark.parametrize("kind", ["elliptic", "trig", "rational"])
+    def test_hitchin_where_positions_are_spaced_by_hbar(self, kind):
+        # The Cauchy factorization of composition_lax divides by sigma(hbar +
+        # q_0 - q_1) = 0 here; hitchin goes through the Hasegawa matrix.
+        lat = {
+            "elliptic": LAT,
+            "trig": elliptic.trig_lattice(),
+            "rational": elliptic.rational_lattice(),
+        }[kind]
+        q, P = [0.0, 0.1], [0.1, -0.05]
+        conf = lax.rs_config(q, P, 0.1, lat)
+        spec = dynamics.HamiltonianSpec("hitchin", 1)
+        H = dynamics.hamiltonian(spec, conf)
+        L = lax.hasegawa_lax(conf, spec.eval_z).entries
+        assert np.isfinite(H)
+        assert abs(H - np.trace(L @ L) / 2) < 1e-12 * abs(H)
+        pt = dynamics.PhasePoint(q, P)
+        field = np.concatenate(dynamics.hamiltonian_vector_field(spec, pt, conf))
+        ref = np.concatenate(oracles.fd_vector_field(spec, pt, conf))
+        assert np.max(np.abs(field - ref)) <= 1e-9 * np.max(np.abs(ref))
+
     def test_rs_cosh_scalar_case(self):
         conf = lax.rs_config([0.2], [0.3], 0.07, LAT, mu=0.07)
         spec = dynamics.HamiltonianSpec("rs_cosh")
@@ -221,7 +242,7 @@ class TestFlowLoop:
         "lax_family,factory",
         [
             ("hasegawa", "_hasegawa_jacobian"),
-            ("composition", "_composition_jacobian"),
+            ("composition", "_hasegawa_jacobian"),
             ("ruijsenaars", "_ruijsenaars_jacobian"),
         ],
     )
@@ -255,6 +276,35 @@ class TestFlowLoop:
         assert len(traj.times) == 11
         assert len(made) == 1
         assert len(evaluations) == 4 * 10 + at_start
+
+    @pytest.mark.parametrize(
+        "family,mu,flow_constants,per_stage",
+        [
+            # sigma and sigma' at [hbar, z]; then one series over the
+            # n^2 + 2n(n - 1) arguments of a stage.
+            ("trace_power", None, [2], [21]),
+            # sigma at [lam, mu] and wp(mu); then wp at the n(n - 1)
+            # differences and sigma over the 2n^2 + 2n(n - 1) arguments.
+            ("rs_cosh", 0.09 + 0.02j, [2, 1], [6, 30]),
+        ],
+    )
+    def test_theta_series_calls_per_stage(self, monkeypatch, family, mu, flow_constants, per_stage):
+        sizes = []
+        series = elliptic._theta_series
+
+        def counted(a, b, z, tau, order=0):
+            sizes.append(np.size(z))
+            return series(a, b, z, tau, order)
+
+        monkeypatch.setattr(elliptic, "_theta_series", counted)
+        conf = mild_conf()
+        if mu is not None:
+            conf = lax.rs_config(conf.q, conf.P, conf.hbar, LAT, mu=mu)
+        spec = dynamics.HamiltonianSpec(family, 1)
+        start = dynamics.PhasePoint(conf.q, conf.P)
+        dynamics.integrate(spec, start, conf, 0.02, 2e-3)
+        stages = 4 * 10 + 1
+        assert sizes == flow_constants + per_stage * stages
 
     def test_fast_drift_pairing_equals_optimal_assignment(self, monkeypatch):
         import scipy.optimize

@@ -47,6 +47,51 @@ class TestThetaSeries:
         with pytest.raises((NonConvergent, ValueError)):
             elliptic.theta_char(elliptic.ThetaCharacteristic(0.5, 0.5), 0.3, 1e-9j)
 
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, (0, 1), (1, 3), (0, 1, 2), (0, 1, 2, 3)])
+    @pytest.mark.parametrize("tau", [0.3 + 2.1j, -0.4 + 0.35j])
+    def test_orders_match_mpmath(self, order, tau):
+        z = np.array([0.17 + 0.05j, -0.4 + 0.3j, 1.2 - 0.1j, 0.05 - 0.6j])
+        orders = (order,) if isinstance(order, int) else order
+        vals = elliptic._theta_series(0.5, 0.5, z, tau, order)
+        vals = (vals,) if isinstance(order, int) else vals
+        assert len(vals) == len(orders)
+        for o, v in zip(orders, vals):
+            ref = np.array([oracles.theta1_mpmath(zz, tau, o) for zz in z])
+            assert v.shape == z.shape
+            assert np.max(np.abs(v - ref)) < 1e-12 * np.max(np.abs(ref))
+            # A scalar argument gives a complex number of the same value.
+            one = elliptic._theta_series(0.5, 0.5, z[0], tau, o)
+            assert isinstance(one, complex)
+            assert abs(one - ref[0]) < 1e-12 * np.max(np.abs(ref))
+
+    def test_widened_window_matches_direct_series(self, monkeypatch):
+        # With a complex characteristic and Re(tau) != 0 the largest term
+        # lies off the first window's center, so the window is widened.
+        windows = []
+        window = elliptic._theta_window
+
+        def recorded(*key):
+            windows.append(key[2:])
+            return window(*key)
+
+        monkeypatch.setattr(elliptic, "_theta_window", recorded)
+        a, b, tau = 0.5 + 3j, 0.5, 1 + 1j
+        z = np.array([0.1, 0.3 + 0.2j])
+        vals = elliptic._theta_series(a, b, z, tau, (0, 1, 2, 3))
+        assert len(windows) > 1
+        for o, v in enumerate(vals):
+            ref = np.array([oracles.theta_series_mpmath(a, b, zz, tau, o) for zz in z])
+            assert np.max(np.abs(v - ref)) < 1e-12 * np.max(np.abs(ref))
+
+    def test_window_cache_is_bounded_and_read_only(self):
+        for k in range(1000):
+            elliptic._theta_series(0.5, 0.5, 0.1, 0.1 * k + 1.3j)
+        info = elliptic._theta_window.cache_info()
+        assert info.maxsize == elliptic._WINDOW_CACHE_SIZE
+        assert info.currsize == elliptic._WINDOW_CACHE_SIZE
+        for arr in elliptic._theta_window(1.3j, 0.5 + 0j, -4, 4):
+            assert not arr.flags.writeable
+
 
 class TestZeta:
     @pytest.mark.parametrize("kind", ["elliptic", "trig", "rational"])
