@@ -17,6 +17,7 @@ every scheduled check passes.  RSLAX_THREADS caps BLAS/OpenMP parallelism.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import functools
 import json
@@ -84,16 +85,18 @@ class RunReport:
 
 
 def _as_complex(v, field_name):
-    if isinstance(v, (int, float, complex)):
-        return complex(v)
-    if isinstance(v, dict) and set(v) <= {"re", "im"}:
-        return complex(float(v.get("re", 0.0)), float(v.get("im", 0.0)))
-    if isinstance(v, str):
-        try:
-            return complex(v)
-        except ValueError:
-            pass
-    raise ConfigInvalid("expected a number, a complex string, or {re, im}", field=field_name)
+    try:
+        if isinstance(v, dict) and set(v) <= {"re", "im"}:
+            out = complex(float(v.get("re", 0.0)), float(v.get("im", 0.0)))
+        else:
+            out = complex(v) if isinstance(v, (int, float, complex, str)) else None
+    except (TypeError, ValueError):
+        out = None
+    if out is None:
+        raise ConfigInvalid("expected a number, a complex string, or {re, im}", field=field_name)
+    if not cmath.isfinite(out):
+        raise ConfigInvalid("must be finite", field=field_name)
+    return out
 
 
 def _complex_list(v, field_name):

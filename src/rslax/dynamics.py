@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import elliptic, lax
+from . import lax
 from .errors import CollisionImminent, SingularMatrix
 
 # Smallest pairwise position distance (modulo the lattice) a flow may reach.
@@ -80,9 +80,10 @@ def _lax_form(spec: HamiltonianSpec):
 
     build(conf, z) is a SpectralMatrix.  jacobian(conf, z) checks the points
     fixed along a flow (z, and lam and mu for the Ruijsenaars form) and
-    evaluates its constants once, and returns the plan (q, P) ->
-    (differences q_a - q_b over a != b, row-major; a function giving the
-    entries and R -> (sum_{kk'} R_{kk'} dL_{kk'}/dq_j)_j).
+    evaluates its constants once, and returns the plan (q, P) -> (the
+    distances of the differences q_a - q_b over a != b, row-major, from the
+    lattice; a function giving the entries and (R, h) -> (sum_{kk'} R_{kk'}
+    dL_{kk'}/dq_j)_j, where h = (R * L).sum(axis=1)).
     """
     if spec.family == "hitchin" or spec.lax_family == "composition":
         # The composition equals the Hasegawa matrix, and its Cauchy
@@ -127,13 +128,12 @@ def _field(spec: HamiltonianSpec, jacobian, lat, q, p):
     """
     if not (np.isfinite(q).all() and np.isfinite(p).all()):
         raise CollisionImminent("positions or momenta are not finite")
-    diffs, evaluate = jacobian(q, p)
-    if diffs.size:
-        dist = elliptic.lattice_distance(diffs, lat)
-        k = int(np.argmin(dist))
+    dist, evaluate = jacobian(q, p)
+    if dist.size:
+        k = int(dist.argmin())
         # Written so that a NaN distance fails too.
         if not dist[k] >= COLLISION_MARGIN:
-            # diffs holds q_i - q_j over j != i, n - 1 of them per row i.
+            # dist holds q_i - q_j over j != i, n - 1 of them per row i.
             i, j = divmod(k, q.size - 1)
             j += j >= i
             raise CollisionImminent(
@@ -144,14 +144,17 @@ def _field(spec: HamiltonianSpec, jacobian, lat, q, p):
     if not np.isfinite(L).all():
         raise CollisionImminent("the Lax matrix is not finite")
     if spec.family == "trace_power":
-        G = spec.index * np.linalg.matrix_power(L, spec.index - 1)
+        k = spec.index - 1
+        # matrix_power(L, 0) builds this identity, more slowly.
+        G = spec.index * (np.linalg.matrix_power(L, k) if k else np.eye(q.size, dtype=complex))
     elif spec.family == "hitchin":
         G = np.linalg.matrix_power(L, spec.index)
     else:  # rs_cosh
         Linv = _inverse(L)
         G = np.eye(L.shape[0]) - Linv @ Linv
     R = G.T
-    return L, (R * L).sum(axis=1), -grad_q(R)
+    dP = (R * L).sum(axis=1)
+    return L, dP, -grad_q(R, dP)
 
 
 def hamiltonian_vector_field(

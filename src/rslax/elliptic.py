@@ -81,25 +81,28 @@ def _theta_series(a, b, z, tau, order=0):
 
     theta[a;b](z|tau) = sum_k exp(i*pi*tau*(k+a)^2 + 2*pi*i*(k+a)*(z+b)).
     Terms are summed over an index window centered on the dominant term and
-    widened until the boundary terms of every requested order fall below
-    _SERIES_RELTOL of that order's largest term, with a hard cap of
-    _SERIES_MAX_TERMS terms.  order may be a tuple of orders, for which the
-    tuple of derivatives is returned from one series pass.
+    widened until the boundary terms of every requested order (0 to 3) fall
+    below _SERIES_RELTOL of that order's largest term; more than
+    _SERIES_MAX_TERMS terms, or a non-finite argument, raise NonConvergent.
+    order may be a tuple of orders, for which the tuple of derivatives is
+    returned from one series pass.
     """
     tau = complex(tau)
     if tau.imag <= 0:
         raise NonConvergent(f"theta series requires Im(tau) > 0, got tau={tau}")
     a = complex(a)
-    b = complex(b)
     zarr = np.asarray(z, dtype=complex)
-    zb = zarr.reshape(1, -1) + b
+    zb = zarr.reshape(1, -1) + complex(b)
 
-    # Dominant index of the Gaussian-weighted series for each argument.
-    centers = -a.real - zb.imag / tau.imag
+    # The series' dominant indices -a.real - Im(z + b)/Im(tau) span [lo, hi].
+    lo = -a.real - zb.imag.max() / tau.imag
+    hi = -a.real - zb.imag.min() / tau.imag
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise NonConvergent("theta series argument is not finite")
     base_width = math.ceil(math.sqrt(40.0 / (math.pi * tau.imag))) + 2
-    kmin = math.floor(centers.min()) - base_width
-    kmax = math.ceil(centers.max()) + base_width
-    powers = np.atleast_1d(order)[:, None]
+    kmin = math.floor(lo) - base_width
+    kmax = math.ceil(hi) + base_width
+    orders = (order,) if isinstance(order, int) else order
 
     while True:
         if kmax - kmin + 1 > _SERIES_MAX_TERMS:
@@ -107,18 +110,23 @@ def _theta_series(a, b, z, tau, order=0):
                 "theta series needs more than "
                 f"{_SERIES_MAX_TERMS} terms for tau={tau}"
             )
-        gauss, w, absw = _theta_window(tau, a, kmin, kmax)
-        base = np.exp(gauss + w * zb)
-        # |d^o term/dz^o| = |term| * |2*pi*(k+a)|^o: per order, the largest
-        # term magnitude in each row k.  Written so that NaN widens the window.
-        mags = np.abs(base).max(axis=1) * absw**powers
-        if (np.maximum(mags[:, 0], mags[:, -1]) <= _SERIES_RELTOL * mags.max(axis=1)).all():
+        gauss, wpow, abspow = _theta_window(tau, a, kmin, kmax)
+        base = np.exp(gauss + wpow[1] * zb)
+        # |d^o term/dz^o| = |term| * |2*pi*(k+a)|^o: per order o, the largest
+        # term magnitude in each row k, then the bound and boundary values
+        # as floats.  A NaN fails every comparison and widens the window.
+        mags = np.abs(base).max(axis=1) * abspow
+        tols = (_SERIES_RELTOL * mags.max(axis=1)).tolist()
+        ends = mags[:, :: kmax - kmin].tolist()
+        if all(ends[o][0] <= tols[o] and ends[o][1] <= tols[o] for o in orders):
             break
+        if not np.isfinite(zb).all():
+            raise NonConvergent("theta series argument is not finite")
         kmin -= 4
         kmax += 4
 
     def total(o):
-        t = (base * w**o if o else base).sum(axis=0)
+        t = (base * wpow[o] if o else base).sum(axis=0)
         return complex(t[0]) if zarr.ndim == 0 else t.reshape(zarr.shape)
 
     return total(order) if isinstance(order, int) else tuple(map(total, order))
@@ -126,8 +134,9 @@ def _theta_series(a, b, z, tau, order=0):
 
 @functools.lru_cache(maxsize=_WINDOW_CACHE_SIZE)
 def _theta_window(tau, a, kmin, kmax):
-    """Read-only columns over k = kmin..kmax of the theta series exponent
-    i*pi*tau*(k+a)^2 and of 2*pi*i*(k+a), and |2*pi*(k+a)| as a row.
+    """Read-only arrays over k = kmin..kmax: the theta series exponent
+    i*pi*tau*(k+a)^2 as a column, the columns w^o of w = 2*pi*i*(k+a) and
+    the rows |w|^o, for o = 0..3.
 
     The exponent, not its exponential, is cached: each term is one exp of
     the summed exponent, which stays finite where the two factors taken
@@ -136,10 +145,11 @@ def _theta_window(tau, a, kmin, kmax):
     ks = np.arange(kmin, kmax + 1, dtype=float)[:, None] + a
     gauss = 1j * np.pi * tau * ks**2
     w = 2j * np.pi * ks
-    absw = np.abs(w).T
-    for arr in (gauss, w, absw):
+    wpow = np.stack([w**o for o in range(4)])
+    abspow = np.abs(w).T ** np.arange(4)[:, None]
+    for arr in (gauss, wpow, abspow):
         arr.setflags(write=False)
-    return gauss, w, absw
+    return gauss, wpow, abspow
 
 
 def theta_char(ch: ThetaCharacteristic, z, tau) -> complex:
@@ -195,49 +205,57 @@ def rational_lattice() -> Lattice:
     return Lattice(0.0, 0.0, 0.0, 0.0, 0.0, KIND_RATIONAL)
 
 
+def _unit(zarr, lat: Lattice):
+    """The sigma pass's coordinate: z/omega1 on an elliptic lattice, else z."""
+    return zarr / complex(lat.omega1) if lat.kind == KIND_ELLIPTIC else zarr
+
+
+def _distance(x, lat: Lattice):
+    """lattice_distance at the _unit coordinates x.  On an elliptic lattice
+    the Im-coordinate in the basis (1, tau) is rounded, then the real part."""
+    if lat.kind == KIND_RATIONAL:
+        return np.abs(x)
+    if lat.kind == KIND_TRIG:
+        return np.abs(x - np.pi * np.rint(x.real / np.pi))
+    tau = complex(lat.tau)
+    x = x - np.rint(x.imag / tau.imag) * tau
+    return np.abs((x - np.rint(x.real)) * complex(lat.omega1))
+
+
 def lattice_distance(z, lat: Lattice):
     """Distance from z to the zero set of sigma for the given lattice."""
-    zarr = np.asarray(z, dtype=complex)
-    if lat.kind == KIND_RATIONAL:
-        out = np.abs(zarr)
-    elif lat.kind == KIND_TRIG:
-        out = np.abs(zarr - np.pi * np.round(zarr.real / np.pi))
-    else:
-        # Real coordinates of z in the (omega1, omega2) basis.
-        w1, w2 = complex(lat.omega1), complex(lat.omega2)
-        det = w1.real * w2.imag - w1.imag * w2.real
-        acoef = (zarr.real * w2.imag - zarr.imag * w2.real) / det
-        bcoef = (zarr.imag * w1.real - zarr.real * w1.imag) / det
-        out = np.abs(zarr - np.round(acoef) * w1 - np.round(bcoef) * w2)
+    out = _distance(_unit(np.asarray(z, dtype=complex), lat), lat)
     return float(out) if np.ndim(z) == 0 else out
 
 
 def sigma(z, lat: Lattice):
     """Weierstrass sigma function (sin(z) / z for the degenerate kinds)."""
-    out = _sigma_orders(np.asarray(z, dtype=complex), lat, (0,))[0]
+    out = np.empty(np.shape(z), dtype=complex)
+    _sigma_orders(_unit(np.asarray(z, dtype=complex), lat), lat, out)
     return complex(out) if np.ndim(z) == 0 else out
 
 
-def _sigma_orders(zarr, lat: Lattice, orders):
-    """[d^o sigma/dz^o at zarr for o in orders], orders drawn from {0, 1}.
+def _sigma_orders(x, lat: Lattice, s, ds=None):
+    """Write sigma into s and, given ds, sigma' into ds, at the arguments
+    whose _unit coordinate is x.
 
     Both orders come from one theta series pass.  sigma' is finite
     everywhere, also at the zeros of sigma, where sigma'/sigma is not.
     """
-    if lat.kind == KIND_TRIG:
-        return [np.cos(zarr) if o else np.sin(zarr) for o in orders]
-    if lat.kind == KIND_RATIONAL:
-        return [np.ones_like(zarr) if o else zarr for o in orders]
+    if lat.kind != KIND_ELLIPTIC:
+        trig = lat.kind == KIND_TRIG
+        s[...] = np.sin(x) if trig else x
+        if ds is not None:
+            ds[...] = np.cos(x) if trig else 1.0
+        return
     w = complex(lat.omega1)
     t1, eta1_hat = _unit_constants(lat.tau)
-    x = zarr / w
-    th = _theta_series(0.5, 0.5, x, lat.tau, order=(0, 1) if 1 in orders else (0,))
+    th = _theta_series(0.5, 0.5, x, lat.tau, order=(0,) if ds is None else (0, 1))
     gauge = np.exp(eta1_hat * x**2) / t1
     # sigma = w * gauge * theta1(x); d/dz = (1/w) d/dx.
-    return [
-        gauge * (2.0 * eta1_hat * x * th[0] + th[1]) if o else w * gauge * th[0]
-        for o in orders
-    ]
+    s[...] = w * gauge * th[0]
+    if ds is not None:
+        ds[...] = gauge * (2.0 * eta1_hat * x * th[0] + th[1])
 
 
 def zeta(z, lat: Lattice):
@@ -245,30 +263,36 @@ def zeta(z, lat: Lattice):
 
     Quasi-periodicity: zeta(z + omega_i) = zeta(z) + 2*eta_i.
     """
-    if np.min(lattice_distance(z, lat)) < POLE_TOL:
+    x = _unit(np.asarray(z, dtype=complex), lat)
+    if np.min(_distance(x, lat)) < POLE_TOL:
         raise PoleAtLattice(f"zeta argument within {POLE_TOL} of a lattice point")
-    s, ds = _sigma_orders(np.asarray(z, dtype=complex), lat, (0, 1))
+    s, ds = np.empty_like(x), np.empty_like(x)
+    _sigma_orders(x, lat, s, ds)
     out = ds / s
     return complex(out) if np.ndim(z) == 0 else out
 
 
 def wp(z, lat: Lattice):
     """Weierstrass wp function; 1/sin(z)**2 / 1/z**2 for degenerate kinds."""
-    if np.min(lattice_distance(z, lat)) < POLE_TOL:
+    x = _unit(np.asarray(z, dtype=complex), lat)
+    if np.min(_distance(x, lat)) < POLE_TOL:
         raise PoleAtLattice(f"wp argument within {POLE_TOL} of a lattice point")
-    zarr = np.asarray(z, dtype=complex)
-    if lat.kind == KIND_TRIG:
-        out = 1.0 / np.sin(zarr) ** 2
-    elif lat.kind == KIND_RATIONAL:
-        out = 1.0 / zarr**2
-    else:
-        s = complex(lat.omega1)
-        _, eta1_hat = _unit_constants(lat.tau)
-        x = zarr / s
-        t0, td1, td2 = _theta_series(0.5, 0.5, x, lat.tau, order=(0, 1, 2))
-        # wp = -(log sigma)'' on the unit lattice, rescaled by homogeneity.
-        out = (-2.0 * eta1_hat - (td2 * t0 - td1**2) / t0**2) / s**2
+    out = _wp(x, lat)
     return complex(out) if np.ndim(z) == 0 else out
+
+
+def _wp(x, lat: Lattice):
+    """wp at the arguments whose _unit coordinate is x, which the caller
+    keeps off the lattice."""
+    if lat.kind == KIND_TRIG:
+        return 1.0 / np.sin(x) ** 2
+    if lat.kind == KIND_RATIONAL:
+        return 1.0 / x**2
+    s = complex(lat.omega1)
+    _, eta1_hat = _unit_constants(lat.tau)
+    t0, td1, td2 = _theta_series(0.5, 0.5, x, lat.tau, order=(0, 1, 2))
+    # wp = -(log sigma)'' on the unit lattice, rescaled by homogeneity.
+    return (-2.0 * eta1_hat - (td2 * t0 - td1**2) / t0**2) / s**2
 
 
 def section_phi(q, z, lat: Lattice):

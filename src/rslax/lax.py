@@ -149,8 +149,8 @@ def _exclusive_products(S):
     allowed.
     """
     out = np.ones_like(S)
-    np.cumprod(S[:-1], axis=0, out=out[1:])
-    out[:-1] *= np.cumprod(S[:0:-1], axis=0)[::-1]
+    S[:-1].cumprod(axis=0, out=out[1:])
+    out[:-1] *= S[:0:-1].cumprod(axis=0)[::-1]
     return out
 
 
@@ -228,18 +228,24 @@ def _hasegawa_layout(n):
 
 class _Plan:
     """A Lax form laid out once for a flow's constants.  Every
-    position-dependent sigma argument is q[I] - q[J] + c, and args[diffs]
-    are the differences q_a - q_b over a != b, row-major."""
+    position-dependent sigma argument is q[I] - q[J] + c, taken in the sigma
+    pass's coordinate (elliptic._unit), and those at diffs are the
+    differences q_a - q_b over a != b, row-major.  An evaluation writes
+    sigma and sigma' into the plan's buffers s and ds."""
+
+    def _args(self, q):
+        return elliptic._unit(q[self.I] - q[self.J] + self.c, self.lat)
 
     def matrix(self, q, P):
         """The entries at the position and exponent arrays (q, P)."""
-        return self._evaluate(q[self.I] - q[self.J] + self.c, P)
+        return self._evaluate(self._args(q), P)
 
     def __call__(self, q, P):
-        """One stage of a flow: the differences, and a function giving the
-        entries and their q-gradient map (see _evaluate)."""
-        args = q[self.I] - q[self.J] + self.c
-        return args[self.diffs], lambda: self._evaluate(args, P, jacobian=True)
+        """One stage of a flow: the distances of the differences from the
+        lattice, and a function giving the entries and their q-gradient map
+        (see _evaluate)."""
+        x = self._args(q)
+        return elliptic._distance(x[self.diffs], self.lat), lambda: self._evaluate(x, P, True)
 
 
 class _HasegawaPlan(_Plan):
@@ -266,14 +272,16 @@ class _HasegawaPlan(_Plan):
         m, o = n * n, n * n - n
         self.c = np.concatenate([np.full(m, z + hbar), np.full(o, hbar), np.zeros(o)])
         self.diffs = slice(m + o, None)
-        s, ds = elliptic._sigma_orders(np.array([hbar, z]), self.lat, (0, 1))
-        self.sigma_z = s[1]
-        # The diagonals of B and S, for sigma and for sigma'.
-        self.diagonals = ((s[0], 1.0), (ds[0], 0.0))
+        # The tails hold the diagonals of B and S, for sigma and for sigma'.
+        self.s, self.ds = np.empty((2, m + 2 * o + 2), dtype=complex)
+        x = elliptic._unit(np.array([hbar, z]), self.lat)
+        elliptic._sigma_orders(x, self.lat, self.s[-2:], self.ds[-2:])
+        self.sigma_z = self.s[-1]
+        self.s[-1], self.ds[-1] = 1.0, 0.0
 
-    def _evaluate(self, args, P, jacobian=False):
-        """L at the arguments of positions q and exponents P, and with
-        jacobian also the map R -> g,
+    def _evaluate(self, x, P, jacobian=False):
+        """L at the arguments x of positions q and exponents P, and with
+        jacobian also the map (R, h) -> g, h = (R * L).sum(axis=1),
 
             g_j = sum_{k,k'} R_{kk'} dL_{kk'}/dq_j
 
@@ -287,31 +295,31 @@ class _HasegawaPlan(_Plan):
         inf there).  Only the denominator S, kept off zero by the collision
         guard, enters through zeta.
         """
-        vals = elliptic._sigma_orders(args, self.lat, (0, 1) if jacobian else (0,))
-        s = np.append(vals[0], self.diagonals[0])
+        s, ds = self.s, self.ds
+        elliptic._sigma_orders(x, self.lat, s[: x.size], ds[: x.size] if jacobian else None)
         A, B, S = s[self.layout]
-        E = 1.0 / (self.sigma_z * np.prod(S, axis=0))
-        N = _exclusive_products(B)
+        E = 1.0 / (self.sigma_z * S.prod(axis=0))
+        if jacobian:
+            # X[l, k, k'] = prod_{m not in {k, l}} B[m, k'] for l != k, and
+            # N[k, k'] at l = k, zeroed: B[k, k'] is not a factor of L_{kk'}.
+            X = _exclusive_products(s[self.xlayout])
+            n = X.shape[0]
+            diagonal = X.reshape(n * n, n)[:: n + 1]
+            N = diagonal.copy()
+            diagonal[...] = 0.0
+        else:
+            N = _exclusive_products(B)
         expP = np.exp(P)
         L = expP[:, None] * (E[:, None] * A * N)
         if not jacobian:
             return L
-        dA, dB, dS = np.append(vals[1], self.diagonals[1])[self.layout]
+        dA, dB, dS = ds[self.layout]
         Z = dS / S  # zeta(q_l - q_k), 0 on the diagonal
         E = expP * E
-        # X[l, k, k'] = prod_{m not in {k, l}} B[m, k'], zero at l = k, where
-        # B[l, k'] is not a factor of L_{kk'}.
-        X = _exclusive_products(s[self.xlayout])
-        idx = np.arange(X.shape[0])
-        X[idx, idx] = 0.0
 
-        def grad_q(R):
+        def grad_q(R, h):
             V = R * E[:, None]
-            M = (
-                V * dA * N
-                + dB * np.einsum("kj,lkj->lj", V * A, X)
-                - (R * L).sum(axis=1)[None, :] * Z
-            )
+            M = V * dA * N + dB * np.einsum("kj,lkj->lj", V * A, X) - h[None, :] * Z
             return M.sum(axis=1) - M.sum(axis=0)
 
         return L, grad_q
@@ -372,12 +380,13 @@ def composition_lax(conf: RSConfig, z) -> SpectralMatrix:
     return SpectralMatrix(n, entries, complex(z))
 
 
-def _row_f(d, n, sigma_mu, wp_mu, lat):
-    """(f^2, prod_{l != i} f(q_i - q_l) per row i) from the differences d of
-    positions over i != l (row-major), with f(q)^2 = sigma(mu)^2 * (wp(mu) -
+def _row_f(x, n, sigma_mu, wp_mu, lat):
+    """(f^2, prod_{l != i} f(q_i - q_l) per row i) from the elliptic._unit
+    coordinates x of the differences over i != l (row-major), which the
+    caller keeps off the lattice, with f(q)^2 = sigma(mu)^2 * (wp(mu) -
     wp(q)) and the principal square root taken factor by factor."""
-    f2 = sigma_mu**2 * (wp_mu - elliptic.wp(d, lat)) if n > 1 else d
-    return f2, np.prod(np.sqrt(f2).reshape(n, n - 1), axis=1)
+    f2 = sigma_mu**2 * (wp_mu - elliptic._wp(x, lat)) if n > 1 else x
+    return f2, np.sqrt(f2).reshape(n, n - 1).prod(axis=1)
 
 
 def ruijsenaars_lax(conf: RSConfig, lam) -> SpectralMatrix:
@@ -427,29 +436,32 @@ class _RuijsenaarsPlan(_Plan):
         self.I = np.concatenate([rows, rows, rows[self.off], rows[self.off]])
         self.J = np.concatenate([cols, cols, cols[self.off], cols[self.off]])
         self.c = np.concatenate([np.full(m, lam), np.full(m, mu), np.full(o, -mu), np.zeros(o)])
-        self.sigma_lam, self.sigma_mu = elliptic._sigma_orders(
-            np.array([lam, mu]), self.lat, (0,)
-        )[0]
+        self.s, self.ds = np.empty((2, 2 * m + 2 * o), dtype=complex)
+        self.sigma_lam, self.sigma_mu = elliptic.sigma(np.array([lam, mu]), self.lat)
         self.wp_mu = elliptic.wp(mu, self.lat) if n > 1 else None
         self.diffs = slice(2 * m + o, None)
+        # The off-diagonal q_i - q_k + mu; the diagonal is mu, checked above.
+        self.mu_off = m + self.off
 
-    def _evaluate(self, args, P, jacobian=False):
-        """L' at the arguments of positions q and exponents P, and with
-        jacobian also its q-gradient map."""
+    def _evaluate(self, x, P, jacobian=False):
+        """L' at the arguments x of positions q and exponents P, and with
+        jacobian also its q-gradient map (R, h) -> g, h = (R * L').sum(axis=1)."""
         n, lat = self.n, self.lat
         m, o = n * n, self.off.size
-        _off_lattice(lat, **{"some q_i - q_j + mu": args[m : 2 * m]})
-        f2, row_f = _row_f(args[2 * m + o :], n, self.sigma_mu, self.wp_mu, lat)
+        if (elliptic._distance(x[self.mu_off], lat) < elliptic.POLE_TOL).any():
+            raise PoleAtLattice("some q_i - q_j + mu is on the lattice")
+        # The differences are kept off the lattice by the collision guard,
+        # or, in matrix(), by RSConfig's distinctness check.
+        f2, row_f = _row_f(x[2 * m + o :], n, self.sigma_mu, self.wp_mu, lat)
         if np.any((f2.real < 0) & (np.abs(f2.imag) < 1e-9 * np.abs(f2))):
             warnings.warn(
                 "f^2 value near the negative real axis: principal square root "
                 "may be discontinuous",
                 BranchCutWarning,
             )
-        vals = elliptic._sigma_orders(
-            args if jacobian else args[: 2 * m], lat, (0, 1) if jacobian else (0,)
-        )
-        s = vals[0]
+        k = x.size if jacobian else 2 * m
+        s, ds = self.s[:k], self.ds[:k]
+        elliptic._sigma_orders(x[:k], lat, s, ds if jacobian else None)
         S_mu = s[m : 2 * m].reshape(n, n)
         theta = np.exp(P)
         # L' without its factor sigma(q_i - q_k + lam).
@@ -457,17 +469,15 @@ class _RuijsenaarsPlan(_Plan):
         L = Lhat * s[:m].reshape(n, n)
         if not jacobian:
             return L
-        ds = vals[1]
-        dS_lam = ds[:m].reshape(n, n)
         Z_mu = ds[m : 2 * m] / s[m : 2 * m]
         Z_minus, Z_0 = (ds[2 * m :] / s[2 * m :]).reshape(2, -1)
         F = np.zeros(m, dtype=complex)  # d(log f) at q_i - q_l
         F[self.off] = 0.5 * (Z_mu[self.off] + Z_minus) - Z_0
         F = F.reshape(n, n)
-        Z_mu = Z_mu.reshape(n, n)
+        W = Lhat * ds[:m].reshape(n, n) - L * Z_mu.reshape(n, n)
 
-        def grad_q(R):
-            M = R * (Lhat * dS_lam - L * Z_mu) + (R * L).sum(axis=1)[:, None] * F
+        def grad_q(R, h):
+            M = R * W + h[:, None] * F
             return M.sum(axis=1) - M.sum(axis=0)
 
         return L, grad_q
@@ -497,8 +507,8 @@ def ruijsenaars_equivalent_momenta(conf: RSConfig):
     d_row = np.exp(np.asarray(conf.P, dtype=complex)) / prod_den
     sig_h = elliptic.sigma(conf.hbar, lat)
     wp_h = elliptic.wp(conf.hbar, lat) if n > 1 else None
-    d = _diff_matrix(conf.q).reshape(-1)[_pairs(n)[2]]
-    return np.log(d_row * col / (sig_h * _row_f(d, n, sig_h, wp_h, lat)[1]))
+    x = elliptic._unit(_diff_matrix(conf.q).reshape(-1)[_pairs(n)[2]], lat)
+    return np.log(d_row * col / (sig_h * _row_f(x, n, sig_h, wp_h, lat)[1]))
 
 
 def krichever_lax(conf: RSConfig, z, lam) -> SpectralMatrix:

@@ -2,10 +2,14 @@
 functions and determinant identities.  Every oracle here computes the target
 quantity by a route disjoint from the library implementation: truncated
 lattice products, mpmath theta series, brute-force LU determinants, and
-finite-difference Hamiltonian vector fields.
+finite-difference Hamiltonian vector fields.  The one exception is
+theta_series_reference, a frozen copy of the library's theta series that
+its faster rewrites must reproduce bit for bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import mpmath as mp
 import numpy as np
@@ -60,6 +64,44 @@ def theta_series_mpmath(a, b, z, tau, order=0, terms=60):
                 for k in range(k0 - terms, k0 + terms + 1)
             )
         )
+
+
+def theta_series_reference(a, b, z, tau, order=0):
+    """rslax.elliptic._theta_series as it was before its window test moved
+    to per-order floats, kept as a reference its rewrites must equal bit for
+    bit: the same index window rule and the same floating-point operations
+    in the same order, with the window arrays built per call instead of
+    cached.  Non-finite arguments are outside its domain.
+    """
+    tau = complex(tau)
+    a = complex(a)
+    b = complex(b)
+    zarr = np.asarray(z, dtype=complex)
+    zb = zarr.reshape(1, -1) + b
+    centers = -a.real - zb.imag / tau.imag
+    base_width = math.ceil(math.sqrt(40.0 / (math.pi * tau.imag))) + 2
+    kmin = math.floor(centers.min()) - base_width
+    kmax = math.ceil(centers.max()) + base_width
+    powers = np.atleast_1d(order)[:, None]
+    while True:
+        if kmax - kmin + 1 > 200:
+            raise ValueError("theta series needs more than 200 terms")
+        ks = np.arange(kmin, kmax + 1, dtype=float)[:, None] + a
+        gauss = 1j * np.pi * tau * ks**2
+        w = 2j * np.pi * ks
+        absw = np.abs(w).T
+        base = np.exp(gauss + w * zb)
+        mags = np.abs(base).max(axis=1) * absw**powers
+        if (np.maximum(mags[:, 0], mags[:, -1]) <= 1e-16 * mags.max(axis=1)).all():
+            break
+        kmin -= 4
+        kmax += 4
+
+    def total(o):
+        t = (base * w**o if o else base).sum(axis=0)
+        return complex(t[0]) if zarr.ndim == 0 else t.reshape(zarr.shape)
+
+    return total(order) if isinstance(order, int) else tuple(map(total, order))
 
 
 def theta1_prime0_mpmath(tau):

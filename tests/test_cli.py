@@ -336,6 +336,41 @@ class TestReduceAndLax:
         assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "key,value,field",
+    [
+        ("q", ["nan", 0.45], "params.q[0]"),
+        ("q", [0.1, {"re": 0.45, "im": "inf"}], "params.q[1]"),
+        ("q", [0.1, "abc"], "params.q[1]"),
+        ("q", [0.1, {"re": "abc"}], "params.q[1]"),
+        ("hbar", "nan", "params.hbar"),
+        ("hbar", float("nan"), "params.hbar"),
+        ("P", [float("-inf"), 0.1], "params.P[0]"),
+    ],
+)
+def test_lax_invalid_number_is_a_config_error(tmp_path, capsys, key, value, field):
+    # json.dumps writes float NaN and infinities as the literals NaN and
+    # -Infinity, which json.load accepts.
+    params = {
+        "family": "hasegawa",
+        "lattice": {"kind": "elliptic", "omega1": 1.0, "omega2": {"re": 0, "im": 2}},
+        "q": [0.1, 0.45],
+        "P": [0.1, -0.07],
+        "hbar": {"re": 0.08, "im": 0.02},
+    }
+    params[key] = value
+    cfg = write_config(
+        tmp_path,
+        "x.json",
+        {"schema_version": 1, "command": "lax", "output_dir": str(tmp_path / "out"), "params": params},
+    )
+    assert cli.main(["lax", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 # command -> (params, the files the command writes)
 OUTPUTS = {
     "verify": ({"checks": ["legendre_relation"]}, {"report.json"}),

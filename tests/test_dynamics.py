@@ -306,6 +306,38 @@ class TestFlowLoop:
         stages = 4 * 10 + 1
         assert sizes == flow_constants + per_stage * stages
 
+    @pytest.mark.parametrize(
+        "family,lax_family,mu,flow_constants",
+        [
+            # Once per flow, at z.  A stage's collision test rounds the
+            # coordinates its sigma pass uses, with no call.
+            ("trace_power", "hasegawa", None, [1]),
+            # Once per flow at lam and at mu.  A stage's collision and
+            # q_i - q_j + mu pole tests round its own coordinates too.
+            ("rs_cosh", "hasegawa", 0.09 + 0.02j, [1, 1]),
+            ("trace_power", "ruijsenaars", 0.09 + 0.02j, [1, 1]),
+        ],
+    )
+    def test_no_lattice_distance_call_per_stage(
+        self, monkeypatch, family, lax_family, mu, flow_constants
+    ):
+        conf = mild_conf()
+        if mu is not None:
+            conf = lax.rs_config(conf.q, conf.P, conf.hbar, LAT, mu=mu)
+        sizes = []
+        distance = elliptic.lattice_distance
+
+        def counted(z, lat):
+            sizes.append(np.size(z))
+            return distance(z, lat)
+
+        monkeypatch.setattr(elliptic, "lattice_distance", counted)
+        spec = dynamics.HamiltonianSpec(family, 1, lax_family)
+        start = dynamics.PhasePoint(conf.q, conf.P)
+        traj = dynamics.integrate(spec, start, conf, 0.02, 2e-3)
+        assert len(traj.times) == 11
+        assert sizes == flow_constants
+
     def test_fast_drift_pairing_equals_optimal_assignment(self, monkeypatch):
         import scipy.optimize
 

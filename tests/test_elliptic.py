@@ -93,6 +93,59 @@ class TestThetaSeries:
             assert not arr.flags.writeable
 
 
+    def test_equals_reference_bit_for_bit(self, monkeypatch):
+        # The same floating-point operations as the reference copy, so equal
+        # bits, also where a widened window, a scalar argument or overflow
+        # (NaN and inf values far from the real axis) is involved.
+        windows = []
+        window = elliptic._theta_window
+
+        def recorded(*key):
+            windows.append(key)
+            return window(*key)
+
+        monkeypatch.setattr(elliptic, "_theta_window", recorded)
+        rng = np.random.default_rng(8)
+        orders = [0, 1, 2, 3, (0, 1), (1, 3), (0, 1, 2), (0, 1, 2, 3)]
+        widened = non_finite = 0
+        for trial in range(1500):
+            tau = complex(rng.uniform(-1, 1), 10 ** rng.uniform(-0.3, 0.8))
+            a = complex(rng.choice([0.5, rng.uniform(-1, 1)]), rng.choice([0.0, rng.uniform(-6, 6)]))
+            b = complex(rng.choice([0.5, rng.uniform(-1, 1)]), rng.choice([0.0, rng.uniform(-1, 1)]))
+            size = int(rng.choice([0, 1, 6, 21]))
+            scale = rng.choice([1.0, 1.0, 1.0, 40.0])
+            z = rng.uniform(-1, 1, max(size, 1)) + 1j * scale * rng.uniform(-1, 1, max(size, 1))
+            z = complex(z[0]) if size == 0 else z
+            order = orders[trial % len(orders)]
+            with np.errstate(all="ignore"):
+                try:
+                    ref = oracles.theta_series_reference(a, b, z, tau, order)
+                except ValueError:
+                    with pytest.raises(NonConvergent):
+                        elliptic._theta_series(a, b, z, tau, order)
+                    continue
+                del windows[:]
+                new = elliptic._theta_series(a, b, z, tau, order)
+            widened += len(windows) > 1
+            pairs = [(ref, new)] if isinstance(order, int) else list(zip(ref, new, strict=True))
+            for r, v in pairs:
+                assert type(v) is type(r)
+                assert np.shape(v) == np.shape(r)
+                assert np.asarray(v).tobytes() == np.asarray(r).tobytes()
+                non_finite += not np.isfinite(r).all()
+        assert widened > 20
+        assert non_finite > 20
+
+    @pytest.mark.parametrize("fn", ["sigma", "zeta", "wp"])
+    @pytest.mark.parametrize(
+        "z", [complex("nan"), complex("inf"), complex("nan+1j"), complex(0.1, float("inf"))]
+    )
+    def test_non_finite_argument_raises_nonconvergent(self, fn, z):
+        for arg in (z, np.array([0.1 + 0.2j, z])):
+            with np.errstate(all="ignore"), pytest.raises(NonConvergent, match="not finite"):
+                getattr(elliptic, fn)(arg, LAT)
+
+
 class TestZeta:
     @pytest.mark.parametrize("kind", ["elliptic", "trig", "rational"])
     def test_is_log_derivative_of_sigma(self, kind):
