@@ -50,7 +50,6 @@ from .errors import (
     ConfigInvalid,
     DegenerateConfiguration,
     FitDegenerate,
-    GaugeFitFailed,
     NoSolution,
     NonConvergent,
     NonFiniteEntries,

@@ -90,7 +90,7 @@ def _as_complex(v, field_name):
             out = complex(float(v.get("re", 0.0)), float(v.get("im", 0.0)))
         else:
             out = complex(v) if isinstance(v, (int, float, complex, str)) else None
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         out = None
     if out is None:
         raise ConfigInvalid("expected a number, a complex string, or {re, im}", field=field_name)
@@ -99,10 +99,43 @@ def _as_complex(v, field_name):
     return out
 
 
-def _complex_list(v, field_name):
+def _as_real(v, field_name, positive=False):
+    """v as a float: a finite JSON number (not a bool), > 0 if positive."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigInvalid("expected a real number", field=field_name)
+    out = _as_complex(v, field_name).real
+    if positive and out <= 0:
+        raise ConfigInvalid("must be positive", field=field_name)
+    return out
+
+
+def _complex_list(v, field_name, n=None):
     if not isinstance(v, list):
         raise ConfigInvalid("expected a list", field=field_name)
+    if n is not None and len(v) != n:
+        raise ConfigInvalid(f"expected {n} values, got {len(v)}", field=field_name)
     return [_as_complex(x, f"{field_name}[{i}]") for i, x in enumerate(v)]
+
+
+def _choice(p, key, choices, default):
+    v = p.get(key, default)
+    choices = tuple(choices)
+    if v not in choices:
+        raise ConfigInvalid(f"must be one of {', '.join(choices)}; got {v!r}", field=f"params.{key}")
+    return v
+
+
+def _sweep_values(p, key, positive=False):
+    """params[key] as a non-empty, strictly monotone list of real numbers."""
+    values = p.get(key)
+    field_name = f"params.{key}"
+    if not isinstance(values, list) or not values:
+        raise ConfigInvalid("expected a non-empty list", field=field_name)
+    out = [_as_real(v, f"{field_name}[{i}]", positive) for i, v in enumerate(values)]
+    d = np.diff(out)
+    if not (np.all(d > 0) or np.all(d < 0)):
+        raise ConfigInvalid("values must be strictly monotone", field=field_name)
+    return out
 
 
 def _jsonify(obj):
@@ -184,7 +217,7 @@ def load_config(path, command, seed_override=None, out_override=None, tol_scale=
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise ConfigInvalid("params must be an object", field="params")
-    return ExperimentConfig(command, seed, params, out, float(tol_scale))
+    return ExperimentConfig(command, seed, params, out, _as_real(tol_scale, "tol_scale"))
 
 
 def _lattice_from_params(p, field_name="lattice"):
@@ -198,6 +231,8 @@ def _lattice_from_params(p, field_name="lattice"):
     if kind == "elliptic":
         o1 = _as_complex(p.get("omega1", 1.0), f"{field_name}.omega1")
         o2 = _as_complex(p.get("omega2", 2j), f"{field_name}.omega2")
+        if o1 == 0 or (o2 / o1).imag <= 0:
+            raise ConfigInvalid("Im(omega2/omega1) must be positive", field=f"{field_name}.omega2")
         return elliptic.lattice_from_periods(o1, o2)
     raise ConfigInvalid(f"unknown lattice kind {kind!r}", field=f"{field_name}.kind")
 
@@ -207,9 +242,10 @@ def _rs_config_from_params(p, field_name="params"):
         if key not in p:
             raise ConfigInvalid("missing required field", field=f"{field_name}.{key}")
     lat = _lattice_from_params(p.get("lattice", {}), f"{field_name}.lattice")
+    q = _complex_list(p["q"], f"{field_name}.q")
     return lax.rs_config(
-        _complex_list(p["q"], f"{field_name}.q"),
-        _complex_list(p["P"], f"{field_name}.P"),
+        q,
+        _complex_list(p["P"], f"{field_name}.P", len(q)),
         _as_complex(p["hbar"], f"{field_name}.hbar"),
         lat,
         mu=_as_complex(p["mu"], f"{field_name}.mu") if "mu" in p else None,
@@ -359,11 +395,9 @@ _LAX_BUILDERS = {
 
 def run_lax(cfg: ExperimentConfig, report: RunReport):
     p = cfg.params
-    family = p.get("family", "hasegawa")
+    family = _choice(p, "family", _LAX_BUILDERS, "hasegawa")
     conf = _rs_config_from_params(p)
     z = _as_complex(p.get("z", 0.31 + 0.43j), "params.z")
-    if family not in _LAX_BUILDERS:
-        raise ConfigInvalid(f"unknown Lax family {family!r}", field="params.family")
     M = _LAX_BUILDERS[family](conf, z, p)
 
     _write_matrix_csv(os.path.join(cfg.output_dir, "lax.csv"), M.entries)
@@ -379,26 +413,24 @@ def run_lax(cfg: ExperimentConfig, report: RunReport):
 
 def run_evolve(cfg: ExperimentConfig, report: RunReport):
     p = cfg.params
-    dt = p.get("dt", 1e-3)
-    t_end = p.get("t_end", 1.0)
-    if not isinstance(dt, (int, float)) or dt <= 0:
-        raise ConfigInvalid("dt must be a positive number", field="params.dt")
-    if not isinstance(t_end, (int, float)) or t_end <= 0:
-        raise ConfigInvalid("t_end must be a positive number", field="params.t_end")
-    conf = _rs_config_from_params(p)
+    dt = _as_real(p.get("dt", 1e-3), "params.dt", positive=True)
+    t_end = _as_real(p.get("t_end", 1.0), "params.t_end", positive=True)
+    index = p.get("index", 1)
+    if isinstance(index, bool) or not isinstance(index, int) or index < 1:
+        raise ConfigInvalid("expected an integer >= 1", field="params.index")
     hspec = dynamics.HamiltonianSpec(
-        family=p.get("family", "trace_power"),
-        index=int(p.get("index", 1)),
-        lax_family=p.get("lax_family", "hasegawa"),
+        family=_choice(p, "family", dynamics._FAMILIES, "trace_power"),
+        index=index,
+        lax_family=_choice(p, "lax_family", dynamics._LAX_FAMILIES, "hasegawa"),
     )
+    coordinates = _choice(p, "coordinates", dynamics._COORDINATES, "p")
+    drift_tol = _as_real(p.get("drift_tolerance", 1e-6), "params.drift_tolerance") * cfg.tol_scale
+    conf = _rs_config_from_params(p)
     start = dynamics.PhasePoint(conf.q, conf.P)
-    drift_tol = float(p.get("drift_tolerance", 1e-6)) * cfg.tol_scale
 
     collided = False
     try:
-        traj = dynamics.integrate(
-            hspec, start, conf, float(t_end), float(dt), p.get("coordinates", "p")
-        )
+        traj = dynamics.integrate(hspec, start, conf, t_end, dt, coordinates)
     except CollisionImminent as exc:
         traj = exc.trajectory
         collided = True
@@ -408,22 +440,15 @@ def run_evolve(cfg: ExperimentConfig, report: RunReport):
         )
 
     n = conf.n
-    header = ["t"]
-    for i in range(n):
-        header += [f"re_q{i}", f"im_q{i}"]
-    for i in range(n):
-        header += [f"re_p{i}", f"im_p{i}"]
+    header = ["t"] + [f"{part}_{x}{i}" for x in "qp" for i in range(n) for part in ("re", "im")]
     header.append("spectral_drift")
-    rows = []
-    for t, pt, drift in zip(traj.times, traj.points, traj.spectral_drift):
-        row = [float(t)]
-        for i in range(n):
-            row += [pt.q[i].real, pt.q[i].imag]
-        for i in range(n):
-            row += [pt.p[i].real, pt.p[i].imag]
-        row.append(float(drift))
-        rows.append(row)
-    write_csv(os.path.join(cfg.output_dir, "trajectory.csv"), header, rows)
+    qp = np.array([pt.q + pt.p for pt in traj.points])
+    # Columns re, im of each q_i, then of each p_i; .tolist() keeps the cells
+    # Python floats, whose repr write_csv prints.
+    table = np.column_stack(
+        [traj.times, np.stack([qp.real, qp.imag], axis=2).reshape(len(qp), -1), traj.spectral_drift]
+    )
+    write_csv(os.path.join(cfg.output_dir, "trajectory.csv"), header, table.tolist())
 
     max_drift = max((float(d) for d in traj.spectral_drift), default=0.0)
     write_json(
@@ -447,29 +472,25 @@ def run_evolve(cfg: ExperimentConfig, report: RunReport):
 
 def run_limit(cfg: ExperimentConfig, report: RunReport):
     p = cfg.params
-    sweep_kind = p.get("sweep")
-    if sweep_kind not in ("degeneration", "cm"):
-        raise ConfigInvalid("sweep must be 'degeneration' or 'cm'", field="params.sweep")
+    sweep_kind = _choice(p, "sweep", ("degeneration", "cm"), None)
     conf = _rs_config_from_params(p)
 
     if sweep_kind == "degeneration":
-        values = p.get("im_tau_values")
-        if not isinstance(values, list) or not values:
-            raise ConfigInvalid("im_tau_values must be a non-empty list", field="params.im_tau_values")
-        sweep = limits.degeneration_sweep(conf, [float(v) for v in values])
+        values = _sweep_values(p, "im_tau_values", positive=True)
+        residual_tol = _as_real(p.get("residual_tolerance", 1e-8), "params.residual_tolerance")
+        sweep = limits.degeneration_sweep(conf, values)
         tail = [e for t, e in zip(sweep.values, sweep.errors) if t >= 5.0]
         mono = 0.0
         for a, b in zip(tail, tail[1:]):
             mono = max(mono, b - a)
         report.add("tail_monotone", mono, 1e-12)
-        report.add("final_residual", sweep.errors[-1], float(p.get("residual_tolerance", 1e-8)) * cfg.tol_scale)
+        report.add("final_residual", sweep.errors[-1], residual_tol * cfg.tol_scale)
     else:
-        values = p.get("hbar_values")
-        if not isinstance(values, list) or not values:
-            raise ConfigInvalid("hbar_values must be a non-empty list", field="params.hbar_values")
-        pvec = _complex_list(p.get("p", [0.0] * conf.n), "params.p")
+        # The order is fitted to log(hbar).
+        values = _sweep_values(p, "hbar_values", positive=True)
+        pvec = _complex_list(p.get("p", [0.0] * conf.n), "params.p", conf.n)
         cmc = lax.cm_config(conf.q, pvec, 1.0, conf.lat)
-        sweep = limits.cm_limit_sweep(conf, cmc, [float(v) for v in values])
+        sweep = limits.cm_limit_sweep(conf, cmc, values)
         if sweep.fitted_order is not None:
             report.add("fitted_order_near_one", abs(sweep.fitted_order - 1.0), 0.15 * cfg.tol_scale)
 
@@ -495,32 +516,27 @@ def run_limit(cfg: ExperimentConfig, report: RunReport):
 
 def run_reduce(cfg: ExperimentConfig, report: RunReport):
     p = cfg.params
-    kind = p.get("kind")
+    kind = _choice(p, "kind", ("rational_cm", "trig_cm", "rational_rs", "trig_rs"), None)
     orb = reductions.OrbitSpec(g=_as_complex(p.get("g", 1.0), "params.g"))
     if kind == "rational_cm":
         q = _complex_list(p.get("q", []), "params.q")
-        mom = _complex_list(p.get("p", [0.0] * len(q)), "params.p")
+        mom = _complex_list(p.get("p", [0.0] * len(q)), "params.p", len(q))
         pair = reductions.solve_rational_cm(q, mom, orb)
     elif kind == "trig_cm":
         q = _complex_list(p.get("q", []), "params.q")
-        gauge = _complex_list(p.get("gauge", [1.0] * len(q)), "params.gauge")
+        gauge = _complex_list(p.get("gauge", [1.0] * len(q)), "params.gauge", len(q))
         pair = reductions.solve_trig_cm(q, orb, gauge)
     elif kind == "rational_rs":
         th = _complex_list(p.get("theta", []), "params.theta")
-        diag = _complex_list(p.get("diag_free", [0.0] * len(th)), "params.diag_free")
+        diag = _complex_list(p.get("diag_free", [0.0] * len(th)), "params.diag_free", len(th))
         pair = reductions.solve_rational_rs(th, orb, diag)
-    elif kind == "trig_rs":
+    else:  # trig_rs
         th = _complex_list(p.get("theta", []), "params.theta")
-        u = _complex_list(p.get("u", []), "params.u")
-        v = _complex_list(p.get("v", []), "params.v")
-        diag = _complex_list(p.get("diag_free", [1.0] * len(th)), "params.diag_free")
+        u = _complex_list(p.get("u", []), "params.u", len(th))
+        v = _complex_list(p.get("v", []), "params.v", len(th))
+        diag = _complex_list(p.get("diag_free", [1.0] * len(th)), "params.diag_free", len(th))
         orb = reductions.OrbitSpec(g=0.0, u=tuple(u), v=tuple(v))
         pair = reductions.solve_trig_rs(th, orb, diag)
-    else:
-        raise ConfigInvalid(
-            "kind must be rational_cm, trig_cm, rational_rs, or trig_rs",
-            field="params.kind",
-        )
 
     _write_matrix_csv(os.path.join(cfg.output_dir, "X.csv"), pair.X)
     _write_matrix_csv(os.path.join(cfg.output_dir, "Y.csv"), pair.Y)

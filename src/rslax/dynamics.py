@@ -21,7 +21,11 @@ from .errors import CollisionImminent, SingularMatrix
 # Smallest pairwise position distance (modulo the lattice) a flow may reach.
 COLLISION_MARGIN = 1e-4
 _LAX_FAMILIES = ("hasegawa", "composition", "ruijsenaars")
-_FAMILIES = ("trace_power", "rs_cosh", "hitchin")
+# The trace families: index i -> (scale, power) for H = scale *
+# Tr(L^(power+1))/(power+1), whose differential is scale * Tr(L^power dL).
+_TRACE_FAMILIES = {"trace_power": lambda i: (i, i - 1), "hitchin": lambda i: (1, i)}
+_FAMILIES = (*_TRACE_FAMILIES, "rs_cosh")
+_COORDINATES = ("p", "theta")
 
 
 @dataclass(frozen=True)
@@ -65,6 +69,8 @@ class HamiltonianSpec:
     index: int = 1
     lax_family: str = "hasegawa"
     eval_z: complex = 0.31 + 0.43j
+    # (scale, power) of a trace family (see _TRACE_FAMILIES), None for rs_cosh.
+    scale_power: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -73,6 +79,8 @@ class HamiltonianSpec:
             raise ValueError(f"unknown lax family {self.lax_family!r}")
         if self.index < 1:
             raise ValueError("index must be >= 1")
+        trace = _TRACE_FAMILIES.get(self.family)
+        object.__setattr__(self, "scale_power", trace(self.index) if trace else None)
 
 
 def _lax_form(spec: HamiltonianSpec):
@@ -105,14 +113,10 @@ def _inverse(L):
 def hamiltonian(spec: HamiltonianSpec, conf: lax.RSConfig) -> complex:
     """Evaluate the conserved quantity described by spec at conf."""
     L = _lax_form(spec)[0](conf, spec.eval_z).entries
-    if spec.family == "trace_power":
-        return complex(np.trace(np.linalg.matrix_power(L, spec.index)))
-    if spec.family == "hitchin":
-        return complex(np.trace(np.linalg.matrix_power(L, spec.index + 1))) / (
-            spec.index + 1
-        )
-    # rs_cosh
-    return complex(np.trace(L) + np.trace(_inverse(L)))
+    if spec.scale_power is None:  # rs_cosh
+        return complex(np.trace(L) + np.trace(_inverse(L)))
+    scale, k = spec.scale_power
+    return scale * complex(np.trace(np.linalg.matrix_power(L, k + 1))) / (k + 1)
 
 
 def _field(spec: HamiltonianSpec, jacobian, lat, q, p):
@@ -120,11 +124,12 @@ def _field(spec: HamiltonianSpec, jacobian, lat, q, p):
     CollisionImminent if q or p is not finite, two positions are closer than
     COLLISION_MARGIN modulo the lattice, or L is not finite.
 
-    Each family has dH = Tr(G dL) with G = i L^{i-1} (trace_power), L^i
-    (hitchin) or I - L^{-2} (rs_cosh).  With R = G^T, dH = sum_{kk'} R_{kk'}
-    dL_{kk'}: dH/dp_k is the k-th row sum of R * L (entrywise), and dH/dq is
-    the Lax form's Jacobian map applied to R.  That costs one Lax build plus
-    sigma' values at the same arguments.
+    Each family has dH = Tr(G dL) with G = scale * L^power for the trace
+    families (spec.scale_power) and G = I - L^{-2} for rs_cosh.  With
+    R = G^T, dH = sum_{kk'} R_{kk'} dL_{kk'}: dH/dp_k is the k-th row sum
+    of R * L (entrywise), and dH/dq is the Lax form's Jacobian map applied
+    to R.  That costs one Lax build plus sigma' values at the same
+    arguments.
     """
     if not (np.isfinite(q).all() and np.isfinite(p).all()):
         raise CollisionImminent("positions or momenta are not finite")
@@ -143,15 +148,13 @@ def _field(spec: HamiltonianSpec, jacobian, lat, q, p):
     L, grad_q = evaluate()
     if not np.isfinite(L).all():
         raise CollisionImminent("the Lax matrix is not finite")
-    if spec.family == "trace_power":
-        k = spec.index - 1
-        # matrix_power(L, 0) builds this identity, more slowly.
-        G = spec.index * (np.linalg.matrix_power(L, k) if k else np.eye(q.size, dtype=complex))
-    elif spec.family == "hitchin":
-        G = np.linalg.matrix_power(L, spec.index)
-    else:  # rs_cosh
+    if spec.scale_power is None:  # rs_cosh
         Linv = _inverse(L)
         G = np.eye(L.shape[0]) - Linv @ Linv
+    else:
+        scale, k = spec.scale_power
+        # matrix_power(L, 0) builds this identity, more slowly.
+        G = scale * (np.linalg.matrix_power(L, k) if k else np.eye(q.size, dtype=complex))
     R = G.T
     dP = (R * L).sum(axis=1)
     return L, dP, -grad_q(R, dP)
@@ -211,7 +214,7 @@ def integrate(
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
-    if coordinates not in ("p", "theta"):
+    if coordinates not in _COORDINATES:
         raise ValueError("coordinates must be 'p' or 'theta'")
     jacobian = _lax_form(spec)[1](conf, spec.eval_z)
     theta = coordinates == "theta"

@@ -12,8 +12,8 @@ Conventions
 * Quasi-periodicity: sigma(z + omega_i) = -exp(2*eta_i*(z + omega_i/2))*sigma(z),
   and the quasi-period constants satisfy eta1*omega2 - eta2*omega1 = i*pi.
 * Degenerate kinds are normalized exactly: sigma_trig(z) = sin(z) and
-  sigma_rat(z) = z.  All comparison constants between elliptic and degenerate
-  formulas are absorbed into fitted gauge factors elsewhere.
+  sigma_rat(z) = z.  The degeneration sweep compares elliptic and degenerate
+  formulas through sigma's exact gauge factor exp(eta1/omega1 * z**2).
 """
 
 from __future__ import annotations

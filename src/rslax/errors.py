@@ -70,10 +70,6 @@ class CollisionImminent(RslaxError):
         self.trajectory = trajectory
 
 
-class GaugeFitFailed(RslaxError):
-    """A per-point gauge fit inside a degeneration sweep failed."""
-
-
 class ConfigInvalid(RslaxError):
     """An experiment configuration file failed validation."""
 

@@ -597,24 +597,32 @@ def cm_lax(conf: CMConfig, lam) -> SpectralMatrix:
     return SpectralMatrix(n, entries, 0.0 + 0.0j if spectral_free else lam)
 
 
-def factorized_cm_lax(conf: CMConfig, z, step: float = 1e-6) -> SpectralMatrix:
-    """Factorized CM Lax matrix diag(p) + T'(z) where T' is the central
-    finite-difference derivative (step 1e-6) of the momentum-free RS
-    transport matrix with respect to the coupling at zero coupling.
+def factorized_cm_lax(conf: CMConfig, z) -> SpectralMatrix:
+    """Factorized CM Lax matrix diag(p) + T'(z), where T' is the coupling
+    derivative at zero coupling of the momentum-free RS transport matrix
+    (composition_lax with P = 0).  There, an off-diagonal entry has one
+    vanishing factor, sigma(hbar), with sigma'(0) = 1, and a diagonal entry
+    is 1, so its derivative is its log-derivative:
 
-    For n = 1 this reduces to sigma'(z)/sigma(z).  It is the matrix the
-    rescaled RS Lax matrix (L(hbar) - I)/hbar converges to at first order as
-    hbar -> 0 with momenta scaled as P = hbar*p.
+        T'_{kk'} = c_{k'}/c_k * sigma(z + q_k - q_{k'}) / (sigma(z) sigma(q_k - q_{k'}))
+        T'_{kk} = zeta(z) + sum_{l != k} zeta(q_l - q_k)
+
+    with c_k = prod_{l != k} sigma(q_l - q_k).  For n = 1 this is p + zeta(z).
+    (L(hbar) - I)/hbar converges to it at first order as hbar -> 0 with P = hbar*p.
     """
-    if conf.lat.kind != elliptic.KIND_ELLIPTIC:
+    lat = conf.lat
+    if lat.kind != elliptic.KIND_ELLIPTIC:
         raise DegenerateConfiguration("factorized CM matrix requires an elliptic lattice")
-    zeros = tuple(0.0 for _ in range(conf.n))
-    plus = composition_lax(
-        rs_config(conf.q, zeros, step, conf.lat), z
-    ).entries
-    minus = composition_lax(
-        rs_config(conf.q, zeros, -step, conf.lat), z
-    ).entries
-    deriv = (plus - minus) / (2.0 * step)
-    entries = np.diag(np.asarray(conf.p, dtype=complex)) + deriv
-    return SpectralMatrix(conf.n, entries, complex(z))
+    z = complex(z)
+    n = conf.n
+    D = _diff_matrix(conf.q)
+    # zeta(z), then zeta(q_l - q_k) over l != k for each k in turn; zeta
+    # raises PoleAtLattice if z is on the lattice.
+    zetas = elliptic.zeta(np.append(z, D.T[~np.eye(n, dtype=bool)]), lat)
+    S, A = elliptic.sigma(np.stack([D, z + D]), lat)
+    np.fill_diagonal(S, 1.0)
+    c = S.prod(axis=0)
+    T = A / (elliptic.sigma(z, lat) * S) * c / c[:, None]
+    np.fill_diagonal(T, zetas[0] + zetas[1:].reshape(n, n - 1).sum(axis=1))
+    entries = np.diag(np.asarray(conf.p, dtype=complex)) + T
+    return SpectralMatrix(n, entries, z)

@@ -5,12 +5,12 @@ of RS onto the factorized CM matrix, and the framing-constraint diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import elliptic
-from .errors import DegenerateConfiguration, GaugeFitFailed
+from .errors import DegenerateConfiguration
 from .lax import CMConfig, RSConfig, composition_lax, factorized_cm_lax, hasegawa_lax, rs_config
 
 PARAM_IM_TAU = "ImTau"
@@ -66,27 +66,17 @@ def _fit_order(small, errors):
     return float(slope)
 
 
-def _sigma_argument_moments(q, hbar, z):
-    """Per-entry sums Delta1 = sum(num args) - sum(den args) and Delta2 of
-    their squares, for the sigma arguments appearing in the RS Lax entry
-
-        L_{kk'} = sigma(z+h+q_k-q_k') prod_{l!=k} sigma(h+q_l-q_k')
-                  / ( sigma(z) prod_{l!=k} sigma(q_l-q_k) )
-
-    (momentum factors carry no sigma and drop out of the gauge)."""
+def _sigma_argument_second_moment(q, hbar, z):
+    """Delta2 = sum(w^2 over numerator args w) - sum(w^2 over denominator
+    args w) per entry of the RS Lax matrix (see hasegawa_lax; momentum
+    factors carry no sigma).  With d = hbar + q_k - q_k', each sum over
+    l != k is a sum over all l less the l = k term; the sums of q^2 cancel,
+    leaving Delta2 = d * (2 z + 2 sum(q) + n (hbar - q_k - q_k')).  The
+    first moment, n d, does not enter sigma's gauge (A = 0).
+    """
     q = np.asarray(q, dtype=complex)
-    n = q.size
-    delta1 = np.zeros((n, n), dtype=complex)
-    delta2 = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        for kp in range(n):
-            num = [z + hbar + q[k] - q[kp]] + [
-                hbar + q[l] - q[kp] for l in range(n) if l != k
-            ]
-            den = [z] + [q[l] - q[k] for l in range(n) if l != k]
-            delta1[k, kp] = sum(num) - sum(den)
-            delta2[k, kp] = sum(w * w for w in num) - sum(w * w for w in den)
-    return delta1, delta2
+    qk, qkp = q[:, None], q[None, :]
+    return (hbar + qk - qkp) * (2 * z + 2 * q.sum() + q.size * (hbar - qk - qkp))
 
 
 def degeneration_sweep(conf: RSConfig, im_tau_values, z=_DEFAULT_Z) -> LimitSweep:
@@ -96,12 +86,13 @@ def degeneration_sweep(conf: RSConfig, im_tau_values, z=_DEFAULT_Z) -> LimitSwee
     For each t in im_tau_values the configuration is placed on the lattice
     with periods (1, i*t), and the entrywise prediction
 
-        L_elliptic = exp(A*Delta1 + B*Delta2) * L_trig(pi-scaled data)
+        L_elliptic = exp(B*Delta2) * L_trig(pi-scaled data)
 
-    is tested, where (A, B) come from the trivial-theta gauge fit of sigma on
-    that lattice and Delta1/Delta2 are the per-entry sums/sums-of-squares of
-    the sigma arguments (counts of sigma factors balance, so constant gauge
-    factors cancel).  The residual is the relative Frobenius distance.
+    is tested, with Delta2 from _sigma_argument_second_moment.  sigma(z) is
+    the trivial-theta gauge C*exp(A*z + B*z^2), A = 0 and B = eta1/omega1,
+    times theta1(z/omega1) (elliptic._sigma_orders), which tends to a
+    constant times sin(pi z/omega1); the counts of sigma factors balance, so
+    C cancels.  The residual is the relative Frobenius distance.
     """
     values = tuple(float(t) for t in im_tau_values)
     if any(t <= 0 for t in values):
@@ -119,28 +110,13 @@ def degeneration_sweep(conf: RSConfig, im_tau_values, z=_DEFAULT_Z) -> LimitSwee
         q_zero=pi * conf.q_zero,
     )
     L_trig = hasegawa_lax(conf_trig, pi * z).entries
-    delta1, delta2 = _sigma_argument_moments(conf.q, conf.hbar, z)
+    delta2 = _sigma_argument_second_moment(conf.q, conf.hbar, z)
 
     errors = []
     for t in values:
         lat_t = elliptic.lattice_from_periods(1.0, 1j * t)
-        conf_t = RSConfig(
-            n=conf.n,
-            q=conf.q,
-            P=conf.P,
-            hbar=conf.hbar,
-            mu=conf.mu,
-            lat=lat_t,
-            q_inf=conf.q_inf,
-            q_zero=conf.q_zero,
-        )
-        L_ell = hasegawa_lax(conf_t, z).entries
-        try:
-            fit = elliptic.fit_trivial_theta(elliptic.ThetaCharacteristic(0.0, 0.0), lat_t)
-        except Exception as exc:  # noqa: BLE001 - re-raise under the sweep error type
-            raise GaugeFitFailed(f"trivial-theta gauge fit failed at Im(tau)={t}: {exc}")
-        gauge = np.exp(fit.A * delta1 + fit.B * delta2)
-        pred = gauge * L_trig
+        L_ell = hasegawa_lax(replace(conf, lat=lat_t), z).entries
+        pred = np.exp(lat_t.eta1 / lat_t.omega1 * delta2) * L_trig
         err = np.linalg.norm(L_ell - pred) / np.linalg.norm(pred)
         errors.append(float(err))
 

@@ -2,9 +2,9 @@
 functions and determinant identities.  Every oracle here computes the target
 quantity by a route disjoint from the library implementation: truncated
 lattice products, mpmath theta series, brute-force LU determinants, and
-finite-difference Hamiltonian vector fields.  The one exception is
-theta_series_reference, a frozen copy of the library's theta series that
-its faster rewrites must reproduce bit for bit.
+finite-difference Hamiltonian vector fields and coupling derivatives.  The
+exceptions are theta_series_reference and sigma_argument_moments_reference,
+frozen copies of library code that its rewrites must reproduce.
 """
 
 from __future__ import annotations
@@ -164,3 +164,41 @@ def fd_vector_field(spec, point, conf, h=H_FD):
     dq = np.array([partial(i, True) for i in range(q.size)], dtype=complex)
     dp = np.array([-partial(i, False) for i in range(q.size)], dtype=complex)
     return dq, dp
+
+
+def fd_coupling_derivative(conf, z, h=1e-3):
+    """d/dhbar at hbar = 0 of the momentum-free RS transport matrix
+    rslax.lax.composition_lax (P = 0) at the positions and lattice of the CM
+    configuration conf, by the 4th-order stencil (f(-2h) - 8 f(-h) + 8 f(h)
+    - f(2h))/(12 h).  It is the factorized CM matrix less diag(p)."""
+    from rslax import lax
+
+    weights = {-2: 1 / 12, -1: -8 / 12, 1: 8 / 12, 2: -1 / 12}
+    zeros = [0.0] * conf.n
+    total = 0.0
+    for k, w in weights.items():
+        total = total + w * lax.composition_lax(lax.rs_config(conf.q, zeros, k * h, conf.lat), z).entries
+    return total / h
+
+
+def sigma_argument_moments_reference(q, hbar, z):
+    """The per-entry moment loop rslax.limits used before its closed form:
+    Delta1 = sum(num args) - sum(den args) and Delta2 of their squares, for
+    the sigma arguments of the RS Lax entry
+
+        L_{kk'} = sigma(z+h+q_k-q_k') prod_{l!=k} sigma(h+q_l-q_k')
+                  / ( sigma(z) prod_{l!=k} sigma(q_l-q_k) ).
+    """
+    q = np.asarray(q, dtype=complex)
+    n = q.size
+    delta1 = np.zeros((n, n), dtype=complex)
+    delta2 = np.zeros((n, n), dtype=complex)
+    for k in range(n):
+        for kp in range(n):
+            num = [z + hbar + q[k] - q[kp]] + [
+                hbar + q[l] - q[kp] for l in range(n) if l != k
+            ]
+            den = [z] + [q[l] - q[k] for l in range(n) if l != k]
+            delta1[k, kp] = sum(num) - sum(den)
+            delta2[k, kp] = sum(w * w for w in num) - sum(w * w for w in den)
+    return delta1, delta2

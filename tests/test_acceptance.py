@@ -274,6 +274,19 @@ class TestCriterion8Degeneration:
             assert sweep.errors[0] < 1e-8
 
 
+    def test_exact_gauge_reaches_the_floor(self):
+        # In sigma's exact gauge the residuals at Im(tau) >= 8 are
+        # double-precision noise, so no convergence order is fitted.
+        lat = elliptic.lattice_from_periods(1.0, 2.5j)
+        for seed, trials in ((801, 2), (802, 20)):
+            rng = np.random.default_rng(seed)
+            for trial in range(trials):
+                conf = mild_rs_config(rng, 2 + trial % 2, lat)
+                sweep = limits.degeneration_sweep(conf, [5.0, 8.0, 12.0, 20.0])
+                assert max(sweep.errors[1:]) < 1e-14
+                assert sweep.fitted_order is None
+
+
 class TestCriterion9CMLimit:
     def test_convergence_order(self):
         rng = np.random.default_rng(901)

@@ -471,3 +471,55 @@ def test_parser_is_built_once_and_reused(tmp_path):
         assert names == sorted(os.listdir(reused / run_dir)) == ["lax.csv", "lax.json", "report.json"]
         for name in names:
             assert (fresh / run_dir / name).read_bytes() == (reused / run_dir / name).read_bytes()
+
+
+LIMIT_PARAMS = {
+    "lattice": {"kind": "elliptic", "omega1": 1.0, "omega2": {"re": 0, "im": 2.5}},
+    "q": [0.1, 0.45],
+    "P": [0.0, 0.0],
+    "hbar": 1e-2,
+}
+
+
+# (command, params, the field the config error names)
+INVALID_CONFIGS = [
+    ("evolve", dict(EVOLVE_PARAMS, dt=float("nan")), "params.dt"),
+    ("evolve", dict(EVOLVE_PARAMS, index="abc"), "params.index"),
+    ("evolve", dict(EVOLVE_PARAMS, family="foo"), "params.family"),
+    ("evolve", dict(EVOLVE_PARAMS, lax_family="foo"), "params.lax_family"),
+    ("evolve", dict(EVOLVE_PARAMS, coordinates="x"), "params.coordinates"),
+    ("evolve", dict(EVOLVE_PARAMS, drift_tolerance="nan"), "params.drift_tolerance"),
+    (
+        "limit",
+        dict(LIMIT_PARAMS, sweep="degeneration", im_tau_values=["abc"]),
+        "params.im_tau_values[0]",
+    ),
+    ("limit", dict(LIMIT_PARAMS, sweep="cm", hbar_values=["nan", 0.005]), "params.hbar_values[0]"),
+    ("limit", dict(LIMIT_PARAMS, sweep="cm", hbar_values=[1e-2, 2.5e-3, 5e-3]), "params.hbar_values"),
+    ("limit", dict(LIMIT_PARAMS, sweep="cm", hbar_values=[-1e-2, -5e-3]), "params.hbar_values[0]"),
+    (
+        "lax",
+        dict(LIMIT_PARAMS, lattice={"kind": "elliptic", "omega1": 1.0, "omega2": {"re": 0.3, "im": -2}}),
+        "params.lattice.omega2",
+    ),
+    (
+        "reduce",
+        {"kind": "trig_rs", "theta": [0.1, 0.5, 1.2], "u": [1.0, 0.0], "v": [0.0, 0.3, 0.5]},
+        "params.u",
+    ),
+]
+
+
+@pytest.mark.parametrize("command,params,field", INVALID_CONFIGS)
+def test_invalid_field_is_a_config_error(tmp_path, capsys, command, params, field):
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        "c.json",
+        {"schema_version": 1, "command": command, "output_dir": str(out), "params": params},
+    )
+    assert cli.main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: ")
+    assert "Traceback" not in err
+    assert not out.exists()

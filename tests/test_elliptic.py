@@ -255,6 +255,17 @@ class TestTrivialThetaFit:
         assert abs(lhs - rhs) < 1e-9 * abs(lhs)
         assert abs(fit.A) < 1e-8
 
+    def test_zero_characteristic_fit_is_the_exact_gauge(self):
+        # sigma(z) = omega1 exp(eta1_hat x^2) theta1(x)/theta1'(0) with
+        # x = z/omega1: A = 0 and B = eta1/omega1, the gauge the degeneration
+        # sweep uses without a fit.
+        w1 = 0.7 - 0.2j
+        for lat in (LAT, elliptic.lattice_from_periods(w1, w1 * (-0.3 + 1.2j))):
+            fit = elliptic.fit_trivial_theta(elliptic.ThetaCharacteristic(0.0, 0.0), lat)
+            B = lat.eta1 / lat.omega1
+            assert abs(fit.A) < 1e-12 * abs(B)
+            assert abs(fit.B - B) < 1e-12 * abs(B)
+
     def test_shifted_characteristic_gauge(self):
         # Zeros: sigma(z + a*w2 + b*w1) vanishes at z = -(a*w2 + b*w1) + L,
         # matching theta[1/2+a;1/2+b](z/w1) whose zeros sit at -a*tau - b.

@@ -1,12 +1,14 @@
 """Tests for the Lax-matrix layer: agreement of the direct and
 geometric-composition RS matrices, the coupling-to-zero collapse, the
 Ruijsenaars eigenvalue correspondence, the Krichever matrix, spin framing,
-the CM matrix, and the factorized CM matrix with its scalar oracle.
+the CM matrix, and the factorized CM matrix against a coupling-derivative
+oracle.
 """
 
 import numpy as np
 import pytest
 
+import oracles
 from rslax import elliptic, lax
 from rslax.errors import (
     DegenerateConfiguration,
@@ -204,15 +206,24 @@ class TestCMLax:
 
 class TestFactorizedCM:
     def test_scalar_oracle_n1(self):
-        # n = 1: the matrix is p + sigma'(z)/sigma(z).
+        # n = 1: the matrix is p + zeta(z).
         p0 = 0.37 - 0.12j
         conf = lax.cm_config([0.2], [p0], 1.0, LAT)
         L = lax.factorized_cm_lax(conf, Z).entries[0, 0]
-        h = 1e-6
-        logdiff = (
-            np.log(elliptic.sigma(Z + h, LAT)) - np.log(elliptic.sigma(Z - h, LAT))
-        ) / (2 * h)
-        assert abs(L - (p0 + logdiff)) < 1e-6 * max(1.0, abs(L))
+        assert abs(L - (p0 + elliptic.zeta(Z, LAT))) < 1e-13 * max(1.0, abs(L))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("lat", [LAT, elliptic.lattice_from_periods(1.0, 2.5j)])
+    def test_coupling_derivative_oracle(self, lat, n):
+        # The closed form against a 4th-order difference of the transport
+        # matrix in the coupling.
+        rng = np.random.default_rng(n)
+        q = 0.05 * (rng.normal(size=n) + 1j * rng.normal(size=n)) + np.arange(n) * 0.7 / n
+        p = rng.normal(size=n)
+        conf = lax.cm_config(q, p, 1.0, lat)
+        T = lax.factorized_cm_lax(conf, Z).entries - np.diag(p)
+        expected = oracles.fd_coupling_derivative(conf, Z)
+        assert np.abs(T - expected).max() < 1e-8 * np.abs(expected).max()
 
     def test_requires_elliptic_lattice(self):
         conf = lax.cm_config([0.2], [0.0], 1.0, elliptic.trig_lattice())

@@ -1,6 +1,6 @@
-"""Tests for the limit sweeps: elliptic-to-trigonometric degeneration with
-gauge fitting, the hbar -> 0 convergence onto the factorized CM matrix, and
-the framing-constraint diagnostic.
+"""Tests for the limit sweeps: elliptic-to-trigonometric degeneration in
+sigma's exact gauge, the hbar -> 0 convergence onto the factorized CM matrix,
+and the framing-constraint diagnostic.
 """
 
 import dataclasses
@@ -8,6 +8,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import oracles
 from rslax import elliptic, lax, limits
 from rslax.errors import DegenerateConfiguration
 
@@ -44,6 +45,23 @@ class TestDegenerationSweep:
     def test_nonpositive_im_tau_rejected(self):
         with pytest.raises(DegenerateConfiguration):
             limits.degeneration_sweep(base_conf(), [2.0, -1.0])
+
+
+class TestSigmaArgumentMoments:
+    def test_closed_form_matches_the_loop(self):
+        rng = np.random.default_rng(7)
+        hbar, z = 0.08 + 0.03j, 0.17 + 0.23j
+        for n in range(1, 9):
+            for _ in range(5):
+                q = rng.normal(size=n) + 1j * rng.normal(size=n)
+                delta1, delta2 = oracles.sigma_argument_moments_reference(q, hbar, z)
+                # The loop sums 2n squares, each at most this large.
+                scale = 2 * n * (abs(z) + abs(hbar) + 2 * np.abs(q).max()) ** 2
+                closed = limits._sigma_argument_second_moment(q, hbar, z)
+                assert np.abs(closed - delta2).max() < 1e-15 * scale
+                # The first moment, which sigma's gauge (A = 0) does not use.
+                d = q[:, None] - q[None, :]
+                assert np.abs(n * (hbar + d) - delta1).max() < 1e-15 * scale
 
 
 class TestCMLimitSweep:
