@@ -59,6 +59,7 @@ from .errors import (
     RslaxError,
     SingularMatrix,
     SingularY,
+    ValueOverflow,
     ZeroLambda,
     ZeroMu,
 )

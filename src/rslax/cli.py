@@ -274,10 +274,23 @@ def _check_sigma_quasi_periodicity(rng, n_points=30, n_lattices=4):
     return worst
 
 
-def _check_legendre(rng, n_lattices=6):
-    return max(
-        abs(elliptic.legendre_residual(_random_lattice(rng))) for _ in range(n_lattices)
-    )
+def _check_basis_invariance(rng, n_points=10, n_lattices=4):
+    """Worst relative difference of sigma at the same points in the bases
+    tau, tau + 1 and -1/tau of random lattices, Im tau down to 0.02, within
+    two shortest periods of the origin.  The periods lie on a grid of 2^-30,
+    so the three bases span one lattice exactly.  A NaN difference is the
+    result, not skipped."""
+    worst = []
+    for _ in range(n_lattices):
+        o1 = complex(*rng.normal(size=2))
+        tau = complex(rng.uniform(-0.5, 0.5), 10 ** rng.uniform(np.log10(0.02), 0.5))
+        o1, o2 = np.round(np.array([o1, o1 * tau]) * 2**30) / 2**30
+        lats = [elliptic.lattice_from_periods(*b) for b in ((o1, o2), (o1, o2 + o1), (o2, -o1))]
+        u, v = rng.uniform(-1, 1, (2, n_points))
+        z = 2 * lats[0].red_omega1 * (u + 1j * v)
+        s0, s1, s2 = (elliptic.sigma(z, lat) for lat in lats)
+        worst.append(np.max(np.abs([s1 - s0, s2 - s0]) / np.abs(s0)))
+    return float(np.max(worst))
 
 
 def _check_frobenius(rng, trials=25):
@@ -355,7 +368,7 @@ def _check_cm_limit_order(rng):
 
 _VERIFY_CHECKS = {
     "sigma_quasi_periodicity": (_check_sigma_quasi_periodicity, 1e-9),
-    "legendre_relation": (_check_legendre, 1e-10),
+    "basis_invariance": (_check_basis_invariance, 1e-12),
     "frobenius_determinant": (_check_frobenius, 1e-8),
     "lax_equivalence": (_check_lax_equivalence, 1e-7),
     "rational_cm_moment": (_check_rational_cm_moment, 1e-10),

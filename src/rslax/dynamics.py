@@ -93,13 +93,13 @@ def _lax_form(spec: HamiltonianSpec):
     lattice; a function giving the entries and (R, h) -> (sum_{kk'} R_{kk'}
     dL_{kk'}/dq_j)_j, where h = (R * L).sum(axis=1)).
     """
-    if spec.family == "hitchin" or spec.lax_family == "composition":
-        # The composition equals the Hasegawa matrix, and its Cauchy
-        # factorization divides by sigma(hbar + q_k - q_k'), which vanishes
-        # where positions are spaced by hbar.
-        return lax.hasegawa_lax, lax._hasegawa_jacobian
-    if spec.family == "rs_cosh" or spec.lax_family == "ruijsenaars":
+    if spec.family == "rs_cosh" or (
+        spec.family != "hitchin" and spec.lax_family == "ruijsenaars"
+    ):
         return lax.ruijsenaars_lax, lax._ruijsenaars_jacobian
+    # The composition equals the Hasegawa matrix, and its Cauchy
+    # factorization divides by sigma(hbar + q_k - q_k'), which vanishes
+    # where positions are spaced by hbar.
     return lax.hasegawa_lax, lax._hasegawa_jacobian
 
 

@@ -7,8 +7,10 @@ Conventions
 * A lattice is spanned by two periods omega1, omega2 with Im(omega2/omega1) > 0.
 * sigma is computed through the odd theta function theta[1/2;1/2] with the
   exponential gauge fixed so that sigma(z) ~ z near 0 and sigma has simple
-  zeros exactly on the lattice.  The slowly converging lattice product is used
-  only as an independent test oracle.
+  zeros exactly on the lattice.  It is evaluated in an SL2(Z)-reduced basis
+  of the lattice, at arguments reduced into its fundamental parallelogram,
+  over a fixed window of theta terms.  The slowly converging lattice product
+  is used only as an independent test oracle.
 * Quasi-periodicity: sigma(z + omega_i) = -exp(2*eta_i*(z + omega_i/2))*sigma(z),
   and the quasi-period constants satisfy eta1*omega2 - eta2*omega1 = i*pi.
 * Degenerate kinds are normalized exactly: sigma_trig(z) = sin(z) and
@@ -18,13 +20,15 @@ Conventions
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FitDegenerate, NonConvergent, PoleAtLattice
+from .errors import FitDegenerate, NonConvergent, PoleAtLattice, ValueOverflow
 
 POLE_TOL = 1e-8
 _SERIES_RELTOL = 1e-16
@@ -66,6 +70,10 @@ class Lattice:
     eta2 of the sigma function.  For the degenerate kinds the period data is
     unused: "trigonometric" means sigma(z) = sin(z) with zero set pi*Z, and
     "rational" means sigma(z) = z with zero set {0}.
+
+    An elliptic lattice also holds its reduced basis (red_omega1, red_tau =
+    red_omega2/red_omega1; see lattice_from_periods), in which sigma, zeta,
+    wp and lattice_distance are evaluated.
     """
 
     omega1: complex
@@ -74,6 +82,8 @@ class Lattice:
     eta1: complex
     eta2: complex
     kind: str = KIND_ELLIPTIC
+    red_omega1: complex = 0.0
+    red_tau: complex = 0.0
 
 
 def _theta_series(a, b, z, tau, order=0):
@@ -160,17 +170,57 @@ def theta_char(ch: ThetaCharacteristic, z, tau) -> complex:
 _UNIT_CACHE: dict[complex, tuple[complex, complex]] = {}
 
 
-def _unit_constants(tau):
-    """(theta1_prime_0, eta1_hat) for the unit lattice Z + tau*Z.
+@functools.lru_cache(maxsize=_WINDOW_CACHE_SIZE)
+def _theta1_window(tau):
+    """The fixed window of theta1(x) = theta[1/2;1/2](x|tau) for a reduced
+    tau (Im tau >= sqrt(3)/2) and |Im x| <= Im(tau)/2: the exponents
+    i*pi*tau*k*(k+1) + i*pi*(k+1/2) as a column and the rows w^o of
+    w = 2*pi*i*(k+1/2), o = 0..3, over k = -N..N-1, read-only.
 
-    theta1(z) := theta[1/2;1/2](z|tau); eta1_hat = -theta1'''(0)/(6*theta1'(0))
-    is the quasi-period constant of sigma on the unit lattice.
+    These are the series' exponents less i*pi*tau/4, a constant factor
+    that cancels from sigma = omega1 exp(eta1_hat x^2) theta1(x)/theta1'(0).
+    The largest term is at k = 0 or -1, and the terms at k = N-1 and -N are
+    at most exp(-pi Im(tau) (N-1)^2) of it, which N keeps below 1e-17 also
+    after a factor |w|^3.
     """
-    tau = complex(tau)
+    N = 1 + math.ceil(math.sqrt(48.0 / (math.pi * tau.imag)))
+    k = np.arange(-N, N, dtype=float)
+    gauss = (1j * np.pi * (tau * k * (k + 1) + k + 0.5))[:, None]
+    w = 2j * np.pi * (k + 0.5)
+    wpow = np.stack([w**o for o in range(4)])
+    for arr in (gauss, wpow):
+        arr.setflags(write=False)
+    return gauss, wpow
+
+
+def _theta1_sums(xr, tau, count, g=None):
+    """Rows o = 0..count-1 of sum_k w_k^o exp(g + gauss_k + w_k xr) over the
+    window of the reduced tau (_theta1_window), for |Im xr| <= Im(tau)/2:
+    the derivatives of theta1 at xr, up to a constant factor, times exp(g).
+
+    Each term is one exp of its summed exponent, which stays finite where
+    the factors taken apart would overflow and underflow.
+    """
+    gauss, wpow = _theta1_window(tau)
+    e = wpow[1][:, None] * xr
+    e += gauss
+    if g is not None:
+        e += g
+    return wpow[:count] @ np.exp(e)
+
+
+def _unit_constants(tau):
+    """(theta1'(0), eta1_hat) for the lattice Z + tau*Z, tau reduced, with
+    theta1'(0) in _theta1_window's scale.
+
+    eta1_hat = -theta1'''(0)/(6*theta1'(0)) is the quasi-period constant of
+    sigma on that lattice.
+    """
     cached = _UNIT_CACHE.get(tau)
     if cached is None:
-        t1, t3 = _theta_series(0.5, 0.5, 0.0, tau, order=(1, 3))
-        cached = (t1, -t3 / (6.0 * t1))
+        gauss, wpow = _theta1_window(tau)
+        t1, t3 = (wpow[1::2] @ np.exp(gauss))[:, 0]
+        cached = (complex(t1), complex(-t3 / (6.0 * t1)))
         _UNIT_CACHE[tau] = cached
     return cached
 
@@ -180,19 +230,52 @@ def lattice_from_periods(omega1, omega2) -> Lattice:
 
     Requires Im(omega2/omega1) > 0 (swap the arguments otherwise) so that a
     single orientation convention holds for all stored lattices.
+
+    The reduced basis (red_omega2, red_omega1) = (a*omega2 + b*omega1,
+    c*omega2 + d*omega1), ad - bc = 1, has |Re red_tau| <= 1/2 and
+    |red_tau| >= 1, so Im red_tau >= sqrt(3)/2 (Gauss reduction: shift tau
+    by an integer, and invert it while |tau| < 1).  sigma depends only on
+    the lattice, so evaluating it in that basis is exact.  The reduced eta
+    come from theta1 at red_tau, and eta1, eta2 of the given basis from
+    them by the inverse integer matrix, as eta is additive in the period.
     """
     omega1 = complex(omega1)
     omega2 = complex(omega2)
     tau = omega2 / omega1
-    if tau.imag <= 0:
+    if not (cmath.isfinite(tau) and tau.imag > 0):
         raise ValueError(
             "lattice orientation must satisfy Im(omega2/omega1) > 0; "
             "swap the period arguments"
         )
-    _, eta1_hat = _unit_constants(tau)
-    eta1 = eta1_hat / omega1
-    eta2 = (eta1_hat * tau - 1j * np.pi) / omega1
-    return Lattice(omega1, omega2, tau, eta1, eta2, KIND_ELLIPTIC)
+    a, b, c, d = 1, 0, 0, 1
+    while True:
+        k = round(((a * tau + b) / (c * tau + d)).real)
+        a, b = a - k * c, b - k * d
+        # The tolerance ends the loop where rounding would swap tau and
+        # -1/tau on the unit circle forever.
+        if abs((a * tau + b) / (c * tau + d)) > 1 - 1e-12:
+            break
+        a, b, c, d = -c, -d, a, b
+    if c == 0:  # a shift of tau by the integer b
+        w1, red_tau = omega1, tau + b
+    else:
+        # Rounded once from their exact values, as integers over one power
+        # of two (int / int rounds correctly): sigma far from the origin
+        # depends on the lattice to the last bit.
+        parts = [u.as_integer_ratio() for w in (omega1, omega2) for u in (w.real, w.imag)]
+        den = max(q for _, q in parts)
+        o1r, o1i, o2r, o2i = (p * (den // q) for p, q in parts)
+        w1r, w1i = c * o2r + d * o1r, c * o2i + d * o1i
+        w2r, w2i = a * o2r + b * o1r, a * o2i + b * o1i
+        norm = w1r * w1r + w1i * w1i
+        w1 = complex(w1r / den, w1i / den)
+        red_tau = complex((w2r * w1r + w2i * w1i) / norm, (w2i * w1r - w2r * w1i) / norm)
+    _, eta_hat = _unit_constants(red_tau)
+    eta1 = eta_hat / w1
+    eta2 = (eta_hat * red_tau - 1j * np.pi) / w1
+    return Lattice(
+        omega1, omega2, tau, a * eta1 - c * eta2, d * eta2 - b * eta1, KIND_ELLIPTIC, w1, red_tau
+    )
 
 
 def trig_lattice() -> Lattice:
@@ -205,57 +288,116 @@ def rational_lattice() -> Lattice:
     return Lattice(0.0, 0.0, 0.0, 0.0, 0.0, KIND_RATIONAL)
 
 
-def _unit(zarr, lat: Lattice):
-    """The sigma pass's coordinate: z/omega1 on an elliptic lattice, else z."""
-    return zarr / complex(lat.omega1) if lat.kind == KIND_ELLIPTIC else zarr
+class _Args(NamedTuple):
+    """Arguments z in the coordinates of sigma, zeta, wp and lattice_distance.
+
+    On an elliptic lattice x = z/red_omega1 = xr + m + n*red_tau with
+    n = rint(Im x/Im red_tau), then m = rint(Re(x - n*red_tau)), so
+    |Im xr| <= Im(red_tau)/2 and |Re xr| <= 1/2.  On the degenerate kinds
+    x = z, and xr, n and m are None.
+    """
+
+    x: np.ndarray
+    xr: np.ndarray | None = None
+    n: np.ndarray | None = None
+    m: np.ndarray | None = None
+
+    def part(self, sel):
+        """The arguments at the index sel."""
+        return _Args(*(None if a is None else a[sel] for a in self))
 
 
-def _distance(x, lat: Lattice):
-    """lattice_distance at the _unit coordinates x.  On an elliptic lattice
-    the Im-coordinate in the basis (1, tau) is rounded, then the real part."""
-    if lat.kind == KIND_RATIONAL:
-        return np.abs(x)
+def _reduce(z, lat: Lattice) -> _Args:
+    """The one coordinate transform of the special functions (see _Args),
+    for a 1-d array z."""
+    if lat.kind != KIND_ELLIPTIC:
+        return _Args(z)
+    tau = lat.red_tau
+    x = z / lat.red_omega1
+    n = np.rint(x.imag / tau.imag)
+    xr = x - n * tau
+    m = np.rint(xr.real)
+    return _Args(x, xr - m, n, m)
+
+
+def _distance(args: _Args, lat: Lattice, sel=slice(None)):
+    """lattice_distance at args[sel].  On an elliptic lattice it is the
+    distance to the point x was rounded to, |xr| |red_omega1|: exact below
+    sqrt(3)/4 of the shortest period, and never below the true distance."""
+    if lat.kind == KIND_ELLIPTIC:
+        return np.abs(args.xr[sel]) * abs(lat.red_omega1)
+    x = args.x[sel]
     if lat.kind == KIND_TRIG:
         return np.abs(x - np.pi * np.rint(x.real / np.pi))
-    tau = complex(lat.tau)
-    x = x - np.rint(x.imag / tau.imag) * tau
-    return np.abs((x - np.rint(x.real)) * complex(lat.omega1))
+    return np.abs(x)
+
+
+def _entry(z, lat: Lattice) -> _Args:
+    """The reduced flattened public argument z; NonConvergent if it is not
+    finite."""
+    zarr = np.asarray(z, dtype=complex)
+    if not np.isfinite(zarr).all():
+        raise NonConvergent("special function argument is not finite")
+    return _reduce(zarr.reshape(-1), lat)
+
+
+def _shaped(out, z):
+    return out[0].item() if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 
 def lattice_distance(z, lat: Lattice):
     """Distance from z to the zero set of sigma for the given lattice."""
-    out = _distance(_unit(np.asarray(z, dtype=complex), lat), lat)
-    return float(out) if np.ndim(z) == 0 else out
+    return _shaped(_distance(_entry(z, lat), lat), z)
 
 
 def sigma(z, lat: Lattice):
-    """Weierstrass sigma function (sin(z) / z for the degenerate kinds)."""
-    out = np.empty(np.shape(z), dtype=complex)
-    _sigma_orders(_unit(np.asarray(z, dtype=complex), lat), lat, out)
-    return complex(out) if np.ndim(z) == 0 else out
+    """Weierstrass sigma function (sin(z) / z for the degenerate kinds);
+    ValueOverflow where it is too large for a double."""
+    args = _entry(z, lat)
+    out = np.empty(args.x.shape, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _sigma_orders(args, lat, out)
+    if not np.isfinite(out).all():
+        raise ValueOverflow("sigma is too large for a double")
+    return _shaped(out, z)
 
 
-def _sigma_orders(x, lat: Lattice, s, ds=None):
-    """Write sigma into s and, given ds, sigma' into ds, at the arguments
-    whose _unit coordinate is x.
+def _sigma_orders(args: _Args, lat: Lattice, s, ds=None):
+    """Write sigma into s and, given ds, sigma' into ds at args.
 
-    Both orders come from one theta series pass.  sigma' is finite
-    everywhere, also at the zeros of sigma, where sigma'/sigma is not.
+    On an elliptic lattice, with theta1(x) = (-1)^(m+n) exp(-i pi n (n tau
+    + 2 xr)) theta1(xr) (tau = red_tau),
+
+        sigma = red_omega1 exp(eta1_hat x^2) theta1(x) / theta1'(0)
+              = sum_k exp(g + gauss_k + w_k xr),
+        g = log(red_omega1/theta1'(0)) + eta1_hat x^2
+            - i pi (n (n tau + 2 xr) + m + n),
+        sigma' = ((2 eta1_hat x - 2 pi i n) sigma + sum_k w_k exp(...)) / red_omega1,
+
+    from one pass over the window (_theta1_sums), finite wherever sigma is
+    a double.  sigma' is finite everywhere, also at the zeros of sigma,
+    where sigma'/sigma is not.
     """
     if lat.kind != KIND_ELLIPTIC:
+        x = args.x
         trig = lat.kind == KIND_TRIG
         s[...] = np.sin(x) if trig else x
         if ds is not None:
             ds[...] = np.cos(x) if trig else 1.0
         return
-    w = complex(lat.omega1)
-    t1, eta1_hat = _unit_constants(lat.tau)
-    th = _theta_series(0.5, 0.5, x, lat.tau, order=(0,) if ds is None else (0, 1))
-    gauge = np.exp(eta1_hat * x**2) / t1
-    # sigma = w * gauge * theta1(x); d/dz = (1/w) d/dx.
-    s[...] = w * gauge * th[0]
+    x, xr, n, m = args
+    w, tau = lat.red_omega1, lat.red_tau
+    t1, eta = _unit_constants(tau)
+    g = eta * x * x - 1j * np.pi * (n * (n * tau + 2.0 * xr) + m + n) + cmath.log(w / t1)
+    sums = _theta1_sums(xr, tau, 1 if ds is None else 2, g)
+    s[...] = sums[0]
     if ds is not None:
-        ds[...] = gauge * (2.0 * eta1_hat * x * th[0] + th[1])
+        ds[...] = ((2.0 * eta * x - 2j * np.pi * n) * sums[0] + sums[1]) / w
+
+
+def _off_lattice(args: _Args, lat: Lattice, what):
+    if np.min(_distance(args, lat)) < POLE_TOL:
+        raise PoleAtLattice(f"{what} argument within {POLE_TOL} of a lattice point")
 
 
 def zeta(z, lat: Lattice):
@@ -263,36 +405,37 @@ def zeta(z, lat: Lattice):
 
     Quasi-periodicity: zeta(z + omega_i) = zeta(z) + 2*eta_i.
     """
-    x = _unit(np.asarray(z, dtype=complex), lat)
-    if np.min(_distance(x, lat)) < POLE_TOL:
-        raise PoleAtLattice(f"zeta argument within {POLE_TOL} of a lattice point")
-    s, ds = np.empty_like(x), np.empty_like(x)
-    _sigma_orders(x, lat, s, ds)
-    out = ds / s
-    return complex(out) if np.ndim(z) == 0 else out
+    args = _entry(z, lat)
+    _off_lattice(args, lat, "zeta")
+    if lat.kind != KIND_ELLIPTIC:
+        s, ds = np.empty((2, args.x.size), dtype=complex)
+        _sigma_orders(args, lat, s, ds)
+        return _shaped(ds / s, z)
+    x, xr, n, _ = args
+    _, eta = _unit_constants(lat.red_tau)
+    # sigma'/sigma of _sigma_orders, whose terms' common factor exp(g) cancels.
+    t0, t1 = _theta1_sums(xr, lat.red_tau, 2)
+    return _shaped((2.0 * eta * x - 2j * np.pi * n + t1 / t0) / lat.red_omega1, z)
 
 
 def wp(z, lat: Lattice):
     """Weierstrass wp function; 1/sin(z)**2 / 1/z**2 for degenerate kinds."""
-    x = _unit(np.asarray(z, dtype=complex), lat)
-    if np.min(_distance(x, lat)) < POLE_TOL:
-        raise PoleAtLattice(f"wp argument within {POLE_TOL} of a lattice point")
-    out = _wp(x, lat)
-    return complex(out) if np.ndim(z) == 0 else out
+    args = _entry(z, lat)
+    _off_lattice(args, lat, "wp")
+    return _shaped(_wp(args, lat), z)
 
 
-def _wp(x, lat: Lattice):
-    """wp at the arguments whose _unit coordinate is x, which the caller
-    keeps off the lattice."""
+def _wp(args: _Args, lat: Lattice):
+    """wp at args, which the caller keeps off the lattice."""
     if lat.kind == KIND_TRIG:
-        return 1.0 / np.sin(x) ** 2
+        return 1.0 / np.sin(args.x) ** 2
     if lat.kind == KIND_RATIONAL:
-        return 1.0 / x**2
-    s = complex(lat.omega1)
-    _, eta1_hat = _unit_constants(lat.tau)
-    t0, td1, td2 = _theta_series(0.5, 0.5, x, lat.tau, order=(0, 1, 2))
-    # wp = -(log sigma)'' on the unit lattice, rescaled by homogeneity.
-    return (-2.0 * eta1_hat - (td2 * t0 - td1**2) / t0**2) / s**2
+        return 1.0 / args.x**2
+    _, eta = _unit_constants(lat.red_tau)
+    t0, t1, t2 = _theta1_sums(args.xr, lat.red_tau, 3)
+    # wp = -(log sigma)'' = (-2 eta1_hat - (log theta1)'')/red_omega1^2, and
+    # log theta1(x) - log theta1(xr) is linear in x.
+    return (-2.0 * eta - (t2 * t0 - t1**2) / t0**2) / lat.red_omega1**2
 
 
 def section_phi(q, z, lat: Lattice):

@@ -18,6 +18,10 @@ class NonConvergent(RslaxError):
     """A series cannot converge for the given parameters (e.g. Im tau <= 0)."""
 
 
+class ValueOverflow(RslaxError, OverflowError):
+    """A function value is too large in magnitude for a double."""
+
+
 class FitDegenerate(RslaxError):
     """Gauge-factor fit sampled a zero, or validation residuals are too large."""
 

@@ -228,13 +228,14 @@ def _hasegawa_layout(n):
 
 class _Plan:
     """A Lax form laid out once for a flow's constants.  Every
-    position-dependent sigma argument is q[I] - q[J] + c, taken in the sigma
-    pass's coordinate (elliptic._unit), and those at diffs are the
-    differences q_a - q_b over a != b, row-major.  An evaluation writes
-    sigma and sigma' into the plan's buffers s and ds."""
+    position-dependent sigma argument is q[I] - q[J] + c, and those at diffs
+    are the differences q_a - q_b over a != b, row-major.  A stage reduces
+    its arguments once (elliptic._reduce), for both its collision distances
+    and its sigma pass.  An evaluation writes sigma and sigma' into the
+    plan's buffers s and ds."""
 
     def _args(self, q):
-        return elliptic._unit(q[self.I] - q[self.J] + self.c, self.lat)
+        return elliptic._reduce(q[self.I] - q[self.J] + self.c, self.lat)
 
     def matrix(self, q, P):
         """The entries at the position and exponent arrays (q, P)."""
@@ -244,8 +245,9 @@ class _Plan:
         """One stage of a flow: the distances of the differences from the
         lattice, and a function giving the entries and their q-gradient map
         (see _evaluate)."""
-        x = self._args(q)
-        return elliptic._distance(x[self.diffs], self.lat), lambda: self._evaluate(x, P, True)
+        args = self._args(q)
+        dist = elliptic._distance(args, self.lat, self.diffs)
+        return dist, lambda: self._evaluate(args, P, True)
 
 
 class _HasegawaPlan(_Plan):
@@ -274,13 +276,13 @@ class _HasegawaPlan(_Plan):
         self.diffs = slice(m + o, None)
         # The tails hold the diagonals of B and S, for sigma and for sigma'.
         self.s, self.ds = np.empty((2, m + 2 * o + 2), dtype=complex)
-        x = elliptic._unit(np.array([hbar, z]), self.lat)
-        elliptic._sigma_orders(x, self.lat, self.s[-2:], self.ds[-2:])
+        hz = elliptic._reduce(np.array([hbar, z]), self.lat)
+        elliptic._sigma_orders(hz, self.lat, self.s[-2:], self.ds[-2:])
         self.sigma_z = self.s[-1]
         self.s[-1], self.ds[-1] = 1.0, 0.0
 
-    def _evaluate(self, x, P, jacobian=False):
-        """L at the arguments x of positions q and exponents P, and with
+    def _evaluate(self, args, P, jacobian=False):
+        """L at the arguments args of positions q and exponents P, and with
         jacobian also the map (R, h) -> g, h = (R * L).sum(axis=1),
 
             g_j = sum_{k,k'} R_{kk'} dL_{kk'}/dq_j
@@ -296,7 +298,8 @@ class _HasegawaPlan(_Plan):
         guard, enters through zeta.
         """
         s, ds = self.s, self.ds
-        elliptic._sigma_orders(x, self.lat, s[: x.size], ds[: x.size] if jacobian else None)
+        k = args.x.size
+        elliptic._sigma_orders(args, self.lat, s[:k], ds[:k] if jacobian else None)
         A, B, S = s[self.layout]
         E = 1.0 / (self.sigma_z * S.prod(axis=0))
         if jacobian:
@@ -380,12 +383,12 @@ def composition_lax(conf: RSConfig, z) -> SpectralMatrix:
     return SpectralMatrix(n, entries, complex(z))
 
 
-def _row_f(x, n, sigma_mu, wp_mu, lat):
-    """(f^2, prod_{l != i} f(q_i - q_l) per row i) from the elliptic._unit
-    coordinates x of the differences over i != l (row-major), which the
+def _row_f(args, n, sigma_mu, wp_mu, lat):
+    """(f^2, prod_{l != i} f(q_i - q_l) per row i) from the reduced
+    arguments args of the differences over i != l (row-major), which the
     caller keeps off the lattice, with f(q)^2 = sigma(mu)^2 * (wp(mu) -
     wp(q)) and the principal square root taken factor by factor."""
-    f2 = sigma_mu**2 * (wp_mu - elliptic._wp(x, lat)) if n > 1 else x
+    f2 = sigma_mu**2 * (wp_mu - elliptic._wp(args, lat)) if n > 1 else args.x
     return f2, np.sqrt(f2).reshape(n, n - 1).prod(axis=1)
 
 
@@ -443,25 +446,25 @@ class _RuijsenaarsPlan(_Plan):
         # The off-diagonal q_i - q_k + mu; the diagonal is mu, checked above.
         self.mu_off = m + self.off
 
-    def _evaluate(self, x, P, jacobian=False):
-        """L' at the arguments x of positions q and exponents P, and with
+    def _evaluate(self, args, P, jacobian=False):
+        """L' at the arguments args of positions q and exponents P, and with
         jacobian also its q-gradient map (R, h) -> g, h = (R * L').sum(axis=1)."""
         n, lat = self.n, self.lat
         m, o = n * n, self.off.size
-        if (elliptic._distance(x[self.mu_off], lat) < elliptic.POLE_TOL).any():
+        if (elliptic._distance(args, lat, self.mu_off) < elliptic.POLE_TOL).any():
             raise PoleAtLattice("some q_i - q_j + mu is on the lattice")
         # The differences are kept off the lattice by the collision guard,
         # or, in matrix(), by RSConfig's distinctness check.
-        f2, row_f = _row_f(x[2 * m + o :], n, self.sigma_mu, self.wp_mu, lat)
+        f2, row_f = _row_f(args.part(self.diffs), n, self.sigma_mu, self.wp_mu, lat)
         if np.any((f2.real < 0) & (np.abs(f2.imag) < 1e-9 * np.abs(f2))):
             warnings.warn(
                 "f^2 value near the negative real axis: principal square root "
                 "may be discontinuous",
                 BranchCutWarning,
             )
-        k = x.size if jacobian else 2 * m
+        k = args.x.size if jacobian else 2 * m
         s, ds = self.s[:k], self.ds[:k]
-        elliptic._sigma_orders(x[:k], lat, s, ds if jacobian else None)
+        elliptic._sigma_orders(args.part(slice(k)), lat, s, ds if jacobian else None)
         S_mu = s[m : 2 * m].reshape(n, n)
         theta = np.exp(P)
         # L' without its factor sigma(q_i - q_k + lam).
@@ -507,8 +510,8 @@ def ruijsenaars_equivalent_momenta(conf: RSConfig):
     d_row = np.exp(np.asarray(conf.P, dtype=complex)) / prod_den
     sig_h = elliptic.sigma(conf.hbar, lat)
     wp_h = elliptic.wp(conf.hbar, lat) if n > 1 else None
-    x = elliptic._unit(_diff_matrix(conf.q).reshape(-1)[_pairs(n)[2]], lat)
-    return np.log(d_row * col / (sig_h * _row_f(x, n, sig_h, wp_h, lat)[1]))
+    args = elliptic._reduce(_diff_matrix(conf.q).reshape(-1)[_pairs(n)[2]], lat)
+    return np.log(d_row * col / (sig_h * _row_f(args, n, sig_h, wp_h, lat)[1]))
 
 
 def krichever_lax(conf: RSConfig, z, lam) -> SpectralMatrix:

@@ -66,6 +66,16 @@ def _fit_order(small, errors):
     return float(slope)
 
 
+def _positive(values, name):
+    """The sweep values as floats; DegenerateConfiguration naming the first
+    that is not positive (or is NaN)."""
+    values = tuple(float(v) for v in values)
+    for v in values:
+        if not v > 0:
+            raise DegenerateConfiguration(f"{name} sweep value {v!r} is not positive")
+    return values
+
+
 def _sigma_argument_second_moment(q, hbar, z):
     """Delta2 = sum(w^2 over numerator args w) - sum(w^2 over denominator
     args w) per entry of the RS Lax matrix (see hasegawa_lax; momentum
@@ -94,9 +104,7 @@ def degeneration_sweep(conf: RSConfig, im_tau_values, z=_DEFAULT_Z) -> LimitSwee
     constant times sin(pi z/omega1); the counts of sigma factors balance, so
     C cancels.  The residual is the relative Frobenius distance.
     """
-    values = tuple(float(t) for t in im_tau_values)
-    if any(t <= 0 for t in values):
-        raise DegenerateConfiguration("Im(tau) values must be positive")
+    values = _positive(im_tau_values, "Im(tau)")
     z = complex(z)
     trig = elliptic.trig_lattice()
     pi = np.pi
@@ -133,9 +141,8 @@ def cm_limit_sweep(conf: RSConfig, cmconf: CMConfig, hbar_values, z=_DEFAULT_Z) 
     residual is ||(L(hbar) - I)/hbar - L_CM|| / ||L_CM|| at the spectral
     point z.  First-order convergence gives fitted_order near 1.
     """
-    values = tuple(float(h) for h in hbar_values)
-    if any(h == 0 for h in values):
-        raise DegenerateConfiguration("hbar = 0 is not admissible (division by hbar)")
+    # The residual divides by hbar, and the order is fitted to log(hbar).
+    values = _positive(hbar_values, "hbar")
     if tuple(conf.q) != tuple(cmconf.q):
         raise DegenerateConfiguration("RS and CM configurations must share positions")
     z = complex(z)

@@ -46,6 +46,54 @@ def theta1_mpmath(z, tau, order=0):
     return complex(-(mp.pi**order) * mp.jtheta(1, mp.pi * mp.mpc(z), q, derivative=order))
 
 
+def weierstrass_mpmath(z, omega1, omega2, dps=50):
+    """(sigma, zeta, wp, wp') at z on the lattice of the periods (omega1,
+    omega2), in the given basis, through mpmath's jtheta at dps digits:
+
+        sigma = omega1 exp(eta_hat x^2) theta1(x)/theta1'(0),  x = z/omega1,
+        eta_hat = -theta1^(3)(0)/(6 theta1'(0)),
+        zeta = (2 eta_hat x + theta1'(x)/theta1(x))/omega1,
+        wp = (-2 eta_hat - (log theta1)^(2)(x))/omega1^2,
+        wp' = -(log theta1)^(3)(x)/omega1^3.
+
+    sigma is an mpmath number, which may lie outside the range of a double;
+    the others are complex."""
+    with mp.workdps(dps):
+        o1, o2, x = mp.mpc(omega1), mp.mpc(omega2), mp.mpc(z) / mp.mpc(omega1)
+        q = mp.exp(1j * mp.pi * o2 / o1)
+
+        def theta1(u, order):
+            return mp.pi**order * mp.jtheta(1, mp.pi * u, q, derivative=order)
+
+        eta_hat = -theta1(0, 3) / (6 * theta1(0, 1))
+        t0, t1, t2, t3 = (theta1(x, o) for o in range(4))
+        s = o1 * mp.exp(eta_hat * x * x) * t0 / theta1(0, 1)
+        ze = (2 * eta_hat * x + t1 / t0) / o1
+        wpv = (-2 * eta_hat - (t2 * t0 - t1**2) / t0**2) / o1**2
+        dwp = -(t3 / t0 - 3 * t1 * t2 / t0**2 + 2 * (t1 / t0) ** 3) / o1**3
+        return +s, complex(ze), complex(wpv), complex(dwp)
+
+
+def hasegawa_mpmath(q, P, hbar, z, omega1, omega2):
+    """The Hasegawa RS Lax matrix from weierstrass_mpmath's sigma:
+    L_kk' = exp(P_k) sigma(z + hbar + q_k - q_k')/sigma(z)
+            * prod_{l != k} sigma(hbar + q_l - q_k')/sigma(q_l - q_k)."""
+
+    def sig(v):
+        return weierstrass_mpmath(v, omega1, omega2)[0]
+
+    n = len(q)
+    L = np.empty((n, n), dtype=complex)
+    for k in range(n):
+        for kp in range(n):
+            v = mp.exp(P[k]) * sig(z + hbar + q[k] - q[kp]) / sig(z)
+            for l in range(n):
+                if l != k:
+                    v *= sig(hbar + q[l] - q[kp]) / sig(q[l] - q[k])
+            L[k, kp] = complex(v)
+    return L
+
+
 def theta_series_mpmath(a, b, z, tau, order=0, terms=60):
     """d^order/dz^order of theta[a;b](z|tau) by direct summation in mpmath
     at 30 digits over the 2*terms + 1 indices k around the largest term of

@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from rslax import cli
 
 
@@ -89,7 +90,7 @@ class TestVerify:
         assert report["checks"] == []
 
     def test_zero_tolerance_forces_failure(self, tmp_path):
-        cfg = verify_cfg(tmp_path, checks=["legendre_relation"])
+        cfg = verify_cfg(tmp_path, checks=["basis_invariance"])
         assert cli.main(["verify", "--config", cfg, "--tol-scale", "0"]) == 1
 
     def test_trig_cm_small_determinant_seed(self, tmp_path):
@@ -310,8 +311,12 @@ class TestReduceAndLax:
         assert rows[0] == ["row", "col", "re", "im"]
         assert len(rows) == 1 + 4
 
-    def test_lax_non_finite_entries_exit_one(self, tmp_path, capsys):
-        # sigma overflows to NaN 30i away from the fundamental parallelogram.
+    def test_lax_far_positions_match_mpmath(self, tmp_path):
+        # Positions 30i apart, where sigma is about 1e-132 and the unreduced
+        # series overflowed to NaN: the entries match mpmath.
+        q = [0.1 + 0.05j, 0.1 + 30.05j]
+        P = [0.1, -0.07]
+        hbar = 0.08 + 0.02j
         cfg = write_config(
             tmp_path,
             "x.json",
@@ -322,8 +327,35 @@ class TestReduceAndLax:
                 "params": {
                     "family": "hasegawa",
                     "lattice": {"kind": "elliptic", "omega1": 1.0, "omega2": {"re": 0.2, "im": 2.4}},
-                    "q": [{"re": 0.1, "im": 0.05}, {"re": 0.1, "im": 30.05}],
-                    "P": [0.1, -0.07],
+                    "q": [{"re": v.real, "im": v.imag} for v in q],
+                    "P": P,
+                    "hbar": {"re": hbar.real, "im": hbar.imag},
+                },
+            },
+        )
+        assert cli.main(["lax", "--config", cfg]) == 0
+        with open(tmp_path / "out" / "lax.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        L = np.zeros((2, 2), dtype=complex)
+        for i, j, re, im in rows:
+            L[int(i), int(j)] = complex(float(re), float(im))
+        ref = oracles.hasegawa_mpmath(q, P, hbar, 0.31 + 0.43j, 1.0, 0.2 + 2.4j)
+        assert np.max(np.abs(L - ref) / np.abs(ref)) < 1e-10
+
+    def test_lax_non_finite_entries_exit_one(self, tmp_path, capsys):
+        # exp(800) times entries of order one: no double holds them.
+        cfg = write_config(
+            tmp_path,
+            "x.json",
+            {
+                "schema_version": 1,
+                "command": "lax",
+                "output_dir": str(tmp_path / "out"),
+                "params": {
+                    "family": "hasegawa",
+                    "lattice": {"kind": "elliptic", "omega1": 1.0, "omega2": {"re": 0.2, "im": 2.4}},
+                    "q": [0.1, 0.45],
+                    "P": [800.0, -0.07],
                     "hbar": {"re": 0.08, "im": 0.02},
                 },
             },
@@ -373,7 +405,7 @@ def test_lax_invalid_number_is_a_config_error(tmp_path, capsys, key, value, fiel
 
 # command -> (params, the files the command writes)
 OUTPUTS = {
-    "verify": ({"checks": ["legendre_relation"]}, {"report.json"}),
+    "verify": ({"checks": ["basis_invariance"]}, {"report.json"}),
     "lax": (
         {
             "family": "krichever",

@@ -72,6 +72,25 @@ class TestHamiltonian:
         L = lax.ruijsenaars_lax(conf, spec.eval_z).entries[0, 0]
         assert abs(H - (L + 1.0 / L)) < 1e-12 * abs(H)
 
+    @pytest.mark.parametrize("lax_family", ["hasegawa", "composition", "ruijsenaars"])
+    def test_rs_cosh_is_the_ruijsenaars_form_for_every_lax_family(self, lax_family):
+        # rs_cosh names the Ruijsenaars matrix whatever lax_family says; the
+        # Hasegawa matrix gives another value (4.098-0.072i here).
+        lat = elliptic.lattice_from_periods(1.0, 2.5j)
+        conf = lax.rs_config([0.1, 0.45], [0.1, -0.07], 0.08 + 0.02j, lat)
+        spec = dynamics.HamiltonianSpec("rs_cosh", lax_family=lax_family)
+        L = lax.ruijsenaars_lax(conf, spec.eval_z).entries
+        ref = np.trace(L) + np.trace(np.linalg.inv(L))
+        H = dynamics.hamiltonian(spec, conf)
+        assert abs(H - ref) < 1e-12 * abs(ref)
+        assert abs(H - (3.892 - 0.098j)) < 1e-3
+        pt = dynamics.PhasePoint(conf.q, conf.P)
+        field = np.concatenate(dynamics.hamiltonian_vector_field(spec, pt, conf))
+        ruijsenaars = dynamics.HamiltonianSpec("rs_cosh", lax_family="ruijsenaars")
+        assert np.array_equal(
+            field, np.concatenate(dynamics.hamiltonian_vector_field(ruijsenaars, pt, conf))
+        )
+
 
 class TestVectorField:
     def test_free_particle_limit(self):
@@ -290,13 +309,13 @@ class TestFlowLoop:
     )
     def test_theta_series_calls_per_stage(self, monkeypatch, family, mu, flow_constants, per_stage):
         sizes = []
-        series = elliptic._theta_series
+        series = elliptic._theta1_sums
 
-        def counted(a, b, z, tau, order=0):
-            sizes.append(np.size(z))
-            return series(a, b, z, tau, order)
+        def counted(xr, *rest):
+            sizes.append(np.size(xr))
+            return series(xr, *rest)
 
-        monkeypatch.setattr(elliptic, "_theta_series", counted)
+        monkeypatch.setattr(elliptic, "_theta1_sums", counted)
         conf = mild_conf()
         if mu is not None:
             conf = lax.rs_config(conf.q, conf.P, conf.hbar, LAT, mu=mu)

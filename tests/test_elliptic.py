@@ -3,14 +3,17 @@ quasi-periodicity, the Legendre relation, and the trivial-theta gauge fit.
 Oracle values come from mpmath theta series and truncated lattice products.
 """
 
+import cmath
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from rslax import elliptic
-from rslax.errors import NonConvergent, PoleAtLattice
+from rslax.errors import NonConvergent, PoleAtLattice, ValueOverflow
 
 
 LAT = elliptic.lattice_from_periods(1.0, 0.3 + 2.1j)
@@ -144,6 +147,13 @@ class TestThetaSeries:
         for arg in (z, np.array([0.1 + 0.2j, z])):
             with np.errstate(all="ignore"), pytest.raises(NonConvergent, match="not finite"):
                 getattr(elliptic, fn)(arg, LAT)
+
+
+    @pytest.mark.parametrize("z", [complex("nan"), complex(0.1, float("inf"))])
+    def test_non_finite_distance_argument_raises_nonconvergent(self, z):
+        for arg in (z, np.array([0.1 + 0.2j, z])):
+            with pytest.raises(NonConvergent, match="not finite"):
+                elliptic.lattice_distance(arg, LAT)
 
 
 class TestZeta:
@@ -290,3 +300,110 @@ class TestLatticeDistance:
         d = float(elliptic.lattice_distance(z, LAT))
         assert d <= off + 1e-9
         assert d > 0
+
+
+# SL2(Z) generators acting on a basis (omega1, omega2): tau -> tau + 1,
+# tau -> tau - 1 and tau -> -1/tau.
+_WORD_STEPS = {
+    "T": lambda o1, o2: (o1, o2 + o1),
+    "T^-1": lambda o1, o2: (o1, o2 - o1),
+    "S": lambda o1, o2: (o2, -o1),
+}
+
+
+def _within(ours, ref, dref, z, floor=0.0):
+    """|ours - ref| below 1e-13 + 4e-15 kappa relative to |ref| (or to floor
+    where |ref| is smaller: zeta and wp have zeros), with kappa = |z
+    ref'/ref| the function's condition number at z; one rounding of z moves
+    the value by kappa * 1.1e-16 relative."""
+    scale = max(abs(ref), floor)
+    return abs(ours - ref) < (1e-13 + 4e-15 * abs(z * dref) / scale) * scale
+
+
+class TestReducedKernel:
+    """sigma, zeta and wp against mpmath in the caller's basis, for Im tau
+    down to 0.01."""
+
+    @given(
+        log_t=st.floats(-2.0, math.log10(50.0)),
+        re_tau=st.floats(-0.5, 0.5),
+        phase=st.floats(0.0, 2 * math.pi),
+        word=st.lists(st.sampled_from(sorted(_WORD_STEPS)), max_size=8),
+        u=st.floats(-2.0, 2.0),
+        v=st.floats(-2.0, 2.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_any_basis_matches_mpmath(self, log_t, re_tau, phase, word, u, v):
+        # On a grid of 2^-30 the steps below are exact, so every basis spans
+        # the lattice of (o1, o2) itself.
+        w1 = cmath.rect(1.0, phase)
+        o1, o2 = (
+            complex(round(w.real * 2**30), round(w.imag * 2**30)) / 2**30
+            for w in (w1, w1 * complex(re_tau, 10**log_t))
+        )
+        b1, b2 = o1, o2
+        for step in word:
+            b1, b2 = _WORD_STEPS[step](b1, b2)
+        lat = elliptic.lattice_from_periods(b1, b2)
+        assert abs(lat.red_tau) > 1 - 1e-12 and abs(lat.red_tau.real) <= 0.5 + 1e-12
+        # Within 2 reduced periods of the origin, at least 0.05 of one off
+        # the lattice.
+        x = u + v * lat.red_tau
+        x_off = x - round(x.imag / lat.red_tau.imag) * lat.red_tau
+        assume(abs(x_off - round(x_off.real)) > 0.05)
+        self.check(lat.red_omega1 * x, lat, o1, o2)
+
+    @given(
+        log_t=st.floats(-2.0, math.log10(50.0)),
+        re_tau=st.floats(-0.5, 0.5),
+        m=st.integers(-50, 50),
+        n=st.integers(-50, 50),
+        u=st.floats(0.05, 0.45),
+        v=st.floats(0.05, 0.45),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_quasi_periodicity_matches_mpmath(self, log_t, re_tau, m, n, u, v):
+        tau = complex(re_tau, 10**log_t)
+        lat = elliptic.lattice_from_periods(1.0, tau)
+        z0 = u + v * tau
+        z = z0 + m + n * tau
+        # zeta(z0 + m + n tau) = zeta(z0) + 2 (m eta1 + n eta2).
+        ze = oracles.weierstrass_mpmath(z, 1.0, tau)[1]
+        ze0 = oracles.weierstrass_mpmath(z0, 1.0, tau)[1]
+        assert abs(ze - ze0 - 2 * (m * lat.eta1 + n * lat.eta2)) < 1e-10 * abs(ze)
+        self.check(z, lat, 1.0, tau)
+
+    @staticmethod
+    def check(z, lat, o1, o2):
+        """sigma (or ValueOverflow beyond the doubles), zeta and wp at z
+        against weierstrass_mpmath in the basis (o1, o2)."""
+        s, ze, wpv, dwp = oracles.weierstrass_mpmath(z, o1, o2)
+        w = abs(lat.red_omega1)
+        assert _within(elliptic.zeta(z, lat), ze, -wpv, z, 1 / w)
+        assert _within(elliptic.wp(z, lat), wpv, dwp, z, 1 / w**2)
+        if abs(s) > np.finfo(float).max:
+            with pytest.raises(ValueOverflow):
+                elliptic.sigma(z, lat)
+        elif abs(s) >= np.finfo(float).tiny:
+            s = complex(s)
+            assert _within(elliptic.sigma(z, lat), s, s * ze, z)
+
+    def test_far_point_and_overflow(self):
+        # 30i from the origin sigma is about 1e-132, where the unreduced
+        # series gave NaN; 30 periods along the real axis it exceeds every
+        # double.
+        lat = elliptic.lattice_from_periods(1.0, 0.2 + 2.4j)
+        ref = complex(oracles.weierstrass_mpmath(0.1 + 30j, 1.0, 0.2 + 2.4j)[0])
+        assert abs(elliptic.sigma(0.1 + 30j, lat) - ref) < 1e-12 * abs(ref)
+        assert abs(ref - (2.477e-132 + 4.671e-132j)) < 1e-3 * abs(ref)
+        with pytest.raises(ValueOverflow):
+            elliptic.sigma(np.array([0.1, 30.1]), lat)
+
+    def test_window_cache_is_bounded_and_read_only(self):
+        for k in range(300):
+            elliptic.lattice_from_periods(1.0, complex(0.001 * k, 1.5))
+        info = elliptic._theta1_window.cache_info()
+        assert info.maxsize == elliptic._WINDOW_CACHE_SIZE
+        assert info.currsize == elliptic._WINDOW_CACHE_SIZE
+        for arr in elliptic._theta1_window(1.5j):
+            assert not arr.flags.writeable

@@ -46,6 +46,12 @@ class TestDegenerationSweep:
         with pytest.raises(DegenerateConfiguration):
             limits.degeneration_sweep(base_conf(), [2.0, -1.0])
 
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, float("nan")])
+    def test_rejected_im_tau_is_named(self, bad):
+        # A NaN passed the old "t <= 0" test and reached lattice_from_periods.
+        with pytest.raises(DegenerateConfiguration, match=f"Im\\(tau\\) sweep value {bad!r}"):
+            limits.degeneration_sweep(base_conf(), [2.0, bad])
+
 
 class TestSigmaArgumentMoments:
     def test_closed_form_matches_the_loop(self):
@@ -92,6 +98,17 @@ class TestCMLimitSweep:
         cmc = lax.cm_config(conf.q, [0.1, 0.2], 1.0, LAT)
         with pytest.raises(DegenerateConfiguration):
             limits.cm_limit_sweep(conf, cmc, [1e-2, 0.0])
+
+    @pytest.mark.parametrize(
+        "values,bad", [([-1e-2, -5e-3, -2.5e-3], -1e-2), ([1e-2, float("nan")], float("nan"))]
+    )
+    def test_nonpositive_hbar_rejected(self, values, bad):
+        # Negative hbar ended in LAPACK's "SVD did not converge" when the
+        # order was fitted to log(hbar).
+        conf = base_conf()
+        cmc = lax.cm_config(conf.q, [0.1, 0.2], 1.0, LAT)
+        with pytest.raises(DegenerateConfiguration, match=f"hbar sweep value {bad!r}"):
+            limits.cm_limit_sweep(conf, cmc, values)
 
     def test_mismatched_positions_rejected(self):
         conf = base_conf()
