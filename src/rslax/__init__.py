@@ -59,6 +59,7 @@ from .errors import (
     RslaxError,
     SingularMatrix,
     SingularY,
+    StepTooLarge,
     ValueOverflow,
     ZeroLambda,
     ZeroMu,

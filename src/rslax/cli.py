@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
 import functools
 import json
 import os
@@ -153,9 +152,14 @@ def _jsonify(obj):
 
 
 def _write_atomic(path, data: bytes):
+    """Write data to path through a temporary file in its directory, made
+    by the first write of a run."""
     d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-rslax-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-rslax-")
+    except FileNotFoundError:
+        os.makedirs(d, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-rslax-")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -172,14 +176,12 @@ def write_json(path, obj):
 
 
 def write_csv(path, header, rows):
-    import io
-
-    buf = io.StringIO()
-    w = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    _write_atomic(path, buf.getvalue().encode("utf-8"))
+    """The header and rows as CSV lines ending in CRLF.  Every cell is an
+    int, a float (written as its repr) or a header name, none of which holds
+    a comma, a quote or a line break, so csv's minimal quoting would quote
+    nothing."""
+    lines = [",".join(map(str, row)) for row in [header, *rows]]
+    _write_atomic(path, ("\r\n".join(lines) + "\r\n").encode("utf-8"))
 
 
 def _write_matrix_csv(path, M):
@@ -448,7 +450,7 @@ def run_evolve(cfg: ExperimentConfig, report: RunReport):
         traj = exc.trajectory
         collided = True
         print(
-            f"flow stopped after t = {traj.times[-1]:g}: CollisionImminent: {exc}",
+            f"flow stopped after t = {traj.times[-1]:g}: {type(exc).__name__}: {exc}",
             file=sys.stderr,
         )
 

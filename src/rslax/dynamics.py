@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lax
-from .errors import CollisionImminent, SingularMatrix
+from .errors import CollisionImminent, SingularMatrix, StepTooLarge
 
 # Smallest pairwise position distance (modulo the lattice) a flow may reach.
 COLLISION_MARGIN = 1e-4
@@ -84,23 +84,26 @@ class HamiltonianSpec:
 
 
 def _lax_form(spec: HamiltonianSpec):
-    """(build, jacobian) of the Lax form spec's Hamiltonian is a trace function of.
+    """(build, plan, diagonal) of the Lax form spec's Hamiltonian is a trace
+    function of.
 
-    build(conf, z) is a SpectralMatrix.  jacobian(conf, z) checks the points
+    build(conf, z) is a SpectralMatrix.  plan(conf, z) checks the points
     fixed along a flow (z, and lam and mu for the Ruijsenaars form) and
-    evaluates its constants once, and returns the plan (q, P) -> (the
-    distances of the differences q_a - q_b over a != b, row-major, from the
-    lattice; a function giving the entries and (R, h) -> (sum_{kk'} R_{kk'}
-    dL_{kk'}/dq_j)_j, where h = (R * L).sum(axis=1)).
+    evaluates its constants once, and is called (q, P) -> (the distances of
+    the differences q_a - q_b over a != b, row-major, from the lattice; a
+    function giving the entries and (R, h) -> (sum_{kk'} R_{kk'}
+    dL_{kk'}/dq_j)_j, where h = (R * L).sum(axis=1)).  diagonal: H is
+    scale * Tr L of the Hasegawa form, whose field the plan's trace method
+    evaluates from the diagonal of L alone.
     """
     if spec.family == "rs_cosh" or (
         spec.family != "hitchin" and spec.lax_family == "ruijsenaars"
     ):
-        return lax.ruijsenaars_lax, lax._ruijsenaars_jacobian
+        return lax.ruijsenaars_lax, lax._ruijsenaars_jacobian, False
     # The composition equals the Hasegawa matrix, and its Cauchy
     # factorization divides by sigma(hbar + q_k - q_k'), which vanishes
     # where positions are spaced by hbar.
-    return lax.hasegawa_lax, lax._hasegawa_jacobian
+    return lax.hasegawa_lax, lax._hasegawa_jacobian, spec.scale_power[1] == 0
 
 
 def _inverse(L):
@@ -119,25 +122,32 @@ def hamiltonian(spec: HamiltonianSpec, conf: lax.RSConfig) -> complex:
     return scale * complex(np.trace(np.linalg.matrix_power(L, k + 1))) / (k + 1)
 
 
-def _field(spec: HamiltonianSpec, jacobian, lat, q, p):
-    """(L, dq/dt, dp/dt) at positions q and exponents p (complex arrays);
-    CollisionImminent if q or p is not finite, two positions are closer than
-    COLLISION_MARGIN modulo the lattice, or L is not finite.
+def _field(spec: HamiltonianSpec, plan, diagonal, q, p, spectrum=True):
+    """(L, dq/dt, dp/dt, the smallest distance of two positions modulo the
+    lattice) at positions q and exponents p (complex arrays), for the plan
+    and diagonal of _lax_form(spec); CollisionImminent if q or p is not
+    finite, two positions are closer than COLLISION_MARGIN modulo the
+    lattice, or L is not finite.
 
     Each family has dH = Tr(G dL) with G = scale * L^power for the trace
     families (spec.scale_power) and G = I - L^{-2} for rs_cosh.  With
     R = G^T, dH = sum_{kk'} R_{kk'} dL_{kk'}: dH/dp_k is the k-th row sum
     of R * L (entrywise), and dH/dq is the Lax form's Jacobian map applied
     to R.  That costs one Lax build plus sigma' values at the same
-    arguments.
+    arguments.  Where G = scale * I on the Hasegawa form (diagonal), dH =
+    scale * Tr(dL) reads only the diagonal of L: plan.trace evaluates it
+    from sigma at the 2n(n - 1) arguments of its factors, and L itself only
+    with spectrum (L is None otherwise).
     """
     if not (np.isfinite(q).all() and np.isfinite(p).all()):
         raise CollisionImminent("positions or momenta are not finite")
-    dist, evaluate = jacobian(q, p)
+    dist, evaluate = plan.trace(q, p, spectrum) if diagonal else plan(q, p)
+    separation = np.inf
     if dist.size:
         k = int(dist.argmin())
+        separation = float(dist[k])
         # Written so that a NaN distance fails too.
-        if not dist[k] >= COLLISION_MARGIN:
+        if not separation >= COLLISION_MARGIN:
             # dist holds q_i - q_j over j != i, n - 1 of them per row i.
             i, j = divmod(k, q.size - 1)
             j += j >= i
@@ -145,6 +155,12 @@ def _field(spec: HamiltonianSpec, jacobian, lat, q, p):
                 f"positions {i} and {j} are {dist[k]:.3e} apart modulo the "
                 f"lattice, below the collision margin {COLLISION_MARGIN:.1e}"
             )
+    if diagonal:
+        d, grad, L = evaluate()
+        if not (np.isfinite(d).all() and (L is None or np.isfinite(L).all())):
+            raise CollisionImminent("the Lax matrix is not finite")
+        scale = spec.scale_power[0]
+        return L, scale * d, -scale * grad, separation
     L, grad_q = evaluate()
     if not np.isfinite(L).all():
         raise CollisionImminent("the Lax matrix is not finite")
@@ -153,11 +169,18 @@ def _field(spec: HamiltonianSpec, jacobian, lat, q, p):
         G = np.eye(L.shape[0]) - Linv @ Linv
     else:
         scale, k = spec.scale_power
-        # matrix_power(L, 0) builds this identity, more slowly.
-        G = scale * (np.linalg.matrix_power(L, k) if k else np.eye(q.size, dtype=complex))
+        G = scale * np.linalg.matrix_power(L, k)
     R = G.T
     dP = (R * L).sum(axis=1)
-    return L, dP, -grad_q(R, dP)
+    return L, dP, -grad_q(R, dP), separation
+
+
+def _flow_field(spec: HamiltonianSpec, conf: lax.RSConfig):
+    """_field of spec with conf's coupling, mu and lattice, as a function of
+    (q, p, spectrum); the plan is made, and its points checked, here."""
+    _, plan, diagonal = _lax_form(spec)
+    plan = plan(conf, spec.eval_z)
+    return lambda q, p, spectrum=True: _field(spec, plan, diagonal, q, p, spectrum)
 
 
 def hamiltonian_vector_field(
@@ -165,9 +188,8 @@ def hamiltonian_vector_field(
 ):
     """Hamilton's equations dq_i/dt = dH/dp_i, dp_i/dt = -dH/dq_i at point,
     with conf's coupling, mu and lattice (see _field)."""
-    jacobian = _lax_form(spec)[1](conf, spec.eval_z)
     q = np.asarray(point.q, dtype=complex)
-    return _field(spec, jacobian, conf.lat, q, np.asarray(point.p, dtype=complex))[1:]
+    return _flow_field(spec, conf)(q, np.asarray(point.p, dtype=complex), False)[1:3]
 
 
 def _match_drift(ev0, ev):
@@ -210,13 +232,16 @@ def integrate(
 
     The field at each accepted point gives both its spectrum and the next
     step's first stage: four Lax evaluations per step.  A stage that fails
-    _field's checks raises CollisionImminent with the partial trajectory.
+    _field's checks raises CollisionImminent with the partial trajectory;
+    one that moves a position by more than half the stage's smallest
+    separation, dt |dq/dt| > separation / 2, raises its subclass
+    StepTooLarge.
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
     if coordinates not in _COORDINATES:
         raise ValueError("coordinates must be 'p' or 'theta'")
-    jacobian = _lax_form(spec)[1](conf, spec.eval_z)
+    field = _flow_field(spec, conf)
     theta = coordinates == "theta"
 
     def momenta(y):
@@ -226,10 +251,22 @@ def integrate(
         # Keep the momentum branch continuous with the current p.
         return pv + 2j * np.pi * np.round((p - pv).imag / (2 * np.pi))
 
-    def stage(qs, ys):
-        """(L, (dq/dt, dy/dt)) at the stage (qs, ys), y = p or theta."""
-        L, dq, dp = _field(spec, jacobian, conf.lat, qs, momenta(ys))
-        return L, (dq, ys * dp if theta else dp)
+    def stage(qs, ys, spectrum=False):
+        """(L, (dq/dt, dy/dt), the smallest separation) at the stage (qs,
+        ys), y = p or theta; L may be None without spectrum."""
+        L, dq, dp, separation = field(qs, momenta(ys), spectrum)
+        return L, (dq, ys * dp if theta else dp), separation
+
+    def checked(k, separation):
+        """k, the rates of a stage of the next step with that separation."""
+        move = dt * float(np.abs(k[0]).max())
+        if not move <= separation / 2:
+            raise StepTooLarge(
+                f"step {len(traj.times)}: dt = {dt:g} moves a position by "
+                f"{move:.3e}, more than half the smallest separation "
+                f"{separation:.3e} of its stage"
+            )
+        return k
 
     traj = Trajectory([0.0], [start], [0.0])
     q = np.asarray(start.q, dtype=complex)
@@ -239,24 +276,25 @@ def integrate(
         # A non-finite value ends the flow as CollisionImminent at the next
         # _field check, so numpy need not warn about it.
         with np.errstate(all="ignore"):
-            L, k1 = stage(q, y)
+            L, k1, separation = stage(q, y, spectrum=not theta)
             if theta:
                 # The spectrum at start.p itself, which log(exp(p)) can miss.
-                L = _field(spec, jacobian, conf.lat, q, p)[0]
+                L = field(q, p)[0]
             ev0 = np.linalg.eigvals(L)
             for step in range(1, int(round(t_end / dt)) + 1):
-                k2 = stage(q + dt / 2 * k1[0], y + dt / 2 * k1[1])[1]
-                k3 = stage(q + dt / 2 * k2[0], y + dt / 2 * k2[1])[1]
-                k4 = stage(q + dt * k3[0], y + dt * k3[1])[1]
+                checked(k1, separation)
+                k2 = checked(*stage(q + dt / 2 * k1[0], y + dt / 2 * k1[1])[1:])
+                k3 = checked(*stage(q + dt / 2 * k2[0], y + dt / 2 * k2[1])[1:])
+                k4 = checked(*stage(q + dt * k3[0], y + dt * k3[1])[1:])
                 q = q + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
                 y = y + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
                 p = momenta(y)
-                L, k1 = stage(q, y)
+                L, k1, separation = stage(q, y, spectrum=True)
                 traj.times.append(step * dt)
                 traj.points.append(PhasePoint(tuple(q), tuple(p)))
                 traj.spectral_drift.append(_match_drift(ev0, np.linalg.eigvals(L)))
     except CollisionImminent as exc:
-        raise CollisionImminent(str(exc), trajectory=traj) from None
+        raise type(exc)(str(exc), trajectory=traj) from None
     return traj
 
 

@@ -378,12 +378,20 @@ def _sigma_orders(args: _Args, lat: Lattice, s, ds=None):
     a double.  sigma' is finite everywhere, also at the zeros of sigma,
     where sigma'/sigma is not.
     """
-    if lat.kind != KIND_ELLIPTIC:
-        x = args.x
-        trig = lat.kind == KIND_TRIG
-        s[...] = np.sin(x) if trig else x
+    if lat.kind == KIND_RATIONAL:
+        s[...] = args.x
         if ds is not None:
-            ds[...] = np.cos(x) if trig else 1.0
+            ds[...] = 1.0
+        return
+    if lat.kind == KIND_TRIG:
+        # sin(a + ib) = sin(a) cosh(b) + i cos(a) sinh(b) and cos(a + ib) =
+        # cos(a) cosh(b) - i sin(a) sinh(b): four real passes, where complex
+        # sin and cos take eight.
+        a, b = args.x.real, args.x.imag
+        sin, cos, sinh, cosh = np.sin(a), np.cos(a), np.sinh(b), np.cosh(b)
+        s.real, s.imag = sin * cosh, cos * sinh
+        if ds is not None:
+            ds.real, ds.imag = cos * cosh, -sin * sinh
         return
     x, xr, n, m = args
     w, tau = lat.red_omega1, lat.red_tau

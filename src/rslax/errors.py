@@ -74,6 +74,11 @@ class CollisionImminent(RslaxError):
         self.trajectory = trajectory
 
 
+class StepTooLarge(CollisionImminent):
+    """A fixed step would move a particle by more than half its smallest
+    separation from another, so the flow would jump past a near-collision."""
+
+
 class ConfigInvalid(RslaxError):
     """An experiment configuration file failed validation."""
 

@@ -206,24 +206,28 @@ def _pairs(n):
 def _hasegawa_layout(n):
     """Index maps of _HasegawaPlan for n particles.
 
-    I, J: the argument vector is q[I] - q[J] + c over the blocks A (all
-    pairs (k, k')), B and S (the pairs (l, k) with l != k).  layout (3, n, n)
-    gathers the matrices A, B, S from the sigma values extended by [the
-    diagonal of B, the diagonal of S]; xlayout (n, n, n) gathers X[l, k, k']
-    = B[l, k'], and 1 (the diagonal of S) at l = k.
+    I, J: the argument vector is q[I] - q[J] + c over the blocks B and S
+    (the pairs (l, k) with l != k), then A (all pairs (k, k')), so the
+    factors of the diagonal of L are its first 2n(n - 1) arguments.  layout
+    (3, n, n) gathers the matrices A, B, S from the sigma values extended by
+    [the diagonal of B, the diagonal of S]; xlayout (n, n, n) gathers
+    X[l, k, k'] = B[l, k'], and 1 (the diagonal of S) at l = k; tlayout
+    (2, n, n) gathers B with a unit diagonal, and S.
     """
     rows, cols, off = _pairs(n)
     m, o = n * n, off.size
-    I = np.concatenate([rows, rows[off], rows[off]])
-    J = np.concatenate([cols, cols[off], cols[off]])
+    I = np.concatenate([rows[off], rows[off], rows])
+    J = np.concatenate([cols[off], cols[off], cols])
     pos = np.full(m, m + 2 * o)  # the diagonal of B
-    pos[off] = m + np.arange(o)
-    layout = np.stack([np.arange(m), pos, pos + o]).reshape(3, n, n)
+    pos[off] = np.arange(o)
+    layout = np.stack([2 * o + np.arange(m), pos, pos + o]).reshape(3, n, n)
     layout[2].flat[:: n + 1] = m + 2 * o + 1  # the diagonal of S
     xlayout = np.where(np.eye(n, dtype=bool)[:, :, None], m + 2 * o + 1, layout[1][:, None, :])
-    for arr in (I, J, layout, xlayout):
+    tlayout = layout[1:].copy()
+    tlayout[0].flat[:: n + 1] = m + 2 * o + 1
+    for arr in (I, J, layout, xlayout, tlayout):
         arr.setflags(write=False)
-    return I, J, layout, xlayout
+    return I, J, layout, xlayout, tlayout
 
 
 class _Plan:
@@ -234,8 +238,9 @@ class _Plan:
     and its sigma pass.  An evaluation writes sigma and sigma' into the
     plan's buffers s and ds."""
 
-    def _args(self, q):
-        return elliptic._reduce(q[self.I] - q[self.J] + self.c, self.lat)
+    def _args(self, q, k=None):
+        """The first k arguments (all with k None), reduced."""
+        return elliptic._reduce(q[self.I[:k]] - q[self.J[:k]] + self.c[:k], self.lat)
 
     def matrix(self, q, P):
         """The entries at the position and exponent arrays (q, P)."""
@@ -257,11 +262,12 @@ class _HasegawaPlan(_Plan):
                   * prod_{l != k} sigma(hbar + q_l - q_{k'}) / sigma(q_l - q_k),
 
     laid out for conf's n, coupling and lattice and the spectral point z
-    (checked here); sigma and sigma' at hbar and z are evaluated here, once.
-    K = E_k A_{kk'} N_{kk'} with E_k = 1/(sigma(z) prod_{l != k} S[l, k]),
-    A = sigma(z + hbar + q_k - q_{k'}), S[l, k] = sigma(q_l - q_k) (diagonal
-    1), B[l, k'] = sigma(hbar + q_l - q_{k'}) (diagonal sigma(hbar)) and
-    N_{kk'} = prod_{l != k} B[l, k'].  The entries are exp(P_k) K_{kk'}.
+    (checked here); sigma and sigma' at hbar, z and z + hbar are evaluated
+    here, once.  K = E_k A_{kk'} N_{kk'} with E_k = 1/(sigma(z) prod_{l != k}
+    S[l, k]), A = sigma(z + hbar + q_k - q_{k'}), S[l, k] = sigma(q_l - q_k)
+    (diagonal 1), B[l, k'] = sigma(hbar + q_l - q_{k'}) (diagonal
+    sigma(hbar)) and N_{kk'} = prod_{l != k} B[l, k'].  The entries are
+    exp(P_k) K_{kk'}.
     """
 
     def __init__(self, conf: RSConfig, z):
@@ -270,16 +276,56 @@ class _HasegawaPlan(_Plan):
         hbar = conf.hbar
         n = conf.n
         self.lat = conf.lat
-        self.I, self.J, self.layout, self.xlayout = _hasegawa_layout(n)
+        self.I, self.J, self.layout, self.xlayout, self.tlayout = _hasegawa_layout(n)
         m, o = n * n, n * n - n
-        self.c = np.concatenate([np.full(m, z + hbar), np.full(o, hbar), np.zeros(o)])
-        self.diffs = slice(m + o, None)
+        self.c = np.concatenate([np.full(o, hbar), np.zeros(o), np.full(m, z + hbar)])
+        self.diffs = slice(o, 2 * o)
+        self.factors = 2 * o  # the arguments of B and S
         # The tails hold the diagonals of B and S, for sigma and for sigma'.
         self.s, self.ds = np.empty((2, m + 2 * o + 2), dtype=complex)
-        hz = elliptic._reduce(np.array([hbar, z]), self.lat)
-        elliptic._sigma_orders(hz, self.lat, self.s[-2:], self.ds[-2:])
-        self.sigma_z = self.s[-1]
+        s, ds = np.empty((2, 3), dtype=complex)
+        constants = elliptic._reduce(np.array([hbar, z, z + hbar]), self.lat)
+        elliptic._sigma_orders(constants, self.lat, s, ds)
+        self.s[-2], self.sigma_z, self.sigma_zh = s
+        self.ds[-2] = ds[0]
         self.s[-1], self.ds[-1] = 1.0, 0.0
+
+    def trace(self, q, P, spectrum=False):
+        """One stage of the flow of Tr L: the distances of the differences
+        from the lattice, and a function giving (diag L, d(Tr L)/dq, and L
+        if spectrum, else None); see _trace."""
+        args = self._args(q, None if spectrum else self.factors)
+        dist = elliptic._distance(args, self.lat, self.diffs)
+        return dist, lambda: self._trace(args, P, spectrum)
+
+    def _entries(self, P):
+        """L from the sigma values in s."""
+        A, B, S = self.s[self.layout]
+        E = 1.0 / (self.sigma_z * S.prod(axis=0))
+        return np.exp(P)[:, None] * (E[:, None] * A * _exclusive_products(B))
+
+    def _trace(self, args, P, spectrum):
+        """diag L, d(Tr L)/dq and, with spectrum, L at the arguments args
+        of positions q and exponents P.
+
+        L_kk = c_k N_kk with c_k = exp(P_k) sigma(z + hbar) E_k, so Tr L
+        reads sigma only at the 2n(n - 1) arguments of B and S.  The
+        exclusive products U down the columns of B with a unit diagonal give
+        U[k, k] = N_kk and U[l, k] = prod_{m not in {k, l}} B[m, k] for
+        l != k, without division, so a vanishing B stays exact.  The factors
+        of Tr L at q_l - q_k weigh M[l, k] = c_k sigma'(B[l, k]) U[l, k] -
+        L_kk zeta(S[l, k]), and d(Tr L)/dq = rowsum(M) - colsum(M) (see
+        _evaluate, with R = I).
+        """
+        k = args.x.size
+        elliptic._sigma_orders(args, self.lat, self.s[:k], self.ds[:k])
+        B, S = self.s[self.tlayout]
+        dB, dS = self.ds[self.tlayout]
+        U = _exclusive_products(B)
+        c = np.exp(P) * (self.sigma_zh / (self.sigma_z * S.prod(axis=0)))
+        d = c * U.diagonal()
+        M = c * dB * U - d * (dS / S)
+        return d, M.sum(axis=1) - M.sum(axis=0), self._entries(P) if spectrum else None
 
     def _evaluate(self, args, P, jacobian=False):
         """L at the arguments args of positions q and exponents P, and with
@@ -300,22 +346,19 @@ class _HasegawaPlan(_Plan):
         s, ds = self.s, self.ds
         k = args.x.size
         elliptic._sigma_orders(args, self.lat, s[:k], ds[:k] if jacobian else None)
+        if not jacobian:
+            return self._entries(P)
         A, B, S = s[self.layout]
         E = 1.0 / (self.sigma_z * S.prod(axis=0))
-        if jacobian:
-            # X[l, k, k'] = prod_{m not in {k, l}} B[m, k'] for l != k, and
-            # N[k, k'] at l = k, zeroed: B[k, k'] is not a factor of L_{kk'}.
-            X = _exclusive_products(s[self.xlayout])
-            n = X.shape[0]
-            diagonal = X.reshape(n * n, n)[:: n + 1]
-            N = diagonal.copy()
-            diagonal[...] = 0.0
-        else:
-            N = _exclusive_products(B)
+        # X[l, k, k'] = prod_{m not in {k, l}} B[m, k'] for l != k, and
+        # N[k, k'] at l = k, zeroed: B[k, k'] is not a factor of L_{kk'}.
+        X = _exclusive_products(s[self.xlayout])
+        n = X.shape[0]
+        diagonal = X.reshape(n * n, n)[:: n + 1]
+        N = diagonal.copy()
+        diagonal[...] = 0.0
         expP = np.exp(P)
         L = expP[:, None] * (E[:, None] * A * N)
-        if not jacobian:
-            return L
         dA, dB, dS = ds[self.layout]
         Z = dS / S  # zeta(q_l - q_k), 0 on the diagonal
         E = expP * E

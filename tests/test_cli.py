@@ -4,6 +4,7 @@ contract, and output schema validity.
 """
 
 import csv
+import io
 import json
 import os
 import warnings
@@ -183,7 +184,8 @@ class TestEvolve:
             assert cli.main(["evolve", "--config", cfg]) == 1
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         err = capsys.readouterr().err
-        assert "CollisionImminent: the Lax matrix is not finite" in err
+        # The stage-size guard stops the flow before a stage goes non-finite.
+        assert "StepTooLarge: step 1: dt = 0.002 moves a position by" in err
         out = tmp_path / "out"
         assert set(os.listdir(out)) == {"trajectory.csv", "summary.json", "report.json"}
         assert json.loads((out / "summary.json").read_text())["collision"] is True
@@ -457,6 +459,21 @@ def test_output_files(tmp_path, command):
                 for i, row in enumerate(data[name])
                 for j, v in enumerate(row)
             ]
+
+
+def test_csv_bytes_match_the_csv_module(tmp_path):
+    # write_csv joins the cells' str; csv.writer's minimal quoting, which it
+    # replaced, gives the same bytes for every cell rslax writes.
+    header = ["t", "re_q0", "im_p11", "spectral_drift", "row", "col", "parameter", "residual"]
+    values = [0.0, -0.0, 1.5, -2.25e-300, 1e300, 5e-324, 0.1 + 0.2, float("nan"), float("inf")]
+    rows = [[i, -i, *values[i % 3 :][:6]] for i in range(40)] + [[0, 7, *values[3:]]]
+    buf = io.StringIO()
+    w = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    cli.write_csv(str(tmp_path / "a.csv"), header, rows)
+    assert (tmp_path / "a.csv").read_bytes() == buf.getvalue().encode("utf-8")
 
 
 def test_parser_is_built_once_and_reused(tmp_path):

@@ -8,17 +8,25 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import rslax
 from rslax import dynamics, elliptic, lax
-from rslax.errors import CollisionImminent
+from rslax.errors import CollisionImminent, StepTooLarge
 
 LAT = elliptic.lattice_from_periods(1.0, 0.2 + 2.4j)
+LATTICES = {
+    "elliptic": LAT,
+    "trig": elliptic.trig_lattice(),
+    "rational": elliptic.rational_lattice(),
+}
 
 
 def mild_conf():
@@ -189,6 +197,107 @@ class TestVectorField:
         assert abs(br) < 1e-6
 
 
+class TestDiagonalField:
+    """The field of H = Tr L on the Hasegawa form, read from the diagonal of
+    L (lax._HasegawaPlan.trace), against the generic route: the Jacobian map
+    of the whole of L at R = I."""
+
+    @staticmethod
+    def routes(spec, conf, q, P):
+        """_field by the diagonal route, then by the generic one."""
+        plan = lax._hasegawa_jacobian(conf, spec.eval_z)
+        q, P = np.asarray(q, dtype=complex), np.asarray(P, dtype=complex)
+        return [dynamics._field(spec, plan, diagonal, q, P) for diagonal in (True, False)]
+
+    def assert_same(self, spec, conf, q, P):
+        (L, dq, dp, sep), (L0, dq0, dp0, sep0) = self.routes(spec, conf, q, P)
+        field, ref = np.concatenate([dq, dp]), np.concatenate([dq0, dp0])
+        assert np.all(np.isfinite(field))
+        assert np.max(np.abs(field - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(L - L0)) <= 1e-12 * np.max(np.abs(L0))
+        assert sep == sep0
+
+    @pytest.mark.parametrize("kind", ["elliptic", "trig", "rational"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+    def test_matches_generic_route(self, kind, n):
+        step = {"elliptic": 0.9 / n, "trig": 2.7 / n, "rational": 0.7}[kind]
+        k = np.arange(n)
+        q = 0.11 + step * k + 0.03j * np.sin(k + 1)
+        P = 0.1 * np.cos(k + 0.5) - 0.04j * np.sin(2 * k + 1)
+        conf = lax.rs_config(q, P, 0.08 + 0.03j, LATTICES[kind])
+        self.assert_same(SPEC1, conf, q, P)
+
+    # q_1 - q_0 = hbar makes the factor sigma(hbar + q_0 - q_1) of L_11
+    # vanish; z + hbar makes an entry of L off its diagonal vanish.
+    @pytest.mark.parametrize("kind", ["elliptic", "trig", "rational"])
+    @pytest.mark.parametrize("spacing", ["hbar", "z_plus_hbar"])
+    @pytest.mark.parametrize("lax_family", ["hasegawa", "composition"])
+    def test_matches_generic_route_where_a_factor_vanishes(self, kind, spacing, lax_family):
+        spec = dynamics.HamiltonianSpec("trace_power", 1, lax_family)
+        hbar = 0.1
+        q = [0.0, {"hbar": hbar, "z_plus_hbar": spec.eval_z + hbar}[spacing], 0.45 + 0.02j]
+        P = [0.1, -0.05, 0.07]
+        conf = lax.rs_config(q, P, hbar, LATTICES[kind])
+        self.assert_same(spec, conf, q, P)
+
+    @given(
+        kind=st.sampled_from(["elliptic", "trig"]),
+        n=st.integers(1, 4),
+        m=st.integers(-2, 2),
+        k=st.integers(-2, 2),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_field_is_invariant_under_a_period_shift(self, kind, n, m, k, seed):
+        # q_j -> q_j + w, P_j -> P_j + 2(n - 1) eta(w) hbar and P_l -> P_l -
+        # 2 eta(w) hbar (l != j), w = m omega1 + k omega2: by sigma's
+        # quasi-periodicity L changes by a diagonal conjugation, and the
+        # momentum shift is constant, so the field of Tr L is unchanged.
+        rng = np.random.default_rng(seed)
+        if kind == "elliptic":
+            tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.5, 4.0))
+            w1 = rng.uniform(0.8, 1.5) * np.exp(1j * rng.uniform(-0.3, 0.3))
+            lat = elliptic.lattice_from_periods(w1, w1 * tau)
+            q = (np.arange(n) + 0.3 * rng.uniform(size=n)) / n * w1 + rng.uniform(size=n) * w1 * tau
+        else:
+            lat = elliptic.trig_lattice()
+            q = (np.arange(n) + 0.3 * rng.uniform(size=n)) / n * np.pi + 0.1j * rng.uniform(size=n)
+        P = 0.2 * rng.normal(size=n) + 0.1j * rng.normal(size=n)
+        hbar = complex(rng.uniform(0.02, 0.2), rng.uniform(-0.05, 0.05))
+        conf = lax.rs_config(q, P, hbar, lat)
+        j = seed % n
+        w, eta = m * lat.omega1 + k * lat.omega2, m * lat.eta1 + k * lat.eta2
+        q2, P2 = q.copy(), P - 2 * eta * hbar
+        q2[j] += w
+        P2[j] = P[j] + 2 * (n - 1) * eta * hbar
+        field = np.concatenate(
+            dynamics.hamiltonian_vector_field(SPEC1, dynamics.PhasePoint(q, P), conf)
+        )
+        shifted = np.concatenate(
+            dynamics.hamiltonian_vector_field(SPEC1, dynamics.PhasePoint(q2, P2), conf)
+        )
+        assert np.max(np.abs(shifted - field)) <= 1e-11 * np.max(np.abs(field))
+
+    def test_flow_allocates_no_cube(self):
+        # The generic route's products X[l, k, k'] alone are an n x n x n
+        # array; the whole flow's peak stays below one.
+        n = 48
+        k = np.arange(n)
+        q = 0.11 + 3.1 / n * k + 0.01j * np.sin(k)
+        P = 0.05 * np.cos(k)
+        conf = lax.rs_config(q, P, 0.08 + 0.03j, elliptic.trig_lattice())
+        start = dynamics.PhasePoint(q, P)
+        # Fill the layout caches first.
+        dynamics.integrate(SPEC1, start, conf, 2e-4, 1e-4)
+        tracemalloc.start()
+        try:
+            dynamics.integrate(SPEC1, start, conf, 3e-4, 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n**3
+
+
 class TestIntegrate:
     def test_spectral_and_energy_drift_small(self):
         conf = mild_conf()
@@ -274,13 +383,20 @@ class TestFlowLoop:
 
         def counting(conf, z):
             made.append(z)
-            at = original(conf, z)
+            plan = original(conf, z)
 
-            def counted(q, P):
-                evaluations.append(q)
-                return at(q, P)
+            class Counted:
+                # A stage is a call of the plan, or of its trace for H = Tr L
+                # on the Hasegawa form.
+                def __call__(self, q, P):
+                    evaluations.append(q)
+                    return plan(q, P)
 
-            return counted
+                def trace(self, q, P, spectrum):
+                    evaluations.append(q)
+                    return plan.trace(q, P, spectrum)
+
+            return Counted()
 
         def forbidden(*args, **kwargs):
             raise AssertionError("integrate called a Lax builder")
@@ -297,17 +413,21 @@ class TestFlowLoop:
         assert len(evaluations) == 4 * 10 + at_start
 
     @pytest.mark.parametrize(
-        "family,mu,flow_constants,per_stage",
+        "family,mu,flow_constants,at_start,per_step",
         [
-            # sigma and sigma' at [hbar, z]; then one series over the
-            # n^2 + 2n(n - 1) arguments of a stage.
-            ("trace_power", None, [2], [21]),
+            # sigma and sigma' at [hbar, z, z + hbar]; then one series per
+            # stage: over the n^2 + 2n(n - 1) arguments of L at an accepted
+            # point, for its spectrum, and over the 2n(n - 1) arguments of
+            # the factors of diag L at the three interior stages.
+            ("trace_power", None, [3], [21], [12, 12, 12, 21]),
             # sigma at [lam, mu] and wp(mu); then wp at the n(n - 1)
             # differences and sigma over the 2n^2 + 2n(n - 1) arguments.
-            ("rs_cosh", 0.09 + 0.02j, [2, 1], [6, 30]),
+            ("rs_cosh", 0.09 + 0.02j, [2, 1], [6, 30], [6, 30] * 4),
         ],
     )
-    def test_theta_series_calls_per_stage(self, monkeypatch, family, mu, flow_constants, per_stage):
+    def test_theta_series_calls_per_stage(
+        self, monkeypatch, family, mu, flow_constants, at_start, per_step
+    ):
         sizes = []
         series = elliptic._theta1_sums
 
@@ -322,8 +442,7 @@ class TestFlowLoop:
         spec = dynamics.HamiltonianSpec(family, 1)
         start = dynamics.PhasePoint(conf.q, conf.P)
         dynamics.integrate(spec, start, conf, 0.02, 2e-3)
-        stages = 4 * 10 + 1
-        assert sizes == flow_constants + per_stage * stages
+        assert sizes == flow_constants + at_start + per_step * 10
 
     @pytest.mark.parametrize(
         "family,lax_family,mu,flow_constants",
@@ -432,6 +551,30 @@ class TestFlowLoop:
         conf = lax.rs_config(q, P, 0.02, lat)
         with pytest.raises(CollisionImminent, match=message) as exc:
             dynamics.integrate(SPEC1, dynamics.PhasePoint(q, P), conf, 0.5, 1e-3)
+        assert exc.value.trajectory.times == [0.0]
+
+    @pytest.mark.parametrize(
+        "q,P,move",
+        [((0.1, 0.103), (0.1, -0.1), "3.392e-01"), ((0.0, 0.003), (0.05, 0.0), "1.456e-01")],
+    )
+    def test_step_too_large_for_the_separation(self, q, P, move):
+        # Without the guard, the first flow ends on a non-finite Lax matrix
+        # and the second completes with a spectral drift of 0.48.
+        conf = lax.rs_config(q, P, 0.08 + 0.03j, LAT)
+        spec = dynamics.HamiltonianSpec("hitchin", 1)
+        message = (
+            f"step 1: dt = 0.001 moves a position by {move}, more than half "
+            "the smallest separation 3.000e-03 of its stage"
+        )
+        with pytest.raises(StepTooLarge, match=message) as exc:
+            dynamics.integrate(spec, dynamics.PhasePoint(q, P), conf, 0.1, 1e-3)
+        assert exc.value.trajectory.times == [0.0]
+
+    def test_non_finite_lax_matrix_ends_as_collision(self):
+        q, P = [0.1, 0.45], [800.0, -0.07]
+        conf = lax.rs_config(q, P, 0.08 + 0.03j, LAT)
+        with pytest.raises(CollisionImminent, match="the Lax matrix is not finite") as exc:
+            dynamics.integrate(SPEC1, dynamics.PhasePoint(q, P), conf, 0.1, 1e-3)
         assert exc.value.trajectory.times == [0.0]
 
     def test_non_finite_stage_ends_as_collision(self):

@@ -219,6 +219,27 @@ class TestSigma:
         assert elliptic.sigma(0.7, elliptic.trig_lattice()) == pytest.approx(np.sin(0.7))
         assert elliptic.sigma(0.7, elliptic.rational_lattice()) == 0.7
 
+    def test_trig_sigma_and_derivative_match_cmath(self):
+        # The trigonometric pass builds sin and cos from the real and
+        # imaginary parts; |Im x| reaches 700, near where cosh overflows.
+        rng = np.random.default_rng(11)
+        x = rng.uniform(-10, 10, 400) + 1j * np.concatenate(
+            [rng.uniform(-700, 700, 200), rng.uniform(-3, 3, 199), [0.0]]
+        )
+        lat = elliptic.trig_lattice()
+        s, ds = np.empty((2, x.size), dtype=complex)
+        elliptic._sigma_orders(elliptic._reduce(x, lat), lat, s, ds)
+        for ours, func in ((s, cmath.sin), (ds, cmath.cos)):
+            ref = np.array([func(v) for v in x])
+            assert np.max(np.abs(ours - ref) / np.abs(ref)) <= 1e-15
+        assert np.array_equal(elliptic.sigma(x[:5], lat), s[:5])
+
+    def test_trig_sigma_overflow_raises(self):
+        lat = elliptic.trig_lattice()
+        for z in (0.5 + 711j, 712j, -0.3 - 720j):
+            with pytest.raises(ValueOverflow):
+                elliptic.sigma(z, lat)
+
     def test_requires_upper_half_plane_ratio(self):
         with pytest.raises(Exception):
             elliptic.lattice_from_periods(1.0, -2.0j)
