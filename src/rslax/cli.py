@@ -20,6 +20,7 @@ import argparse
 import cmath
 import functools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -40,6 +41,8 @@ from .cauchy import CauchyMatrixSpec, build_elliptic_cauchy, frobenius_determina
 from .errors import CollisionImminent, ConfigInvalid, RslaxError
 
 SCHEMA_VERSION = 1
+
+_encode_str = json.encoder.encode_basestring_ascii
 
 
 @dataclass(frozen=True)
@@ -137,23 +140,54 @@ def _sweep_values(p, key, positive=False):
     return out
 
 
-def _jsonify(obj):
+def _json_float(x):
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+def _json_text(obj, indent=""):
+    """obj as JSON text with sorted keys and a 2-space indent, the text of
+    json.dumps(..., sort_keys=True, indent=2, allow_nan=False) after
+    complex numbers become {"re", "im"}, ndarrays lists and numpy scalars
+    Python numbers.  Keys must be str.  ValueError for a non-finite float,
+    TypeError for a value JSON cannot hold."""
+    if isinstance(obj, np.ndarray) and obj.ndim:
+        obj = obj.tolist()
+    elif isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if isinstance(obj, float):
+        return _json_float(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(x) for x in obj.tolist()]
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
+        im, re = _json_float(obj.imag), _json_float(obj.real)
+        return f'{{\n{inner}"im": {im},\n{inner}"re": {re}\n{indent}}}'
     if isinstance(obj, (list, tuple)):
-        return [_jsonify(x) for x in obj]
-    return obj
+        if not obj:
+            return "[]"
+        items = [_json_text(x, inner) for x in obj]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{_encode_str(k)}: {_json_text(obj[k], inner)}" for k in sorted(obj)]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _write_atomic(path, data: bytes):
-    """Write data to path through a temporary file in its directory, made
-    by the first write of a run."""
+    """Write data to path through a 0600 temporary file in its directory,
+    made by the first write of a run, then rename it over path."""
     d = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-rslax-")
@@ -161,8 +195,12 @@ def _write_atomic(path, data: bytes):
         os.makedirs(d, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-rslax-")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        try:
+            view = memoryview(data)
+            while view:  # os.write may write less than it is given
+                view = view[os.write(fd, view) :]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -171,8 +209,7 @@ def _write_atomic(path, data: bytes):
 
 
 def write_json(path, obj):
-    text = json.dumps(_jsonify(obj), sort_keys=True, indent=2, allow_nan=False)
-    _write_atomic(path, (text + "\n").encode("utf-8"))
+    _write_atomic(path, (_json_text(obj) + "\n").encode("utf-8"))
 
 
 def write_csv(path, header, rows):
@@ -185,19 +222,26 @@ def write_csv(path, header, rows):
 
 
 def _write_matrix_csv(path, M):
+    cols = M.shape[1]
+    cells = enumerate(M.ravel().tolist())
     write_csv(
         path,
         ["row", "col", "re", "im"],
-        [(i, j, float(v.real), float(v.imag)) for (i, j), v in np.ndenumerate(M)],
+        [(*divmod(k, cols), float(v.real), float(v.imag)) for k, v in cells],
     )
 
 
 def load_config(path, command, seed_override=None, out_override=None, tol_scale=1.0):
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        if "\r" in text:  # the newline translation of a text-mode read
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        raw = json.loads(text)
     except OSError as exc:
         raise ConfigInvalid(str(exc), field="config")
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalid(f"not valid UTF-8: {exc}", field="config")
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"not valid JSON: {exc}", field="config")
     if not isinstance(raw, dict):

@@ -163,8 +163,13 @@ def _theta_window(tau, a, kmin, kmax):
 
 
 def theta_char(ch: ThetaCharacteristic, z, tau) -> complex:
-    """Theta function with characteristics theta[a;b](z|tau)."""
-    return _theta_series(ch.a, ch.b, z, tau)
+    """Theta function with characteristics theta[a;b](z|tau);
+    ValueOverflow where its series does not sum to a finite double."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _theta_series(ch.a, ch.b, z, tau)
+    if not np.isfinite(out).all():
+        raise ValueOverflow("theta is too large for a double")
+    return out
 
 
 _UNIT_CACHE: dict[complex, tuple[complex, complex]] = {}

@@ -135,7 +135,8 @@ def _separation(q, lat):
     n = len(q)
     if n < 2:
         return
-    d = _diff_matrix(q)[np.triu_indices(n, k=1)]
+    # Each pair in both orders: the distance of -d is that of d.
+    d = _diff_matrix(q).reshape(-1)[_pairs(n)[2]]
     if np.min(elliptic.lattice_distance(d, lat)) < DISTINCT_TOL:
         raise DegenerateConfiguration(
             "positions are not pairwise distinct modulo the lattice"

@@ -3,8 +3,9 @@ functions and determinant identities.  Every oracle here computes the target
 quantity by a route disjoint from the library implementation: truncated
 lattice products, mpmath theta series, brute-force LU determinants, and
 finite-difference Hamiltonian vector fields and coupling derivatives.  The
-exceptions are theta_series_reference and sigma_argument_moments_reference,
-frozen copies of library code that its rewrites must reproduce.
+exceptions are theta_series_reference, sigma_argument_moments_reference and
+jsonify_reference, frozen copies of library code that its rewrites must
+reproduce.
 """
 
 from __future__ import annotations
@@ -250,3 +251,23 @@ def sigma_argument_moments_reference(q, hbar, z):
             delta1[k, kp] = sum(num) - sum(den)
             delta2[k, kp] = sum(w * w for w in num) - sum(w * w for w in den)
     return delta1, delta2
+
+
+def jsonify_reference(obj):
+    """rslax.cli's payload conversion from before its JSON writer became one
+    serializer: complex numbers as {"re", "im"}, numpy scalars through
+    .item(), ndarrays through .tolist(), tuples as lists.  Kept as the
+    reference of that writer, whose bytes must equal
+    json.dumps(jsonify_reference(obj), sort_keys=True, indent=2,
+    allow_nan=False) + "\n" in UTF-8."""
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return [jsonify_reference(x) for x in obj.tolist()]
+    if isinstance(obj, dict):
+        return {k: jsonify_reference(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonify_reference(x) for x in obj]
+    return obj

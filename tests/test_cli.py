@@ -6,11 +6,16 @@ contract, and output schema validity.
 import csv
 import io
 import json
+import math
 import os
+import stat
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from rslax import cli
@@ -60,6 +65,45 @@ class TestConfigValidation:
 
     def test_missing_file(self, tmp_path):
         assert cli.main(["verify", "--config", str(tmp_path / "nope.json")]) == 2
+
+    def test_non_utf8_config_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        text = json.dumps(
+            {"schema_version": 1, "command": "lax", "output_dir": str(out), "params": {"q": "@@"}}
+        )
+        path = tmp_path / "bad.json"
+        path.write_bytes(text.encode("utf-8").replace(b"@@", b"\xff\xfe"))
+        assert cli.main(["lax", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b'\xef\xbb\xbf{"schema_version": 1}',
+            b'{\r\n  "schema_version": 1,\r\n  "seed": ,\r\n}',
+            b'{\r  "schema_version": 1,\r  "seed": x\r}',
+            b'{\r\n "schema_version": 1, "params": {"a": "x\r\ny"}}',
+        ],
+    )
+    def test_invalid_json_reads_as_in_text_mode(self, tmp_path, raw):
+        # The byte read must keep the BOM and newline handling of a
+        # text-mode read, so the error names the same line, column and char.
+        path = tmp_path / "c.json"
+        path.write_bytes(raw)
+        with open(path, encoding="utf-8") as fh, pytest.raises(json.JSONDecodeError) as text_mode:
+            json.load(fh)
+        with pytest.raises(cli.ConfigInvalid) as exc:
+            cli.load_config(str(path), "verify")
+        assert str(exc.value) == f"config: not valid JSON: {text_mode.value}"
+
+    def test_crlf_and_cr_newlines_are_read(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{\r\n"schema_version": 1,\r"seed": 3,\n"params": {"a": [1,\r\n2]}}\r')
+        cfg = cli.load_config(str(path), "verify")
+        assert (cfg.seed, cfg.params) == (3, {"a": [1, 2]})
 
     def test_nonpositive_dt(self, tmp_path):
         params = dict(EVOLVE_PARAMS, dt=-1.0)
@@ -447,6 +491,7 @@ def test_output_files(tmp_path, command):
     )
     assert cli.main([command, "--config", cfg]) == 0
     assert set(os.listdir(out)) == files
+    assert {stat.S_IMODE((out / name).stat().st_mode) for name in files} == {0o600}
     assert json.loads((out / "report.json").read_text())["command"] == command
     if command == "reduce":
         data = json.loads((out / "reduce.json").read_text())
@@ -474,6 +519,157 @@ def test_csv_bytes_match_the_csv_module(tmp_path):
         w.writerow([repr(v) if isinstance(v, float) else v for v in row])
     cli.write_csv(str(tmp_path / "a.csv"), header, rows)
     assert (tmp_path / "a.csv").read_bytes() == buf.getvalue().encode("utf-8")
+
+    # _write_matrix_csv: the rows np.ndenumerate gave, for float and
+    # complex matrices.
+    re = np.array([[0.0, -0.0, 5e-324], [1e308, 0.1 + 0.2, -2.5]])
+    for M in (re, re + 1j * re[::-1], re.T.astype(complex), np.zeros((0, 0))):
+        buf = io.StringIO()
+        w = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
+        w.writerow(["row", "col", "re", "im"])
+        for (i, j), v in np.ndenumerate(M):
+            w.writerow([i, j, repr(float(v.real)), repr(float(v.imag))])
+        cli._write_matrix_csv(str(tmp_path / "m.csv"), M)
+        assert (tmp_path / "m.csv").read_bytes() == buf.getvalue().encode("utf-8")
+
+
+def _reference_json(obj):
+    text = json.dumps(oracles.jsonify_reference(obj), sort_keys=True, indent=2, allow_nan=False)
+    return (text + "\n").encode("utf-8")
+
+
+_KEYS = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", "a\"b", "\x00\x1f\x7f", "é", "☃", "\u2028", "𝔷"]),
+)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_FLOATS = st.one_of(_FINITE, st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1 + 0.2]))
+_COMPLEX = st.complex_numbers(allow_nan=False, allow_infinity=False)
+_SHAPES = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)
+_SCALARS = st.one_of(
+    _FLOATS,
+    st.integers(min_value=-(2**100), max_value=2**100),
+    st.booleans(),
+    st.none(),
+    _KEYS,
+    _COMPLEX,
+    _FLOATS.map(np.float64),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(-(2**31), 2**31 - 1).map(np.int32),
+    _COMPLEX.map(np.complex128),
+    hnp.arrays(np.float64, _SHAPES, elements=_FINITE),
+    hnp.arrays(np.int64, _SHAPES),
+    hnp.arrays(np.complex128, _SHAPES, elements=_COMPLEX),
+)
+
+
+def _nested(leaves):
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(_KEYS, inner, max_size=4),
+        ),
+        max_leaves=20,
+    )
+
+
+_PAYLOADS = _nested(_SCALARS)
+
+
+def _holding(bad):
+    """Payloads with the value bad at some depth among valid siblings."""
+    return st.recursive(
+        st.just(bad),
+        lambda inner: st.one_of(
+            st.tuples(_PAYLOADS, inner).map(list),
+            st.tuples(_KEYS, inner, st.dictionaries(_KEYS, _PAYLOADS, max_size=2)).map(
+                lambda t: {**t[2], t[0]: t[1]}
+            ),
+        ),
+        max_leaves=4,
+    )
+
+
+_NON_FINITE = st.sampled_from(
+    [
+        math.nan,
+        math.inf,
+        -math.inf,
+        complex(math.nan, 0.0),
+        complex(0.0, -math.inf),
+        np.float64(math.inf),
+        np.float32(math.nan),
+        np.array([[1.0, math.nan]]),
+        np.array([1j, math.inf]),
+    ]
+)
+
+
+class TestWriteJson:
+    @given(obj=_PAYLOADS)
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_the_json_module(self, tmp_path_factory, obj):
+        path = tmp_path_factory.getbasetemp() / "payload.json"
+        cli.write_json(str(path), obj)
+        assert path.read_bytes() == _reference_json(obj)
+
+    @given(obj=_NON_FINITE.flatmap(_holding))
+    @settings(max_examples=50, deadline=None)
+    def test_non_finite_float_is_a_value_error(self, tmp_path_factory, obj):
+        with pytest.raises(ValueError):
+            _reference_json(obj)
+        with pytest.raises(ValueError):
+            cli.write_json(str(tmp_path_factory.getbasetemp() / "nan.json"), obj)
+
+    @given(obj=st.sampled_from([{1, 2}, set(), object(), np.bool_(True), np.array(2.0)]).flatmap(_holding))
+    @settings(max_examples=50, deadline=None)
+    def test_unsupported_type_is_a_type_error(self, tmp_path_factory, obj):
+        with pytest.raises(TypeError):
+            _reference_json(obj)
+        with pytest.raises(TypeError):
+            cli.write_json(str(tmp_path_factory.getbasetemp() / "type.json"), obj)
+
+    def test_multi_megabyte_payload_round_trips(self, tmp_path):
+        obj = {"entries": np.random.default_rng(3).normal(size=(100, 1000)) * (1 + 1j)}
+        cli.write_json(str(tmp_path / "big.json"), obj)
+        data = (tmp_path / "big.json").read_bytes()
+        assert len(data) > 5 * 2**20
+        assert data == _reference_json(obj)
+
+
+class TestWriteAtomic:
+    def test_partial_writes_are_resumed(self, tmp_path, monkeypatch):
+        data = np.random.default_rng(5).bytes(5 * 2**20 + 17)
+        real_write, sizes = os.write, []
+
+        def short_write(fd, buf):
+            sizes.append(real_write(fd, buf[: 2**20 - 3]))
+            return sizes[-1]
+
+        monkeypatch.setattr(os, "write", short_write)
+        cli._write_atomic(str(tmp_path / "big.bin"), data)
+        assert (tmp_path / "big.bin").read_bytes() == data
+        assert len(sizes) == 6
+        assert stat.S_IMODE((tmp_path / "big.bin").stat().st_mode) == 0o600
+
+    def test_failed_replace_keeps_the_target_and_leaves_no_temporary(self, tmp_path, monkeypatch):
+        target = tmp_path / "report.json"
+        cli.write_json(str(target), {"a": 1})
+        before = target.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            cli.write_json(str(target), {"a": 2})
+        with pytest.raises(OSError, match="replace refused"):
+            cli.write_csv(str(tmp_path / "new.csv"), ["x"], [[1]])
+        assert target.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["report.json"]
 
 
 def test_parser_is_built_once_and_reused(tmp_path):

@@ -5,6 +5,7 @@ Oracle values come from mpmath theta series and truncated lattice products.
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,18 @@ class TestThetaSeries:
     def test_nonconvergent_for_real_tau(self):
         with pytest.raises((NonConvergent, ValueError)):
             elliptic.theta_char(elliptic.ThetaCharacteristic(0.5, 0.5), 0.3, 1e-9j)
+
+    def test_overflow_is_a_typed_error_without_warnings(self):
+        # |theta| ~ exp(pi Im(z)^2 / Im(tau)) = exp(4712) here; the series
+        # terms overflow and used to sum to nan+nanj with RuntimeWarnings.
+        ch = elliptic.ThetaCharacteristic(0.5, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueOverflow):
+                elliptic.theta_char(ch, 0.1 + 60j, 0.2 + 2.4j)
+            with pytest.raises(ValueOverflow):
+                elliptic.theta_char(ch, np.array([0.1, 0.1 + 60j]), 0.2 + 2.4j)
+            assert np.isfinite(elliptic.theta_char(ch, 0.1 + 6j, 0.2 + 2.4j))
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3, (0, 1), (1, 3), (0, 1, 2), (0, 1, 2, 3)])
     @pytest.mark.parametrize("tau", [0.3 + 2.1j, -0.4 + 0.35j])
@@ -406,8 +419,12 @@ class TestReducedKernel:
             with pytest.raises(ValueOverflow):
                 elliptic.sigma(z, lat)
         elif abs(s) >= np.finfo(float).tiny:
-            s = complex(s)
-            assert _within(elliptic.sigma(z, lat), s, s * ze, z)
+            # Both sides scaled by the power of 2 nearest 1/|s|, exactly,
+            # so that s * zeta near the largest double cannot overflow
+            # into a NaN tolerance.
+            k = math.ldexp(1.0, -math.frexp(abs(s))[1])
+            s = complex(s) * k
+            assert _within(elliptic.sigma(z, lat) * k, s, s * ze, z)
 
     def test_far_point_and_overflow(self):
         # 30i from the origin sigma is about 1e-132, where the unreduced
