@@ -26,6 +26,12 @@ _LAX_FAMILIES = ("hasegawa", "composition", "ruijsenaars")
 _TRACE_FAMILIES = {"trace_power": lambda i: (i, i - 1), "hitchin": lambda i: (1, i)}
 _FAMILIES = (*_TRACE_FAMILIES, "rs_cosh")
 _COORDINATES = ("p", "theta")
+# A flow takes the spectra of its accepted points in blocks of as many
+# points as one Lax build of this many sigma arguments holds, and at least
+# one.
+_BLOCK_ARGS = 8192
+# exp(P) overflows a double above this real part.
+_LOG_MAX = float(np.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -94,7 +100,8 @@ def _lax_form(spec: HamiltonianSpec):
     function giving the entries and (R, h) -> (sum_{kk'} R_{kk'}
     dL_{kk'}/dq_j)_j, where h = (R * L).sum(axis=1)).  diagonal: H is
     scale * Tr L of the Hasegawa form, whose field the plan's trace method
-    evaluates from the diagonal of L alone.
+    evaluates from the diagonal of L alone; its matrix method builds L at a
+    batch of points, for a flow's spectra.
     """
     if spec.family == "rs_cosh" or (
         spec.family != "hitchin" and spec.lax_family == "ruijsenaars"
@@ -122,12 +129,24 @@ def hamiltonian(spec: HamiltonianSpec, conf: lax.RSConfig) -> complex:
     return scale * complex(np.trace(np.linalg.matrix_power(L, k + 1))) / (k + 1)
 
 
-def _field(spec: HamiltonianSpec, plan, diagonal, q, p, spectrum=True):
+def _not_finite(p, step=None):
+    """The message of a Lax matrix that is not finite at the exponents p (at
+    a flow's step), naming the first exp(p_k) that overflows a double."""
+    where = "" if step is None else f" at step {step}"
+    big = np.flatnonzero(np.real(p) > _LOG_MAX)
+    if big.size:
+        k = big[0]
+        where += f": exp(P_{k}) overflows (Re P_{k} = {p[k].real:g})"
+    return "the Lax matrix is not finite" + where
+
+
+def _field(spec: HamiltonianSpec, plan, diagonal, q, p, step=None):
     """(L, dq/dt, dp/dt, the smallest distance of two positions modulo the
     lattice) at positions q and exponents p (complex arrays), for the plan
     and diagonal of _lax_form(spec); CollisionImminent if q or p is not
     finite, two positions are closer than COLLISION_MARGIN modulo the
-    lattice, or L is not finite.
+    lattice, or the entries the field reads are not finite (named with the
+    flow's step, if given).
 
     Each family has dH = Tr(G dL) with G = scale * L^power for the trace
     families (spec.scale_power) and G = I - L^{-2} for rs_cosh.  With
@@ -136,12 +155,11 @@ def _field(spec: HamiltonianSpec, plan, diagonal, q, p, spectrum=True):
     to R.  That costs one Lax build plus sigma' values at the same
     arguments.  Where G = scale * I on the Hasegawa form (diagonal), dH =
     scale * Tr(dL) reads only the diagonal of L: plan.trace evaluates it
-    from sigma at the 2n(n - 1) arguments of its factors, and L itself only
-    with spectrum (L is None otherwise).
+    from sigma at the 2n(n - 1) arguments of its factors, and L is None.
     """
     if not (np.isfinite(q).all() and np.isfinite(p).all()):
         raise CollisionImminent("positions or momenta are not finite")
-    dist, evaluate = plan.trace(q, p, spectrum) if diagonal else plan(q, p)
+    dist, evaluate = plan.trace(q, p) if diagonal else plan(q, p)
     separation = np.inf
     if dist.size:
         k = int(dist.argmin())
@@ -156,14 +174,14 @@ def _field(spec: HamiltonianSpec, plan, diagonal, q, p, spectrum=True):
                 f"lattice, below the collision margin {COLLISION_MARGIN:.1e}"
             )
     if diagonal:
-        d, grad, L = evaluate()
-        if not (np.isfinite(d).all() and (L is None or np.isfinite(L).all())):
-            raise CollisionImminent("the Lax matrix is not finite")
+        d, grad = evaluate()
+        if not np.isfinite(d).all():
+            raise CollisionImminent(_not_finite(p, step))
         scale = spec.scale_power[0]
-        return L, scale * d, -scale * grad, separation
+        return None, scale * d, -scale * grad, separation
     L, grad_q = evaluate()
     if not np.isfinite(L).all():
-        raise CollisionImminent("the Lax matrix is not finite")
+        raise CollisionImminent(_not_finite(p, step))
     if spec.scale_power is None:  # rs_cosh
         Linv = _inverse(L)
         G = np.eye(L.shape[0]) - Linv @ Linv
@@ -175,44 +193,46 @@ def _field(spec: HamiltonianSpec, plan, diagonal, q, p, spectrum=True):
     return L, dP, -grad_q(R, dP), separation
 
 
-def _flow_field(spec: HamiltonianSpec, conf: lax.RSConfig):
-    """_field of spec with conf's coupling, mu and lattice, as a function of
-    (q, p, spectrum); the plan is made, and its points checked, here."""
-    _, plan, diagonal = _lax_form(spec)
-    plan = plan(conf, spec.eval_z)
-    return lambda q, p, spectrum=True: _field(spec, plan, diagonal, q, p, spectrum)
-
-
 def hamiltonian_vector_field(
     spec: HamiltonianSpec, point: PhasePoint, conf: lax.RSConfig
 ):
     """Hamilton's equations dq_i/dt = dH/dp_i, dp_i/dt = -dH/dq_i at point,
     with conf's coupling, mu and lattice (see _field)."""
+    _, plan, diagonal = _lax_form(spec)
     q = np.asarray(point.q, dtype=complex)
-    return _flow_field(spec, conf)(q, np.asarray(point.p, dtype=complex), False)[1:3]
+    p = np.asarray(point.p, dtype=complex)
+    plan = plan(conf, spec.eval_z)
+    # A non-finite value ends in CollisionImminent, so numpy need not warn.
+    with np.errstate(all="ignore"):
+        return _field(spec, plan, diagonal, q, p)[1:3]
 
 
 def _match_drift(ev0, ev):
-    """Largest |ev0_i - ev_j| over the pairing of the two spectra with the
-    least summed deviation."""
+    """Largest |ev0_i - ev_j| over the pairing of the spectrum ev0 with ev
+    that has the least summed deviation, for ev of shape (n,) or for each
+    row of ev (..., n)."""
     ev0 = np.asarray(ev0, dtype=complex)
-    d = ev0[:, None] - np.asarray(ev)[None, :]
+    ev = np.asarray(ev)
+    d = ev0[:, None] - ev.reshape(-1, 1, ev0.size)
     # hypot rounds as abs() of one complex number does; np.abs of a complex
     # array can differ in the last bit.
     cost = np.hypot(d.real, d.imag)
-    nearest = cost.min(axis=1)
+    drift = cost.min(axis=2).max(axis=1)
     gaps = np.abs(ev0[:, None] - ev0)
     np.fill_diagonal(gaps, np.inf)
     # Within half the smallest gap of ev0, no two ev0_i share a nearest ev_j,
     # and any other pairing moves some ev0_i further than that: the
     # nearest-neighbour pairing is then the unique optimal one.
-    if nearest.max() < gaps.min() / 2:
-        return float(nearest.max())
-    # Importing scipy.optimize takes most of a second; only this case pays it.
-    from scipy.optimize import linear_sum_assignment
+    slow = np.flatnonzero(~(drift < gaps.min() / 2))
+    if slow.size:
+        # Importing scipy.optimize takes most of a second; only this case
+        # pays it.
+        from scipy.optimize import linear_sum_assignment
 
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+        for i in slow:
+            rows, cols = linear_sum_assignment(cost[i])
+            drift[i] = cost[i][rows, cols].max()
+    return drift.reshape(ev.shape[:-1])
 
 
 def integrate(
@@ -230,19 +250,28 @@ def integrate(
     log theta on a branch continuous along the trajectory.  Both yield the
     same trajectory up to integrator roundoff.
 
-    The field at each accepted point gives both its spectrum and the next
-    step's first stage: four Lax evaluations per step.  A stage that fails
-    _field's checks raises CollisionImminent with the partial trajectory;
-    one that moves a position by more than half the stage's smallest
-    separation, dt |dq/dt| > separation / 2, raises its subclass
-    StepTooLarge.
+    A step evaluates the field four times: its first stage is the field at
+    the accepted point before it.  A stage that fails _field's checks raises
+    CollisionImminent with the partial trajectory; one that moves a position
+    by more than half the stage's smallest separation, dt |dq/dt| >
+    separation / 2, raises its subclass StepTooLarge.
+
+    The spectra of the accepted points are taken apart from the stages, a
+    block of up to _BLOCK_ARGS sigma arguments at a time: one stack of L
+    (built by the plan where the field reads only diag L, else the stages'
+    own), one eigvals call and one pairing of the stack with the start's
+    spectrum.  The first accepted point whose L is not finite ends the flow
+    as CollisionImminent, before any later error of the stages, with the
+    trajectory before that point ([start] if it is the start).
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
     if coordinates not in _COORDINATES:
         raise ValueError("coordinates must be 'p' or 'theta'")
-    field = _flow_field(spec, conf)
+    _, plan, diagonal = _lax_form(spec)
+    plan = plan(conf, spec.eval_z)
     theta = coordinates == "theta"
+    block = max(1, _BLOCK_ARGS // plan.c.size)
 
     def momenta(y):
         if not theta:
@@ -251,49 +280,78 @@ def integrate(
         # Keep the momentum branch continuous with the current p.
         return pv + 2j * np.pi * np.round((p - pv).imag / (2 * np.pi))
 
-    def stage(qs, ys, spectrum=False):
+    def stage(qs, ys):
         """(L, (dq/dt, dy/dt), the smallest separation) at the stage (qs,
-        ys), y = p or theta; L may be None without spectrum."""
-        L, dq, dp, separation = field(qs, momenta(ys), spectrum)
+        ys) of the step, y = p or theta; L is None on the diagonal route."""
+        L, dq, dp, separation = _field(spec, plan, diagonal, qs, momenta(ys), step)
         return L, (dq, ys * dp if theta else dp), separation
 
     def checked(k, separation):
-        """k, the rates of a stage of the next step with that separation."""
+        """k, the rates of a stage of the step with that separation."""
         move = dt * float(np.abs(k[0]).max())
         if not move <= separation / 2:
             raise StepTooLarge(
-                f"step {len(traj.times)}: dt = {dt:g} moves a position by "
-                f"{move:.3e}, more than half the smallest separation "
-                f"{separation:.3e} of its stage"
+                f"step {step}: dt = {dt:g} moves a position by {move:.3e}, "
+                f"more than half the smallest separation {separation:.3e} of "
+                "its stage"
             )
         return k
 
-    traj = Trajectory([0.0], [start], [0.0])
+    traj, pending, ev0 = Trajectory(), [], None
+
+    def spectra():
+        """Move the pending points, with their spectral drift from the
+        start, into traj; CollisionImminent at the first whose L is not
+        finite."""
+        nonlocal ev0
+        qs, ps, Ls = zip(*pending)
+        pending.clear()
+        if diagonal:
+            L = np.moveaxis(plan.matrix(np.array(qs).T, np.array(ps).T, derivative=True), -1, 0)
+        else:
+            L = np.array(Ls)
+        finite = np.isfinite(L).all(axis=(1, 2))
+        good = len(qs) if finite.all() else int(finite.argmin())
+        first = len(traj.times)
+        if good:
+            ev = np.linalg.eigvals(L[:good])
+            if not first:
+                ev0 = ev[0]
+            traj.times.extend((first + i) * dt for i in range(good))
+            traj.points.extend(PhasePoint(tuple(q), tuple(p)) for q, p in zip(qs, ps[:good]))
+            traj.spectral_drift.extend(_match_drift(ev0, ev).tolist())
+        if good < len(qs):
+            raise CollisionImminent(_not_finite(ps[good], first + good))
+
     q = np.asarray(start.q, dtype=complex)
     p = np.asarray(start.p, dtype=complex)
     y = np.exp(p) if theta else p
     try:
         # A non-finite value ends the flow as CollisionImminent at the next
-        # _field check, so numpy need not warn about it.
+        # _field check or in spectra(), so numpy need not warn about it.
         with np.errstate(all="ignore"):
-            L, k1, separation = stage(q, y, spectrum=not theta)
-            if theta:
-                # The spectrum at start.p itself, which log(exp(p)) can miss.
-                L = field(q, p)[0]
-            ev0 = np.linalg.eigvals(L)
-            for step in range(1, int(round(t_end / dt)) + 1):
-                checked(k1, separation)
-                k2 = checked(*stage(q + dt / 2 * k1[0], y + dt / 2 * k1[1])[1:])
-                k3 = checked(*stage(q + dt / 2 * k2[0], y + dt / 2 * k2[1])[1:])
-                k4 = checked(*stage(q + dt * k3[0], y + dt * k3[1])[1:])
-                q = q + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-                y = y + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-                p = momenta(y)
-                L, k1, separation = stage(q, y, spectrum=True)
-                traj.times.append(step * dt)
-                traj.points.append(PhasePoint(tuple(q), tuple(p)))
-                traj.spectral_drift.append(_match_drift(ev0, np.linalg.eigvals(L)))
+            try:
+                for step in range(int(round(t_end / dt)) + 1):
+                    if step:
+                        checked(k1, separation)
+                        k2 = checked(*stage(q + dt / 2 * k1[0], y + dt / 2 * k1[1])[1:])
+                        k3 = checked(*stage(q + dt / 2 * k2[0], y + dt / 2 * k2[1])[1:])
+                        k4 = checked(*stage(q + dt * k3[0], y + dt * k3[1])[1:])
+                        q = q + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+                        y = y + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+                        p = momenta(y)
+                    L, k1, separation = stage(q, y)
+                    pending.append((q, p, L))
+                    if len(pending) == block:
+                        spectra()
+            finally:
+                # A point whose L is not finite ends the flow ahead of any
+                # later error of the loop.
+                if pending:
+                    spectra()
     except CollisionImminent as exc:
+        if not traj.times:
+            traj = Trajectory([0.0], [start], [0.0])
         raise type(exc)(str(exc), trajectory=traj) from None
     return traj
 

@@ -243,17 +243,13 @@ class _Plan:
         """The first k arguments (all with k None), reduced."""
         return elliptic._reduce(q[self.I[:k]] - q[self.J[:k]] + self.c[:k], self.lat)
 
-    def matrix(self, q, P):
-        """The entries at the position and exponent arrays (q, P)."""
-        return self._evaluate(self._args(q), P)
-
     def __call__(self, q, P):
         """One stage of a flow: the distances of the differences from the
         lattice, and a function giving the entries and their q-gradient map
-        (see _evaluate)."""
+        (see _jacobian)."""
         args = self._args(q)
         dist = elliptic._distance(args, self.lat, self.diffs)
-        return dist, lambda: self._evaluate(args, P, True)
+        return dist, lambda: self._jacobian(args, P)
 
 
 class _HasegawaPlan(_Plan):
@@ -291,23 +287,41 @@ class _HasegawaPlan(_Plan):
         self.ds[-2] = ds[0]
         self.s[-1], self.ds[-1] = 1.0, 0.0
 
-    def trace(self, q, P, spectrum=False):
+    def trace(self, q, P):
         """One stage of the flow of Tr L: the distances of the differences
-        from the lattice, and a function giving (diag L, d(Tr L)/dq, and L
-        if spectrum, else None); see _trace."""
-        args = self._args(q, None if spectrum else self.factors)
+        from the lattice, and a function giving diag L and d(Tr L)/dq (see
+        _trace)."""
+        args = self._args(q, self.factors)
         dist = elliptic._distance(args, self.lat, self.diffs)
-        return dist, lambda: self._trace(args, P, spectrum)
+        return dist, lambda: self._trace(args, P)
 
-    def _entries(self, P):
-        """L from the sigma values in s."""
-        A, B, S = self.s[self.layout]
+    def matrix(self, q, P, derivative=False):
+        """L at the positions and exponents (q, P) of shape (n, ...): (n, n,
+        ...), any trailing axes a batch of points.
+
+        With derivative, sigma' is evaluated alongside sigma and dropped, as
+        in a stage.  The theta series then rounds each sigma value alike
+        wherever it sits in the batch (elliptic._theta1_sums), so a flow's
+        spectra do not depend on how its points are batched.
+        """
+        x = q[self.I] - q[self.J] + self.c.reshape((-1,) + (1,) * (q.ndim - 1))
+        s = np.empty((x.shape[0] + 2, *x.shape[1:]), dtype=complex)
+        s[-2], s[-1] = self.s[-2], self.s[-1]
+        ds = np.empty(x.size, dtype=complex) if derivative else None
+        args = elliptic._reduce(x.reshape(-1), self.lat)
+        elliptic._sigma_orders(args, self.lat, s[:-2].reshape(-1), ds)
+        return self._entries(s, P)
+
+    def _entries(self, s, P):
+        """L from the sigma values s, laid out as the buffer s with any
+        trailing axes, and the exponents P (n, ...)."""
+        A, B, S = s[self.layout]
         E = 1.0 / (self.sigma_z * S.prod(axis=0))
         return np.exp(P)[:, None] * (E[:, None] * A * _exclusive_products(B))
 
-    def _trace(self, args, P, spectrum):
-        """diag L, d(Tr L)/dq and, with spectrum, L at the arguments args
-        of positions q and exponents P.
+    def _trace(self, args, P):
+        """diag L and d(Tr L)/dq at the arguments args of positions q and
+        exponents P.
 
         L_kk = c_k N_kk with c_k = exp(P_k) sigma(z + hbar) E_k, so Tr L
         reads sigma only at the 2n(n - 1) arguments of B and S.  The
@@ -316,7 +330,7 @@ class _HasegawaPlan(_Plan):
         l != k, without division, so a vanishing B stays exact.  The factors
         of Tr L at q_l - q_k weigh M[l, k] = c_k sigma'(B[l, k]) U[l, k] -
         L_kk zeta(S[l, k]), and d(Tr L)/dq = rowsum(M) - colsum(M) (see
-        _evaluate, with R = I).
+        _jacobian, with R = I).
         """
         k = args.x.size
         elliptic._sigma_orders(args, self.lat, self.s[:k], self.ds[:k])
@@ -326,11 +340,11 @@ class _HasegawaPlan(_Plan):
         c = np.exp(P) * (self.sigma_zh / (self.sigma_z * S.prod(axis=0)))
         d = c * U.diagonal()
         M = c * dB * U - d * (dS / S)
-        return d, M.sum(axis=1) - M.sum(axis=0), self._entries(P) if spectrum else None
+        return d, M.sum(axis=1) - M.sum(axis=0)
 
-    def _evaluate(self, args, P, jacobian=False):
-        """L at the arguments args of positions q and exponents P, and with
-        jacobian also the map (R, h) -> g, h = (R * L).sum(axis=1),
+    def _jacobian(self, args, P):
+        """L at the arguments args of positions q and exponents P, and the
+        map (R, h) -> g, h = (R * L).sum(axis=1),
 
             g_j = sum_{k,k'} R_{kk'} dL_{kk'}/dq_j
 
@@ -346,9 +360,7 @@ class _HasegawaPlan(_Plan):
         """
         s, ds = self.s, self.ds
         k = args.x.size
-        elliptic._sigma_orders(args, self.lat, s[:k], ds[:k] if jacobian else None)
-        if not jacobian:
-            return self._entries(P)
+        elliptic._sigma_orders(args, self.lat, s[:k], ds[:k])
         A, B, S = s[self.layout]
         E = 1.0 / (self.sigma_z * S.prod(axis=0))
         # X[l, k, k'] = prod_{m not in {k, l}} B[m, k'] for l != k, and
@@ -489,6 +501,14 @@ class _RuijsenaarsPlan(_Plan):
         self.diffs = slice(2 * m + o, None)
         # The off-diagonal q_i - q_k + mu; the diagonal is mu, checked above.
         self.mu_off = m + self.off
+
+    def matrix(self, q, P):
+        """The entries at the position and exponent arrays (q, P)."""
+        return self._evaluate(self._args(q), P)
+
+    def _jacobian(self, args, P):
+        """L' and its q-gradient map (see _evaluate)."""
+        return self._evaluate(args, P, True)
 
     def _evaluate(self, args, P, jacobian=False):
         """L' at the arguments args of positions q and exponents P, and with

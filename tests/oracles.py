@@ -215,6 +215,52 @@ def fd_vector_field(spec, point, conf, h=H_FD):
     return dq, dp
 
 
+def flow_drift_reference(build, z, conf, points):
+    """Spectral drift of each of a flow's points from the first, point by
+    point: the public Lax builder build(conf', z) at each point (conf with
+    the point's q and P), np.linalg.eigvals of each matrix, and the largest
+    deviation over the optimal pairing of each spectrum with the first
+    (scipy's linear_sum_assignment)."""
+    from scipy.optimize import linear_sum_assignment
+
+    from rslax import lax
+
+    spectra = []
+    for pt in points:
+        conf_v = lax.rs_config(
+            pt.q, pt.p, conf.hbar, conf.lat, mu=conf.mu, q_inf=conf.q_inf, q_zero=conf.q_zero
+        )
+        spectra.append(np.linalg.eigvals(build(conf_v, z).entries))
+    drifts = []
+    for ev in spectra:
+        d = spectra[0][:, None] - ev[None, :]
+        cost = np.hypot(d.real, d.imag)
+        rows, cols = linear_sum_assignment(cost)
+        drifts.append(float(cost[rows, cols].max()))
+    return drifts
+
+
+def rational_trace_flow(q0, P0, hbar, z, t):
+    """Positions at time t of the flow of H = Tr L, L the rational Hasegawa
+    matrix at the spectral point z, from (q0, P0), by the projection method:
+    the eigenvalues of diag(q0) + t (z + hbar)/z L0, with
+
+        L0_kk' = exp(P_k) prod_{l != k} (hbar + q_l - q_k')/(q_l - q_k),
+
+    the Hasegawa matrix without its factor (z + hbar + q_k - q_k')/z
+    (Ruijsenaars, CMP 115 (1988))."""
+    q0 = np.asarray(q0, dtype=complex)
+    n = q0.size
+    L0 = np.empty((n, n), dtype=complex)
+    for k in range(n):
+        for kk in range(n):
+            others = [l for l in range(n) if l != k]
+            L0[k, kk] = np.exp(P0[k]) * np.prod(
+                [(hbar + q0[l] - q0[kk]) / (q0[l] - q0[k]) for l in others]
+            )
+    return np.linalg.eigvals(np.diag(q0) + t * (z + hbar) / z * L0)
+
+
 def fd_coupling_derivative(conf, z, h=1e-3):
     """d/dhbar at hbar = 0 of the momentum-free RS transport matrix
     rslax.lax.composition_lax (P = 0) at the positions and lattice of the CM

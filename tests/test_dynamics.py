@@ -36,6 +36,7 @@ def mild_conf():
 
 
 SPEC1 = dynamics.HamiltonianSpec("trace_power", 1)
+COORDS = dynamics._COORDINATES
 
 
 class TestHamiltonian:
@@ -202,15 +203,17 @@ class TestDiagonalField:
     L (lax._HasegawaPlan.trace), against the generic route: the Jacobian map
     of the whole of L at R = I."""
 
-    @staticmethod
-    def routes(spec, conf, q, P):
-        """_field by the diagonal route, then by the generic one."""
+    def assert_same(self, spec, conf, q, P):
+        # _field by the diagonal route, then by the generic one; the diagonal
+        # route leaves L to the plan's batched build, which a flow's
+        # spectral pass takes.
         plan = lax._hasegawa_jacobian(conf, spec.eval_z)
         q, P = np.asarray(q, dtype=complex), np.asarray(P, dtype=complex)
-        return [dynamics._field(spec, plan, diagonal, q, P) for diagonal in (True, False)]
-
-    def assert_same(self, spec, conf, q, P):
-        (L, dq, dp, sep), (L0, dq0, dp0, sep0) = self.routes(spec, conf, q, P)
+        (L, dq, dp, sep), (L0, dq0, dp0, sep0) = [
+            dynamics._field(spec, plan, diagonal, q, P) for diagonal in (True, False)
+        ]
+        assert L is None
+        L = plan.matrix(q[:, None], P[:, None], derivative=True)[..., 0]
         field, ref = np.concatenate([dq, dp]), np.concatenate([dq0, dp0])
         assert np.all(np.isfinite(field))
         assert np.max(np.abs(field - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -374,10 +377,8 @@ class TestFlowLoop:
             ("ruijsenaars", "_ruijsenaars_jacobian"),
         ],
     )
-    @pytest.mark.parametrize("coordinates,at_start", [("p", 1), ("theta", 2)])
-    def test_four_lax_evaluations_per_step(
-        self, monkeypatch, lax_family, factory, coordinates, at_start
-    ):
+    @pytest.mark.parametrize("coordinates", ["p", "theta"])
+    def test_four_lax_evaluations_per_step(self, monkeypatch, lax_family, factory, coordinates):
         made, evaluations = [], []
         original = getattr(lax, factory)
 
@@ -387,14 +388,19 @@ class TestFlowLoop:
 
             class Counted:
                 # A stage is a call of the plan, or of its trace for H = Tr L
-                # on the Hasegawa form.
+                # on the Hasegawa form.  The plan's other attributes, its
+                # batched Lax build for the spectra among them, pass
+                # through uncounted.
                 def __call__(self, q, P):
                     evaluations.append(q)
                     return plan(q, P)
 
-                def trace(self, q, P, spectrum):
+                def trace(self, q, P):
                     evaluations.append(q)
-                    return plan.trace(q, P, spectrum)
+                    return plan.trace(q, P)
+
+                def __getattr__(self, name):
+                    return getattr(plan, name)
 
             return Counted()
 
@@ -410,23 +416,27 @@ class TestFlowLoop:
         traj = dynamics.integrate(spec, start, conf, 0.02, 2e-3, coordinates)
         assert len(traj.times) == 11
         assert len(made) == 1
-        assert len(evaluations) == 4 * 10 + at_start
+        # One stage at the start, in either coordinate system: the spectra
+        # are taken at the recorded start.p apart from the stages.
+        assert len(evaluations) == 4 * 10 + 1
 
     @pytest.mark.parametrize(
-        "family,mu,flow_constants,at_start,per_step",
+        "family,mu,flow_constants,at_start,per_step,spectra",
         [
             # sigma and sigma' at [hbar, z, z + hbar]; then one series per
-            # stage: over the n^2 + 2n(n - 1) arguments of L at an accepted
-            # point, for its spectrum, and over the 2n(n - 1) arguments of
-            # the factors of diag L at the three interior stages.
-            ("trace_power", None, [3], [21], [12, 12, 12, 21]),
+            # stage over the 2n(n - 1) arguments of the factors of diag L;
+            # then one series over the n^2 + 2n(n - 1) arguments of L at
+            # each of the 11 accepted points, for their spectra, all in one
+            # block.
+            ("trace_power", None, [3], [12], [12] * 4, [11 * 21]),
             # sigma at [lam, mu] and wp(mu); then wp at the n(n - 1)
-            # differences and sigma over the 2n^2 + 2n(n - 1) arguments.
-            ("rs_cosh", 0.09 + 0.02j, [2, 1], [6, 30], [6, 30] * 4),
+            # differences and sigma over the 2n^2 + 2n(n - 1) arguments; the
+            # spectra are those of the stages' L.
+            ("rs_cosh", 0.09 + 0.02j, [2, 1], [6, 30], [6, 30] * 4, []),
         ],
     )
     def test_theta_series_calls_per_stage(
-        self, monkeypatch, family, mu, flow_constants, at_start, per_step
+        self, monkeypatch, family, mu, flow_constants, at_start, per_step, spectra
     ):
         sizes = []
         series = elliptic._theta1_sums
@@ -442,7 +452,7 @@ class TestFlowLoop:
         spec = dynamics.HamiltonianSpec(family, 1)
         start = dynamics.PhasePoint(conf.q, conf.P)
         dynamics.integrate(spec, start, conf, 0.02, 2e-3)
-        assert sizes == flow_constants + at_start + per_step * 10
+        assert sizes == flow_constants + at_start + per_step * 10 + spectra
 
     @pytest.mark.parametrize(
         "family,lax_family,mu,flow_constants",
@@ -576,6 +586,68 @@ class TestFlowLoop:
         with pytest.raises(CollisionImminent, match="the Lax matrix is not finite") as exc:
             dynamics.integrate(SPEC1, dynamics.PhasePoint(q, P), conf, 0.1, 1e-3)
         assert exc.value.trajectory.times == [0.0]
+        assert str(exc.value) == (
+            "the Lax matrix is not finite at step 0: exp(P_0) overflows (Re P_0 = 800)"
+        )
+
+    @pytest.mark.parametrize("spec", [SPEC1, dynamics.HamiltonianSpec("rs_cosh", 1)])
+    def test_non_finite_field_names_the_overflowing_exponent(self, spec):
+        q, P = [0.1, 0.45], [-0.07, 800.0]
+        conf = lax.rs_config(q, P, 0.08 + 0.03j, LAT)
+        message = "the Lax matrix is not finite: exp(P_1) overflows (Re P_1 = 800)"
+        with pytest.raises(CollisionImminent) as exc:
+            dynamics.hamiltonian_vector_field(spec, dynamics.PhasePoint(q, P), conf)
+        assert str(exc.value) == message
+
+    @staticmethod
+    def overflowing_flow():
+        """A flow of Tr L whose L first leaves the doubles at step 53, off
+        its diagonal: the second position climbs the imaginary axis, where
+        sin(z + hbar + q_0 - q_1) overflows (Im z = -5) while every factor
+        of diag L stays finite.  Its stages read only diag L, so they pass
+        the point, and the flow freezes there once sigma(z) sigma(q_1 -
+        q_0) overflows too."""
+        q = [0.0, 0.5 + 705.0j]
+        P = [np.log(5) - 0.5j * np.pi, np.log(5) + (0.5 * np.pi - 0.16) * 1j]
+        conf = lax.rs_config(q, P, 0.08 + 0.03j, elliptic.trig_lattice())
+        spec = dynamics.HamiltonianSpec("trace_power", 1, eval_z=0.31 - 5j)
+        return spec, dynamics.PhasePoint(q, P), conf
+
+    def test_first_non_finite_point_ends_the_flow(self):
+        spec, start, conf = self.overflowing_flow()
+        with pytest.raises(CollisionImminent) as exc:
+            dynamics.integrate(spec, start, conf, 0.1, 1e-3)
+        traj = exc.value.trajectory
+        assert str(exc.value) == "the Lax matrix is not finite at step 53"
+        assert len(traj.times) == len(traj.points) == len(traj.spectral_drift) == 53
+        last = traj.points[-1]
+        at_last = lax.rs_config(last.q, last.p, conf.hbar, conf.lat)
+        assert np.isfinite(lax.hasegawa_lax(at_last, spec.eval_z).entries).all()
+        # One more step from the last point reaches the point at fault.
+        with pytest.raises(CollisionImminent, match="not finite at step 1$") as exc:
+            dynamics.integrate(spec, last, conf, 1e-3, 1e-3)
+        assert exc.value.trajectory.points == [last]
+
+    @pytest.mark.parametrize("later", [CollisionImminent, StepTooLarge])
+    def test_non_finite_point_precedes_a_later_stage_error(self, monkeypatch, later):
+        # The stages pass step 53 and run on; one of step 80 fails.  The
+        # flow still ends at the point whose L is not finite.
+        spec, start, conf = self.overflowing_flow()
+        field, raised = dynamics._field, []
+
+        def failing(*args):
+            if args[-1] == 80:
+                raised.append(args[-1])
+                raise later("a later stage error")
+            return field(*args)
+
+        monkeypatch.setattr(dynamics, "_field", failing)
+        with pytest.raises(CollisionImminent) as exc:
+            dynamics.integrate(spec, start, conf, 0.1, 1e-3)
+        assert raised == [80]
+        assert type(exc.value) is CollisionImminent
+        assert str(exc.value) == "the Lax matrix is not finite at step 53"
+        assert len(exc.value.trajectory.times) == 53
 
     def test_non_finite_stage_ends_as_collision(self):
         # An RK4 stage of this near-collision throws the momenta to inf.
@@ -588,3 +660,88 @@ class TestFlowLoop:
         assert traj.points and all(
             np.all(np.isfinite(pt.q)) and np.all(np.isfinite(pt.p)) for pt in traj.points
         )
+
+
+class TestSpectra:
+    """A flow's spectral drift, taken in batches of accepted points, against
+    a point-by-point oracle; and its positions against the exact rational
+    flow, over flows of many blocks."""
+
+    SPECS = {
+        "trace": SPEC1,
+        "trace_power_2": dynamics.HamiltonianSpec("trace_power", 2),
+        "hitchin": dynamics.HamiltonianSpec("hitchin", 1),
+        "rs_cosh": dynamics.HamiltonianSpec("rs_cosh", 1),
+    }
+
+    @staticmethod
+    def flow(spec, kind, n, steps, coordinates):
+        """(conf, the trajectory, partial where a stage ends the flow)."""
+        step = {"elliptic": 0.9 / n, "trig": 2.7 / n, "rational": 0.7}[kind]
+        k = np.arange(n)
+        q = 0.11 + step * k + 0.03j * np.sin(k + 1)
+        P = 0.1 * np.cos(k + 0.5) - 0.04j * np.sin(2 * k + 1)
+        conf = lax.rs_config(q, P, 0.08 + 0.03j, LATTICES[kind])
+        start = dynamics.PhasePoint(q, P)
+        try:
+            traj = dynamics.integrate(spec, start, conf, steps * 1e-3, 1e-3, coordinates)
+        except CollisionImminent as exc:
+            traj = exc.trajectory
+        return conf, traj
+
+    def assert_drifts(self, spec, kind, conf, traj):
+        build = dynamics._lax_form(spec)[0]
+        ref = oracles.flow_drift_reference(build, spec.eval_z, conf, traj.points)
+        if spec == SPEC1 and kind != "elliptic":
+            # The same L, from the same sigma values.
+            assert traj.spectral_drift == ref
+        # On the elliptic kind the public builder's theta series rounds
+        # apart from a stage's (elliptic._theta1_sums), and a stage's L from
+        # its Jacobian route; in theta coordinates the start's L of such a
+        # stage is taken at log(exp(p)).  The eigenvalues of the elliptic
+        # n = 16 matrices (entries up to 5e3) move by 3e-13 with that
+        # rounding, so the bound scales with the spectrum.
+        scale = max(1.0, float(np.abs(np.linalg.eigvals(build(conf, spec.eval_z).entries)).max()))
+        assert np.max(np.abs(np.subtract(traj.spectral_drift, ref))) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("kind", ["elliptic", "trig", "rational"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+    @pytest.mark.parametrize("family", list(SPECS))
+    def test_drift_matches_point_by_point_oracle(self, kind, n, family):
+        spec = self.SPECS[family]
+        for coordinates in COORDS:
+            conf, traj = self.flow(spec, kind, n, 3, coordinates)
+            self.assert_drifts(spec, kind, conf, traj)
+
+    @pytest.mark.parametrize(
+        "family,kind,n,steps",
+        [("trace", "elliptic", 8, 60), ("trace", "trig", 16, 15), ("rs_cosh", "trig", 5, 100)],
+    )
+    def test_drift_across_blocks_matches_oracle(self, family, kind, n, steps):
+        spec = self.SPECS[family]
+        for coordinates in COORDS:
+            conf, traj = self.flow(spec, kind, n, steps, coordinates)
+            plan = dynamics._lax_form(spec)[1](conf, spec.eval_z)
+            assert len(traj.times) == steps + 1 > dynamics._BLOCK_ARGS // plan.c.size
+            self.assert_drifts(spec, kind, conf, traj)
+
+    @pytest.mark.parametrize("n", [3, 8])
+    @pytest.mark.parametrize("coordinates", COORDS)
+    def test_rational_flow_matches_exact_solution(self, n, coordinates):
+        # 1001 points: 3 blocks at n = 3 and 22 at n = 8.
+        k = np.arange(n)
+        q0 = 0.7 * k + 0.05j * np.sin(k + 1)
+        P0 = 0.1 * np.cos(k + 0.5) - 0.05j * np.sin(2 * k + 1)
+        hbar = 0.3 + 0.1j
+        conf = lax.rs_config(q0, P0, hbar, elliptic.rational_lattice())
+        start = dynamics.PhasePoint(q0, P0)
+        traj = dynamics.integrate(SPEC1, start, conf, 1.0, 1e-3, coordinates)
+        assert len(traj.times) == 1001
+        from scipy.optimize import linear_sum_assignment
+
+        for i in (250, 500, 1000):
+            exact = oracles.rational_trace_flow(q0, P0, hbar, SPEC1.eval_z, traj.times[i])
+            cost = np.abs(np.array(traj.points[i].q)[:, None] - exact[None, :])
+            rows, cols = linear_sum_assignment(cost)
+            assert cost[rows, cols].max() <= 1e-11 * max(1.0, np.abs(exact).max())
+        assert max(traj.spectral_drift) < 1e-10
