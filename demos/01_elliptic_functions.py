@@ -38,6 +38,6 @@ print(f"trig sigma(0.7) - sin(0.7) = {elliptic.sigma(0.7, elliptic.trig_lattice(
 print(f"rational sigma(0.7) - 0.7  = {elliptic.sigma(0.7, elliptic.rational_lattice()) - 0.7:.2e}")
 
 # Any entire function with the same quasi-periodicity factors is a theta
-# function with characteristics up to a Gaussian prefactor; fit it.
+# function with characteristics up to a Gaussian prefactor, here in closed form.
 fit = elliptic.fit_trivial_theta(elliptic.ThetaCharacteristic(0.0, 0.0), lat)
 print(f"sigma as a dressed theta[1/2;1/2]: gauge exponents A = {fit.A:.3e}, B = {fit.B:.6f}")

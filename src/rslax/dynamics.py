@@ -106,11 +106,11 @@ def _lax_form(spec: HamiltonianSpec):
     if spec.family == "rs_cosh" or (
         spec.family != "hitchin" and spec.lax_family == "ruijsenaars"
     ):
-        return lax.ruijsenaars_lax, lax._ruijsenaars_jacobian, False
+        return lax.ruijsenaars_lax, lax._RuijsenaarsPlan, False
     # The composition equals the Hasegawa matrix, and its Cauchy
     # factorization divides by sigma(hbar + q_k - q_k'), which vanishes
     # where positions are spaced by hbar.
-    return lax.hasegawa_lax, lax._hasegawa_jacobian, spec.scale_power[1] == 0
+    return lax.hasegawa_lax, lax._HasegawaPlan, spec.scale_power[1] == 0
 
 
 def _inverse(L):
@@ -307,7 +307,7 @@ def integrate(
         qs, ps, Ls = zip(*pending)
         pending.clear()
         if diagonal:
-            L = np.moveaxis(plan.matrix(np.array(qs).T, np.array(ps).T, derivative=True), -1, 0)
+            L = np.moveaxis(plan.matrix(np.array(qs).T, np.array(ps).T), -1, 0)
         else:
             L = np.array(Ls)
         finite = np.isfinite(L).all(axis=(1, 2))

@@ -11,6 +11,9 @@ Conventions
   of the lattice, at arguments reduced into its fundamental parallelogram,
   over a fixed window of theta terms.  The slowly converging lattice product
   is used only as an independent test oracle.
+* theta_char and the gauge between sigma and theta[1/2+a;1/2+b]
+  (fit_trivial_theta) are closed forms on sigma's window: theta[a;b] at tau
+  is theta1 = theta[1/2;1/2] at red_tau, at a shifted argument, times exponentials.
 * Quasi-periodicity: sigma(z + omega_i) = -exp(2*eta_i*(z + omega_i/2))*sigma(z),
   and the quasi-period constants satisfy eta1*omega2 - eta2*omega1 = i*pi.
 * Degenerate kinds are normalized exactly: sigma_trig(z) = sin(z) and
@@ -31,9 +34,7 @@ import numpy as np
 from .errors import FitDegenerate, NonConvergent, PoleAtLattice, ValueOverflow
 
 POLE_TOL = 1e-8
-_SERIES_RELTOL = 1e-16
-_SERIES_MAX_TERMS = 200
-# Theta series index windows kept (a few per lattice and characteristic).
+# Theta windows kept, one per reduced tau.
 _WINDOW_CACHE_SIZE = 128
 
 KIND_ELLIPTIC = "elliptic"
@@ -86,89 +87,44 @@ class Lattice:
     red_tau: complex = 0.0
 
 
-def _theta_series(a, b, z, tau, order=0):
-    """d^order/dz^order of theta[a;b](z|tau), vectorized over z.
+# Keeps its old name: bench/tracer.py counts the calls to elliptic._theta_series.
+def _theta_series(a, b, z, tau):
+    """theta[a;b](z|tau) = sum_k exp(i pi tau (k+a)^2 + 2 pi i (k+a)(z+b)),
+    vectorized over z.  With al = a - 1/2, y = z + al*tau + b - 1/2 and
+    x = y/red_omega1 = xr + m + n*red_tau on the lattice (1, tau) (_reduce),
 
-    theta[a;b](z|tau) = sum_k exp(i*pi*tau*(k+a)^2 + 2*pi*i*(k+a)*(z+b)).
-    Terms are summed over an index window centered on the dominant term and
-    widened until the boundary terms of every requested order (0 to 3) fall
-    below _SERIES_RELTOL of that order's largest term; more than
-    _SERIES_MAX_TERMS terms, or a non-finite argument, raise NonConvergent.
-    order may be a tuple of orders, for which the tuple of derivatives is
-    returned from one series pass.
+        theta[a;b](z|tau) = exp(i pi tau al^2 + 2 pi i al (z + b)) theta1(y|tau),
+        theta1(y|tau) = r red_omega1 exp(-i pi c y x) theta1(x|red_tau),
+
+    red_omega1 = c*tau + d, r = theta1'(0|tau)/theta1'(0|red_tau), as sigma
+    = w exp(eta(w) y^2/w) theta1(y/w)/theta1'(0) for the bases w = 1 and
+    w = red_omega1, and eta(red_omega1) = eta(1) red_omega1 - i pi c.  All
+    factors go into the exponent of the window's terms, as in _sigma_orders.
     """
     tau = complex(tau)
-    if tau.imag <= 0:
-        raise NonConvergent(f"theta series requires Im(tau) > 0, got tau={tau}")
-    a = complex(a)
-    zarr = np.asarray(z, dtype=complex)
-    zb = zarr.reshape(1, -1) + complex(b)
-
-    # The series' dominant indices -a.real - Im(z + b)/Im(tau) span [lo, hi].
-    lo = -a.real - zb.imag.max() / tau.imag
-    hi = -a.real - zb.imag.min() / tau.imag
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise NonConvergent("theta series argument is not finite")
-    base_width = math.ceil(math.sqrt(40.0 / (math.pi * tau.imag))) + 2
-    kmin = math.floor(lo) - base_width
-    kmax = math.ceil(hi) + base_width
-    orders = (order,) if isinstance(order, int) else order
-
-    while True:
-        if kmax - kmin + 1 > _SERIES_MAX_TERMS:
-            raise NonConvergent(
-                "theta series needs more than "
-                f"{_SERIES_MAX_TERMS} terms for tau={tau}"
-            )
-        gauss, wpow, abspow = _theta_window(tau, a, kmin, kmax)
-        base = np.exp(gauss + wpow[1] * zb)
-        # |d^o term/dz^o| = |term| * |2*pi*(k+a)|^o: per order o, the largest
-        # term magnitude in each row k, then the bound and boundary values
-        # as floats.  A NaN fails every comparison and widens the window.
-        mags = np.abs(base).max(axis=1) * abspow
-        tols = (_SERIES_RELTOL * mags.max(axis=1)).tolist()
-        ends = mags[:, :: kmax - kmin].tolist()
-        if all(ends[o][0] <= tols[o] and ends[o][1] <= tols[o] for o in orders):
-            break
-        if not np.isfinite(zb).all():
-            raise NonConvergent("theta series argument is not finite")
-        kmin -= 4
-        kmax += 4
-
-    def total(o):
-        t = (base * wpow[o] if o else base).sum(axis=0)
-        return complex(t[0]) if zarr.ndim == 0 else t.reshape(zarr.shape)
-
-    return total(order) if isinstance(order, int) else tuple(map(total, order))
-
-
-@functools.lru_cache(maxsize=_WINDOW_CACHE_SIZE)
-def _theta_window(tau, a, kmin, kmax):
-    """Read-only arrays over k = kmin..kmax: the theta series exponent
-    i*pi*tau*(k+a)^2 as a column, the columns w^o of w = 2*pi*i*(k+a) and
-    the rows |w|^o, for o = 0..3.
-
-    The exponent, not its exponential, is cached: each term is one exp of
-    the summed exponent, which stays finite where the two factors taken
-    apart would overflow and underflow.
-    """
-    ks = np.arange(kmin, kmax + 1, dtype=float)[:, None] + a
-    gauss = 1j * np.pi * tau * ks**2
-    w = 2j * np.pi * ks
-    wpow = np.stack([w**o for o in range(4)])
-    abspow = np.abs(w).T ** np.arange(4)[:, None]
-    for arr in (gauss, wpow, abspow):
-        arr.setflags(write=False)
-    return gauss, wpow, abspow
+    if not (cmath.isfinite(tau) and tau.imag > 0):
+        raise NonConvergent(f"theta requires a finite tau with Im(tau) > 0, got tau={tau}")
+    al, b = complex(a) - 0.5, complex(b)
+    lat = lattice_from_periods(1.0, tau)
+    zarr = np.asarray(z, dtype=complex).reshape(-1)
+    y = zarr + (al * tau + b - 0.5)
+    x, xr, n, m = _entry(y, lat)
+    c, log_scale = _modular_factor(lat, y)
+    w, red = lat.red_omega1, lat.red_tau
+    g = 1j * np.pi * (
+        tau * al * al + 2.0 * al * (zarr + b) - c * y * x - n * (n * red + 2.0 * xr) - m - n
+    ) + (log_scale + cmath.log(w))
+    return _shaped(_theta1_sums(xr, red, 2, g)[0], z)
 
 
 def theta_char(ch: ThetaCharacteristic, z, tau) -> complex:
-    """Theta function with characteristics theta[a;b](z|tau);
-    ValueOverflow where its series does not sum to a finite double."""
+    """Theta function with characteristics theta[a;b](z|tau) (_theta_series);
+    ValueOverflow where it is too large for a double, NonConvergent where z
+    is not finite or doubles cannot sum it to 1e-11 (_modular_factor)."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = _theta_series(ch.a, ch.b, z, tau)
     if not np.isfinite(out).all():
-        raise ValueOverflow("theta is too large for a double")
+        raise ValueOverflow(f"theta is too large for a double at tau={complex(tau)}")
     return out
 
 
@@ -182,8 +138,9 @@ def _theta1_window(tau):
     i*pi*tau*k*(k+1) + i*pi*(k+1/2) as a column and the rows w^o of
     w = 2*pi*i*(k+1/2), o = 0..3, over k = -N..N-1, read-only.
 
-    These are the series' exponents less i*pi*tau/4, a constant factor
-    that cancels from sigma = omega1 exp(eta1_hat x^2) theta1(x)/theta1'(0).
+    These are the series' exponents less i*pi*tau/4, a constant factor that
+    cancels from sigma = omega1 exp(eta1_hat x^2) theta1(x)/theta1'(0) and
+    that _modular_factor puts back for theta_char.
     The largest term is at k = 0 or -1, and the terms at k = N-1 and -N are
     at most exp(-pi Im(tau) (N-1)^2) of it, which N keeps below 1e-17 also
     after a factor |w|^3.
@@ -199,18 +156,23 @@ def _theta1_window(tau):
 
 
 def _theta1_sums(xr, tau, count, g=None):
-    """Rows o = 0..count-1 of sum_k w_k^o exp(g + gauss_k + w_k xr) over the
-    window of the reduced tau (_theta1_window), for |Im xr| <= Im(tau)/2:
-    the derivatives of theta1 at xr, up to a constant factor, times exp(g).
+    """Rows o = 0..count-1 (count >= 2) of sum_k w_k^o exp(g + gauss_k +
+    w_k xr) over the window of the reduced tau (_theta1_window), for
+    |Im xr| <= Im(tau)/2: the derivatives of theta1 at xr, up to a constant
+    factor, times exp(g).
 
     Each term is one exp of its summed exponent, which stays finite where
-    the factors taken apart would overflow and underflow.
+    the factors taken apart would overflow and underflow.  A matrix-vector
+    product (one row, or one argument) would round an argument's sum by its
+    place in xr and the size of xr, so a single argument is summed twice.
     """
     gauss, wpow = _theta1_window(tau)
     e = wpow[1][:, None] * xr
     e += gauss
     if g is not None:
         e += g
+    if e.shape[1] == 1:
+        return (wpow[:count] @ np.exp(np.repeat(e, 2, axis=1)))[:, :1]
     return wpow[:count] @ np.exp(e)
 
 
@@ -230,6 +192,44 @@ def _unit_constants(tau):
     return cached
 
 
+def _gauss_reduction(tau):
+    """(a, b, c, d, log_r): red_tau = (a*tau + b)/(c*tau + d), ad - bc = 1, has
+    |Re red_tau| <= 1/2 and |red_tau| >= 1, so Im red_tau >= sqrt(3)/2
+    (Gauss reduction: shift tau by an integer, and invert it while
+    |tau| < 1), and log_r = log(theta1'(0|tau)/theta1'(0|red_tau)), by
+    theta1'(0|t+k) = exp(i pi k/4) theta1'(0|t) and theta1'(0|-1/t) =
+    (-i t)^(3/2) theta1'(0|t), principal branch (DLMF 20.7.26, 20.7.30).
+    """
+    a, b, c, d, log_r = 1, 0, 0, 1, 0j
+    while True:
+        k = round(((a * tau + b) / (c * tau + d)).real)
+        a, b = a - k * c, b - k * d
+        log_r += 1j * math.pi * (k % 8) / 4
+        t = (a * tau + b) / (c * tau + d)
+        # The tolerance ends the loop where rounding would swap tau and
+        # -1/tau on the unit circle forever.
+        if abs(t) > 1 - 1e-12:
+            return a, b, c, d, log_r
+        log_r -= 1.5 * cmath.log(-1j * t)
+        a, b, c, d = -c, -d, a, b
+
+
+def _modular_factor(lat: Lattice, y):
+    """(c, log(theta1'(0|tau)/t1)) of an elliptic lat's basis, with c of
+    _gauss_reduction and t1 = theta1'(0|red_tau) in _theta1_window's scale,
+    which leaves out a factor exp(i pi red_tau/4).
+
+    The exponents summed for theta1(y|tau) in closed form (_theta_series)
+    grow like pi (|y|^2/Im(tau) + Im(red_tau)/4), and their rounding with
+    them: NonConvergent where that exceeds 1e-11 relative.
+    """
+    size = np.max(np.abs(y), initial=0.0) ** 2 / lat.tau.imag + lat.red_tau.imag / 4
+    if np.pi * size * np.finfo(float).eps > 1e-11:
+        raise NonConvergent(f"theta at tau={lat.tau} cannot be summed to 1e-11 in doubles")
+    _, _, c, _, log_r = _gauss_reduction(lat.tau)
+    return c, log_r + 1j * np.pi * lat.red_tau / 4
+
+
 def lattice_from_periods(omega1, omega2) -> Lattice:
     """Build an elliptic Lattice from its two periods.
 
@@ -237,11 +237,9 @@ def lattice_from_periods(omega1, omega2) -> Lattice:
     single orientation convention holds for all stored lattices.
 
     The reduced basis (red_omega2, red_omega1) = (a*omega2 + b*omega1,
-    c*omega2 + d*omega1), ad - bc = 1, has |Re red_tau| <= 1/2 and
-    |red_tau| >= 1, so Im red_tau >= sqrt(3)/2 (Gauss reduction: shift tau
-    by an integer, and invert it while |tau| < 1).  sigma depends only on
-    the lattice, so evaluating it in that basis is exact.  The reduced eta
-    come from theta1 at red_tau, and eta1, eta2 of the given basis from
+    c*omega2 + d*omega1) is that of _gauss_reduction.  sigma depends only
+    on the lattice, so evaluating it in that basis is exact.  The reduced
+    eta come from theta1 at red_tau, and eta1, eta2 of the given basis from
     them by the inverse integer matrix, as eta is additive in the period.
     """
     omega1 = complex(omega1)
@@ -252,15 +250,7 @@ def lattice_from_periods(omega1, omega2) -> Lattice:
             "lattice orientation must satisfy Im(omega2/omega1) > 0; "
             "swap the period arguments"
         )
-    a, b, c, d = 1, 0, 0, 1
-    while True:
-        k = round(((a * tau + b) / (c * tau + d)).real)
-        a, b = a - k * c, b - k * d
-        # The tolerance ends the loop where rounding would swap tau and
-        # -1/tau on the unit circle forever.
-        if abs((a * tau + b) / (c * tau + d)) > 1 - 1e-12:
-            break
-        a, b, c, d = -c, -d, a, b
+    a, b, c, d, _ = _gauss_reduction(tau)
     if c == 0:  # a shift of tau by the integer b
         w1, red_tau = omega1, tau + b
     else:
@@ -402,7 +392,7 @@ def _sigma_orders(args: _Args, lat: Lattice, s, ds=None):
     w, tau = lat.red_omega1, lat.red_tau
     t1, eta = _unit_constants(tau)
     g = eta * x * x - 1j * np.pi * (n * (n * tau + 2.0 * xr) + m + n) + cmath.log(w / t1)
-    sums = _theta1_sums(xr, tau, 1 if ds is None else 2, g)
+    sums = _theta1_sums(xr, tau, 2, g)
     s[...] = sums[0]
     if ds is not None:
         ds[...] = ((2.0 * eta * x - 2j * np.pi * n) * sums[0] + sums[1]) / w
@@ -464,55 +454,26 @@ def legendre_residual(lat: Lattice) -> float:
 
 
 def fit_trivial_theta(ch: ThetaCharacteristic, lat: Lattice) -> TrivialTheta:
-    """Fit the gauge (A, B, C) in
+    """The gauge (A, B, C), in closed form (nothing is fitted), in
 
-        sigma(z + a*omega2 + b*omega1) = C * exp(A*z + B*z**2)
-                                         * theta[1/2 + a; 1/2 + b](z/omega1 | tau)
+        sigma(z + s) = C exp(A z + B z^2) theta[1/2 + a; 1/2 + b](z/omega1 | tau),
+        s = a omega2 + b omega1,  B = eta1/omega1,  A = (2 eta1 s - 2 pi i a)/omega1,
+        C = omega1/theta1'(0|tau) exp(eta1 s^2/omega1 - i pi tau a^2 - 2 pi i a (1/2 + b)),
 
-    by log-ratios at 3 fitting points, validated at 5 further points.  Both
-    sides vanish on the lattice translate -(a*omega2 + b*omega1), so the
-    ratio is a non-vanishing gauge factor of the stated form.
+    by sigma(u) = omega1 exp(eta1 u^2/omega1) theta1(u/omega1|tau)/theta1'(0|tau)
+    and _theta_series; FitDegenerate on a degenerate lattice, NonConvergent as
+    theta_char, ValueOverflow where C is not a non-zero double.
     """
     if lat.kind != KIND_ELLIPTIC:
-        raise FitDegenerate("trivial-theta fit requires an elliptic lattice")
+        raise FitDegenerate("trivial-theta gauge requires an elliptic lattice")
     a, b = complex(ch.a), complex(ch.b)
-    w1 = complex(lat.omega1)
-    shift = a * lat.omega2 + b * lat.omega1
-    tch = ThetaCharacteristic(0.5 + a, 0.5 + b)
-
-    def ratio(zz):
-        th = theta_char(tch, zz / w1, lat.tau)
-        sg = sigma(zz + shift, lat)
-        if abs(th) < 1e-12 or abs(sg) < 1e-12:
-            raise FitDegenerate("fit sample point too close to a zero")
-        return sg / th
-
-    for base in (0.1234 + 0.0567j, 0.3141 + 0.1618j, 0.0789 + 0.2113j):
-        z0 = base * w1
-        for dscale in (0.05, 0.02, 0.008, 0.003, 0.001):
-            d = dscale * w1
-            try:
-                r0, r1, r2 = ratio(z0), ratio(z0 + d), ratio(z0 + 2 * d)
-            except FitDegenerate:
-                break
-            # log(ratio) = log C + A z + B z^2; second difference isolates B,
-            # first difference then isolates A.  The differenced exponents
-            # scale with d, so shrinking d until validation passes keeps
-            # every principal log on its branch.
-            B = np.log(r0 * r2 / r1**2) / (2.0 * d**2)
-            A = (np.log(r1 / r0) - B * (2.0 * z0 * d + d**2)) / d
-            C = r0 * np.exp(-A * z0 - B * z0**2)
-            fit = TrivialTheta(A, B, C)
-
-            checks = [z0 + (0.17 + 0.11j) * w1 * k for k in range(1, 6)]
-            ok = True
-            for zz in checks:
-                lhs = sigma(zz + shift, lat)
-                rhs = fit(zz) * theta_char(tch, zz / w1, lat.tau)
-                scale = max(abs(lhs), abs(rhs), 1e-30)
-                if abs(lhs - rhs) > 1e-8 * scale:
-                    ok = False
-                    break
-            if ok:
-                return fit
-    raise FitDegenerate("trivial-theta gauge fit failed validation")
+    w1, eta1, tau = lat.omega1, lat.eta1, lat.tau
+    s = a * lat.omega2 + b * w1
+    _, log_scale = _modular_factor(lat, s / w1)
+    t1, _ = _unit_constants(lat.red_tau)
+    log_c = cmath.log(w1 / t1) - log_scale + eta1 * s * s / w1
+    with np.errstate(over="ignore"):
+        C = complex(np.exp(log_c - 1j * np.pi * (tau * a * a + 2.0 * a * (0.5 + b))))
+    if C == 0 or not cmath.isfinite(C):
+        raise ValueOverflow(f"trivial-theta constant C is not a non-zero double at tau={tau}")
+    return TrivialTheta((2.0 * eta1 * s - 2j * np.pi * a) / w1, eta1 / w1, C)

@@ -295,21 +295,14 @@ class _HasegawaPlan(_Plan):
         dist = elliptic._distance(args, self.lat, self.diffs)
         return dist, lambda: self._trace(args, P)
 
-    def matrix(self, q, P, derivative=False):
+    def matrix(self, q, P):
         """L at the positions and exponents (q, P) of shape (n, ...): (n, n,
-        ...), any trailing axes a batch of points.
-
-        With derivative, sigma' is evaluated alongside sigma and dropped, as
-        in a stage.  The theta series then rounds each sigma value alike
-        wherever it sits in the batch (elliptic._theta1_sums), so a flow's
-        spectra do not depend on how its points are batched.
-        """
+        ...), any trailing axes a batch of points."""
         x = q[self.I] - q[self.J] + self.c.reshape((-1,) + (1,) * (q.ndim - 1))
         s = np.empty((x.shape[0] + 2, *x.shape[1:]), dtype=complex)
         s[-2], s[-1] = self.s[-2], self.s[-1]
-        ds = np.empty(x.size, dtype=complex) if derivative else None
         args = elliptic._reduce(x.reshape(-1), self.lat)
-        elliptic._sigma_orders(args, self.lat, s[:-2].reshape(-1), ds)
+        elliptic._sigma_orders(args, self.lat, s[:-2].reshape(-1))
         return self._entries(s, P)
 
     def _entries(self, s, P):
@@ -548,11 +541,6 @@ class _RuijsenaarsPlan(_Plan):
             return M.sum(axis=1) - M.sum(axis=0)
 
         return L, grad_q
-
-
-# The plans dynamics builds once per flow for each Lax form.
-_hasegawa_jacobian = _HasegawaPlan
-_ruijsenaars_jacobian = _RuijsenaarsPlan
 
 
 def ruijsenaars_equivalent_momenta(conf: RSConfig):

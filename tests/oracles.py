@@ -3,9 +3,9 @@ functions and determinant identities.  Every oracle here computes the target
 quantity by a route disjoint from the library implementation: truncated
 lattice products, mpmath theta series, brute-force LU determinants, and
 finite-difference Hamiltonian vector fields and coupling derivatives.  The
-exceptions are theta_series_reference, sigma_argument_moments_reference and
-jsonify_reference, frozen copies of library code that its rewrites must
-reproduce.
+exceptions are theta_series_reference, the library's former unreduced theta
+series, and sigma_argument_moments_reference and jsonify_reference, frozen
+copies of library code that its rewrites must reproduce.
 """
 
 from __future__ import annotations
@@ -95,32 +95,34 @@ def hasegawa_mpmath(q, P, hbar, z, omega1, omega2):
     return L
 
 
-def theta_series_mpmath(a, b, z, tau, order=0, terms=60):
-    """d^order/dz^order of theta[a;b](z|tau) by direct summation in mpmath
-    at 30 digits over the 2*terms + 1 indices k around the largest term of
+def theta_series_mpmath(a, b, z, tau, dps=60):
+    """theta[a;b](z|tau) by direct summation in mpmath at dps digits of
 
-        sum_k exp(i pi tau (k+a)^2 + 2 pi i (k+a)(z+b)),
+        sum_k exp(i pi tau (k+a)^2 + 2 pi i (k+a)(z+b))
 
-    whose position also accounts for a complex characteristic a."""
-    with mp.workdps(30):
+    over the indices k around the largest term, whose position also
+    accounts for a complex characteristic a, out to where the terms fall
+    below 10^-dps of it.  For small Im tau the terms cancel to about
+    exp(-pi/(4 Im tau)) of the largest, 1e-34 at Im tau = 0.01, within the
+    default 60 digits."""
+    with mp.workdps(dps):
         a, b, z, tau = (mp.mpc(v) for v in (a, b, z, tau))
         center = -a.real - (mp.im(z + b) + tau.real * a.imag) / tau.imag
         k0 = int(mp.nint(center))
+        terms = int(mp.ceil(mp.sqrt(dps * mp.log(10) / (mp.pi * tau.imag)))) + 2
         return complex(
             mp.fsum(
-                (2j * mp.pi * (k + a)) ** order
-                * mp.exp(1j * mp.pi * tau * (k + a) ** 2 + 2j * mp.pi * (k + a) * (z + b))
+                mp.exp(1j * mp.pi * tau * (k + a) ** 2 + 2j * mp.pi * (k + a) * (z + b))
                 for k in range(k0 - terms, k0 + terms + 1)
             )
         )
 
 
 def theta_series_reference(a, b, z, tau, order=0):
-    """rslax.elliptic._theta_series as it was before its window test moved
-    to per-order floats, kept as a reference its rewrites must equal bit for
-    bit: the same index window rule and the same floating-point operations
-    in the same order, with the window arrays built per call instead of
-    cached.  Non-finite arguments are outside its domain.
+    """rslax.elliptic._theta_series as it was when it summed the unreduced
+    series over a widening index window, kept as an oracle of theta_char
+    where Im tau is moderate; ValueError where it needs more than 200
+    terms.  Non-finite arguments are outside its domain.
     """
     tau = complex(tau)
     a = complex(a)

@@ -207,13 +207,13 @@ class TestDiagonalField:
         # _field by the diagonal route, then by the generic one; the diagonal
         # route leaves L to the plan's batched build, which a flow's
         # spectral pass takes.
-        plan = lax._hasegawa_jacobian(conf, spec.eval_z)
+        plan = lax._HasegawaPlan(conf, spec.eval_z)
         q, P = np.asarray(q, dtype=complex), np.asarray(P, dtype=complex)
         (L, dq, dp, sep), (L0, dq0, dp0, sep0) = [
             dynamics._field(spec, plan, diagonal, q, P) for diagonal in (True, False)
         ]
         assert L is None
-        L = plan.matrix(q[:, None], P[:, None], derivative=True)[..., 0]
+        L = plan.matrix(q[:, None], P[:, None])[..., 0]
         field, ref = np.concatenate([dq, dp]), np.concatenate([dq0, dp0])
         assert np.all(np.isfinite(field))
         assert np.max(np.abs(field - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -372,9 +372,9 @@ class TestFlowLoop:
     @pytest.mark.parametrize(
         "lax_family,factory",
         [
-            ("hasegawa", "_hasegawa_jacobian"),
-            ("composition", "_hasegawa_jacobian"),
-            ("ruijsenaars", "_ruijsenaars_jacobian"),
+            ("hasegawa", "_HasegawaPlan"),
+            ("composition", "_HasegawaPlan"),
+            ("ruijsenaars", "_RuijsenaarsPlan"),
         ],
     )
     @pytest.mark.parametrize("coordinates", ["p", "theta"])

@@ -1,5 +1,5 @@
 """Unit tests for the special-function layer: theta series, sigma, wp,
-quasi-periodicity, the Legendre relation, and the trivial-theta gauge fit.
+quasi-periodicity, the Legendre relation, and the trivial-theta gauge.
 Oracle values come from mpmath theta series and truncated lattice products.
 """
 
@@ -63,94 +63,80 @@ class TestThetaSeries:
                 elliptic.theta_char(ch, np.array([0.1, 0.1 + 60j]), 0.2 + 2.4j)
             assert np.isfinite(elliptic.theta_char(ch, 0.1 + 6j, 0.2 + 2.4j))
 
-    @pytest.mark.parametrize("order", [0, 1, 2, 3, (0, 1), (1, 3), (0, 1, 2), (0, 1, 2, 3)])
-    @pytest.mark.parametrize("tau", [0.3 + 2.1j, -0.4 + 0.35j])
-    def test_orders_match_mpmath(self, order, tau):
-        z = np.array([0.17 + 0.05j, -0.4 + 0.3j, 1.2 - 0.1j, 0.05 - 0.6j])
-        orders = (order,) if isinstance(order, int) else order
-        vals = elliptic._theta_series(0.5, 0.5, z, tau, order)
-        vals = (vals,) if isinstance(order, int) else vals
-        assert len(vals) == len(orders)
-        for o, v in zip(orders, vals):
-            ref = np.array([oracles.theta1_mpmath(zz, tau, o) for zz in z])
-            assert v.shape == z.shape
-            assert np.max(np.abs(v - ref)) < 1e-12 * np.max(np.abs(ref))
-            # A scalar argument gives a complex number of the same value.
-            one = elliptic._theta_series(0.5, 0.5, z[0], tau, o)
-            assert isinstance(one, complex)
-            assert abs(one - ref[0]) < 1e-12 * np.max(np.abs(ref))
+    @given(
+        log_t=st.floats(-2.0, math.log10(50.0)),
+        re_tau=st.floats(-1.0, 1.0),
+        a=st.tuples(st.floats(-1.0, 1.0), st.sampled_from([0.0, 0.0, 0.25, -0.2])),
+        b=st.tuples(st.floats(-1.0, 1.0), st.sampled_from([0.0, 0.0, 0.15, -0.25])),
+        zs=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=3),
+        scalar=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_any_basis_matches_mpmath(self, log_t, re_tau, a, b, zs, scalar):
+        # Three bases of the lattice Z + tau Z, with Im tau in [0.01, 50]: tau,
+        # tau + 1 and -1/tau.
+        tau = complex(re_tau, 10**log_t)
+        ch = elliptic.ThetaCharacteristic(complex(*a), complex(*b))
+        z = np.array([complex(*p) for p in zs])
+        for t in (tau, tau + 1, -1 / tau):
+            # theta[a;b](z|t) vanishes where y = z + (a - 1/2) t + b - 1/2 is
+            # on the lattice; stay 0.05 of the shortest period off it.
+            lat = elliptic.lattice_from_periods(1.0, t)
+            y = z + (ch.a - 0.5) * t + ch.b - 0.5
+            assume(np.min(elliptic.lattice_distance(y, lat)) > 0.05 * abs(lat.red_omega1))
+            ref = np.array([oracles.theta_series_mpmath(ch.a, ch.b, zz, t) for zz in z])
+            assume(np.all(np.abs(ref) < 1e300))
+            if scalar:
+                got = elliptic.theta_char(ch, z[0], t)
+                assert isinstance(got, complex)
+                assert abs(got - ref[0]) <= 1e-11 * abs(ref[0])
+            else:
+                got = elliptic.theta_char(ch, z, t)
+                assert got.shape == z.shape
+                assert np.all(np.abs(got - ref) <= 1e-11 * np.abs(ref))
 
-    def test_widened_window_matches_direct_series(self, monkeypatch):
-        # With a complex characteristic and Re(tau) != 0 the largest term
-        # lies off the first window's center, so the window is widened.
-        windows = []
-        window = elliptic._theta_window
-
-        def recorded(*key):
-            windows.append(key[2:])
-            return window(*key)
-
-        monkeypatch.setattr(elliptic, "_theta_window", recorded)
-        a, b, tau = 0.5 + 3j, 0.5, 1 + 1j
-        z = np.array([0.1, 0.3 + 0.2j])
-        vals = elliptic._theta_series(a, b, z, tau, (0, 1, 2, 3))
-        assert len(windows) > 1
-        for o, v in enumerate(vals):
-            ref = np.array([oracles.theta_series_mpmath(a, b, zz, tau, o) for zz in z])
-            assert np.max(np.abs(v - ref)) < 1e-12 * np.max(np.abs(ref))
-
-    def test_window_cache_is_bounded_and_read_only(self):
-        for k in range(1000):
-            elliptic._theta_series(0.5, 0.5, 0.1, 0.1 * k + 1.3j)
-        info = elliptic._theta_window.cache_info()
-        assert info.maxsize == elliptic._WINDOW_CACHE_SIZE
-        assert info.currsize == elliptic._WINDOW_CACHE_SIZE
-        for arr in elliptic._theta_window(1.3j, 0.5 + 0j, -4, 4):
-            assert not arr.flags.writeable
-
-
-    def test_equals_reference_bit_for_bit(self, monkeypatch):
-        # The same floating-point operations as the reference copy, so equal
-        # bits, also where a widened window, a scalar argument or overflow
-        # (NaN and inf values far from the real axis) is involved.
-        windows = []
-        window = elliptic._theta_window
-
-        def recorded(*key):
-            windows.append(key)
-            return window(*key)
-
-        monkeypatch.setattr(elliptic, "_theta_window", recorded)
+    def test_matches_reference_series(self):
+        # The frozen unreduced series is a second oracle where Im tau is
+        # moderate; where its terms overflow, theta_char raises ValueOverflow.
+        z4 = np.array([0.17 + 0.05j, -0.4 + 0.3j, 1.2 - 0.1j, 0.05 - 0.6j])
+        cases = [(0.5, 0.5, z4, 0.3 + 2.1j), (0.5, 0.5, z4, -0.4 + 0.35j)]
+        # A complex characteristic whose largest term lies far off center.
+        cases.append((0.5 + 3j, 0.5, np.array([0.1, 0.3 + 0.2j]), 1 + 1j))
         rng = np.random.default_rng(8)
-        orders = [0, 1, 2, 3, (0, 1), (1, 3), (0, 1, 2), (0, 1, 2, 3)]
-        widened = non_finite = 0
-        for trial in range(1500):
+        for _ in range(1500):
             tau = complex(rng.uniform(-1, 1), 10 ** rng.uniform(-0.3, 0.8))
             a = complex(rng.choice([0.5, rng.uniform(-1, 1)]), rng.choice([0.0, rng.uniform(-6, 6)]))
             b = complex(rng.choice([0.5, rng.uniform(-1, 1)]), rng.choice([0.0, rng.uniform(-1, 1)]))
             size = int(rng.choice([0, 1, 6, 21]))
             scale = rng.choice([1.0, 1.0, 1.0, 40.0])
             z = rng.uniform(-1, 1, max(size, 1)) + 1j * scale * rng.uniform(-1, 1, max(size, 1))
-            z = complex(z[0]) if size == 0 else z
-            order = orders[trial % len(orders)]
+            cases.append((a, b, complex(z[0]) if size == 0 else z, tau))
+        non_finite = 0
+        for a, b, z, tau in cases:
+            ch = elliptic.ThetaCharacteristic(a, b)
             with np.errstate(all="ignore"):
-                try:
-                    ref = oracles.theta_series_reference(a, b, z, tau, order)
-                except ValueError:
-                    with pytest.raises(NonConvergent):
-                        elliptic._theta_series(a, b, z, tau, order)
-                    continue
-                del windows[:]
-                new = elliptic._theta_series(a, b, z, tau, order)
-            widened += len(windows) > 1
-            pairs = [(ref, new)] if isinstance(order, int) else list(zip(ref, new, strict=True))
-            for r, v in pairs:
-                assert type(v) is type(r)
-                assert np.shape(v) == np.shape(r)
-                assert np.asarray(v).tobytes() == np.asarray(r).tobytes()
-                non_finite += not np.isfinite(r).all()
-        assert widened > 20
+                ref = oracles.theta_series_reference(a, b, z, tau)
+            if not np.isfinite(ref).all():
+                non_finite += 1
+                with pytest.raises(ValueOverflow):
+                    elliptic.theta_char(ch, z, tau)
+                continue
+            got = elliptic.theta_char(ch, z, tau)
+            assert type(got) is type(ref)
+            assert np.shape(got) == np.shape(ref)
+            assert np.all(np.abs(got - ref) <= 1e-11 * np.abs(ref))
         assert non_finite > 20
+
+    @pytest.mark.parametrize("tau", [1e-6j, 0.6180339887498949 + 1e-12j, 1000 + 0.01j])
+    def test_nonconvergent_where_doubles_cannot_sum_it(self, tau):
+        # The exponents summed grow like pi (|y|^2/Im tau + Im(red_tau)/4),
+        # y = z + (a - 1/2) tau + b - 1/2: about 1e6 at tau = 1e-6 i, and 1e11
+        # and 1e7 in the last two, whose reduced Im tau is moderate.
+        ch = elliptic.ThetaCharacteristic(0.3, 0.5)
+        with pytest.raises(NonConvergent, match="tau="):
+            elliptic.theta_char(ch, 0.3, tau)
+        with pytest.raises(NonConvergent, match="tau="):
+            elliptic.fit_trivial_theta(ch, elliptic.lattice_from_periods(1.0, tau))
 
     @pytest.mark.parametrize("fn", ["sigma", "zeta", "wp"])
     @pytest.mark.parametrize(
@@ -322,6 +308,44 @@ class TestTrivialThetaFit:
             assert abs(lhs - rhs) < 1e-8 * abs(lhs)
 
 
+    def test_constant_beyond_a_double_is_a_typed_error(self):
+        # On (1, 0.02i), sigma(z + 1/2) is about exp(-950) near z = 0, and so
+        # is C.
+        lat = elliptic.lattice_from_periods(1.0, 0.02j)
+        with pytest.raises(ValueOverflow, match="tau="):
+            elliptic.fit_trivial_theta(elliptic.ThetaCharacteristic(0.0, 0.5), lat)
+
+    def test_gauge_identity_in_any_basis(self):
+        # The closed-form gauge at random characteristics, on lattices given
+        # in a basis of their own and in one with Im tau about 0.02:
+        # (w1 (tau0 + d), w1 (tau0 + d - 1)) spans the lattice of (w1, w1 tau0)
+        # with Im tau = Im tau0/|tau0 + d|^2.
+        rng = np.random.default_rng(3)
+        checked = 0
+        for _ in range(40):
+            w1 = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.3, 0.3))
+            tau0 = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.9, 1.6))
+            d = round(math.sqrt(tau0.imag / 0.02))
+            for o1, o2 in ((w1, w1 * tau0), (w1 * (tau0 + d), w1 * (tau0 + d - 1))):
+                lat = elliptic.lattice_from_periods(o1, o2)
+                a, b = (
+                    complex(rng.uniform(-0.5, 0.5), rng.choice([0.0, rng.uniform(-0.3, 0.3)]))
+                    for _ in range(2)
+                )
+                fit = elliptic.fit_trivial_theta(elliptic.ThetaCharacteristic(a, b), lat)
+                s = a * lat.omega2 + b * lat.omega1
+                z = rng.uniform(-0.5, 0.5, 4) + 1j * rng.uniform(-0.5, 0.5, 4)
+                z *= abs(lat.red_omega1)
+                z = z[elliptic.lattice_distance(z + s, lat) > 0.05 * abs(lat.red_omega1)]
+                lhs = elliptic.sigma(z + s, lat)
+                ch = elliptic.ThetaCharacteristic(0.5 + a, 0.5 + b)
+                rhs = fit(z) * elliptic.theta_char(ch, z / lat.omega1, lat.tau)
+                assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.abs(lhs))
+                checked += z.size
+            assert 0.015 < lat.tau.imag < 0.025
+        assert checked > 250
+
+
 class TestLatticeDistance:
     @given(
         m=st.integers(-3, 3),
@@ -425,6 +449,22 @@ class TestReducedKernel:
             k = math.ldexp(1.0, -math.frexp(abs(s))[1])
             s = complex(s) * k
             assert _within(elliptic.sigma(z, lat) * k, s, s * ze, z)
+
+    @pytest.mark.parametrize("fn", ["sigma", "zeta", "wp"])
+    def test_rounding_does_not_depend_on_position(self, fn):
+        # Each argument's value has the same bits as a scalar, alone in an
+        # array of 21, or at any place in arrays of 42 to 8190 arguments.
+        fn = getattr(elliptic, fn)
+        lat = elliptic.lattice_from_periods(1.0, 0.2 + 2.4j)
+        rng = np.random.default_rng(11)
+        z = rng.uniform(-1, 1, 21) + 1j * rng.uniform(-1, 1, 21)
+        alone = fn(z, lat).tobytes()
+        assert np.array([fn(v, lat) for v in z]).tobytes() == alone
+        for size in (42, 390, 8190):
+            for start in (0, 5, size // 2, size - 21):
+                many = rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
+                many[start : start + 21] = z
+                assert fn(many, lat)[start : start + 21].tobytes() == alone
 
     def test_far_point_and_overflow(self):
         # 30i from the origin sigma is about 1e-132, where the unreduced

@@ -93,6 +93,30 @@ class TestHasegawaComposition:
         assert abs(L - expected) < 1e-13 * abs(expected)
 
 
+    @pytest.mark.parametrize("kind", ["elliptic", "trig", "rational"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_equals_batched_plan_bit_for_bit(self, kind, n):
+        # A flow's spectra come from the plan's batched build; hasegawa_lax
+        # at the same point gives the same bits, wherever the point sits in
+        # the batch and however large the batch is.
+        lat = {
+            "elliptic": LAT,
+            "trig": elliptic.trig_lattice(),
+            "rational": elliptic.rational_lattice(),
+        }[kind]
+        rng = np.random.default_rng(n)
+        conf = make_conf(rng, n, lat)
+        L = lax.hasegawa_lax(conf, Z).entries
+        plan = lax._HasegawaPlan(conf, Z)
+        q, P = np.array(conf.q), np.array(conf.P)
+        for size in (2, 7, 390):
+            qs = q[:, None] + 0.01 * rng.normal(size=(n, size))
+            ps = P[:, None] + 0.1 * rng.normal(size=(n, size))
+            for pos in (0, size // 2, size - 1):
+                qs[:, pos], ps[:, pos] = q, P
+                assert plan.matrix(qs, ps)[..., pos].tobytes() == L.tobytes()
+
+
 class TestRuijsenaars:
     def test_eigenvalue_correspondence_with_hasegawa(self):
         # With momenta chosen by ruijsenaars_equivalent_momenta, the
