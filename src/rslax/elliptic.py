@@ -162,18 +162,35 @@ def _theta1_sums(xr, tau, count, g=None):
     factor, times exp(g).
 
     Each term is one exp of its summed exponent, which stays finite where
-    the factors taken apart would overflow and underflow.  A matrix-vector
-    product (one row, or one argument) would round an argument's sum by its
-    place in xr and the size of xr, so a single argument is summed twice.
+    the factors taken apart would overflow and underflow.  Where a term
+    overflows although the sum is a double (sigma within a few times of the
+    largest double), that argument's terms are summed again scaled by 2^-p,
+    p from its largest exponent, and the sum is scaled back exactly.
     """
     gauss, wpow = _theta1_window(tau)
     e = wpow[1][:, None] * xr
     e += gauss
     if g is not None:
         e += g
+    out = _weighted_exp_sums(wpow[:count], e)
+    if not np.isfinite(out).all():
+        bad = ~np.isfinite(out).all(axis=0)
+        p = np.rint(e[:, bad].real.max(axis=0) / math.log(2.0))
+        scaled = _weighted_exp_sums(wpow[:count], e[:, bad] - p * math.log(2.0))
+        with np.errstate(over="ignore"):
+            scaled.real = np.ldexp(scaled.real, p.astype(int))
+            scaled.imag = np.ldexp(scaled.imag, p.astype(int))
+        out[:, bad] = scaled
+    return out
+
+
+def _weighted_exp_sums(w, e):
+    """w @ exp(e).  A matrix-vector product (one row, or one column of e)
+    would round a column's sum by its place in e and the number of columns,
+    so a single column is summed twice."""
     if e.shape[1] == 1:
-        return (wpow[:count] @ np.exp(np.repeat(e, 2, axis=1)))[:, :1]
-    return wpow[:count] @ np.exp(e)
+        return (w @ np.exp(np.repeat(e, 2, axis=1)))[:, :1]
+    return w @ np.exp(e)
 
 
 def _unit_constants(tau):

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -419,6 +419,8 @@ class TestReducedKernel:
         u=st.floats(0.05, 0.45),
         v=st.floats(0.05, 0.45),
     )
+    # |sigma| = 1.29e308 here, a double, while its largest theta term is not.
+    @example(log_t=0.0, re_tau=0.0, m=15, n=15, u=0.0546875, v=0.0546875)
     @settings(max_examples=40, deadline=None)
     def test_quasi_periodicity_matches_mpmath(self, log_t, re_tau, m, n, u, v):
         tau = complex(re_tau, 10**log_t)
