@@ -61,7 +61,7 @@ class SpectralMatrix:
         arr = np.asarray(self.entries, dtype=complex)
         if arr.shape != (self.n, self.n):
             raise ValueError(f"entries must be {self.n}x{self.n}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteEntries("entries must be finite")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -74,29 +74,38 @@ def _pairwise_diffs(qs, rs):
     return q[:, None] - r[None, :]
 
 
-def _check_spec_distinct(spec: CauchyMatrixSpec, tol: float):
-    diffs = _pairwise_diffs(spec.qs, spec.rs)
-    if np.min(elliptic.lattice_distance(diffs, spec.lat)) < tol:
-        raise DegenerateConfiguration(
-            "some q_i - r_j is within the distinctness threshold of the lattice"
-        )
-
-
 def build_elliptic_cauchy(spec: CauchyMatrixSpec, lam) -> SpectralMatrix:
-    """Evaluate the elliptic Cauchy matrix at spectral parameter lam."""
+    """Evaluate the elliptic Cauchy matrix at spectral parameter lam, from
+    one sigma pass (elliptic._Batch)."""
+    lam = complex(lam)
+    batch = elliptic._Batch(spec.lat)
+    return _cauchy_matrix(batch, _cauchy_args(batch, spec.qs, spec.rs, lam), lam)
+
+
+def _cauchy_args(batch, qs, rs, lam):
+    """Add the arguments of the Cauchy matrix of (qs, rs) at lam, q_i - r_j,
+    lam and lam + q_i - r_j, to the batch."""
+    diffs = _pairwise_diffs(qs, rs)
+    return batch.add(diffs), batch.add(lam), batch.add(lam + diffs)
+
+
+def _cauchy_matrix(batch, args, lam):
+    """The Cauchy matrix from the batch's values at args (_cauchy_args)."""
+    diffs, lam_idx, lam_diffs = args
     # Entry evaluation only needs pole safety; the tighter distinctness
     # threshold applies to the closed-form determinants, which divide by
     # sigma of every difference.
-    _check_spec_distinct(spec, elliptic.POLE_TOL)
-    lam = complex(lam)
-    lat = spec.lat
-    if elliptic.lattice_distance(lam, lat) < elliptic.POLE_TOL:
+    if batch.distance(diffs).min() < elliptic.POLE_TOL:
+        raise DegenerateConfiguration(
+            "some q_i - r_j is within the distinctness threshold of the lattice"
+        )
+    if batch.distance(lam_idx) < elliptic.POLE_TOL:
         raise PoleAtLattice("spectral parameter lam is on the lattice")
-    diffs = _pairwise_diffs(spec.qs, spec.rs)
-    entries = elliptic.sigma(lam + diffs, lat) / (
-        elliptic.sigma(lam, lat) * elliptic.sigma(diffs, lat)
-    )
-    return SpectralMatrix(spec.n, entries, lam)
+    with np.errstate(all="ignore"):
+        entries = batch.sigma(lam_diffs) / (
+            complex(batch.sigma(lam_idx)) * batch.sigma(diffs)
+        )
+    return SpectralMatrix(diffs.shape[0], entries, lam)
 
 
 def frobenius_determinant(spec: CauchyMatrixSpec, lam) -> complex:

@@ -41,6 +41,9 @@ from .cauchy import CauchyMatrixSpec, build_elliptic_cauchy, frobenius_determina
 from .errors import CollisionImminent, ConfigInvalid, RslaxError
 
 SCHEMA_VERSION = 1
+# The most RK4 steps, round(t_end/dt), that `rslax evolve` runs: a trajectory
+# holds every step, so the bound keeps a run's memory and time finite.
+MAX_EVOLVE_STEPS = 100_000
 
 _encode_str = json.encoder.encode_basestring_ascii
 
@@ -474,6 +477,11 @@ def run_evolve(cfg: ExperimentConfig, report: RunReport):
     p = cfg.params
     dt = _as_real(p.get("dt", 1e-3), "params.dt", positive=True)
     t_end = _as_real(p.get("t_end", 1.0), "params.t_end", positive=True)
+    if t_end / dt > MAX_EVOLVE_STEPS:
+        raise ConfigInvalid(
+            f"t_end/dt = {t_end / dt:g} exceeds the step cap of {MAX_EVOLVE_STEPS}",
+            field="params.t_end",
+        )
     index = p.get("index", 1)
     if isinstance(index, bool) or not isinstance(index, int) or index < 1:
         raise ConfigInvalid("expected an integer >= 1", field="params.index")

@@ -30,8 +30,6 @@ _COORDINATES = ("p", "theta")
 # points as one Lax build of this many sigma arguments holds, and at least
 # one.
 _BLOCK_ARGS = 8192
-# exp(P) overflows a double above this real part.
-_LOG_MAX = float(np.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -133,11 +131,7 @@ def _not_finite(p, step=None):
     """The message of a Lax matrix that is not finite at the exponents p (at
     a flow's step), naming the first exp(p_k) that overflows a double."""
     where = "" if step is None else f" at step {step}"
-    big = np.flatnonzero(np.real(p) > _LOG_MAX)
-    if big.size:
-        k = big[0]
-        where += f": exp(P_{k}) overflows (Re P_{k} = {p[k].real:g})"
-    return "the Lax matrix is not finite" + where
+    return "the Lax matrix is not finite" + where + lax._exp_overflow(p)
 
 
 def _field(spec: HamiltonianSpec, plan, diagonal, q, p, step=None):

@@ -175,9 +175,11 @@ def _theta1_sums(xr, tau, count, g=None):
     out = _weighted_exp_sums(wpow[:count], e)
     if not np.isfinite(out).all():
         bad = ~np.isfinite(out).all(axis=0)
-        p = np.rint(e[:, bad].real.max(axis=0) / math.log(2.0))
+        # Clipped, so that the cast cannot wrap around: beyond 2^4096 the
+        # sum is not a double either way, and ldexp makes it inf.
+        p = np.clip(np.rint(e[:, bad].real.max(axis=0) / math.log(2.0)), -4096, 4096)
         scaled = _weighted_exp_sums(wpow[:count], e[:, bad] - p * math.log(2.0))
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             scaled.real = np.ldexp(scaled.real, p.astype(int))
             scaled.imag = np.ldexp(scaled.imag, p.astype(int))
         out[:, bad] = scaled
@@ -258,6 +260,10 @@ def lattice_from_periods(omega1, omega2) -> Lattice:
     on the lattice, so evaluating it in that basis is exact.  The reduced
     eta come from theta1 at red_tau, and eta1, eta2 of the given basis from
     them by the inverse integer matrix, as eta is additive in the period.
+
+    NonConvergent naming tau where the reduced basis or the eta are not
+    finite doubles: below Im tau of about 1e-154 (omega1 = 1), or at
+    periods near the smallest doubles.
     """
     omega1 = complex(omega1)
     omega2 = complex(omega2)
@@ -268,25 +274,33 @@ def lattice_from_periods(omega1, omega2) -> Lattice:
             "swap the period arguments"
         )
     a, b, c, d, _ = _gauss_reduction(tau)
-    if c == 0:  # a shift of tau by the integer b
-        w1, red_tau = omega1, tau + b
-    else:
-        # Rounded once from their exact values, as integers over one power
-        # of two (int / int rounds correctly): sigma far from the origin
-        # depends on the lattice to the last bit.
-        parts = [u.as_integer_ratio() for w in (omega1, omega2) for u in (w.real, w.imag)]
-        den = max(q for _, q in parts)
-        o1r, o1i, o2r, o2i = (p * (den // q) for p, q in parts)
-        w1r, w1i = c * o2r + d * o1r, c * o2i + d * o1i
-        w2r, w2i = a * o2r + b * o1r, a * o2i + b * o1i
-        norm = w1r * w1r + w1i * w1i
-        w1 = complex(w1r / den, w1i / den)
-        red_tau = complex((w2r * w1r + w2i * w1i) / norm, (w2i * w1r - w2r * w1i) / norm)
-    _, eta_hat = _unit_constants(red_tau)
-    eta1 = eta_hat / w1
-    eta2 = (eta_hat * red_tau - 1j * np.pi) / w1
+    try:
+        if c == 0:  # a shift of tau by the integer b
+            w1, red_tau = omega1, tau + b
+        else:
+            # Rounded once from their exact values, as integers over one
+            # power of two (int / int rounds correctly): sigma far from the
+            # origin depends on the lattice to the last bit.
+            parts = [u.as_integer_ratio() for w in (omega1, omega2) for u in (w.real, w.imag)]
+            den = max(q for _, q in parts)
+            o1r, o1i, o2r, o2i = (p * (den // q) for p, q in parts)
+            w1r, w1i = c * o2r + d * o1r, c * o2i + d * o1i
+            w2r, w2i = a * o2r + b * o1r, a * o2i + b * o1i
+            norm = w1r * w1r + w1i * w1i
+            w1 = complex(w1r / den, w1i / den)
+            red_tau = complex((w2r * w1r + w2i * w1i) / norm, (w2i * w1r - w2r * w1i) / norm)
+        _, eta_hat = _unit_constants(red_tau)
+        eta1 = eta_hat / w1
+        eta2 = (eta_hat * red_tau - 1j * np.pi) / w1
+        eta1, eta2 = a * eta1 - c * eta2, d * eta2 - b * eta1
+    except (OverflowError, ZeroDivisionError):
+        w1 = red_tau = eta1 = eta2 = complex("nan")
+    if not all(map(cmath.isfinite, (w1, red_tau, eta1, eta2))):
+        raise NonConvergent(
+            f"the lattice constants at tau={tau} (omega1={omega1}) are not finite doubles"
+        )
     return Lattice(
-        omega1, omega2, tau, a * eta1 - c * eta2, d * eta2 - b * eta1, KIND_ELLIPTIC, w1, red_tau
+        omega1, omega2, tau, eta1, eta2, KIND_ELLIPTIC, w1, red_tau
     )
 
 
@@ -416,7 +430,7 @@ def _sigma_orders(args: _Args, lat: Lattice, s, ds=None):
 
 
 def _off_lattice(args: _Args, lat: Lattice, what):
-    if np.min(_distance(args, lat)) < POLE_TOL:
+    if _distance(args, lat).min() < POLE_TOL:
         raise PoleAtLattice(f"{what} argument within {POLE_TOL} of a lattice point")
 
 
@@ -427,15 +441,21 @@ def zeta(z, lat: Lattice):
     """
     args = _entry(z, lat)
     _off_lattice(args, lat, "zeta")
+    return _shaped(_zeta(args, lat), z)
+
+
+def _zeta(args: _Args, lat: Lattice):
+    """zeta at args, which the caller keeps off the lattice."""
     if lat.kind != KIND_ELLIPTIC:
         s, ds = np.empty((2, args.x.size), dtype=complex)
         _sigma_orders(args, lat, s, ds)
-        return _shaped(ds / s, z)
+        return ds / s
     x, xr, n, _ = args
     _, eta = _unit_constants(lat.red_tau)
-    # sigma'/sigma of _sigma_orders, whose terms' common factor exp(g) cancels.
+    # sigma'/sigma of _sigma_orders without the terms' common factor exp(g),
+    # whose rounding (about |g| eps) would not cancel.
     t0, t1 = _theta1_sums(xr, lat.red_tau, 2)
-    return _shaped((2.0 * eta * x - 2j * np.pi * n + t1 / t0) / lat.red_omega1, z)
+    return (2.0 * eta * x - 2j * np.pi * n + t1 / t0) / lat.red_omega1
 
 
 def wp(z, lat: Lattice):
@@ -456,6 +476,74 @@ def _wp(args: _Args, lat: Lattice):
     # wp = -(log sigma)'' = (-2 eta1_hat - (log theta1)'')/red_omega1^2, and
     # log theta1(x) - log theta1(xr) is linear in x.
     return (-2.0 * eta - (t2 * t0 - t1**2) / t0**2) / lat.red_omega1**2
+
+
+class _Batch:
+    """The special-function arguments of one builder on one lattice, in one
+    pass.  add() takes a group of arguments and gives back its index array;
+    the first read reduces all of them once (_reduce), and the first sigma
+    read evaluates sigma at all of them in one _sigma_orders call, so every
+    add() comes before the first read.  zeta and wp take their own theta
+    pass over the arguments read, on the same reduction.  Each read makes
+    the checks of the public function it stands for, so a builder that
+    reads in the order of its former calls raises their errors in their
+    order."""
+
+    def __init__(self, lat: Lattice):
+        self.lat = lat
+        self._parts = []
+        self._size = 0
+        self.args = self.s = None
+
+    def add(self, z):
+        """The index array, shaped like z, of the arguments z."""
+        z = np.asarray(z)
+        start = self._size
+        self._size += z.size
+        self._parts.append(z.reshape(-1))
+        return np.arange(start, self._size).reshape(z.shape)
+
+    def _reduced(self, idx):
+        """The reduced arguments; NonConvergent if those at idx are not
+        finite (as _entry)."""
+        if self.args is None:
+            z = np.concatenate(self._parts, dtype=complex)
+            finite = np.isfinite(z)
+            self.finite = None if finite.all() else finite
+            with np.errstate(all="ignore"):
+                self.args = _reduce(z, self.lat)
+        if self.finite is not None and not self.finite[idx].all():
+            raise NonConvergent("special function argument is not finite")
+        return self.args
+
+    def distance(self, idx):
+        """lattice_distance at idx."""
+        return _distance(self._reduced(idx), self.lat, idx)
+
+    def sigma(self, idx):
+        """sigma at idx."""
+        args = self._reduced(idx)
+        if self.s is None:
+            self.s = np.empty(self._size, dtype=complex)
+            with np.errstate(all="ignore"):
+                _sigma_orders(args, self.lat, self.s)
+        out = self.s[idx]
+        if not np.isfinite(out).all():
+            raise ValueOverflow("sigma is too large for a double")
+        return out
+
+    def zeta(self, idx):
+        """zeta at idx."""
+        return self._pole_free(idx, "zeta", _zeta)
+
+    def wp(self, idx):
+        """wp at idx."""
+        return self._pole_free(idx, "wp", _wp)
+
+    def _pole_free(self, idx, what, fn):
+        args = self._reduced(idx).part(np.ravel(idx))
+        _off_lattice(args, self.lat, what)
+        return fn(args, self.lat).reshape(np.shape(idx))[()]
 
 
 def section_phi(q, z, lat: Lattice):

@@ -16,18 +16,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import elliptic
-from .cauchy import CauchyMatrixSpec, SpectralMatrix, build_elliptic_cauchy
+from . import cauchy, elliptic
+from .cauchy import CauchyMatrixSpec, SpectralMatrix
 from .errors import (
     BranchCutWarning,
     DegenerateConfiguration,
+    NonFiniteEntries,
     PoleAtLattice,
-    SingularMatrix,
     ZeroLambda,
     ZeroMu,
 )
 
 DISTINCT_TOL = 1e-6
+# exp(P) overflows a double above this real part.
+_LOG_MAX = float(np.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -136,11 +138,14 @@ def _separation(q, lat):
     if n < 2:
         return
     # Each pair in both orders: the distance of -d is that of d.
-    d = _diff_matrix(q).reshape(-1)[_pairs(n)[2]]
-    if np.min(elliptic.lattice_distance(d, lat)) < DISTINCT_TOL:
-        raise DegenerateConfiguration(
-            "positions are not pairwise distinct modulo the lattice"
-        )
+    _distinct(elliptic.lattice_distance(_diff_matrix(q).reshape(-1)[_pairs(n)[2]], lat))
+
+
+def _distinct(dist):
+    """DegenerateConfiguration if a distance of two positions from the
+    lattice is below DISTINCT_TOL."""
+    if dist.size and dist.min() < DISTINCT_TOL:
+        raise DegenerateConfiguration("positions are not pairwise distinct modulo the lattice")
 
 
 def _exclusive_products(S):
@@ -185,11 +190,31 @@ def xi_matrix(conf: RSConfig, z) -> SpectralMatrix:
     return SpectralMatrix(n, entries, complex(z))
 
 
-def _off_lattice(lat, **points):
-    """PoleAtLattice naming the first named value (scalar or array) on the lattice."""
-    for what, val in points.items():
-        if np.min(elliptic.lattice_distance(val, lat)) < elliptic.POLE_TOL:
+def _off_lattice(batch, **points):
+    """PoleAtLattice naming the first named group of the batch's arguments
+    (its index array) on the lattice."""
+    for what, idx in points.items():
+        if batch.distance(idx).min() < elliptic.POLE_TOL:
             raise PoleAtLattice(f"{what} is on the lattice")
+
+
+def _exp_overflow(P):
+    """': exp(P_k) overflows (Re P_k = ...)' for the first k whose exp(P_k)
+    overflows a double, or ''."""
+    big = np.flatnonzero(np.real(P) > _LOG_MAX)
+    if not big.size:
+        return ""
+    k = big[0]
+    return f": exp(P_{k}) overflows (Re P_{k} = {np.real(P[k]):g})"
+
+
+def _lax_matrix(entries, lam, P):
+    """The SpectralMatrix of Lax entries with the momentum factors exp(P);
+    NonFiniteEntries naming the first exp(P_k) that overflows."""
+    try:
+        return SpectralMatrix(entries.shape[0], entries, lam)
+    except NonFiniteEntries as exc:
+        raise NonFiniteEntries(f"{exc}{_exp_overflow(P)}") from None
 
 
 @functools.lru_cache(maxsize=32)
@@ -265,24 +290,31 @@ class _HasegawaPlan(_Plan):
     (diagonal 1), B[l, k'] = sigma(hbar + q_l - q_{k'}) (diagonal
     sigma(hbar)) and N_{kk'} = prod_{l != k} B[l, k'].  The entries are
     exp(P_k) K_{kk'}.
+
+    One reduction serves the checks of conf's positions (RSConfig's, so a
+    configuration moved to another lattice unchecked is checked here) and
+    of z, and the constants' sigma pass.
     """
 
     def __init__(self, conf: RSConfig, z):
-        _off_lattice(conf.lat, z=z)
         z = complex(z)
         hbar = conf.hbar
         n = conf.n
         self.lat = conf.lat
         self.I, self.J, self.layout, self.xlayout, self.tlayout = _hasegawa_layout(n)
         m, o = n * n, n * n - n
-        self.c = np.concatenate([np.full(o, hbar), np.zeros(o), np.full(m, z + hbar)])
+        self.c = np.array([hbar, 0.0, z + hbar]).repeat([o, o, m])
         self.diffs = slice(o, 2 * o)
         self.factors = 2 * o  # the arguments of B and S
         # The tails hold the diagonals of B and S, for sigma and for sigma'.
         self.s, self.ds = np.empty((2, m + 2 * o + 2), dtype=complex)
+        q = np.asarray(conf.q, dtype=complex)
+        batch = elliptic._Batch(self.lat)
+        batch.add([hbar, z, z + hbar])  # the constants, at 0, 1 and 2
+        _distinct(batch.distance(batch.add(q[self.I[self.diffs]] - q[self.J[self.diffs]])))
+        _off_lattice(batch, z=1)
         s, ds = np.empty((2, 3), dtype=complex)
-        constants = elliptic._reduce(np.array([hbar, z, z + hbar]), self.lat)
-        elliptic._sigma_orders(constants, self.lat, s, ds)
+        elliptic._sigma_orders(batch.args.part(slice(3)), self.lat, s, ds)
         self.s[-2], self.sigma_z, self.sigma_zh = s
         self.ds[-2] = ds[0]
         self.s[-1], self.ds[-1] = 1.0, 0.0
@@ -385,24 +417,17 @@ def hasegawa_lax(conf: RSConfig, z) -> SpectralMatrix:
 
     evaluated for any lattice kind through the sigma dispatch.
     """
-    L = _HasegawaPlan(conf, z).matrix(
-        np.asarray(conf.q, dtype=complex), np.asarray(conf.P, dtype=complex)
-    )
-    return SpectralMatrix(conf.n, L, complex(z))
+    P = np.asarray(conf.P, dtype=complex)
+    with np.errstate(all="ignore"):
+        L = _HasegawaPlan(conf, z).matrix(np.asarray(conf.q, dtype=complex), P)
+    return _lax_matrix(L, complex(z), P)
 
 
-def _transport_diagonals(conf: RSConfig):
+def _transport_diagonals(batch, D, hD):
     """The diagonals prod_{l != k} sigma(q_l - q_k) and prod_l sigma(hbar +
-    q_l - q_k) that scale the rows and columns of the transport matrix."""
-    D = _diff_matrix(conf.q)
-    S3 = np.atleast_2d(elliptic.sigma(D, conf.lat))
-    prod_den = np.diag(_exclusive_products(S3))
-    col = np.prod(np.atleast_2d(elliptic.sigma(conf.hbar + D, conf.lat)), axis=0)
-    return prod_den, col
-
-
-def _zero_coupling(conf: RSConfig) -> bool:
-    return elliptic.lattice_distance(conf.hbar, conf.lat) < elliptic.POLE_TOL
+    q_l - q_k) that scale the rows and columns of the transport matrix,
+    from the batch's arguments D = q_l - q_k and hD = hbar + D."""
+    return np.diag(_exclusive_products(batch.sigma(D))), batch.sigma(hD).prod(axis=0)
 
 
 def composition_lax(conf: RSConfig, z) -> SpectralMatrix:
@@ -415,21 +440,39 @@ def composition_lax(conf: RSConfig, z) -> SpectralMatrix:
     D_col = diag(prod_l sigma(hbar + q_l - q_{k'})).  This is an independent
     arithmetic route from hasegawa_lax: the Cauchy kernel divides by
     sigma(hbar + q_k - q_{k'}) entrywise and the column scaling restores it.
+    All its sigma values come from one pass (elliptic._Batch).
     """
-    lat = conf.lat
-    hbar = conf.hbar
-    n = conf.n
-    if _zero_coupling(conf):
-        # Zero coupling: the transport is trivial and only momenta remain.
-        return SpectralMatrix(
-            n, np.diag(np.exp(np.asarray(conf.P, dtype=complex))), complex(z)
-        )
-    qs = tuple(qq + hbar for qq in conf.q)
-    C = build_elliptic_cauchy(CauchyMatrixSpec(qs, conf.q, lat), z)
-    prod_den, col = _transport_diagonals(conf)
-    expP = np.exp(np.asarray(conf.P, dtype=complex))
-    entries = (expP / prod_den)[:, None] * C.entries * col[None, :]
-    return SpectralMatrix(n, entries, complex(z))
+    z = complex(z)
+    q = np.asarray(conf.q, dtype=complex)
+    batch = elliptic._Batch(conf.lat)
+    D = _diff_matrix(q)
+    D_idx = batch.add(D)
+    return _composition(batch, D_idx, _composition_args(batch, q, conf.hbar, z, D), conf.P, z)
+
+
+def _composition_args(batch, q, hbar, z, D):
+    """Add the arguments of composition_lax at the coupling hbar, other than
+    the position differences D, to the batch: hbar, the Cauchy matrix's
+    (cauchy._cauchy_args, of q + hbar and q at z) and hbar + D."""
+    return batch.add(hbar), cauchy._cauchy_args(batch, q + hbar, q, z), batch.add(hbar + D)
+
+
+def _composition(batch, D, args, P, z):
+    """composition_lax from the batch's values: D indexes the position
+    differences and args is _composition_args' at the coupling.  The checks
+    and their order are those of its former per-call route."""
+    hbar, cauchy_args, hD = args
+    P = np.asarray(P, dtype=complex)
+    with np.errstate(all="ignore"):
+        if batch.distance(hbar) < elliptic.POLE_TOL:
+            # Zero coupling: the transport is trivial and only momenta remain.
+            return _lax_matrix(np.diag(np.exp(P)), z, P)
+        if not P.size:
+            CauchyMatrixSpec((), (), batch.lat)  # raises: the Cauchy matrix needs n >= 1
+        C = cauchy._cauchy_matrix(batch, cauchy_args, z)
+        prod_den, col = _transport_diagonals(batch, D, hD)
+        entries = (np.exp(P) / prod_den)[:, None] * C.entries * col[None, :]
+    return _lax_matrix(entries, z, P)
 
 
 def _row_f(args, n, sigma_mu, wp_mu, lat):
@@ -451,10 +494,10 @@ def ruijsenaars_lax(conf: RSConfig, lam) -> SpectralMatrix:
     with f(q)^2 = sigma(mu)^2 * (wp(mu) - wp(q)) and the principal square
     root taken factor by factor.
     """
-    L = _RuijsenaarsPlan(conf, lam).matrix(
-        np.asarray(conf.q, dtype=complex), np.asarray(conf.P, dtype=complex)
-    )
-    return SpectralMatrix(conf.n, L, complex(lam))
+    P = np.asarray(conf.P, dtype=complex)
+    with np.errstate(all="ignore"):
+        L = _RuijsenaarsPlan(conf, lam).matrix(np.asarray(conf.q, dtype=complex), P)
+    return _lax_matrix(L, complex(lam), P)
 
 
 class _RuijsenaarsPlan(_Plan):
@@ -462,8 +505,8 @@ class _RuijsenaarsPlan(_Plan):
     spectral point lam (lam and mu checked here): the sigma arguments are
     the blocks q_i - q_k + lam and q_i - q_k + mu (all pairs), q_i - q_k -
     mu and q_i - q_k (i != k); sigma(lam), sigma(mu) and wp(mu) are
-    evaluated here.  The q-gradient map is R -> g, g_j = sum_{i,k} R_{ik}
-    dL'_{ik}/dq_j.
+    evaluated here, from one reduction of lam and mu.  The q-gradient map
+    is R -> g, g_j = sum_{i,k} R_{ik} dL'_{ik}/dq_j.
 
     The factor sigma(q_i - q_k + lam) vanishes where positions are spaced by
     -lam, so it is differentiated as sigma' times the other factors.  The
@@ -478,19 +521,21 @@ class _RuijsenaarsPlan(_Plan):
     """
 
     def __init__(self, conf: RSConfig, lam):
-        _off_lattice(conf.lat, lam=lam, mu=conf.mu)
         lam = complex(lam)
         mu = conf.mu
         self.n = n = conf.n
         self.lat = conf.lat
+        batch = elliptic._Batch(self.lat)
+        constants = batch.add([lam, mu])
+        _off_lattice(batch, lam=constants[0], mu=constants[1])
+        self.sigma_lam, self.sigma_mu = batch.sigma(constants)
+        self.wp_mu = batch.wp(constants[1]) if n > 1 else None
         rows, cols, self.off = _pairs(n)
         m, o = n * n, self.off.size
         self.I = np.concatenate([rows, rows, rows[self.off], rows[self.off]])
         self.J = np.concatenate([cols, cols, cols[self.off], cols[self.off]])
-        self.c = np.concatenate([np.full(m, lam), np.full(m, mu), np.full(o, -mu), np.zeros(o)])
+        self.c = np.array([lam, mu, -mu, 0.0]).repeat([m, m, o, o])
         self.s, self.ds = np.empty((2, 2 * m + 2 * o), dtype=complex)
-        self.sigma_lam, self.sigma_mu = elliptic.sigma(np.array([lam, mu]), self.lat)
-        self.wp_mu = elliptic.wp(mu, self.lat) if n > 1 else None
         self.diffs = slice(2 * m + o, None)
         # The off-diagonal q_i - q_k + mu; the diagonal is mu, checked above.
         self.mu_off = m + self.off
@@ -558,11 +603,14 @@ def ruijsenaars_equivalent_momenta(conf: RSConfig):
     root branch choices into the momentum normalization.
     """
     n, lat = conf.n, conf.lat
-    prod_den, col = _transport_diagonals(conf)
+    D = _diff_matrix(conf.q)
+    batch = elliptic._Batch(lat)
+    D_idx, hD, hbar = batch.add(D), batch.add(conf.hbar + D), batch.add(conf.hbar)
+    prod_den, col = _transport_diagonals(batch, D_idx, hD)
     d_row = np.exp(np.asarray(conf.P, dtype=complex)) / prod_den
-    sig_h = elliptic.sigma(conf.hbar, lat)
-    wp_h = elliptic.wp(conf.hbar, lat) if n > 1 else None
-    args = elliptic._reduce(_diff_matrix(conf.q).reshape(-1)[_pairs(n)[2]], lat)
+    sig_h = batch.sigma(hbar)
+    wp_h = batch.wp(hbar) if n > 1 else None
+    args = batch.args.part(D_idx.reshape(-1)[_pairs(n)[2]])
     return np.log(d_row * col / (sig_h * _row_f(args, n, sig_h, wp_h, lat)[1]))
 
 
@@ -572,26 +620,29 @@ def krichever_lax(conf: RSConfig, z, lam) -> SpectralMatrix:
         L''_{ij} = sigma(lam + q_i - q_j) / (sigma(lam + mu) * sigma(q_i - q_j - mu))
                    * [sigma(z - mu)/sigma(z + mu)]^{(q_i - q_j - mu)/(2 mu)}
 
-    with the principal branch of the complex power.
+    with the principal branch of the complex power, from one sigma pass.
     """
-    lat = conf.lat
     mu = conf.mu
     z = complex(z)
     lam = complex(lam)
     if abs(mu) < 1e-12:
         raise ZeroMu("krichever matrix requires mu != 0")
     D = _diff_matrix(conf.q)
+    batch = elliptic._Batch(conf.lat)
+    lam_mu, z_minus, z_plus, D_mu, lam_D = map(
+        batch.add, (lam + mu, z - mu, z + mu, D - mu, lam + D)
+    )
     _off_lattice(
-        lat, **{"lam + mu": lam + mu, "z - mu": z - mu, "z + mu": z + mu, "q_i - q_j - mu": D - mu}
+        batch, **{"lam + mu": lam_mu, "z - mu": z_minus, "z + mu": z_plus, "q_i - q_j - mu": D_mu}
     )
-    ratio = elliptic.sigma(z - mu, lat) / elliptic.sigma(z + mu, lat)
-    power = np.exp((D - mu) / (2.0 * mu) * np.log(ratio))
-    entries = (
-        elliptic.sigma(lam + D, lat)
-        / (elliptic.sigma(lam + mu, lat) * elliptic.sigma(D - mu, lat))
-        * power
-    )
-    return SpectralMatrix(conf.n, np.atleast_2d(entries), lam)
+    with np.errstate(all="ignore"):
+        # Scalars, as the public sigma gave them.
+        ratio = complex(batch.sigma(z_minus)) / complex(batch.sigma(z_plus))
+        power = np.exp((D - mu) / (2.0 * mu) * np.log(ratio))
+        entries = (
+            batch.sigma(lam_D) / (complex(batch.sigma(lam_mu)) * batch.sigma(D_mu)) * power
+        )
+    return SpectralMatrix(conf.n, entries, lam)
 
 
 def spin_lax(conf: RSConfig, spin: SpinFraming, z) -> SpectralMatrix:
@@ -621,6 +672,8 @@ def cm_lax(conf: CMConfig, lam) -> SpectralMatrix:
     """
     lat = conf.lat
     n = conf.n
+    off = ~np.eye(n, dtype=bool)
+    D = _diff_matrix(conf.q)[off]
     spectral_free = lam is None or (np.isreal(lam) and np.isinf(np.real(lam)))
     if spectral_free:
         if lat.kind != elliptic.KIND_RATIONAL:
@@ -633,21 +686,19 @@ def cm_lax(conf: CMConfig, lam) -> SpectralMatrix:
             if abs(lam) < 1e-12:
                 raise ZeroLambda("cm_lax requires lam != 0")
         else:
-            _off_lattice(lat, lam=lam)
+            batch = elliptic._Batch(lat)
+            lam_idx, num, den = batch.add(lam), batch.add(lam - D), batch.add(D)
+            _off_lattice(batch, lam=lam_idx)
 
-    off = ~np.eye(n, dtype=bool)
     entries = np.diag(np.asarray(conf.p, dtype=complex))
     if n > 1:
-        D = _diff_matrix(conf.q)
         if spectral_free:
-            entries[off] += conf.g / D[off]
+            entries[off] += conf.g / D
         elif lat.kind == elliptic.KIND_RATIONAL:
-            entries[off] += conf.g * (1.0 / D[off] - 1.0 / lam)
+            entries[off] += conf.g * (1.0 / D - 1.0 / lam)
         else:
             entries[off] += (
-                conf.g
-                * elliptic.sigma(lam - D[off], lat)
-                / (elliptic.sigma(D[off], lat) * elliptic.sigma(lam, lat))
+                conf.g * batch.sigma(num) / (batch.sigma(den) * complex(batch.sigma(lam_idx)))
             )
     return SpectralMatrix(n, entries, 0.0 + 0.0j if spectral_free else lam)
 
@@ -664,20 +715,30 @@ def factorized_cm_lax(conf: CMConfig, z) -> SpectralMatrix:
 
     with c_k = prod_{l != k} sigma(q_l - q_k).  For n = 1 this is p + zeta(z).
     (L(hbar) - I)/hbar converges to it at first order as hbar -> 0 with P = hbar*p.
+    Its sigma and zeta values come from one reduction (elliptic._Batch).
     """
-    lat = conf.lat
-    if lat.kind != elliptic.KIND_ELLIPTIC:
-        raise DegenerateConfiguration("factorized CM matrix requires an elliptic lattice")
     z = complex(z)
-    n = conf.n
     D = _diff_matrix(conf.q)
-    # zeta(z), then zeta(q_l - q_k) over l != k for each k in turn; zeta
-    # raises PoleAtLattice if z is on the lattice.
-    zetas = elliptic.zeta(np.append(z, D.T[~np.eye(n, dtype=bool)]), lat)
-    S, A = elliptic.sigma(np.stack([D, z + D]), lat)
-    np.fill_diagonal(S, 1.0)
-    c = S.prod(axis=0)
-    T = A / (elliptic.sigma(z, lat) * S) * c / c[:, None]
-    np.fill_diagonal(T, zetas[0] + zetas[1:].reshape(n, n - 1).sum(axis=1))
-    entries = np.diag(np.asarray(conf.p, dtype=complex)) + T
+    batch = elliptic._Batch(conf.lat)
+    return _factorized_cm(batch, (batch.add(z), batch.add(D), batch.add(z + D)), conf.p, z)
+
+
+def _factorized_cm(batch, args, p, z):
+    """factorized_cm_lax from the batch's values at args, the indices of z,
+    the position differences D and z + D, with the checks of its former
+    per-call route in their order."""
+    if batch.lat.kind != elliptic.KIND_ELLIPTIC:
+        raise DegenerateConfiguration("factorized CM matrix requires an elliptic lattice")
+    z_idx, D, zD = args
+    n = D.shape[0]
+    with np.errstate(all="ignore"):
+        # zeta(z), then zeta(q_l - q_k) over l != k for each k in turn; zeta
+        # raises PoleAtLattice if z is on the lattice.
+        zetas = batch.zeta(np.append(z_idx, D.T[~np.eye(n, dtype=bool)]))
+        S, A = batch.sigma(np.stack([D, zD]))
+        np.fill_diagonal(S, 1.0)
+        c = S.prod(axis=0)
+        T = A / (complex(batch.sigma(z_idx)) * S) * c / c[:, None]
+        np.fill_diagonal(T, zetas[0] + zetas[1:].reshape(n, n - 1).sum(axis=1))
+    entries = np.diag(np.asarray(p, dtype=complex)) + T
     return SpectralMatrix(n, entries, z)

@@ -5,13 +5,14 @@ of RS onto the factorized CM matrix, and the framing-constraint diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import elliptic
+from . import elliptic, lax
 from .errors import DegenerateConfiguration
-from .lax import CMConfig, RSConfig, composition_lax, factorized_cm_lax, hasegawa_lax, rs_config
+from .lax import CMConfig, RSConfig, hasegawa_lax, rs_config
 
 PARAM_IM_TAU = "ImTau"
 PARAM_HBAR = "Hbar"
@@ -89,6 +90,14 @@ def _sigma_argument_second_moment(q, hbar, z):
     return (hbar + qk - qkp) * (2 * z + 2 * q.sum() + q.size * (hbar - qk - qkp))
 
 
+def _moved(conf: RSConfig, lat):
+    """conf on the lattice lat without RSConfig's check of its positions,
+    which hasegawa_lax makes in its plan's reduction (_HasegawaPlan)."""
+    out = copy.copy(conf)
+    object.__setattr__(out, "lat", lat)
+    return out
+
+
 def degeneration_sweep(conf: RSConfig, im_tau_values, z=_DEFAULT_Z) -> LimitSweep:
     """Residuals of the elliptic RS Lax matrix against its trigonometric
     degeneration over a sweep of Im(tau).
@@ -102,7 +111,8 @@ def degeneration_sweep(conf: RSConfig, im_tau_values, z=_DEFAULT_Z) -> LimitSwee
     the trivial-theta gauge C*exp(A*z + B*z^2), A = 0 and B = eta1/omega1,
     times theta1(z/omega1) (elliptic._sigma_orders), which tends to a
     constant times sin(pi z/omega1); the counts of sigma factors balance, so
-    C cancels.  The residual is the relative Frobenius distance.
+    C cancels.  The residual is the relative Frobenius distance.  Each
+    lattice's positions are checked in its matrix's pass (_moved).
     """
     values = _positive(im_tau_values, "Im(tau)")
     z = complex(z)
@@ -123,7 +133,7 @@ def degeneration_sweep(conf: RSConfig, im_tau_values, z=_DEFAULT_Z) -> LimitSwee
     errors = []
     for t in values:
         lat_t = elliptic.lattice_from_periods(1.0, 1j * t)
-        L_ell = hasegawa_lax(replace(conf, lat=lat_t), z).entries
+        L_ell = hasegawa_lax(_moved(conf, lat_t), z).entries
         pred = np.exp(lat_t.eta1 / lat_t.omega1 * delta2) * L_trig
         err = np.linalg.norm(L_ell - pred) / np.linalg.norm(pred)
         errors.append(float(err))
@@ -140,20 +150,32 @@ def cm_limit_sweep(conf: RSConfig, cmconf: CMConfig, hbar_values, z=_DEFAULT_Z) 
     P = hbar * p (hbar playing the role of the inverse light speed), and the
     residual is ||(L(hbar) - I)/hbar - L_CM|| / ||L_CM|| at the spectral
     point z.  First-order convergence gives fitted_order near 1.
+
+    The matrices are lax.composition_lax and lax.factorized_cm_lax, all from
+    one sigma pass (elliptic._Batch) when the two configurations share a
+    lattice.  The positions, shared and checked with conf, are not checked
+    again per hbar.
     """
     # The residual divides by hbar, and the order is fitted to log(hbar).
     values = _positive(hbar_values, "hbar")
     if tuple(conf.q) != tuple(cmconf.q):
         raise DegenerateConfiguration("RS and CM configurations must share positions")
     z = complex(z)
-    F = factorized_cm_lax(cmconf, z).entries
-    normF = np.linalg.norm(F)
+    q = np.asarray(conf.q, dtype=complex)
     p = np.asarray(cmconf.p, dtype=complex)
+    D = lax._diff_matrix(q)
+    batch = elliptic._Batch(conf.lat)
+    D_idx = batch.add(D)
+    shared = cmconf.lat == conf.lat
+    cm = batch if shared else elliptic._Batch(cmconf.lat)
+    cm_args = (cm.add(z), D_idx if shared else cm.add(D), cm.add(z + D))
+    args = [lax._composition_args(batch, q, h, z, D) for h in values]
+    F = lax._factorized_cm(cm, cm_args, p, z).entries
+    normF = np.linalg.norm(F)
 
     errors = []
-    for h in values:
-        conf_h = rs_config(conf.q, tuple(h * p), h, conf.lat, q_inf=conf.q_inf)
-        L = composition_lax(conf_h, z).entries
+    for h, a in zip(values, args):
+        L = lax._composition(batch, D_idx, a, h * p, z).entries
         resc = (L - np.eye(conf.n)) / h
         errors.append(float(np.linalg.norm(resc - F) / normF))
 

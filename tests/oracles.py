@@ -4,8 +4,9 @@ quantity by a route disjoint from the library implementation: truncated
 lattice products, mpmath theta series, brute-force LU determinants, and
 finite-difference Hamiltonian vector fields and coupling derivatives.  The
 exceptions are theta_series_reference, the library's former unreduced theta
-series, and sigma_argument_moments_reference and jsonify_reference, frozen
-copies of library code that its rewrites must reproduce.
+series, and sigma_argument_moments_reference, jsonify_reference and the
+*_reference Lax builders and limit sweeps, frozen copies of library code
+that its rewrites must reproduce.
 """
 
 from __future__ import annotations
@@ -319,3 +320,229 @@ def jsonify_reference(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonify_reference(x) for x in obj]
     return obj
+
+
+# ---------------------------------------------------------------------------
+# The Lax builders and limit sweeps as they were when each special-function
+# value came from its own public sigma, zeta or lattice_distance call: the
+# references of their one-pass rewrites, for values and for the order in
+# which their checks raise.
+
+
+def build_elliptic_cauchy_reference(spec, lam):
+    """rslax.cauchy.build_elliptic_cauchy, one public call per value."""
+    from rslax import elliptic
+    from rslax.cauchy import SpectralMatrix
+    from rslax.errors import DegenerateConfiguration, PoleAtLattice
+
+    lat = spec.lat
+    diffs = np.asarray(spec.qs, dtype=complex)[:, None] - np.asarray(spec.rs, dtype=complex)[None, :]
+    if np.min(elliptic.lattice_distance(diffs, lat)) < elliptic.POLE_TOL:
+        raise DegenerateConfiguration(
+            "some q_i - r_j is within the distinctness threshold of the lattice"
+        )
+    lam = complex(lam)
+    if elliptic.lattice_distance(lam, lat) < elliptic.POLE_TOL:
+        raise PoleAtLattice("spectral parameter lam is on the lattice")
+    entries = elliptic.sigma(lam + diffs, lat) / (
+        elliptic.sigma(lam, lat) * elliptic.sigma(diffs, lat)
+    )
+    return SpectralMatrix(spec.n, entries, lam)
+
+
+def _transport_diagonals_reference(conf):
+    from rslax import elliptic, lax
+
+    D = lax._diff_matrix(conf.q)
+    S3 = np.atleast_2d(elliptic.sigma(D, conf.lat))
+    prod_den = np.diag(lax._exclusive_products(S3))
+    col = np.prod(np.atleast_2d(elliptic.sigma(conf.hbar + D, conf.lat)), axis=0)
+    return prod_den, col
+
+
+def composition_lax_reference(conf, z):
+    """rslax.lax.composition_lax, one public call per value: the Cauchy
+    matrix of (q + hbar, q) scaled by its row and column diagonals."""
+    from rslax import elliptic
+    from rslax.cauchy import CauchyMatrixSpec, SpectralMatrix
+
+    lat, hbar, n = conf.lat, conf.hbar, conf.n
+    if elliptic.lattice_distance(hbar, lat) < elliptic.POLE_TOL:
+        return SpectralMatrix(n, np.diag(np.exp(np.asarray(conf.P, dtype=complex))), complex(z))
+    qs = tuple(qq + hbar for qq in conf.q)
+    C = build_elliptic_cauchy_reference(CauchyMatrixSpec(qs, conf.q, lat), z)
+    prod_den, col = _transport_diagonals_reference(conf)
+    expP = np.exp(np.asarray(conf.P, dtype=complex))
+    entries = (expP / prod_den)[:, None] * C.entries * col[None, :]
+    return SpectralMatrix(n, entries, complex(z))
+
+
+def _off_lattice_reference(lat, **points):
+    from rslax import elliptic
+    from rslax.errors import PoleAtLattice
+
+    for what, val in points.items():
+        if np.min(elliptic.lattice_distance(val, lat)) < elliptic.POLE_TOL:
+            raise PoleAtLattice(f"{what} is on the lattice")
+
+
+def krichever_lax_reference(conf, z, lam):
+    """rslax.lax.krichever_lax, one public call per value."""
+    from rslax import elliptic, lax
+    from rslax.cauchy import SpectralMatrix
+    from rslax.errors import ZeroMu
+
+    lat, mu = conf.lat, conf.mu
+    z, lam = complex(z), complex(lam)
+    if abs(mu) < 1e-12:
+        raise ZeroMu("krichever matrix requires mu != 0")
+    D = lax._diff_matrix(conf.q)
+    _off_lattice_reference(
+        lat, **{"lam + mu": lam + mu, "z - mu": z - mu, "z + mu": z + mu, "q_i - q_j - mu": D - mu}
+    )
+    ratio = elliptic.sigma(z - mu, lat) / elliptic.sigma(z + mu, lat)
+    power = np.exp((D - mu) / (2.0 * mu) * np.log(ratio))
+    entries = (
+        elliptic.sigma(lam + D, lat)
+        / (elliptic.sigma(lam + mu, lat) * elliptic.sigma(D - mu, lat))
+        * power
+    )
+    return SpectralMatrix(conf.n, np.atleast_2d(entries), lam)
+
+
+def factorized_cm_lax_reference(conf, z):
+    """rslax.lax.factorized_cm_lax, one public call per value."""
+    from rslax import elliptic, lax
+    from rslax.cauchy import SpectralMatrix
+    from rslax.errors import DegenerateConfiguration
+
+    lat = conf.lat
+    if lat.kind != elliptic.KIND_ELLIPTIC:
+        raise DegenerateConfiguration("factorized CM matrix requires an elliptic lattice")
+    z = complex(z)
+    n = conf.n
+    D = lax._diff_matrix(conf.q)
+    zetas = elliptic.zeta(np.append(z, D.T[~np.eye(n, dtype=bool)]), lat)
+    S, A = elliptic.sigma(np.stack([D, z + D]), lat)
+    np.fill_diagonal(S, 1.0)
+    c = S.prod(axis=0)
+    T = A / (elliptic.sigma(z, lat) * S) * c / c[:, None]
+    np.fill_diagonal(T, zetas[0] + zetas[1:].reshape(n, n - 1).sum(axis=1))
+    return SpectralMatrix(n, np.diag(np.asarray(conf.p, dtype=complex)) + T, z)
+
+
+def cm_lax_reference(conf, lam):
+    """rslax.lax.cm_lax on an elliptic or trigonometric lattice with a
+    spectral parameter, one public call per value."""
+    from rslax import elliptic, lax
+    from rslax.cauchy import SpectralMatrix
+
+    lat, n = conf.lat, conf.n
+    lam = complex(lam)
+    _off_lattice_reference(lat, lam=lam)
+    off = ~np.eye(n, dtype=bool)
+    entries = np.diag(np.asarray(conf.p, dtype=complex))
+    if n > 1:
+        D = lax._diff_matrix(conf.q)
+        entries[off] += (
+            conf.g
+            * elliptic.sigma(lam - D[off], lat)
+            / (elliptic.sigma(D[off], lat) * elliptic.sigma(lam, lat))
+        )
+    return SpectralMatrix(n, entries, lam)
+
+
+def ruijsenaars_equivalent_momenta_reference(conf):
+    """rslax.lax.ruijsenaars_equivalent_momenta, one public call per value."""
+    from rslax import elliptic, lax
+
+    n, lat = conf.n, conf.lat
+    prod_den, col = _transport_diagonals_reference(conf)
+    d_row = np.exp(np.asarray(conf.P, dtype=complex)) / prod_den
+    sig_h = elliptic.sigma(conf.hbar, lat)
+    wp_h = elliptic.wp(conf.hbar, lat) if n > 1 else None
+    args = elliptic._reduce(lax._diff_matrix(conf.q).reshape(-1)[lax._pairs(n)[2]], lat)
+    return np.log(d_row * col / (sig_h * lax._row_f(args, n, sig_h, wp_h, lat)[1]))
+
+
+def degeneration_sweep_reference(conf, im_tau_values, z=0.17 + 0.23j):
+    """rslax.limits.degeneration_sweep with each lattice's configuration
+    rebuilt, and so validated, by dataclasses.replace."""
+    import dataclasses
+
+    from rslax import elliptic, lax, limits
+
+    values = limits._positive(im_tau_values, "Im(tau)")
+    z = complex(z)
+    pi = np.pi
+    conf_trig = lax.rs_config(
+        [pi * v for v in conf.q], conf.P, pi * conf.hbar, elliptic.trig_lattice(),
+        mu=pi * conf.mu, q_inf=pi * conf.q_inf, q_zero=pi * conf.q_zero,
+    )
+    L_trig = lax.hasegawa_lax(conf_trig, pi * z).entries
+    delta2 = limits._sigma_argument_second_moment(conf.q, conf.hbar, z)
+    errors = []
+    for t in values:
+        lat_t = elliptic.lattice_from_periods(1.0, 1j * t)
+        L_ell = lax.hasegawa_lax(dataclasses.replace(conf, lat=lat_t), z).entries
+        pred = np.exp(lat_t.eta1 / lat_t.omega1 * delta2) * L_trig
+        errors.append(float(np.linalg.norm(L_ell - pred) / np.linalg.norm(pred)))
+    small = [np.exp(-2.0 * pi * t) for t in values]
+    return limits.LimitSweep(
+        limits.PARAM_IM_TAU, values, tuple(errors), limits._fit_order(small, errors)
+    )
+
+
+def cm_limit_sweep_reference(conf, cmconf, hbar_values, z=0.17 + 0.23j):
+    """rslax.limits.cm_limit_sweep with one RS configuration and one
+    composition_lax_reference build per hbar."""
+    from rslax import lax, limits
+    from rslax.errors import DegenerateConfiguration
+
+    values = limits._positive(hbar_values, "hbar")
+    if tuple(conf.q) != tuple(cmconf.q):
+        raise DegenerateConfiguration("RS and CM configurations must share positions")
+    z = complex(z)
+    F = factorized_cm_lax_reference(cmconf, z).entries
+    normF = np.linalg.norm(F)
+    p = np.asarray(cmconf.p, dtype=complex)
+    errors = []
+    for h in values:
+        conf_h = lax.rs_config(conf.q, tuple(h * p), h, conf.lat, q_inf=conf.q_inf)
+        L = composition_lax_reference(conf_h, z).entries
+        errors.append(float(np.linalg.norm((L - np.eye(conf.n)) / h - F) / normF))
+    return limits.LimitSweep(
+        limits.PARAM_HBAR, values, tuple(errors), limits._fit_order(values, errors)
+    )
+
+
+def outcome(fn, *args, **kwargs):
+    """What fn(*args, **kwargs) gives: the entries of a SpectralMatrix, the
+    errors and fitted order of a LimitSweep, any other value as it is, or
+    the type and message of the RslaxError it raises; numpy's warnings
+    silenced, as the *_reference builders may warn."""
+    from rslax.errors import RslaxError
+
+    try:
+        with np.errstate(all="ignore"):
+            out = fn(*args, **kwargs)
+    except RslaxError as exc:
+        return type(exc), str(exc)
+    if hasattr(out, "entries"):
+        return out.entries
+    if hasattr(out, "fitted_order"):
+        return np.array([*out.errors, np.nan if out.fitted_order is None else out.fitted_order])
+    return out
+
+
+def assert_same_outcome(got, want, rel=1e-15):
+    """got and want (outcome) are the same error, or values within rel of
+    want's largest finite magnitude, and equal where want is not finite."""
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+        return
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    ok = np.isfinite(want)
+    assert np.array_equal(got[~ok], want[~ok], equal_nan=True)
+    assert np.all(np.abs(got[ok] - want[ok]) <= rel * np.abs(want[ok]).max(initial=0.0))

@@ -54,6 +54,32 @@ class TestBuild:
             build_elliptic_cauchy(CauchyMatrixSpec(qs, qs, LAT), LAM)
 
 
+class TestOnePassBuild:
+    @given(
+        n=st.integers(1, 4),
+        seed=st.integers(0, 10_000),
+        r_on_lattice=st.booleans(),
+        lam=st.sampled_from(["cell", "node", "nan"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_per_call_build(self, n, seed, r_on_lattice, lam):
+        # Values, and the first error where a q_i - r_j or lam (or both)
+        # sits on the lattice, as the former route of one public call per
+        # value.
+        rng = np.random.default_rng(seed)
+        spec = make_spec(rng, n)
+        node = int(rng.integers(-1, 2)) * LAT.omega1 + int(rng.integers(-1, 2)) * LAT.omega2
+        if r_on_lattice:
+            rs = np.array(spec.rs)
+            rs[int(rng.integers(n))] = spec.qs[int(rng.integers(n))] - node
+            spec = CauchyMatrixSpec(spec.qs, tuple(rs), LAT)
+        lam = {"cell": LAM, "node": node, "nan": complex("nan")}[lam]
+        oracles.assert_same_outcome(
+            oracles.outcome(build_elliptic_cauchy, spec, lam),
+            oracles.outcome(oracles.build_elliptic_cauchy_reference, spec, lam),
+        )
+
+
 class TestFrobeniusDeterminant:
     @given(n=st.integers(1, 5), seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)

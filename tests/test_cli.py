@@ -413,6 +413,44 @@ class TestReduceAndLax:
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize("family", ["hasegawa", "composition", "ruijsenaars"])
+    def test_lax_names_the_overflowing_momentum_without_warnings(self, tmp_path, capsys, family):
+        params = dict(LIMIT_PARAMS, family=family, P=[0.3, 800.0], hbar={"re": 0.08, "im": 0.02})
+        cfg = write_config(
+            tmp_path,
+            "x.json",
+            {"schema_version": 1, "command": "lax", "output_dir": str(tmp_path), "params": params},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["lax", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: NonFiniteEntries: entries must be finite: "
+            "exp(P_1) overflows (Re P_1 = 800)\n"
+        )
+
+    @pytest.mark.parametrize("im", [1e-310, 1e-300, 5e-324])
+    def test_lax_on_a_lattice_beyond_the_doubles_exits_one(self, tmp_path, capsys, im):
+        lattice = {"kind": "elliptic", "omega1": 1.0, "omega2": {"re": 0.0, "im": im}}
+        cfg = write_config(
+            tmp_path,
+            "x.json",
+            {
+                "schema_version": 1,
+                "command": "lax",
+                "output_dir": str(tmp_path / "out"),
+                "params": dict(LIMIT_PARAMS, lattice=lattice),
+            },
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["lax", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: NonConvergent: the lattice constants at tau=")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.mark.parametrize(
     "key,value,field",
@@ -752,6 +790,9 @@ INVALID_CONFIGS = [
         {"kind": "trig_rs", "theta": [0.1, 0.5, 1.2], "u": [1.0, 0.0], "v": [0.0, 0.3, 0.5]},
         "params.u",
     ),
+    # Beyond cli.MAX_EVOLVE_STEPS steps of dt (1e303 here, or inf).
+    ("evolve", dict(EVOLVE_PARAMS, t_end=1e300, dt=1e-3), "params.t_end"),
+    ("evolve", dict(EVOLVE_PARAMS, t_end=1e300, dt=1e-300), "params.t_end"),
 ]
 
 
@@ -768,3 +809,15 @@ def test_invalid_field_is_a_config_error(tmp_path, capsys, command, params, fiel
     assert err.startswith(f"config error: {field}: ")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_evolve_step_cap(tmp_path, capsys):
+    params = dict(EVOLVE_PARAMS, dt=1e-3, t_end=(cli.MAX_EVOLVE_STEPS + 1) * 1e-3)
+    cfg = write_config(
+        tmp_path,
+        "e.json",
+        {"schema_version": 1, "command": "evolve", "output_dir": str(tmp_path), "params": params},
+    )
+    assert cli.main(["evolve", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: params.t_end: t_end/dt = 100001 exceeds the step cap")

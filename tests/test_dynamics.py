@@ -457,13 +457,13 @@ class TestFlowLoop:
     @pytest.mark.parametrize(
         "family,lax_family,mu,flow_constants",
         [
-            # Once per flow, at z.  A stage's collision test rounds the
-            # coordinates its sigma pass uses, with no call.
-            ("trace_power", "hasegawa", None, [1]),
-            # Once per flow at lam and at mu.  A stage's collision and
-            # q_i - q_j + mu pole tests round its own coordinates too.
-            ("rs_cosh", "hasegawa", 0.09 + 0.02j, [1, 1]),
-            ("trace_power", "ruijsenaars", 0.09 + 0.02j, [1, 1]),
+            # None: the plan tests z (or lam and mu) once per flow, from the
+            # reduction of its constants.  A stage's collision test rounds
+            # the coordinates its sigma pass uses, with no call.
+            ("trace_power", "hasegawa", None, []),
+            # A stage's q_i - q_j + mu pole test rounds its own coordinates too.
+            ("rs_cosh", "hasegawa", 0.09 + 0.02j, []),
+            ("trace_power", "ruijsenaars", 0.09 + 0.02j, []),
         ],
     )
     def test_no_lattice_distance_call_per_stage(

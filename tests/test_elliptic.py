@@ -244,6 +244,52 @@ class TestSigma:
             elliptic.lattice_from_periods(1.0, -2.0j)
 
 
+    @pytest.mark.parametrize("z", [3e9 + 0.1j, 1e20 + 0.1j, 1e10 * (1 + 1j), 1e300 + 0.1j])
+    def test_overflow_beyond_the_exponent_range_is_a_typed_error(self, z):
+        # Where the rescaling exponent of _theta1_sums passes 2^63, its cast
+        # wrapped around and sigma returned 0.
+        lat = elliptic.lattice_from_periods(1.0, 0.2 + 2.4j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for arg in (z, np.array([0.1, z])):
+                with pytest.raises(ValueOverflow):
+                    elliptic.sigma(arg, lat)
+
+
+class TestBatch:
+    """elliptic._Batch: one reduction and one sigma pass for a builder's
+    arguments, read with the public functions' checks and values."""
+
+    @pytest.mark.parametrize("kind", ["elliptic", "trig", "rational"])
+    def test_reads_equal_the_public_functions(self, kind):
+        lat = {"elliptic": LAT, "trig": elliptic.trig_lattice(), "rational": elliptic.rational_lattice()}[kind]
+        rng = np.random.default_rng(3)
+        groups = [0.3 + 0.2j, rng.normal(size=5) + 1j * rng.normal(size=5), rng.normal(size=(2, 3)) + 0.1j]
+        batch = elliptic._Batch(lat)
+        index = [batch.add(g) for g in groups]
+        for g, i in zip(groups, index):
+            for fn in ("lattice_distance", "sigma", "zeta", "wp"):
+                read = getattr(batch, {"lattice_distance": "distance"}.get(fn, fn))(i)
+                want = getattr(elliptic, fn)(g, lat)
+                assert np.shape(read) == np.shape(want)
+                assert np.all(np.abs(read - want) <= 1e-15 * np.abs(want))
+            assert np.asarray(batch.zeta(i)).tobytes() == np.asarray(elliptic.zeta(g, lat)).tobytes()
+
+    def test_reads_raise_the_public_functions_errors(self):
+        batch = elliptic._Batch(LAT)
+        far, nan, node, fine = (batch.add(v) for v in (40.1, complex("nan"), LAT.omega2, 0.3))
+        with pytest.raises(ValueOverflow, match="sigma is too large"):
+            batch.sigma(far)
+        for read in (batch.distance, batch.sigma, batch.zeta, batch.wp):
+            with pytest.raises(NonConvergent, match="not finite"):
+                read(nan)
+        for read in (batch.zeta, batch.wp):
+            with pytest.raises(PoleAtLattice, match="argument within"):
+                read(node)
+        assert batch.distance(node) < elliptic.POLE_TOL
+        assert batch.sigma(fine) == elliptic.sigma(0.3, LAT)
+
+
 class TestLegendreAndWp:
     def test_legendre_relation_exact(self):
         rng = np.random.default_rng(11)
@@ -344,6 +390,26 @@ class TestTrivialThetaFit:
                 checked += z.size
             assert 0.015 < lat.tau.imag < 0.025
         assert checked > 250
+
+
+class TestLatticeConstants:
+    @pytest.mark.parametrize(
+        "omega1,omega2", [(1.0, 1e-310j), (1.0, 1e-300j), (1.0, 5e-324j), (5e-324, 5e-324j)]
+    )
+    def test_constants_beyond_a_double_are_nonconvergent(self, omega1, omega2):
+        # The reduced basis or the eta of these periods are not doubles;
+        # 1e-310j raised a bare OverflowError, 1e-300j gave eta1 = -inf+nanj.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergent, match="tau="):
+                elliptic.lattice_from_periods(omega1, omega2)
+            if omega1 == 1.0:  # theta reads tau alone
+                with pytest.raises(NonConvergent, match="tau="):
+                    elliptic.theta_char(elliptic.ThetaCharacteristic(0.5, 0.5), 0.1, omega2)
+
+    def test_small_but_representable_im_tau_builds(self):
+        lat = elliptic.lattice_from_periods(1.0, 1e-12j)
+        assert all(np.isfinite([lat.eta1, lat.eta2, lat.red_omega1, lat.red_tau]))
 
 
 class TestLatticeDistance:

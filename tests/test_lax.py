@@ -5,13 +5,20 @@ the CM matrix, and the factorized CM matrix against a coupling-derivative
 oracle.
 """
 
+import cmath
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from rslax import elliptic, lax
 from rslax.errors import (
     DegenerateConfiguration,
+    NonConvergent,
+    NonFiniteEntries,
     PoleAtLattice,
     ZeroLambda,
     ZeroMu,
@@ -253,3 +260,137 @@ class TestFactorizedCM:
         conf = lax.cm_config([0.2], [0.0], 1.0, elliptic.trig_lattice())
         with pytest.raises(DegenerateConfiguration):
             lax.factorized_cm_lax(conf, Z)
+
+
+@st.composite
+def one_pass_cases(draw):
+    """A lattice like cli-mix's, n <= 4 positions 0.3 apart in its basis,
+    and points each drawn in the cell or put where a check of the builders
+    fails: on the lattice, or a position difference (plus a lattice point)
+    away from it, so that often two checks fail at once."""
+    w1 = cmath.rect(draw(st.floats(0.8, 1.2)), draw(st.floats(-0.3, 0.3)))
+    w2 = w1 * complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(0.9, 3.0)))
+    lat = elliptic.lattice_from_periods(w1, w2)
+    n = draw(st.integers(1, 4))
+    noise = st.floats(-0.04, 0.04)
+    frac = [0.3 * k + complex(draw(noise), draw(noise)) for k in range(n)]
+    q = np.array([w1 * f.real + w2 * f.imag for f in frac])
+    cell = st.builds(lambda u, v: w1 * u + w2 * v, st.floats(0.05, 0.95), st.floats(0.05, 0.95))
+    node = st.builds(lambda m, k: m * w1 + k * w2, st.integers(-1, 1), st.integers(-1, 1))
+    diff = st.builds(lambda i, j, w: q[i] - q[j] + w, st.integers(0, n - 1), st.integers(0, n - 1), node)
+
+    def point(*special):
+        return draw(st.one_of(cell, node, *special))
+
+    mu = point(diff, st.just(0.0))
+    points = {
+        "hbar": point(diff, st.just(1e-9)),
+        "mu": mu,
+        "z": point(st.builds(lambda w: mu + w, node), st.builds(lambda w: w - mu, node)),
+        "lam": point(st.builds(lambda w: w - mu, node), diff),
+    }
+    return lat, q, points, draw(st.lists(st.floats(-1, 1), min_size=2 * n, max_size=2 * n))
+
+
+class TestOnePassBuilders:
+    """The builders that read their sigma, zeta, wp and distances from one
+    reduction (elliptic._Batch) against their former routes, one public call
+    per value (oracles.*_reference): the same values, and the same error
+    where checks fail, in the same order."""
+
+    @given(case=one_pass_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_match_the_per_call_builders(self, case):
+        lat, q, pt, r = case
+        n = q.size
+        P = np.array(r[:n]) + 1j * np.array(r[n:])
+        conf = lax.rs_config(q, P, pt["hbar"], lat, mu=pt["mu"])
+        cmc = lax.cm_config(q, r[:n], 0.7, lat)
+        pairs = [
+            (lax.composition_lax, oracles.composition_lax_reference, (conf, pt["z"])),
+            (lax.krichever_lax, oracles.krichever_lax_reference, (conf, pt["z"], pt["lam"])),
+            (lax.factorized_cm_lax, oracles.factorized_cm_lax_reference, (cmc, pt["z"])),
+            (lax.cm_lax, oracles.cm_lax_reference, (cmc, pt["lam"])),
+        ]
+        if n > 1:
+            pairs.append(
+                (
+                    lax.ruijsenaars_equivalent_momenta,
+                    oracles.ruijsenaars_equivalent_momenta_reference,
+                    (conf,),
+                )
+            )
+        for new, ref, args in pairs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = oracles.outcome(new, *args)
+            oracles.assert_same_outcome(got, oracles.outcome(ref, *args))
+
+    @pytest.mark.parametrize(
+        "what,points",
+        [
+            # hbar = q_0 - q_1 puts q_1 + hbar - q_0 on the lattice, and z is
+            # on it: the Cauchy factor's distinctness check comes first.
+            ("composition", lambda q: dict(hbar=q[0] - q[1], z=0.0)),
+            # Zero coupling returns before z is looked at.
+            ("composition", lambda q: dict(hbar=0.0, z=0.0)),
+            ("composition", lambda q: dict(hbar=complex("nan"), z=0.0)),
+            ("krichever", lambda q: dict(mu=0.0, z=0.0)),
+            ("krichever", lambda q: dict(mu=0.1, lam=-0.1, z=0.1)),
+            ("krichever", lambda q: dict(mu=q[0] - q[1], z=q[1] - q[0])),
+            ("krichever", lambda q: dict(mu=q[0] - q[1], z=complex("inf"))),
+            ("factorized", lambda q: dict(z=0.0, lat=elliptic.trig_lattice())),
+            ("factorized", lambda q: dict(z=1.0)),
+            ("cm", lambda q: dict(lam=complex("nan"))),
+        ],
+        ids=[
+            "composition-cauchy-before-z",
+            "composition-zero-coupling-before-z",
+            "composition-nan-coupling",
+            "krichever-zero-mu-before-z",
+            "krichever-lam-mu-before-z-mu",
+            "krichever-z-mu-before-differences",
+            "krichever-infinite-z-mu",
+            "factorized-kind-before-z",
+            "factorized-z-on-lattice",
+            "cm-nan-lam",
+        ],
+    )
+    def test_first_failing_check_is_raised(self, what, points):
+        q = np.array([0.1 + 0.05j, 0.45 - 0.03j, 0.8 + 0.02j])
+        pt = {"hbar": 0.08, "mu": None, "z": Z, "lam": 0.23 + 0.11j, "lat": LAT, **points(q)}
+        conf = lax.rs_config(q, [0.1, -0.2, 0.05], pt["hbar"], pt["lat"], mu=pt["mu"])
+        cmc = lax.cm_config(q, [0.3, -0.2, 0.1], 1.0, pt["lat"])
+        new, ref, args = {
+            "composition": (lax.composition_lax, oracles.composition_lax_reference, (conf, pt["z"])),
+            "krichever": (
+                lax.krichever_lax, oracles.krichever_lax_reference, (conf, pt["z"], pt["lam"])
+            ),
+            "factorized": (
+                lax.factorized_cm_lax, oracles.factorized_cm_lax_reference, (cmc, pt["z"])
+            ),
+            "cm": (lax.cm_lax, oracles.cm_lax_reference, (cmc, pt["lam"])),
+        }[what]
+        oracles.assert_same_outcome(oracles.outcome(new, *args), oracles.outcome(ref, *args))
+
+    def test_plans_check_in_the_order_of_their_former_calls(self):
+        # lam and mu both on the lattice: lam is named, as before.
+        conf = lax.rs_config([0.1, 0.5], [0.0, 0.0], 0.1, LAT, mu=LAT.omega1)
+        with pytest.raises(PoleAtLattice, match="^lam is on the lattice"):
+            lax.ruijsenaars_lax(conf, 0.0)
+        with pytest.raises(NonConvergent, match="not finite"):
+            lax.ruijsenaars_lax(conf, complex("nan"))
+        # z on the lattice: named by the Hasegawa plan.
+        with pytest.raises(PoleAtLattice, match="^z is on the lattice"):
+            lax.hasegawa_lax(lax.rs_config([0.1, 0.5], [0.0, 0.0], 0.1, LAT), LAT.omega2)
+
+    @pytest.mark.parametrize("builder", ["hasegawa", "composition", "ruijsenaars"])
+    def test_overflowing_momentum_factor_is_named_without_warnings(self, builder):
+        conf = lax.rs_config([0.1, 0.45], [800.0, -0.07], 0.08 + 0.02j, LAT)
+        build = getattr(lax, f"{builder}_lax")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                NonFiniteEntries, match=r"exp\(P_0\) overflows \(Re P_0 = 800\)"
+            ):
+                build(conf, Z)

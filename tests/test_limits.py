@@ -7,6 +7,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from rslax import elliptic, lax, limits
@@ -115,6 +117,77 @@ class TestCMLimitSweep:
         cmc = lax.cm_config([0.3, 0.9], [0.1, 0.2], 1.0, LAT)
         with pytest.raises(DegenerateConfiguration):
             limits.cm_limit_sweep(conf, cmc, [1e-2])
+
+
+class TestOnePassSweeps:
+    """The sweeps against their former routes (oracles.*_reference): the
+    same residuals and fitted order, and the same first error."""
+
+    @given(
+        n=st.integers(1, 4),
+        seed=st.integers(0, 10_000),
+        z=st.sampled_from(["cell", "node", "nan"]),
+        cm_lattice=st.sampled_from(["same", "other", "trig"]),
+        hbar=st.sampled_from([(1e-2, 5e-3, 2.5e-3), (1e-2, 1e-9), (2e-2,), (1e-2, 0.0)]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_cm_limit_sweep_matches_the_per_call_sweep(self, n, seed, z, cm_lattice, hbar):
+        rng = np.random.default_rng(seed)
+        q = 0.35 * np.arange(n) + 0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        conf = lax.rs_config(q, [0.0] * n, 1e-2, LAT)
+        cm_lat = {
+            "same": LAT,
+            "other": elliptic.lattice_from_periods(1.0, 0.3 + 1.7j),
+            "trig": elliptic.trig_lattice(),
+        }[cm_lattice]
+        cmc = lax.cm_config(q, rng.normal(size=n), 1.0, cm_lat)
+        z = {"cell": 0.17 + 0.23j, "node": LAT.omega2, "nan": complex("nan")}[z]
+        oracles.assert_same_outcome(
+            oracles.outcome(limits.cm_limit_sweep, conf, cmc, hbar, z=z),
+            oracles.outcome(oracles.cm_limit_sweep_reference, conf, cmc, hbar, z=z),
+        )
+
+    @given(
+        n=st.integers(1, 4),
+        seed=st.integers(0, 10_000),
+        values=st.sampled_from([(5.0, 8.0, 12.0, 20.0), (2.0, 3.0), (8.0,), (8.0, -1.0)]),
+        z=st.sampled_from(["cell", "node", "trig node"]),
+        coincide=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_degeneration_sweep_matches_the_per_call_sweep(self, n, seed, values, z, coincide):
+        # coincide puts q_1 - q_0 on the lattice (1, 8i) alone, and z
+        # "node" on every swept lattice: the positions are checked first.
+        rng = np.random.default_rng(seed)
+        q = 0.35 * np.arange(n) + 0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        if coincide and n > 1:
+            q[1] = q[0] + 8j
+        conf = lax.rs_config(q, 0.15 * rng.normal(size=n), 0.08 + 0.03j, LAT)
+        z = {"cell": 0.17 + 0.23j, "node": 8j, "trig node": 1.0}[z]
+        oracles.assert_same_outcome(
+            oracles.outcome(limits.degeneration_sweep, conf, values, z=z),
+            oracles.outcome(oracles.degeneration_sweep_reference, conf, values, z=z),
+        )
+
+    def test_positions_are_checked_on_each_lattice(self):
+        # Distinct on (1, 2.5i), coincident on (1, 8i), and z on (1, 8i):
+        # the positions are named, as dataclasses.replace named them.
+        conf = lax.rs_config([0.1, 0.1 + 8j], [0.1, -0.07], 0.08 + 0.02j, LAT)
+        with pytest.raises(DegenerateConfiguration, match="not pairwise distinct"):
+            limits.degeneration_sweep(conf, [5.0, 8.0], z=8j)
+
+    def test_cm_limit_sweep_rebuilds_no_configuration(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a configuration was rebuilt")
+
+        conf = base_conf(3)
+        cmc = lax.cm_config(conf.q, [0.3, -0.2, 0.1], 1.0, LAT)
+        monkeypatch.setattr(lax, "rs_config", forbidden)
+        monkeypatch.setattr(lax, "RSConfig", forbidden)
+        monkeypatch.setattr(elliptic, "sigma", forbidden)
+        monkeypatch.setattr(elliptic, "lattice_distance", forbidden)
+        sweep = limits.cm_limit_sweep(conf, cmc, [1e-2, 5e-3, 2.5e-3])
+        assert 0.85 <= sweep.fitted_order <= 1.15
 
 
 class TestFramingConstraint:
