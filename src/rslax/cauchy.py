@@ -18,12 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elliptic
-from .errors import (
-    DegenerateConfiguration,
-    NonFiniteEntries,
-    PoleAtLattice,
-    SingularMatrix,
-)
+from .errors import DegenerateConfiguration, NonFiniteEntries, SingularMatrix
 
 DISTINCT_TOL = 1e-6
 
@@ -99,44 +94,39 @@ def _cauchy_matrix(batch, args, lam):
         raise DegenerateConfiguration(
             "some q_i - r_j is within the distinctness threshold of the lattice"
         )
-    if batch.distance(lam_idx) < elliptic.POLE_TOL:
-        raise PoleAtLattice("spectral parameter lam is on the lattice")
+    batch.off_lattice(**{"spectral parameter lam": lam_idx})
     with np.errstate(all="ignore"):
-        entries = batch.sigma(lam_diffs) / (
-            complex(batch.sigma(lam_idx)) * batch.sigma(diffs)
-        )
+        entries = batch.sigma(lam_diffs) / (batch.sigma(lam_idx) * batch.sigma(diffs))
     return SpectralMatrix(diffs.shape[0], entries, lam)
 
 
 def frobenius_determinant(spec: CauchyMatrixSpec, lam) -> complex:
-    """Closed-form determinant of the elliptic Cauchy matrix."""
+    """Closed-form determinant of the elliptic Cauchy matrix, from one sigma
+    pass (elliptic._Batch)."""
     lam = complex(lam)
-    lat = spec.lat
     q = np.asarray(spec.qs, dtype=complex)
     r = np.asarray(spec.rs, dtype=complex)
     n = spec.n
-
-    qr = _pairwise_diffs(q, r)
-    if np.min(elliptic.lattice_distance(qr, lat)) < DISTINCT_TOL:
-        raise DegenerateConfiguration("q_i - r_j hits the lattice: formula pole")
-    qq = _pairwise_diffs(q, q)
-    rr = _pairwise_diffs(r, r)
     iu = np.triu_indices(n, k=1)
+    batch = elliptic._Batch(spec.lat)
+    qr = batch.add(_pairwise_diffs(q, r))
+    # The numerator's factors sigma(q_i - q_j) and sigma(r_j - r_i), i < j.
+    qq = batch.add(_pairwise_diffs(q, q)[iu])
+    rr = batch.add(-_pairwise_diffs(r, r)[iu])
+    head, lam_idx = batch.add(lam + np.sum(q - r)), batch.add(lam)
+    if batch.distance(qr).min() < DISTINCT_TOL:
+        raise DegenerateConfiguration("q_i - r_j hits the lattice: formula pole")
     if n > 1 and (
-        np.min(elliptic.lattice_distance(qq[iu], lat)) < DISTINCT_TOL
-        or np.min(elliptic.lattice_distance(rr[iu], lat)) < DISTINCT_TOL
+        batch.distance(qq).min() < DISTINCT_TOL or batch.distance(rr).min() < DISTINCT_TOL
     ):
         # A coincident pair makes a numerator factor an exact zero.
         return 0.0 + 0.0j
 
-    head = elliptic.sigma(lam + np.sum(q - r), lat) / elliptic.sigma(lam, lat)
+    head = batch.sigma(head) / batch.sigma(lam_idx)
     num = 1.0 + 0.0j
     if n > 1:
-        # prod_{i<j} sigma(q_i - q_j) * sigma(r_j - r_i)
-        num = np.prod(elliptic.sigma(qq[iu], lat)) * np.prod(
-            elliptic.sigma(-rr[iu], lat)
-        )
-    den = np.prod(elliptic.sigma(qr, lat))
+        num = np.prod(batch.sigma(qq)) * np.prod(batch.sigma(rr))
+    den = np.prod(batch.sigma(qr))
     return complex(head * num / den)
 
 

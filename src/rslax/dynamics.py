@@ -111,10 +111,14 @@ def _lax_form(spec: HamiltonianSpec):
     return lax.hasegawa_lax, lax._HasegawaPlan, spec.scale_power[1] == 0
 
 
-def _inverse(L):
-    det = np.linalg.det(L)
-    if abs(det) < 1e-12 * float(np.max(np.abs(L))) ** L.shape[0]:
-        raise SingularMatrix("Ruijsenaars matrix is singular; L^{-1} undefined")
+def _inverse(L, P):
+    """L^{-1}; SingularMatrix where K = diag(exp(-P)) L is numerically
+    singular or not finite: a test of det L would depend on the row scaling
+    exp(P_k) of the Ruijsenaars matrix."""
+    with np.errstate(all="ignore"):  # exp(-P) overflows where rows of L vanish
+        K = np.exp(-P)[:, None] * L
+        if not abs(np.linalg.det(K)) >= 1e-12 * float(np.max(np.abs(K))) ** K.shape[0]:
+            raise SingularMatrix("Ruijsenaars matrix is singular; L^{-1} undefined")
     return np.linalg.inv(L)
 
 
@@ -122,7 +126,7 @@ def hamiltonian(spec: HamiltonianSpec, conf: lax.RSConfig) -> complex:
     """Evaluate the conserved quantity described by spec at conf."""
     L = _lax_form(spec)[0](conf, spec.eval_z).entries
     if spec.scale_power is None:  # rs_cosh
-        return complex(np.trace(L) + np.trace(_inverse(L)))
+        return complex(np.trace(L) + np.trace(_inverse(L, np.asarray(conf.P, dtype=complex))))
     scale, k = spec.scale_power
     return scale * complex(np.trace(np.linalg.matrix_power(L, k + 1))) / (k + 1)
 
@@ -177,7 +181,7 @@ def _field(spec: HamiltonianSpec, plan, diagonal, q, p, step=None):
     if not np.isfinite(L).all():
         raise CollisionImminent(_not_finite(p, step))
     if spec.scale_power is None:  # rs_cosh
-        Linv = _inverse(L)
+        Linv = _inverse(L, p)
         G = np.eye(L.shape[0]) - Linv @ Linv
     else:
         scale, k = spec.scale_power

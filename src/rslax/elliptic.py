@@ -11,6 +11,9 @@ Conventions
   of the lattice, at arguments reduced into its fundamental parallelogram,
   over a fixed window of theta terms.  The slowly converging lattice product
   is used only as an independent test oracle.
+* _Batch is the one checked entry: it reduces a caller's arguments once and
+  raises NonConvergent, ValueOverflow and PoleAtLattice for the ones read.
+  sigma, zeta, wp and lattice_distance are one-group batches.
 * theta_char and the gauge between sigma and theta[1/2+a;1/2+b]
   (fit_trivial_theta) are closed forms on sigma's window: theta[a;b] at tau
   is theta1 = theta[1/2;1/2] at red_tau, at a shifted argument, times exponentials.
@@ -108,13 +111,14 @@ def _theta_series(a, b, z, tau):
     lat = lattice_from_periods(1.0, tau)
     zarr = np.asarray(z, dtype=complex).reshape(-1)
     y = zarr + (al * tau + b - 0.5)
-    x, xr, n, m = _entry(y, lat)
+    batch = _Batch(lat)
+    x, xr, n, m = batch._reduced(batch.add(y))
     c, log_scale = _modular_factor(lat, y)
     w, red = lat.red_omega1, lat.red_tau
     g = 1j * np.pi * (
         tau * al * al + 2.0 * al * (zarr + b) - c * y * x - n * (n * red + 2.0 * xr) - m - n
     ) + (log_scale + cmath.log(w))
-    return _shaped(_theta1_sums(xr, red, 2, g)[0], z)
+    return _item(_theta1_sums(xr, red, 2, g)[0].reshape(np.shape(z)))
 
 
 def theta_char(ch: ThetaCharacteristic, z, tau) -> complex:
@@ -358,34 +362,17 @@ def _distance(args: _Args, lat: Lattice, sel=slice(None)):
     return np.abs(x)
 
 
-def _entry(z, lat: Lattice) -> _Args:
-    """The reduced flattened public argument z; NonConvergent if it is not
-    finite."""
-    zarr = np.asarray(z, dtype=complex)
-    if not np.isfinite(zarr).all():
-        raise NonConvergent("special function argument is not finite")
-    return _reduce(zarr.reshape(-1), lat)
-
-
-def _shaped(out, z):
-    return out[0].item() if np.ndim(z) == 0 else out.reshape(np.shape(z))
-
-
 def lattice_distance(z, lat: Lattice):
     """Distance from z to the zero set of sigma for the given lattice."""
-    return _shaped(_distance(_entry(z, lat), lat), z)
+    batch = _Batch(lat)
+    return batch.distance(batch.add(z))
 
 
 def sigma(z, lat: Lattice):
     """Weierstrass sigma function (sin(z) / z for the degenerate kinds);
     ValueOverflow where it is too large for a double."""
-    args = _entry(z, lat)
-    out = np.empty(args.x.shape, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        _sigma_orders(args, lat, out)
-    if not np.isfinite(out).all():
-        raise ValueOverflow("sigma is too large for a double")
-    return _shaped(out, z)
+    batch = _Batch(lat)
+    return batch.sigma(batch.add(z))
 
 
 def _sigma_orders(args: _Args, lat: Lattice, s, ds=None):
@@ -429,19 +416,13 @@ def _sigma_orders(args: _Args, lat: Lattice, s, ds=None):
         ds[...] = ((2.0 * eta * x - 2j * np.pi * n) * sums[0] + sums[1]) / w
 
 
-def _off_lattice(args: _Args, lat: Lattice, what):
-    if _distance(args, lat).min() < POLE_TOL:
-        raise PoleAtLattice(f"{what} argument within {POLE_TOL} of a lattice point")
-
-
 def zeta(z, lat: Lattice):
     """Weierstrass zeta = sigma'/sigma; cot(z) / 1/z for the degenerate kinds.
 
     Quasi-periodicity: zeta(z + omega_i) = zeta(z) + 2*eta_i.
     """
-    args = _entry(z, lat)
-    _off_lattice(args, lat, "zeta")
-    return _shaped(_zeta(args, lat), z)
+    batch = _Batch(lat)
+    return batch.zeta(batch.add(z))
 
 
 def _zeta(args: _Args, lat: Lattice):
@@ -460,9 +441,8 @@ def _zeta(args: _Args, lat: Lattice):
 
 def wp(z, lat: Lattice):
     """Weierstrass wp function; 1/sin(z)**2 / 1/z**2 for degenerate kinds."""
-    args = _entry(z, lat)
-    _off_lattice(args, lat, "wp")
-    return _shaped(_wp(args, lat), z)
+    batch = _Batch(lat)
+    return batch.wp(batch.add(z))
 
 
 def _wp(args: _Args, lat: Lattice):
@@ -479,15 +459,17 @@ def _wp(args: _Args, lat: Lattice):
 
 
 class _Batch:
-    """The special-function arguments of one builder on one lattice, in one
-    pass.  add() takes a group of arguments and gives back its index array;
-    the first read reduces all of them once (_reduce), and the first sigma
-    read evaluates sigma at all of them in one _sigma_orders call, so every
-    add() comes before the first read.  zeta and wp take their own theta
-    pass over the arguments read, on the same reduction.  Each read makes
-    the checks of the public function it stands for, so a builder that
-    reads in the order of its former calls raises their errors in their
-    order."""
+    """The one checked entry into the special functions: the arguments of
+    one caller on one lattice, in one pass.  add() takes a group of
+    arguments and gives back its index array; the first read reduces all of
+    them once (_reduce), and the first sigma read evaluates sigma at all of
+    them in one _sigma_orders call, so every add() comes before the first
+    read.  zeta and wp take their own theta pass over the arguments read,
+    on the same reduction.  A read checks only the arguments it reads, so a
+    caller's errors are raised in the order of its reads.  A read is shaped
+    like its index, and a Python scalar where that is 0-d, as numpy's
+    scalars round complex division otherwise.  sigma, zeta, wp and
+    lattice_distance are each a one-group batch."""
 
     def __init__(self, lat: Lattice):
         self.lat = lat
@@ -497,7 +479,7 @@ class _Batch:
 
     def add(self, z):
         """The index array, shaped like z, of the arguments z."""
-        z = np.asarray(z)
+        z = np.asarray(z, dtype=complex)
         start = self._size
         self._size += z.size
         self._parts.append(z.reshape(-1))
@@ -505,32 +487,50 @@ class _Batch:
 
     def _reduced(self, idx):
         """The reduced arguments; NonConvergent if those at idx are not
-        finite (as _entry)."""
+        finite."""
         if self.args is None:
-            z = np.concatenate(self._parts, dtype=complex)
+            one = len(self._parts) == 1
+            z = self._parts[0] if one else np.concatenate(self._parts)
             finite = np.isfinite(z)
             self.finite = None if finite.all() else finite
-            with np.errstate(all="ignore"):
+            if one and self.finite is None:
+                # numpy's warnings stay on here, as the public functions had them.
                 self.args = _reduce(z, self.lat)
+            else:
+                with np.errstate(all="ignore"):
+                    self.args = _reduce(z, self.lat)
         if self.finite is not None and not self.finite[idx].all():
             raise NonConvergent("special function argument is not finite")
         return self.args
 
     def distance(self, idx):
         """lattice_distance at idx."""
-        return _distance(self._reduced(idx), self.lat, idx)
+        return _item(_distance(self._reduced(idx), self.lat, idx))
 
     def sigma(self, idx):
-        """sigma at idx."""
+        """sigma at idx; ValueOverflow where it is too large for a double."""
         args = self._reduced(idx)
         if self.s is None:
             self.s = np.empty(self._size, dtype=complex)
             with np.errstate(all="ignore"):
                 _sigma_orders(args, self.lat, self.s)
+            self.s_finite = np.isfinite(self.s).all()
         out = self.s[idx]
-        if not np.isfinite(out).all():
-            raise ValueOverflow("sigma is too large for a double")
-        return out
+        if not (self.s_finite or np.isfinite(out).all()):
+            if args.xr is not None:
+                # 0 at exact lattice points, where exp(g) overflows against theta1(0) = 0.
+                out = np.where(np.isfinite(out) | (args.xr[idx] != 0), out, 0.0)
+            if not np.isfinite(out).all():
+                raise ValueOverflow("sigma is too large for a double")
+        return _item(out)
+
+    def off_lattice(self, **points):
+        """PoleAtLattice naming the first named group of arguments (its
+        index array) within POLE_TOL of the lattice."""
+        for what, idx in points.items():
+            d = self.distance(idx)
+            if (d.min() if np.ndim(d) else d) < POLE_TOL:
+                raise PoleAtLattice(f"{what} is on the lattice")
 
     def zeta(self, idx):
         """zeta at idx."""
@@ -541,16 +541,25 @@ class _Batch:
         return self._pole_free(idx, "wp", _wp)
 
     def _pole_free(self, idx, what, fn):
+        """fn at idx; PoleAtLattice where one is within POLE_TOL of the lattice."""
         args = self._reduced(idx).part(np.ravel(idx))
-        _off_lattice(args, self.lat, what)
-        return fn(args, self.lat).reshape(np.shape(idx))[()]
+        if _distance(args, self.lat).min() < POLE_TOL:
+            raise PoleAtLattice(f"{what} argument within {POLE_TOL} of a lattice point")
+        return _item(fn(args, self.lat).reshape(np.shape(idx)))
+
+
+def _item(out):
+    """out, or its Python scalar where it is 0-d."""
+    return out.item() if out.ndim == 0 else out
 
 
 def section_phi(q, z, lat: Lattice):
     """Section value sigma(z - q)/sigma(z); zero at z = q, pole at z = 0."""
-    if np.min(lattice_distance(z, lat)) < POLE_TOL:
+    batch = _Batch(lat)
+    z_idx, zq = batch.add(z), batch.add(np.asarray(z) - q)
+    if np.min(batch.distance(z_idx)) < POLE_TOL:
         raise PoleAtLattice("section_phi evaluated at a lattice pole")
-    return sigma(np.asarray(z) - q, lat) / sigma(z, lat)
+    return batch.sigma(zq) / batch.sigma(z_idx)
 
 
 def legendre_residual(lat: Lattice) -> float:

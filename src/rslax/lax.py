@@ -190,14 +190,6 @@ def xi_matrix(conf: RSConfig, z) -> SpectralMatrix:
     return SpectralMatrix(n, entries, complex(z))
 
 
-def _off_lattice(batch, **points):
-    """PoleAtLattice naming the first named group of the batch's arguments
-    (its index array) on the lattice."""
-    for what, idx in points.items():
-        if batch.distance(idx).min() < elliptic.POLE_TOL:
-            raise PoleAtLattice(f"{what} is on the lattice")
-
-
 def _exp_overflow(P):
     """': exp(P_k) overflows (Re P_k = ...)' for the first k whose exp(P_k)
     overflows a double, or ''."""
@@ -312,7 +304,7 @@ class _HasegawaPlan(_Plan):
         batch = elliptic._Batch(self.lat)
         batch.add([hbar, z, z + hbar])  # the constants, at 0, 1 and 2
         _distinct(batch.distance(batch.add(q[self.I[self.diffs]] - q[self.J[self.diffs]])))
-        _off_lattice(batch, z=1)
+        batch.off_lattice(z=1)
         s, ds = np.empty((2, 3), dtype=complex)
         elliptic._sigma_orders(batch.args.part(slice(3)), self.lat, s, ds)
         self.s[-2], self.sigma_z, self.sigma_zh = s
@@ -526,10 +518,11 @@ class _RuijsenaarsPlan(_Plan):
         self.n = n = conf.n
         self.lat = conf.lat
         batch = elliptic._Batch(self.lat)
-        constants = batch.add([lam, mu])
-        _off_lattice(batch, lam=constants[0], mu=constants[1])
-        self.sigma_lam, self.sigma_mu = batch.sigma(constants)
-        self.wp_mu = batch.wp(constants[1]) if n > 1 else None
+        # Two groups: a batch of one group reduces with numpy's warnings on.
+        lam_idx, mu_idx = batch.add(lam), batch.add(mu)
+        batch.off_lattice(lam=lam_idx, mu=mu_idx)
+        self.sigma_lam, self.sigma_mu = batch.sigma(np.array([lam_idx, mu_idx]))
+        self.wp_mu = batch.wp(mu_idx) if n > 1 else None
         rows, cols, self.off = _pairs(n)
         m, o = n * n, self.off.size
         self.I = np.concatenate([rows, rows, rows[self.off], rows[self.off]])
@@ -607,9 +600,11 @@ def ruijsenaars_equivalent_momenta(conf: RSConfig):
     batch = elliptic._Batch(lat)
     D_idx, hD, hbar = batch.add(D), batch.add(conf.hbar + D), batch.add(conf.hbar)
     prod_den, col = _transport_diagonals(batch, D_idx, hD)
-    d_row = np.exp(np.asarray(conf.P, dtype=complex)) / prod_den
     sig_h = batch.sigma(hbar)
     wp_h = batch.wp(hbar) if n > 1 else None
+    # There col and f vanish, and their quotient is not defined.
+    batch.off_lattice(**{"hbar + q_l - q_k": hD})
+    d_row = np.exp(np.asarray(conf.P, dtype=complex)) / prod_den
     args = batch.args.part(D_idx.reshape(-1)[_pairs(n)[2]])
     return np.log(d_row * col / (sig_h * _row_f(args, n, sig_h, wp_h, lat)[1]))
 
@@ -632,16 +627,13 @@ def krichever_lax(conf: RSConfig, z, lam) -> SpectralMatrix:
     lam_mu, z_minus, z_plus, D_mu, lam_D = map(
         batch.add, (lam + mu, z - mu, z + mu, D - mu, lam + D)
     )
-    _off_lattice(
-        batch, **{"lam + mu": lam_mu, "z - mu": z_minus, "z + mu": z_plus, "q_i - q_j - mu": D_mu}
+    batch.off_lattice(
+        **{"lam + mu": lam_mu, "z - mu": z_minus, "z + mu": z_plus, "q_i - q_j - mu": D_mu}
     )
     with np.errstate(all="ignore"):
-        # Scalars, as the public sigma gave them.
-        ratio = complex(batch.sigma(z_minus)) / complex(batch.sigma(z_plus))
+        ratio = batch.sigma(z_minus) / batch.sigma(z_plus)
         power = np.exp((D - mu) / (2.0 * mu) * np.log(ratio))
-        entries = (
-            batch.sigma(lam_D) / (complex(batch.sigma(lam_mu)) * batch.sigma(D_mu)) * power
-        )
+        entries = batch.sigma(lam_D) / (batch.sigma(lam_mu) * batch.sigma(D_mu)) * power
     return SpectralMatrix(conf.n, entries, lam)
 
 
@@ -688,7 +680,7 @@ def cm_lax(conf: CMConfig, lam) -> SpectralMatrix:
         else:
             batch = elliptic._Batch(lat)
             lam_idx, num, den = batch.add(lam), batch.add(lam - D), batch.add(D)
-            _off_lattice(batch, lam=lam_idx)
+            batch.off_lattice(lam=lam_idx)
 
     entries = np.diag(np.asarray(conf.p, dtype=complex))
     if n > 1:
@@ -697,9 +689,7 @@ def cm_lax(conf: CMConfig, lam) -> SpectralMatrix:
         elif lat.kind == elliptic.KIND_RATIONAL:
             entries[off] += conf.g * (1.0 / D - 1.0 / lam)
         else:
-            entries[off] += (
-                conf.g * batch.sigma(num) / (batch.sigma(den) * complex(batch.sigma(lam_idx)))
-            )
+            entries[off] += conf.g * batch.sigma(num) / (batch.sigma(den) * batch.sigma(lam_idx))
     return SpectralMatrix(n, entries, 0.0 + 0.0j if spectral_free else lam)
 
 
@@ -738,7 +728,7 @@ def _factorized_cm(batch, args, p, z):
         S, A = batch.sigma(np.stack([D, zD]))
         np.fill_diagonal(S, 1.0)
         c = S.prod(axis=0)
-        T = A / (complex(batch.sigma(z_idx)) * S) * c / c[:, None]
+        T = A / (batch.sigma(z_idx) * S) * c / c[:, None]
         np.fill_diagonal(T, zetas[0] + zetas[1:].reshape(n, n - 1).sum(axis=1))
     entries = np.diag(np.asarray(p, dtype=complex)) + T
     return SpectralMatrix(n, entries, z)

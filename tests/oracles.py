@@ -5,8 +5,8 @@ lattice products, mpmath theta series, brute-force LU determinants, and
 finite-difference Hamiltonian vector fields and coupling derivatives.  The
 exceptions are theta_series_reference, the library's former unreduced theta
 series, and sigma_argument_moments_reference, jsonify_reference and the
-*_reference Lax builders and limit sweeps, frozen copies of library code
-that its rewrites must reproduce.
+*_reference special functions, Lax builders and limit sweeps, frozen
+copies of library code that its rewrites must reproduce.
 """
 
 from __future__ import annotations
@@ -461,6 +461,7 @@ def ruijsenaars_equivalent_momenta_reference(conf):
     d_row = np.exp(np.asarray(conf.P, dtype=complex)) / prod_den
     sig_h = elliptic.sigma(conf.hbar, lat)
     wp_h = elliptic.wp(conf.hbar, lat) if n > 1 else None
+    _off_lattice_reference(lat, **{"hbar + q_l - q_k": conf.hbar + lax._diff_matrix(conf.q)})
     args = elliptic._reduce(lax._diff_matrix(conf.q).reshape(-1)[lax._pairs(n)[2]], lat)
     return np.log(d_row * col / (sig_h * lax._row_f(args, n, sig_h, wp_h, lat)[1]))
 
@@ -516,6 +517,111 @@ def cm_limit_sweep_reference(conf, cmconf, hbar_values, z=0.17 + 0.23j):
     )
 
 
+# ---------------------------------------------------------------------------
+# The public special functions, section_phi and frobenius_determinant as
+# they were when each call reduced and checked its own arguments, before
+# they read through elliptic._Batch: the references of the batch route, for
+# values, Python types, shapes and errors.
+
+
+def _entry_reference(z, lat):
+    from rslax import elliptic
+    from rslax.errors import NonConvergent
+
+    zarr = np.asarray(z, dtype=complex)
+    if not np.isfinite(zarr).all():
+        raise NonConvergent("special function argument is not finite")
+    return elliptic._reduce(zarr.reshape(-1), lat)
+
+
+def _shaped_reference(out, z):
+    return out[0].item() if np.ndim(z) == 0 else out.reshape(np.shape(z))
+
+
+def lattice_distance_reference(z, lat):
+    """rslax.elliptic.lattice_distance, reduced per call."""
+    from rslax import elliptic
+
+    return _shaped_reference(elliptic._distance(_entry_reference(z, lat), lat), z)
+
+
+def sigma_reference(z, lat):
+    """rslax.elliptic.sigma, reduced and evaluated per call."""
+    from rslax import elliptic
+    from rslax.errors import ValueOverflow
+
+    args = _entry_reference(z, lat)
+    out = np.empty(args.x.shape, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        elliptic._sigma_orders(args, lat, out)
+    if not np.isfinite(out).all():
+        raise ValueOverflow("sigma is too large for a double")
+    return _shaped_reference(out, z)
+
+
+def _pole_free_reference(z, lat, what, fn):
+    from rslax import elliptic
+    from rslax.errors import PoleAtLattice
+
+    args = _entry_reference(z, lat)
+    if elliptic._distance(args, lat).min() < elliptic.POLE_TOL:
+        raise PoleAtLattice(f"{what} argument within {elliptic.POLE_TOL} of a lattice point")
+    return _shaped_reference(fn(args, lat), z)
+
+
+def zeta_reference(z, lat):
+    """rslax.elliptic.zeta, reduced and checked per call."""
+    from rslax import elliptic
+
+    return _pole_free_reference(z, lat, "zeta", elliptic._zeta)
+
+
+def wp_reference(z, lat):
+    """rslax.elliptic.wp, reduced and checked per call."""
+    from rslax import elliptic
+
+    return _pole_free_reference(z, lat, "wp", elliptic._wp)
+
+
+def section_phi_reference(q, z, lat):
+    """rslax.elliptic.section_phi, one per-call reference per value."""
+    from rslax import elliptic
+    from rslax.errors import PoleAtLattice
+
+    if np.min(lattice_distance_reference(z, lat)) < elliptic.POLE_TOL:
+        raise PoleAtLattice("section_phi evaluated at a lattice pole")
+    return sigma_reference(np.asarray(z) - q, lat) / sigma_reference(z, lat)
+
+
+def frobenius_determinant_reference(spec, lam):
+    """rslax.cauchy.frobenius_determinant, one per-call reference per value."""
+    from rslax.cauchy import DISTINCT_TOL
+    from rslax.errors import DegenerateConfiguration
+
+    lam = complex(lam)
+    lat = spec.lat
+    q = np.asarray(spec.qs, dtype=complex)
+    r = np.asarray(spec.rs, dtype=complex)
+    n = spec.n
+    qr = q[:, None] - r[None, :]
+    if np.min(lattice_distance_reference(qr, lat)) < DISTINCT_TOL:
+        raise DegenerateConfiguration("q_i - r_j hits the lattice: formula pole")
+    qq = q[:, None] - q[None, :]
+    rr = r[:, None] - r[None, :]
+    iu = np.triu_indices(n, k=1)
+    if n > 1 and (
+        np.min(lattice_distance_reference(qq[iu], lat)) < DISTINCT_TOL
+        or np.min(lattice_distance_reference(rr[iu], lat)) < DISTINCT_TOL
+    ):
+        return 0.0 + 0.0j
+    head = sigma_reference(lam + np.sum(q - r), lat) / sigma_reference(lam, lat)
+    num = 1.0 + 0.0j
+    if n > 1:
+        num = np.prod(sigma_reference(qq[iu], lat)) * np.prod(sigma_reference(-rr[iu], lat))
+    den = np.prod(sigma_reference(qr, lat))
+    return complex(head * num / den)
+
+
 def outcome(fn, *args, **kwargs):
     """What fn(*args, **kwargs) gives: the entries of a SpectralMatrix, the
     errors and fitted order of a LimitSweep, any other value as it is, or
@@ -539,7 +645,7 @@ def assert_same_outcome(got, want, rel=1e-15):
     """got and want (outcome) are the same error, or values within rel of
     want's largest finite magnitude, and equal where want is not finite."""
     if isinstance(want, tuple) or isinstance(got, tuple):
-        assert got == want
+        assert type(got) is type(want) and got == want
         return
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import oracles
 import rslax
 from rslax import dynamics, elliptic, lax
-from rslax.errors import CollisionImminent, StepTooLarge
+from rslax.errors import CollisionImminent, SingularMatrix, StepTooLarge
 
 LAT = elliptic.lattice_from_periods(1.0, 0.2 + 2.4j)
 LATTICES = {
@@ -80,6 +80,25 @@ class TestHamiltonian:
         H = dynamics.hamiltonian(spec, conf)
         L = lax.ruijsenaars_lax(conf, spec.eval_z).entries[0, 0]
         assert abs(H - (L + 1.0 / L)) < 1e-12 * abs(H)
+
+    def test_rs_cosh_singularity_test_ignores_the_momentum_scaling(self):
+        # exp(P) scales the rows of L: cond L = 2.8e10 here, but K =
+        # diag(exp(-P)) L has cond 1.66. A test of det L called L singular.
+        conf = lax.rs_config([0.1, 0.4, 0.7], [12.0, -12.0, 0.0], 0.08 + 0.03j, LAT)
+        spec = dynamics.HamiltonianSpec("rs_cosh")
+        L = lax.ruijsenaars_lax(conf, spec.eval_z).entries
+        E = np.diag(np.exp(-np.asarray(conf.P, dtype=complex)))
+        ref = np.trace(L) + np.trace(np.linalg.inv(E @ L) @ E)
+        H = dynamics.hamiltonian(spec, conf)
+        assert abs(H - ref) <= 1e-10 * abs(ref)
+        assert abs(H - (3.05e5 - 2.23e4j)) < 1e-3 * abs(H)
+        field = dynamics.hamiltonian_vector_field(spec, dynamics.PhasePoint(conf.q, conf.P), conf)
+        assert np.isfinite(np.concatenate(field)).all()
+
+    def test_singular_ruijsenaars_matrix_still_raises(self):
+        L = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex) * np.exp([[5.0], [-5.0]])
+        with pytest.raises(SingularMatrix, match="singular"):
+            dynamics._inverse(L, np.array([5.0, -5.0], dtype=complex))
 
     @pytest.mark.parametrize("lax_family", ["hasegawa", "composition", "ruijsenaars"])
     def test_rs_cosh_is_the_ruijsenaars_form_for_every_lax_family(self, lax_family):

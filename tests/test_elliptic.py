@@ -6,6 +6,7 @@ Oracle values come from mpmath theta series and truncated lattice products.
 import cmath
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from rslax import elliptic
+from rslax.cauchy import CauchyMatrixSpec, frobenius_determinant, minor_determinant
 from rslax.errors import NonConvergent, PoleAtLattice, ValueOverflow
 
 
@@ -255,6 +257,17 @@ class TestSigma:
                 with pytest.raises(ValueOverflow):
                     elliptic.sigma(arg, lat)
 
+    @pytest.mark.parametrize("z", [2e9, 1e10, 1e300])
+    def test_exact_lattice_points_far_out_are_zeros(self, z):
+        # exp(g) overflows there against a theta sum of 0; it raised
+        # ValueOverflow.
+        lat = elliptic.lattice_from_periods(1.0, 0.2 + 2.4j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert elliptic.sigma(z, lat) == 0
+            out = elliptic.sigma(np.array([0.1, z]), lat)
+        assert out[1] == 0 and out[0] == elliptic.sigma(0.1, lat)
+
 
 class TestBatch:
     """elliptic._Batch: one reduction and one sigma pass for a builder's
@@ -288,6 +301,142 @@ class TestBatch:
                 read(node)
         assert batch.distance(node) < elliptic.POLE_TOL
         assert batch.sigma(fine) == elliptic.sigma(0.3, LAT)
+
+
+LATTICES = [
+    LAT,
+    elliptic.lattice_from_periods(1.0, 0.2 + 2.4j),
+    # A basis far from reduced, and a lattice scaled by 1e-3.
+    elliptic.lattice_from_periods(0.7 + 0.1j, (0.7 + 0.1j) * (2.3 + 0.4j)),
+    elliptic.lattice_from_periods(1e-3, 1e-3 * (-0.45 + 0.95j)),
+    elliptic.trig_lattice(),
+    elliptic.rational_lattice(),
+]
+
+
+def _periods(lat):
+    """Two periods spanning a cell of lat, and two spanning its zero set."""
+    if lat.kind == elliptic.KIND_ELLIPTIC:
+        return lat.omega1, lat.omega2, lat.omega1, lat.omega2
+    if lat.kind == elliptic.KIND_TRIG:
+        return np.pi, 1j, np.pi, 0.0
+    return 1.0, 1j, 0.0, 0.0
+
+
+def special_arguments(lat):
+    """Arguments of the special functions on lat: in the cell, on a lattice
+    point, near one, not finite, and up to 1e300 (exact lattice points too,
+    where omega1 = 1)."""
+    w1, w2, p1, p2 = _periods(lat)
+    node = st.builds(lambda m, n: m * p1 + n * p2, st.integers(-3, 3), st.integers(-3, 3))
+    return st.one_of(
+        st.builds(lambda u, v: u * w1 + v * w2, st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+        node,
+        st.builds(
+            lambda p, r, phi: p + r * cmath.exp(1j * phi),
+            node, st.sampled_from([1e-12, 1e-9, 1e-8, 1e-7]), st.floats(0, 6.3),
+        ),
+        st.sampled_from([complex("nan"), complex("inf"), complex(0.1, -math.inf), 1j + math.nan]),
+        st.builds(complex, st.floats(-1e300, 1e300), st.floats(-1e300, 1e300)),
+        st.builds(
+            lambda e, y: complex(10.0**e, y), st.integers(3, 300), st.sampled_from([0.0, 0.1, -2.0])
+        ),
+        st.builds(float, st.integers(-(10**300), 10**300)),
+    )
+
+
+@st.composite
+def shaped_arguments(draw, lat):
+    """A Python scalar, a 0-d array or a 2-D array of special_arguments."""
+    shape = draw(st.sampled_from([None, (), (2, 2), (1, 3)]))
+    if shape is None:
+        return draw(special_arguments(lat))
+    size = math.prod(shape)
+    values = draw(st.lists(special_arguments(lat), min_size=size, max_size=size))
+    return np.array(values, dtype=complex).reshape(shape)
+
+
+_SIGMA_REFERENCE = oracles.sigma_reference
+
+
+def _sigma_expected(z, lat):
+    """oracles.sigma_reference with the one intended change: 0, not
+    ValueOverflow, at the arguments whose reduced coordinate is exactly 0
+    (exact lattice points far out)."""
+    try:
+        return _SIGMA_REFERENCE(z, lat)
+    except ValueOverflow:
+        if lat.kind != elliptic.KIND_ELLIPTIC:
+            raise
+    flat = np.asarray(z, dtype=complex).reshape(-1)
+    on = elliptic._reduce(flat, lat).xr == 0
+    far = on & [isinstance(oracles.outcome(_SIGMA_REFERENCE, v, lat), tuple) for v in flat]
+    # The others in one array, as their bits (the sign of an underflowed 0)
+    # may depend on the array.
+    out = _SIGMA_REFERENCE(np.where(far, 0.0, flat), lat)
+    out[far] = 0.0
+    return out[0].item() if np.ndim(z) == 0 else out.reshape(np.shape(z))
+
+
+def _outcome(fn, *args):
+    """oracles.outcome, with a ZeroDivisionError as its type and message:
+    section_phi divides by a sigma(z) that may underflow to 0."""
+    try:
+        return oracles.outcome(fn, *args)
+    except ZeroDivisionError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_bits(new, ref, *args):
+    """new(*args) and the per-call reference ref(*args) (with _sigma_expected
+    for sigma) give the same bits, Python type and shape, or the same error
+    type and message."""
+    got = _outcome(new, *args)
+    with mock.patch.object(oracles, "sigma_reference", _sigma_expected):
+        want = _outcome(ref, *args)
+    assert type(got) is type(want)
+    oracles.assert_same_outcome(got, want, rel=0.0)
+    if not isinstance(want, tuple):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestPerCallReferences:
+    """The public functions, section_phi and frobenius_determinant, which
+    read through elliptic._Batch, against their former per-call routes
+    (oracles.*_reference)."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_special_functions(self, data):
+        lat = data.draw(st.sampled_from(LATTICES))
+        z = data.draw(shaped_arguments(lat))
+        for name in ("sigma", "zeta", "wp", "lattice_distance"):
+            ref = _sigma_expected if name == "sigma" else getattr(oracles, f"{name}_reference")
+            _assert_same_bits(getattr(elliptic, name), ref, z, lat)
+        q = data.draw(special_arguments(lat))
+        if np.ndim(z) and data.draw(st.booleans()):
+            q = data.draw(st.lists(special_arguments(lat), min_size=z.size, max_size=z.size))
+            q = np.array(q).reshape(z.shape)
+        _assert_same_bits(elliptic.section_phi, oracles.section_phi_reference, q, z, lat)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_frobenius_determinant(self, data):
+        lat = data.draw(st.sampled_from(LATTICES))
+        n = data.draw(st.integers(1, 3))
+        qs, rs = (data.draw(st.lists(special_arguments(lat), min_size=n, max_size=n)) for _ in "qr")
+        spec = CauchyMatrixSpec(qs, rs, lat)
+        lam = data.draw(special_arguments(lat))
+        _assert_same_bits(frobenius_determinant, oracles.frobenius_determinant_reference, spec, lam)
+        if n > 1:
+            _assert_same_bits(minor_determinant, _minor_reference, spec, lam, 2, 1)
+
+
+def _minor_reference(spec, lam, k, l):
+    """minor_determinant through oracles.frobenius_determinant_reference."""
+    qs = tuple(q for i, q in enumerate(spec.qs, start=1) if i != k)
+    rs = tuple(r for j, r in enumerate(spec.rs, start=1) if j != l)
+    return oracles.frobenius_determinant_reference(CauchyMatrixSpec(qs, rs, spec.lat), lam)
 
 
 class TestLegendreAndWp:

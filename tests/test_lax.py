@@ -143,6 +143,16 @@ class TestRuijsenaars:
         ev_r = np.sort_complex(scale * np.linalg.eigvals(Lr))
         assert np.max(np.abs(ev_h - ev_r)) < 1e-9 * np.max(np.abs(ev_h))
 
+    def test_equivalent_momenta_name_a_vanishing_factor(self):
+        # hbar + q_0 - q_1 = 0: a factor sigma(hbar + q_l - q_k) vanishes,
+        # where an infinite exponent came out with a divide-by-zero warning.
+        lat = elliptic.lattice_from_periods(1.0, 0.2 + 2.4j)
+        conf = lax.rs_config([0.1, 0.45], [0.1, -0.07], 0.35, lat)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(PoleAtLattice, match=r"^hbar \+ q_l - q_k is on the lattice"):
+                lax.ruijsenaars_equivalent_momenta(conf)
+
     def test_zero_mu_rejected(self):
         conf = lax.rs_config([0.1, 0.5], [0.0, 0.0], 0.1, LAT, mu=0.0)
         # sigma(mu) = 0 at mu = 0: the Ruijsenaars form reports the lattice
