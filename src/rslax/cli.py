@@ -90,8 +90,11 @@ class RunReport:
 
 
 def _as_complex(v, field_name):
+    """v as a finite complex: a number (not a bool), a complex string or {re, im}."""
     try:
-        if isinstance(v, dict) and set(v) <= {"re", "im"}:
+        if any(isinstance(x, bool) for x in (v.values() if isinstance(v, dict) else (v,))):
+            out = None
+        elif isinstance(v, dict) and set(v) <= {"re", "im"}:
             out = complex(float(v.get("re", 0.0)), float(v.get("im", 0.0)))
         else:
             out = complex(v) if isinstance(v, (int, float, complex, str)) else None
@@ -115,8 +118,11 @@ def _as_real(v, field_name, positive=False):
 
 
 def _complex_list(v, field_name, n=None):
+    """v as a list of complex numbers: n of them, or, with n None, at least one."""
     if not isinstance(v, list):
         raise ConfigInvalid("expected a list", field=field_name)
+    if n is None and not v:
+        raise ConfigInvalid("expected a non-empty list", field=field_name)
     if n is not None and len(v) != n:
         raise ConfigInvalid(f"expected {n} values, got {len(v)}", field=field_name)
     return [_as_complex(x, f"{field_name}[{i}]") for i, x in enumerate(v)]
@@ -270,35 +276,37 @@ def load_config(path, command, seed_override=None, out_override=None, tol_scale=
 
 
 def _lattice_from_params(p, field_name="lattice"):
+    """The builder of the lattice the checked fields p describe: a function
+    of no arguments, so that a runner reads all its fields before it
+    computes anything."""
     if not isinstance(p, dict):
         raise ConfigInvalid("expected an object", field=field_name)
     kind = p.get("kind", "elliptic")
     if kind == "trig":
-        return elliptic.trig_lattice()
+        return elliptic.trig_lattice
     if kind == "rational":
-        return elliptic.rational_lattice()
+        return elliptic.rational_lattice
     if kind == "elliptic":
         o1 = _as_complex(p.get("omega1", 1.0), f"{field_name}.omega1")
         o2 = _as_complex(p.get("omega2", 2j), f"{field_name}.omega2")
         if o1 == 0 or (o2 / o1).imag <= 0:
             raise ConfigInvalid("Im(omega2/omega1) must be positive", field=f"{field_name}.omega2")
-        return elliptic.lattice_from_periods(o1, o2)
+        return lambda: elliptic.lattice_from_periods(o1, o2)
     raise ConfigInvalid(f"unknown lattice kind {kind!r}", field=f"{field_name}.kind")
 
 
 def _rs_config_from_params(p, field_name="params"):
+    """The builder of the RS configuration the checked fields p describe
+    (see _lattice_from_params)."""
     for key in ("q", "P", "hbar"):
         if key not in p:
             raise ConfigInvalid("missing required field", field=f"{field_name}.{key}")
-    lat = _lattice_from_params(p.get("lattice", {}), f"{field_name}.lattice")
+    lattice = _lattice_from_params(p.get("lattice", {}), f"{field_name}.lattice")
     q = _complex_list(p["q"], f"{field_name}.q")
-    return lax.rs_config(
-        q,
-        _complex_list(p["P"], f"{field_name}.P", len(q)),
-        _as_complex(p["hbar"], f"{field_name}.hbar"),
-        lat,
-        mu=_as_complex(p["mu"], f"{field_name}.mu") if "mu" in p else None,
-    )
+    P = _complex_list(p["P"], f"{field_name}.P", len(q))
+    hbar = _as_complex(p["hbar"], f"{field_name}.hbar")
+    mu = _as_complex(p["mu"], f"{field_name}.mu") if "mu" in p else None
+    return lambda: lax.rs_config(q, P, hbar, lattice(), mu=mu)
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +440,12 @@ def run_verify(cfg: ExperimentConfig, report: RunReport):
     names = cfg.params.get("checks")
     if names is None:
         names = list(_VERIFY_CHECKS)
+    if not isinstance(names, list):
+        raise ConfigInvalid("expected a list of check names", field="params.checks")
     for name in names:
-        if name not in _VERIFY_CHECKS:
+        if not (isinstance(name, str) and name in _VERIFY_CHECKS):
             raise ConfigInvalid(f"unknown check {name!r}", field="params.checks")
+    for name in names:
         fn, tol = _VERIFY_CHECKS[name]
         rng = np.random.default_rng([cfg.seed, zlib.crc32(name.encode("utf-8"))])
         report.add(name, fn(rng), tol * cfg.tol_scale)
@@ -444,23 +455,23 @@ def run_verify(cfg: ExperimentConfig, report: RunReport):
 # lax
 
 
-# family -> the matrix at z for the command's params
+# family -> the matrix at z (and lam, read for krichever only)
 _LAX_BUILDERS = {
-    "hasegawa": lambda conf, z, p: lax.hasegawa_lax(conf, z),
-    "composition": lambda conf, z, p: lax.composition_lax(conf, z),
-    "ruijsenaars": lambda conf, z, p: lax.ruijsenaars_lax(conf, z),
-    "krichever": lambda conf, z, p: lax.krichever_lax(
-        conf, z, _as_complex(p.get("lam", 0.23 + 0.11j), "params.lam")
-    ),
+    "hasegawa": lambda conf, z, lam: lax.hasegawa_lax(conf, z),
+    "composition": lambda conf, z, lam: lax.composition_lax(conf, z),
+    "ruijsenaars": lambda conf, z, lam: lax.ruijsenaars_lax(conf, z),
+    "krichever": lambda conf, z, lam: lax.krichever_lax(conf, z, lam),
 }
 
 
 def run_lax(cfg: ExperimentConfig, report: RunReport):
     p = cfg.params
     family = _choice(p, "family", _LAX_BUILDERS, "hasegawa")
-    conf = _rs_config_from_params(p)
+    make_conf = _rs_config_from_params(p)
     z = _as_complex(p.get("z", 0.31 + 0.43j), "params.z")
-    M = _LAX_BUILDERS[family](conf, z, p)
+    lam = _as_complex(p.get("lam", 0.23 + 0.11j), "params.lam") if family == "krichever" else None
+    conf = make_conf()
+    M = _LAX_BUILDERS[family](conf, z, lam)
 
     _write_matrix_csv(os.path.join(cfg.output_dir, "lax.csv"), M.entries)
     write_json(
@@ -492,7 +503,7 @@ def run_evolve(cfg: ExperimentConfig, report: RunReport):
     )
     coordinates = _choice(p, "coordinates", dynamics._COORDINATES, "p")
     drift_tol = _as_real(p.get("drift_tolerance", 1e-6), "params.drift_tolerance") * cfg.tol_scale
-    conf = _rs_config_from_params(p)
+    conf = _rs_config_from_params(p)()
     start = dynamics.PhasePoint(conf.q, conf.P)
 
     collided = False
@@ -540,12 +551,12 @@ def run_evolve(cfg: ExperimentConfig, report: RunReport):
 def run_limit(cfg: ExperimentConfig, report: RunReport):
     p = cfg.params
     sweep_kind = _choice(p, "sweep", ("degeneration", "cm"), None)
-    conf = _rs_config_from_params(p)
+    make_conf = _rs_config_from_params(p)
 
     if sweep_kind == "degeneration":
         values = _sweep_values(p, "im_tau_values", positive=True)
         residual_tol = _as_real(p.get("residual_tolerance", 1e-8), "params.residual_tolerance")
-        sweep = limits.degeneration_sweep(conf, values)
+        sweep = limits.degeneration_sweep(make_conf(), values)
         tail = [e for t, e in zip(sweep.values, sweep.errors) if t >= 5.0]
         mono = 0.0
         for a, b in zip(tail, tail[1:]):
@@ -555,7 +566,8 @@ def run_limit(cfg: ExperimentConfig, report: RunReport):
     else:
         # The order is fitted to log(hbar).
         values = _sweep_values(p, "hbar_values", positive=True)
-        pvec = _complex_list(p.get("p", [0.0] * conf.n), "params.p", conf.n)
+        pvec = _complex_list(p.get("p", [0.0] * len(p["q"])), "params.p", len(p["q"]))
+        conf = make_conf()
         cmc = lax.cm_config(conf.q, pvec, 1.0, conf.lat)
         sweep = limits.cm_limit_sweep(conf, cmc, values)
         if sweep.fitted_order is not None:
@@ -584,7 +596,8 @@ def run_limit(cfg: ExperimentConfig, report: RunReport):
 def run_reduce(cfg: ExperimentConfig, report: RunReport):
     p = cfg.params
     kind = _choice(p, "kind", ("rational_cm", "trig_cm", "rational_rs", "trig_rs"), None)
-    orb = reductions.OrbitSpec(g=_as_complex(p.get("g", 1.0), "params.g"))
+    if kind != "trig_rs":  # whose orbit has g = 0
+        orb = reductions.OrbitSpec(g=_as_complex(p.get("g", 1.0), "params.g"))
     if kind == "rational_cm":
         q = _complex_list(p.get("q", []), "params.q")
         mom = _complex_list(p.get("p", [0.0] * len(q)), "params.p", len(q))

@@ -487,19 +487,16 @@ class _Batch:
 
     def _reduced(self, idx):
         """The reduced arguments; NonConvergent if those at idx are not
-        finite."""
+        finite, or are finite but overflow the reduced coordinate (beyond
+        about 1.8e308 |red_omega1|)."""
         if self.args is None:
-            one = len(self._parts) == 1
-            z = self._parts[0] if one else np.concatenate(self._parts)
-            finite = np.isfinite(z)
+            with np.errstate(all="ignore"):
+                self.args = _reduce(np.concatenate(self._parts), self.lat)
+            finite = np.isfinite(self.args.x if self.args.xr is None else self.args.xr)
             self.finite = None if finite.all() else finite
-            if one and self.finite is None:
-                # numpy's warnings stay on here, as the public functions had them.
-                self.args = _reduce(z, self.lat)
-            else:
-                with np.errstate(all="ignore"):
-                    self.args = _reduce(z, self.lat)
         if self.finite is not None and not self.finite[idx].all():
+            if np.isfinite(np.concatenate(self._parts)[idx]).all():
+                raise NonConvergent("special function argument is too large to reduce")
             raise NonConvergent("special function argument is not finite")
         return self.args
 
@@ -554,12 +551,16 @@ def _item(out):
 
 
 def section_phi(q, z, lat: Lattice):
-    """Section value sigma(z - q)/sigma(z); zero at z = q, pole at z = 0."""
+    """Section value sigma(z - q)/sigma(z); zero at z = q, pole at z = 0;
+    ValueOverflow where sigma(z) underflows to 0 off the lattice."""
     batch = _Batch(lat)
     z_idx, zq = batch.add(z), batch.add(np.asarray(z) - q)
     if np.min(batch.distance(z_idx)) < POLE_TOL:
         raise PoleAtLattice("section_phi evaluated at a lattice pole")
-    return batch.sigma(zq) / batch.sigma(z_idx)
+    num, den = batch.sigma(zq), batch.sigma(z_idx)
+    if np.any(den == 0):
+        raise ValueOverflow("1/sigma(z) in section_phi is too large for a double")
+    return num / den
 
 
 def legendre_residual(lat: Lattice) -> float:

@@ -61,7 +61,6 @@ class RSConfig:
 
 def rs_config(q, P, hbar, lat, mu=None, q_inf=0.0, q_zero=None) -> RSConfig:
     """Convenience constructor enforcing the framing relation by default."""
-    q = tuple(complex(v) for v in q)
     n = len(q)
     hbar = complex(hbar)
     if q_zero is None:
@@ -69,7 +68,7 @@ def rs_config(q, P, hbar, lat, mu=None, q_inf=0.0, q_zero=None) -> RSConfig:
     return RSConfig(
         n=n,
         q=q,
-        P=tuple(complex(v) for v in P),
+        P=P,
         hbar=hbar,
         mu=hbar if mu is None else complex(mu),
         lat=lat,
@@ -122,8 +121,7 @@ class CMConfig:
 
 
 def cm_config(q, p, g, lat) -> CMConfig:
-    q = tuple(complex(v) for v in q)
-    return CMConfig(len(q), q, tuple(complex(v) for v in p), complex(g), lat)
+    return CMConfig(len(q), q, p, complex(g), lat)
 
 
 def _diff_matrix(q):
@@ -138,13 +136,8 @@ def _separation(q, lat):
     if n < 2:
         return
     # Each pair in both orders: the distance of -d is that of d.
-    _distinct(elliptic.lattice_distance(_diff_matrix(q).reshape(-1)[_pairs(n)[2]], lat))
-
-
-def _distinct(dist):
-    """DegenerateConfiguration if a distance of two positions from the
-    lattice is below DISTINCT_TOL."""
-    if dist.size and dist.min() < DISTINCT_TOL:
+    dist = elliptic.lattice_distance(_diff_matrix(q).reshape(-1)[_pairs(n)[2]], lat)
+    if dist.min() < DISTINCT_TOL:
         raise DegenerateConfiguration("positions are not pairwise distinct modulo the lattice")
 
 
@@ -281,11 +274,8 @@ class _HasegawaPlan(_Plan):
     S[l, k]), A = sigma(z + hbar + q_k - q_{k'}), S[l, k] = sigma(q_l - q_k)
     (diagonal 1), B[l, k'] = sigma(hbar + q_l - q_{k'}) (diagonal
     sigma(hbar)) and N_{kk'} = prod_{l != k} B[l, k'].  The entries are
-    exp(P_k) K_{kk'}.
-
-    One reduction serves the checks of conf's positions (RSConfig's, so a
-    configuration moved to another lattice unchecked is checked here) and
-    of z, and the constants' sigma pass.
+    exp(P_k) K_{kk'}.  conf's positions were checked when conf was made
+    (RSConfig).
     """
 
     def __init__(self, conf: RSConfig, z):
@@ -300,13 +290,13 @@ class _HasegawaPlan(_Plan):
         self.factors = 2 * o  # the arguments of B and S
         # The tails hold the diagonals of B and S, for sigma and for sigma'.
         self.s, self.ds = np.empty((2, m + 2 * o + 2), dtype=complex)
-        q = np.asarray(conf.q, dtype=complex)
         batch = elliptic._Batch(self.lat)
         batch.add([hbar, z, z + hbar])  # the constants, at 0, 1 and 2
-        _distinct(batch.distance(batch.add(q[self.I[self.diffs]] - q[self.J[self.diffs]])))
         batch.off_lattice(z=1)
         s, ds = np.empty((2, 3), dtype=complex)
-        elliptic._sigma_orders(batch.args.part(slice(3)), self.lat, s, ds)
+        # A constant that is not a double makes the entries of L not finite.
+        with np.errstate(all="ignore"):
+            elliptic._sigma_orders(batch.args, self.lat, s, ds)
         self.s[-2], self.sigma_z, self.sigma_zh = s
         self.ds[-2] = ds[0]
         self.s[-1], self.ds[-1] = 1.0, 0.0
@@ -518,11 +508,10 @@ class _RuijsenaarsPlan(_Plan):
         self.n = n = conf.n
         self.lat = conf.lat
         batch = elliptic._Batch(self.lat)
-        # Two groups: a batch of one group reduces with numpy's warnings on.
-        lam_idx, mu_idx = batch.add(lam), batch.add(mu)
-        batch.off_lattice(lam=lam_idx, mu=mu_idx)
-        self.sigma_lam, self.sigma_mu = batch.sigma(np.array([lam_idx, mu_idx]))
-        self.wp_mu = batch.wp(mu_idx) if n > 1 else None
+        idx = batch.add([lam, mu])
+        batch.off_lattice(lam=idx[0], mu=idx[1])
+        self.sigma_lam, self.sigma_mu = batch.sigma(idx)
+        self.wp_mu = batch.wp(idx[1]) if n > 1 else None
         rows, cols, self.off = _pairs(n)
         m, o = n * n, self.off.size
         self.I = np.concatenate([rows, rows, rows[self.off], rows[self.off]])

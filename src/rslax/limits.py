@@ -5,14 +5,13 @@ of RS onto the factorized CM matrix, and the framing-constraint diagnostic.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import elliptic, lax
-from .errors import DegenerateConfiguration
-from .lax import CMConfig, RSConfig, hasegawa_lax, rs_config
+from .errors import DegenerateConfiguration, NonFiniteEntries
+from .lax import CMConfig, RSConfig, hasegawa_lax
 
 PARAM_IM_TAU = "ImTau"
 PARAM_HBAR = "Hbar"
@@ -49,18 +48,20 @@ class LimitSweep:
             d = np.diff(vals)
             if not (np.all(d > 0) or np.all(d < 0)):
                 raise ValueError("sweep values must be strictly monotone")
-        if not np.all(np.isfinite(errs)):
-            raise ValueError("sweep errors must be finite")
+        for v, e in zip(vals, errs):
+            if not np.isfinite(e):
+                raise NonFiniteEntries(f"the {self.parameter} residual at {v!r} is not finite")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "errors", errs)
 
 
 def _fit_order(small, errors):
     """Log-log slope of errors against the small parameter, ignoring points
-    at double-precision noise level."""
+    at double-precision noise level and those that are not finite (which
+    LimitSweep rejects)."""
     small = np.asarray(small, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    keep = errors > _MACHINE_FLOOR
+    keep = (errors > _MACHINE_FLOOR) & np.isfinite(errors)
     if np.count_nonzero(keep) < 2:
         return None
     slope, _ = np.polyfit(np.log(small[keep]), np.log(errors[keep]), 1)
@@ -90,14 +91,6 @@ def _sigma_argument_second_moment(q, hbar, z):
     return (hbar + qk - qkp) * (2 * z + 2 * q.sum() + q.size * (hbar - qk - qkp))
 
 
-def _moved(conf: RSConfig, lat):
-    """conf on the lattice lat without RSConfig's check of its positions,
-    which hasegawa_lax makes in its plan's reduction (_HasegawaPlan)."""
-    out = copy.copy(conf)
-    object.__setattr__(out, "lat", lat)
-    return out
-
-
 def degeneration_sweep(conf: RSConfig, im_tau_values, z=_DEFAULT_Z) -> LimitSweep:
     """Residuals of the elliptic RS Lax matrix against its trigonometric
     degeneration over a sweep of Im(tau).
@@ -111,32 +104,33 @@ def degeneration_sweep(conf: RSConfig, im_tau_values, z=_DEFAULT_Z) -> LimitSwee
     the trivial-theta gauge C*exp(A*z + B*z^2), A = 0 and B = eta1/omega1,
     times theta1(z/omega1) (elliptic._sigma_orders), which tends to a
     constant times sin(pi z/omega1); the counts of sigma factors balance, so
-    C cancels.  The residual is the relative Frobenius distance.  Each
-    lattice's positions are checked in its matrix's pass (_moved).
+    C cancels.  The residual is the relative Frobenius distance.  conf is
+    moved to each lattice as a new RSConfig, whose check of the positions
+    is the one check on that lattice.
     """
     values = _positive(im_tau_values, "Im(tau)")
     z = complex(z)
-    trig = elliptic.trig_lattice()
     pi = np.pi
-    conf_trig = rs_config(
-        [pi * v for v in conf.q],
-        conf.P,
-        pi * conf.hbar,
-        trig,
+    conf_trig = replace(
+        conf,
+        q=[pi * v for v in conf.q],
+        hbar=pi * conf.hbar,
         mu=pi * conf.mu,
+        lat=elliptic.trig_lattice(),
         q_inf=pi * conf.q_inf,
         q_zero=pi * conf.q_zero,
     )
     L_trig = hasegawa_lax(conf_trig, pi * z).entries
-    delta2 = _sigma_argument_second_moment(conf.q, conf.hbar, z)
-
-    errors = []
-    for t in values:
-        lat_t = elliptic.lattice_from_periods(1.0, 1j * t)
-        L_ell = hasegawa_lax(_moved(conf, lat_t), z).entries
-        pred = np.exp(lat_t.eta1 / lat_t.omega1 * delta2) * L_trig
-        err = np.linalg.norm(L_ell - pred) / np.linalg.norm(pred)
-        errors.append(float(err))
+    # A residual that is not finite raises in LimitSweep.
+    with np.errstate(all="ignore"):
+        delta2 = _sigma_argument_second_moment(conf.q, conf.hbar, z)
+        errors = []
+        for t in values:
+            lat_t = elliptic.lattice_from_periods(1.0, 1j * t)
+            L_ell = hasegawa_lax(replace(conf, lat=lat_t), z).entries
+            pred = np.exp(lat_t.eta1 / lat_t.omega1 * delta2) * L_trig
+            err = np.linalg.norm(L_ell - pred) / np.linalg.norm(pred)
+            errors.append(float(err))
 
     small = [np.exp(-2.0 * pi * t) for t in values]
     return LimitSweep(PARAM_IM_TAU, values, tuple(errors), _fit_order(small, errors))

@@ -586,11 +586,14 @@ def wp_reference(z, lat):
 def section_phi_reference(q, z, lat):
     """rslax.elliptic.section_phi, one per-call reference per value."""
     from rslax import elliptic
-    from rslax.errors import PoleAtLattice
+    from rslax.errors import PoleAtLattice, ValueOverflow
 
     if np.min(lattice_distance_reference(z, lat)) < elliptic.POLE_TOL:
         raise PoleAtLattice("section_phi evaluated at a lattice pole")
-    return sigma_reference(np.asarray(z) - q, lat) / sigma_reference(z, lat)
+    num, den = sigma_reference(np.asarray(z) - q, lat), sigma_reference(z, lat)
+    if np.any(den == 0):
+        raise ValueOverflow("1/sigma(z) in section_phi is too large for a double")
+    return num / den
 
 
 def frobenius_determinant_reference(spec, lam):

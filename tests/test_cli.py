@@ -3,6 +3,7 @@ subcommands, byte-identical determinism under a fixed seed, the exit-code
 contract, and output schema validity.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -13,7 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -793,6 +794,34 @@ INVALID_CONFIGS = [
     # Beyond cli.MAX_EVOLVE_STEPS steps of dt (1e303 here, or inf).
     ("evolve", dict(EVOLVE_PARAMS, t_end=1e300, dt=1e-3), "params.t_end"),
     ("evolve", dict(EVOLVE_PARAMS, t_end=1e300, dt=1e-300), "params.t_end"),
+    # Empty or missing positions, and check lists that are not lists of names.
+    ("reduce", {"kind": "rational_cm", "q": []}, "params.q"),
+    ("reduce", {"kind": "trig_cm"}, "params.q"),
+    ("reduce", {"kind": "rational_rs", "theta": []}, "params.theta"),
+    ("reduce", {"kind": "trig_rs"}, "params.theta"),
+    ("evolve", dict(EVOLVE_PARAMS, q=[], P=[]), "params.q"),
+    ("limit", dict(LIMIT_PARAMS, q=[], P=[], sweep="cm", hbar_values=[1e-2]), "params.q"),
+    ("verify", {"checks": [["x"]]}, "params.checks"),
+    ("verify", {"checks": "basis_invariance"}, "params.checks"),
+    # Every field is read before the lattice and the configuration are made:
+    # coincident positions, or a lattice beyond the doubles, come second.
+    ("lax", dict(LIMIT_PARAMS, q=[0.1, 0.1], z="abc"), "params.z"),
+    ("lax", dict(LIMIT_PARAMS, q=[0.1, 0.1], family="krichever", lam="abc"), "params.lam"),
+    (
+        "limit",
+        dict(LIMIT_PARAMS, q=[0.1, 0.1], sweep="degeneration", im_tau_values=["abc"]),
+        "params.im_tau_values[0]",
+    ),
+    ("limit", dict(LIMIT_PARAMS, q=[0.1, 0.1], sweep="cm", hbar_values=[1e-2], p="x"), "params.p"),
+    (
+        "lax",
+        dict(LIMIT_PARAMS, lattice={"kind": "elliptic", "omega2": {"re": 0, "im": 1e-310}}, z="abc"),
+        "params.z",
+    ),
+    # JSON booleans are not numbers.
+    ("lax", dict(LIMIT_PARAMS, hbar=True), "params.hbar"),
+    ("lax", dict(LIMIT_PARAMS, hbar={"re": True}), "params.hbar"),
+    ("lax", dict(LIMIT_PARAMS, q=[0.1, {"re": 0.45, "im": False}]), "params.q[1]"),
 ]
 
 
@@ -821,3 +850,84 @@ def test_evolve_step_cap(tmp_path, capsys):
     assert cli.main(["evolve", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: params.t_end: t_end/dt = 100001 exceeds the step cap")
+
+
+def test_trig_rs_reads_no_coupling(tmp_path):
+    # The trig_rs orbit has g = 0, so params.g is not read.
+    params = {"kind": "trig_rs", "theta": [0.3, 1.1, -0.7], "u": [1, 0, 0], "v": [0, 0.7, -0.3]}
+    outputs = []
+    for name, extra in (("a", {}), ("b", {"g": "abc"})):
+        out = tmp_path / name
+        cfg = write_config(
+            tmp_path,
+            f"{name}.json",
+            {"schema_version": 1, "command": "reduce", "output_dir": str(out), "params": {**params, **extra}},
+        )
+        assert cli.main(["reduce", "--config", cfg]) == 0
+        outputs.append({f: (out / f).read_bytes() for f in sorted(os.listdir(out))})
+    assert outputs[0] == outputs[1]
+
+
+# (command, valid params whose run is cheap): the configs the contract test mutates.
+_CONTRACT_BASES = [
+    ("verify", {"checks": ["rational_cm_moment"]}),
+    ("lax", dict(LIMIT_PARAMS, family="krichever", z="0.31+0.43j", lam={"re": 0.23, "im": 0.11}, mu=0.02)),
+    ("lax", dict(LIMIT_PARAMS, family="ruijsenaars", z={"re": 0.31, "im": 0.43})),
+    ("evolve", dict(EVOLVE_PARAMS, t_end=0.01, family="trace_power", index=1, drift_tolerance=1e-6)),
+    ("limit", dict(LIMIT_PARAMS, sweep="degeneration", im_tau_values=[5, 10], residual_tolerance=1e-8)),
+    ("limit", dict(LIMIT_PARAMS, sweep="cm", hbar_values=[1e-2, 5e-3], p=[0.3, -0.2])),
+    ("reduce", {"kind": "rational_cm", "q": [0.1, 0.9], "p": [0.3, -0.2], "g": 0.7}),
+    ("reduce", {"kind": "trig_rs", "theta": [0.3, 1.1], "u": [1, 0], "v": [0, 0.7], "diag_free": [0.9, 1.2]}),
+]
+_BAD_VALUES = [True, "abc", [[0.1]], math.nan, [], 1e300]
+
+
+def _run_config(directory, command, params):
+    """(exit code, stderr, output directory) of a run of the config."""
+    out = directory / "out"
+    path = directory / "c.json"
+    path.write_text(json.dumps({"schema_version": 1, "command": command, "output_dir": str(out), "params": params}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([command, "--config", str(path)])
+    return code, err.getvalue(), out
+
+
+@pytest.mark.parametrize("command,params", _CONTRACT_BASES)
+def test_contract_bases_pass(tmp_path, command, params):
+    assert _run_config(tmp_path, command, params)[0] == 0
+
+
+@st.composite
+def _mutated_configs(draw):
+    """(command, params): a base config with one field, or one lattice
+    field, dropped or set to a bad value or to a lattice with tiny Im tau."""
+    command, params = draw(st.sampled_from(_CONTRACT_BASES))
+    params = json.loads(json.dumps(params))
+    key = draw(st.sampled_from(sorted(params) + ["lattice.omega1", "lattice.omega2"]))
+    target = params
+    if key.startswith("lattice."):
+        target, key = params.setdefault("lattice", {}), key.split(".")[1]
+    im_tau = 10.0 ** -draw(st.integers(1, 320))
+    tiny = {"kind": "elliptic", "omega1": 1.0, "omega2": {"re": 0.0, "im": im_tau}}
+    value = draw(st.sampled_from(_BAD_VALUES + ["drop", tiny]))
+    if value == "drop":
+        target.pop(key, None)
+    else:
+        target[key] = value
+    return command, params
+
+
+@given(case=_mutated_configs())
+@example(case=("evolve", dict(EVOLVE_PARAMS, q=[], P=[])))
+@example(case=("reduce", {"kind": "rational_cm", "p": []}))
+@example(case=("verify", {"checks": [["x"]]}))
+@settings(max_examples=60, deadline=None)
+def test_any_config_ends_in_an_exit_code(tmp_path_factory, case):
+    # The CLI contract: whatever a config holds, a run ends in exit code 0,
+    # 1 or 2 without a traceback, and a config error writes nothing.
+    code, err, out = _run_config(tmp_path_factory.mktemp("contract"), *case)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert not out.exists()

@@ -302,6 +302,19 @@ class TestBatch:
         assert batch.distance(node) < elliptic.POLE_TOL
         assert batch.sigma(fine) == elliptic.sigma(0.3, LAT)
 
+    @pytest.mark.parametrize("fn", ["lattice_distance", "sigma", "zeta", "wp"])
+    def test_argument_overflowing_the_reduction_is_nonconvergent(self, fn):
+        # 1e307/red_omega1 is beyond the doubles on this lattice scaled by
+        # 1e-3; the reduced coordinate was NaN, read with RuntimeWarnings.
+        lat = elliptic.lattice_from_periods(1e-3, 1e-3 * (-0.45 + 0.95j))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergent, match="too large to reduce"):
+                getattr(elliptic, fn)(np.array([0.3, 1e307]), lat)
+            with pytest.raises(NonConvergent, match="too large to reduce"):
+                getattr(elliptic, fn)(1e307, lat)
+            assert np.isfinite(getattr(elliptic, fn)(0.3e-3 + 0.1e-3j, lat))
+
 
 LATTICES = [
     LAT,
@@ -380,7 +393,7 @@ def _sigma_expected(z, lat):
 
 def _outcome(fn, *args):
     """oracles.outcome, with a ZeroDivisionError as its type and message:
-    section_phi divides by a sigma(z) that may underflow to 0."""
+    frobenius_determinant divides by a sigma(lam) that may underflow to 0."""
     try:
         return oracles.outcome(fn, *args)
     except ZeroDivisionError as exc:
@@ -467,6 +480,16 @@ class TestSectionPhi:
         assert abs(elliptic.section_phi(q, q, LAT)) < 1e-13
         with pytest.raises(PoleAtLattice):
             elliptic.section_phi(q, 0.0, LAT)
+
+    @pytest.mark.parametrize("z", [0.5 + 48j, np.array([0.5 + 48j, 0.3])])
+    def test_underflowing_denominator_is_a_typed_error(self, z):
+        # sigma(0.5 + 48i) underflows to 0 far from the lattice; the quotient
+        # was a ZeroDivisionError (scalar) or nan+nanj with RuntimeWarnings.
+        lat = elliptic.lattice_from_periods(1.0, 0.2 + 2.4j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueOverflow, match="1/sigma"):
+                elliptic.section_phi(0.0, z, lat)
 
 
 class TestTrivialThetaFit:

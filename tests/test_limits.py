@@ -4,6 +4,7 @@ and the framing-constraint diagnostic.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from rslax import elliptic, lax, limits
-from rslax.errors import DegenerateConfiguration
+from rslax.errors import DegenerateConfiguration, NonFiniteEntries
 
 LAT = elliptic.lattice_from_periods(1.0, 2.5j)
 
@@ -168,6 +169,15 @@ class TestOnePassSweeps:
             oracles.outcome(limits.degeneration_sweep, conf, values, z=z),
             oracles.outcome(oracles.degeneration_sweep_reference, conf, values, z=z),
         )
+
+    def test_residual_that_is_not_finite_is_a_typed_error(self):
+        # At hbar = 32i the prediction exp(B Delta2) L_trig overflows; the
+        # sweep ended in a bare ValueError, after numpy RuntimeWarnings.
+        conf = lax.rs_config([0.1, 0.45], [0.0, 0.0], 32j, LAT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteEntries, match="ImTau residual at 5.0 is not finite"):
+                limits.degeneration_sweep(conf, [5.0, 10.0])
 
     def test_positions_are_checked_on_each_lattice(self):
         # Distinct on (1, 2.5i), coincident on (1, 8i), and z on (1, 8i):
