@@ -13,12 +13,13 @@ which brute-force LU determinants certify to machine precision.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import elliptic
-from .errors import DegenerateConfiguration, NonFiniteEntries, SingularMatrix
+from .errors import DegenerateConfiguration, NonFiniteEntries, SingularMatrix, ValueOverflow
 
 DISTINCT_TOL = 1e-6
 
@@ -102,7 +103,8 @@ def _cauchy_matrix(batch, args, lam):
 
 def frobenius_determinant(spec: CauchyMatrixSpec, lam) -> complex:
     """Closed-form determinant of the elliptic Cauchy matrix, from one sigma
-    pass (elliptic._Batch)."""
+    pass (elliptic._Batch); ValueOverflow where the quotient of sigma
+    products is not a double."""
     lam = complex(lam)
     q = np.asarray(spec.qs, dtype=complex)
     r = np.asarray(spec.rs, dtype=complex)
@@ -122,12 +124,21 @@ def frobenius_determinant(spec: CauchyMatrixSpec, lam) -> complex:
         # A coincident pair makes a numerator factor an exact zero.
         return 0.0 + 0.0j
 
-    head = batch.sigma(head) / batch.sigma(lam_idx)
+    # Far from the lattice sigma(lam) or the products may underflow to 0.
+    overflow = ValueOverflow("the sigma quotient in frobenius_determinant is not a double")
+    head, s_lam = batch.sigma(head), batch.sigma(lam_idx)
+    if s_lam == 0:
+        raise overflow
+    head /= s_lam
     num = 1.0 + 0.0j
     if n > 1:
         num = np.prod(batch.sigma(qq)) * np.prod(batch.sigma(rr))
     den = np.prod(batch.sigma(qr))
-    return complex(head * num / den)
+    with np.errstate(all="ignore"):
+        det = complex(head * num / den)
+    if not cmath.isfinite(det):
+        raise overflow
+    return det
 
 
 def minor_determinant(spec: CauchyMatrixSpec, lam, k: int, l: int) -> complex:
@@ -148,9 +159,13 @@ def minor_determinant(spec: CauchyMatrixSpec, lam, k: int, l: int) -> complex:
     return frobenius_determinant(reduced, lam)
 
 
-def _singularity_threshold(mat: np.ndarray) -> float:
-    n = mat.shape[0]
-    return 1e-12 * float(np.max(np.abs(mat))) ** n
+def _singular(M) -> bool:
+    """Whether the square matrix M, each row divided by its largest
+    magnitude, is numerically singular or not finite.  A test of det M
+    itself would depend on the scale of M's rows."""
+    with np.errstate(all="ignore"):  # a zero row divides by 0
+        K = M / np.abs(M).max(axis=1, keepdims=True)
+        return not abs(np.linalg.det(K)) >= 1e-12
 
 
 def shifted_inverse_product(F, z, u, method: str = "solve") -> SpectralMatrix:
@@ -166,13 +181,13 @@ def shifted_inverse_product(F, z, u, method: str = "solve") -> SpectralMatrix:
     """
     Fz = np.asarray(F(z), dtype=complex)
     n = Fz.shape[0]
-    detF = np.linalg.det(Fz)
-    if abs(detF) < _singularity_threshold(Fz):
+    if _singular(Fz):
         raise SingularMatrix("F(z) is numerically singular")
     Fu = np.asarray(F(z + u), dtype=complex)
     if method == "solve":
         entries = np.linalg.solve(Fz, Fu)
     elif method == "det_ratio":
+        detF = np.linalg.det(Fz)
         entries = np.empty((n, n), dtype=complex)
         for i in range(n):
             for j in range(n):

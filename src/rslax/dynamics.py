@@ -93,13 +93,11 @@ def _lax_form(spec: HamiltonianSpec):
 
     build(conf, z) is a SpectralMatrix.  plan(conf, z) checks the points
     fixed along a flow (z, and lam and mu for the Ruijsenaars form) and
-    evaluates its constants once, and is called (q, P) -> (the distances of
-    the differences q_a - q_b over a != b, row-major, from the lattice; a
-    function giving the entries and (R, h) -> (sum_{kk'} R_{kk'}
-    dL_{kk'}/dq_j)_j, where h = (R * L).sum(axis=1)).  diagonal: H is
-    scale * Tr L of the Hasegawa form, whose field the plan's trace method
-    evaluates from the diagonal of L alone; its matrix method builds L at a
-    batch of points, for a flow's spectra.
+    evaluates its constants once; a stage is plan.reduce, then plan.jacobian
+    (the entries and (R, h) -> (sum_{kk'} R_{kk'} dL_{kk'}/dq_j)_j, where h
+    = (R * L).sum(axis=1)) or, where diagonal (H is scale * Tr L of the
+    Hasegawa form), plan.trace (diag L and d(Tr L)/dq).  plan.matrix builds
+    L at a batch of points, for a flow's spectra.
     """
     if spec.family == "rs_cosh" or (
         spec.family != "hitchin" and spec.lax_family == "ruijsenaars"
@@ -157,7 +155,7 @@ def _field(spec: HamiltonianSpec, plan, diagonal, q, p, step=None):
     """
     if not (np.isfinite(q).all() and np.isfinite(p).all()):
         raise CollisionImminent("positions or momenta are not finite")
-    dist, evaluate = plan.trace(q, p) if diagonal else plan(q, p)
+    args, dist = plan.reduce(q, diagonal)
     separation = np.inf
     if dist.size:
         k = int(dist.argmin())
@@ -172,12 +170,12 @@ def _field(spec: HamiltonianSpec, plan, diagonal, q, p, step=None):
                 f"lattice, below the collision margin {COLLISION_MARGIN:.1e}"
             )
     if diagonal:
-        d, grad = evaluate()
+        d, grad = plan.trace(args, p)
         if not np.isfinite(d).all():
             raise CollisionImminent(_not_finite(p, step))
         scale = spec.scale_power[0]
         return None, scale * d, -scale * grad, separation
-    L, grad_q = evaluate()
+    L, grad_q = plan.jacobian(args, p)
     if not np.isfinite(L).all():
         raise CollisionImminent(_not_finite(p, step))
     if spec.scale_power is None:  # rs_cosh

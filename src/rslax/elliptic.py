@@ -208,8 +208,11 @@ def _unit_constants(tau):
     """
     cached = _UNIT_CACHE.get(tau)
     if cached is None:
-        gauss, wpow = _theta1_window(tau)
-        t1, t3 = (wpow[1::2] @ np.exp(gauss))[:, 0]
+        # Where Im tau is near the largest doubles the window overflows,
+        # and lattice_from_periods rejects the eta that are not finite.
+        with np.errstate(all="ignore"):
+            gauss, wpow = _theta1_window(tau)
+            t1, t3 = (wpow[1::2] @ np.exp(gauss))[:, 0]
         cached = (complex(t1), complex(-t3 / (6.0 * t1)))
         _UNIT_CACHE[tau] = cached
     return cached
@@ -267,7 +270,8 @@ def lattice_from_periods(omega1, omega2) -> Lattice:
 
     NonConvergent naming tau where the reduced basis or the eta are not
     finite doubles: below Im tau of about 1e-154 (omega1 = 1), or at
-    periods near the smallest doubles.
+    periods near the smallest doubles; or where rounding leaves tau
+    unreduced (Im tau below about 1e-17 at a generic Re tau).
     """
     omega1 = complex(omega1)
     omega2 = complex(omega2)
@@ -277,8 +281,9 @@ def lattice_from_periods(omega1, omega2) -> Lattice:
             "lattice orientation must satisfy Im(omega2/omega1) > 0; "
             "swap the period arguments"
         )
-    a, b, c, d, _ = _gauss_reduction(tau)
     try:
+        # -1/tau overflows where Im tau is near the smallest doubles.
+        a, b, c, d, _ = _gauss_reduction(tau)
         if c == 0:  # a shift of tau by the integer b
             w1, red_tau = omega1, tau + b
         else:
@@ -293,6 +298,10 @@ def lattice_from_periods(omega1, omega2) -> Lattice:
             norm = w1r * w1r + w1i * w1i
             w1 = complex(w1r / den, w1i / den)
             red_tau = complex((w2r * w1r + w2i * w1i) / norm, (w2i * w1r - w2r * w1i) / norm)
+        if not red_tau.imag > 0.85:
+            # A reduced tau has Im >= sqrt(3)/2; doubles lost this one's
+            # basis, and theta's window would grow like 1/sqrt(Im red_tau).
+            raise NonConvergent(f"the basis at tau={tau} cannot be reduced in doubles")
         _, eta_hat = _unit_constants(red_tau)
         eta1 = eta_hat / w1
         eta2 = (eta_hat * red_tau - 1j * np.pi) / w1
@@ -416,6 +425,31 @@ def _sigma_orders(args: _Args, lat: Lattice, s, ds=None):
         ds[...] = ((2.0 * eta * x - 2j * np.pi * n) * sums[0] + sums[1]) / w
 
 
+def _peak(args: _Args, lat: Lattice):
+    """A common exponent g of the theta1 terms at args that keeps the
+    largest, exp(pi |Im xr|) at k = 0 or -1, at most exp(300), so that its
+    square is a double too (on elongated lattices |Im xr| reaches
+    Im(red_tau)/2).  It cancels from the ratios zeta and wp read; None
+    where it would be 0, at |Im xr| <= 300/pi.  NonConvergent where |Im xr|
+    > Im(red_tau): the doubles lost the reduction of an argument that
+    large."""
+    y = np.abs(args.xr.imag)
+    top = y.max(initial=0.0)
+    if top > lat.red_tau.imag:
+        raise NonConvergent("special function argument is too large to reduce")
+    return -np.maximum(np.pi * y - 300.0, 0.0) if np.pi * top > 300.0 else None
+
+
+def _trig_far(x):
+    """(far, s, u) at the trigonometric arguments x: far where |Im x| > 300,
+    beyond which sin(x)^2 soon overflows, and there s = sign(Im x) and u =
+    exp(2i s x), |u| < exp(-600), with cot x = -i s (1 + u)/(1 - u) and
+    1/sin(x)^2 = -4u/(1 - u)^2."""
+    far = np.abs(x.imag) > 300.0
+    s = np.sign(x.imag[far])
+    return far, s, np.exp(2j * s * x[far])
+
+
 def zeta(z, lat: Lattice):
     """Weierstrass zeta = sigma'/sigma; cot(z) / 1/z for the degenerate kinds.
 
@@ -429,13 +463,18 @@ def _zeta(args: _Args, lat: Lattice):
     """zeta at args, which the caller keeps off the lattice."""
     if lat.kind != KIND_ELLIPTIC:
         s, ds = np.empty((2, args.x.size), dtype=complex)
-        _sigma_orders(args, lat, s, ds)
-        return ds / s
+        with np.errstate(all="ignore"):  # sin overflows where far
+            _sigma_orders(args, lat, s, ds)
+            out = ds / s
+        if lat.kind == KIND_TRIG:
+            far, sign, u = _trig_far(args.x)
+            out[far] = -1j * sign * (1.0 + u) / (1.0 - u)
+        return out
     x, xr, n, _ = args
     _, eta = _unit_constants(lat.red_tau)
     # sigma'/sigma of _sigma_orders without the terms' common factor exp(g),
-    # whose rounding (about |g| eps) would not cancel.
-    t0, t1 = _theta1_sums(xr, lat.red_tau, 2)
+    # whose rounding (about |g| eps) would not cancel; only _peak's.
+    t0, t1 = _theta1_sums(xr, lat.red_tau, 2, _peak(args, lat))
     return (2.0 * eta * x - 2j * np.pi * n + t1 / t0) / lat.red_omega1
 
 
@@ -447,12 +486,20 @@ def wp(z, lat: Lattice):
 
 def _wp(args: _Args, lat: Lattice):
     """wp at args, which the caller keeps off the lattice."""
-    if lat.kind == KIND_TRIG:
-        return 1.0 / np.sin(args.x) ** 2
-    if lat.kind == KIND_RATIONAL:
-        return 1.0 / args.x**2
+    if lat.kind != KIND_ELLIPTIC:
+        x = args.x
+        with np.errstate(all="ignore"):  # the square overflows where far
+            if lat.kind == KIND_RATIONAL:
+                out = 1.0 / x**2
+                far = np.abs(x) > 1e150
+                out[far] = (1.0 / x[far]) ** 2
+                return out
+            out = 1.0 / np.sin(x) ** 2
+        far, _, u = _trig_far(x)
+        out[far] = -4.0 * u / (1.0 - u) ** 2
+        return out
     _, eta = _unit_constants(lat.red_tau)
-    t0, t1, t2 = _theta1_sums(args.xr, lat.red_tau, 3)
+    t0, t1, t2 = _theta1_sums(args.xr, lat.red_tau, 3, _peak(args, lat))
     # wp = -(log sigma)'' = (-2 eta1_hat - (log theta1)'')/red_omega1^2, and
     # log theta1(x) - log theta1(xr) is linear in x.
     return (-2.0 * eta - (t2 * t0 - t1**2) / t0**2) / lat.red_omega1**2

@@ -245,21 +245,20 @@ class _Plan:
     """A Lax form laid out once for a flow's constants.  Every
     position-dependent sigma argument is q[I] - q[J] + c, and those at diffs
     are the differences q_a - q_b over a != b, row-major.  A stage reduces
-    its arguments once (elliptic._reduce), for both its collision distances
-    and its sigma pass.  An evaluation writes sigma and sigma' into the
+    its arguments once (reduce), for both its collision distances and its
+    sigma pass (jacobian, or trace), which writes sigma and sigma' into the
     plan's buffers s and ds."""
 
     def _args(self, q, k=None):
         """The first k arguments (all with k None), reduced."""
         return elliptic._reduce(q[self.I[:k]] - q[self.J[:k]] + self.c[:k], self.lat)
 
-    def __call__(self, q, P):
-        """One stage of a flow: the distances of the differences from the
-        lattice, and a function giving the entries and their q-gradient map
-        (see _jacobian)."""
-        args = self._args(q)
-        dist = elliptic._distance(args, self.lat, self.diffs)
-        return dist, lambda: self._jacobian(args, P)
+    def reduce(self, q, diagonal):
+        """(args, dist): the reduced arguments of a stage at the positions q
+        (only those of the factors of diag L where diagonal, for trace), and
+        the distances of the differences from the lattice."""
+        args = self._args(q, self.factors if diagonal else None)
+        return args, elliptic._distance(args, self.lat, self.diffs)
 
 
 class _HasegawaPlan(_Plan):
@@ -301,14 +300,6 @@ class _HasegawaPlan(_Plan):
         self.ds[-2] = ds[0]
         self.s[-1], self.ds[-1] = 1.0, 0.0
 
-    def trace(self, q, P):
-        """One stage of the flow of Tr L: the distances of the differences
-        from the lattice, and a function giving diag L and d(Tr L)/dq (see
-        _trace)."""
-        args = self._args(q, self.factors)
-        dist = elliptic._distance(args, self.lat, self.diffs)
-        return dist, lambda: self._trace(args, P)
-
     def matrix(self, q, P):
         """L at the positions and exponents (q, P) of shape (n, ...): (n, n,
         ...), any trailing axes a batch of points."""
@@ -326,7 +317,7 @@ class _HasegawaPlan(_Plan):
         E = 1.0 / (self.sigma_z * S.prod(axis=0))
         return np.exp(P)[:, None] * (E[:, None] * A * _exclusive_products(B))
 
-    def _trace(self, args, P):
+    def trace(self, args, P):
         """diag L and d(Tr L)/dq at the arguments args of positions q and
         exponents P.
 
@@ -337,7 +328,7 @@ class _HasegawaPlan(_Plan):
         l != k, without division, so a vanishing B stays exact.  The factors
         of Tr L at q_l - q_k weigh M[l, k] = c_k sigma'(B[l, k]) U[l, k] -
         L_kk zeta(S[l, k]), and d(Tr L)/dq = rowsum(M) - colsum(M) (see
-        _jacobian, with R = I).
+        jacobian, with R = I).
         """
         k = args.x.size
         elliptic._sigma_orders(args, self.lat, self.s[:k], self.ds[:k])
@@ -349,7 +340,7 @@ class _HasegawaPlan(_Plan):
         M = c * dB * U - d * (dS / S)
         return d, M.sum(axis=1) - M.sum(axis=0)
 
-    def _jacobian(self, args, P):
+    def jacobian(self, args, P):
         """L at the arguments args of positions q and exponents P, and the
         map (R, h) -> g, h = (R * L).sum(axis=1),
 
@@ -422,37 +413,30 @@ def composition_lax(conf: RSConfig, z) -> SpectralMatrix:
     D_col = diag(prod_l sigma(hbar + q_l - q_{k'})).  This is an independent
     arithmetic route from hasegawa_lax: the Cauchy kernel divides by
     sigma(hbar + q_k - q_{k'}) entrywise and the column scaling restores it.
-    All its sigma values come from one pass (elliptic._Batch).
     """
-    z = complex(z)
     q = np.asarray(conf.q, dtype=complex)
-    batch = elliptic._Batch(conf.lat)
+    P = np.asarray(conf.P, dtype=complex)
+    return _composition(q, P, conf.hbar, conf.lat, complex(z))
+
+
+def _composition(q, P, hbar, lat, z):
+    """composition_lax at the position and exponent arrays (q, P), the
+    coupling hbar and the spectral point z on lat, from one sigma pass
+    (elliptic._Batch); the positions are checked where their configuration
+    was made."""
+    batch = elliptic._Batch(lat)
     D = _diff_matrix(q)
-    D_idx = batch.add(D)
-    return _composition(batch, D_idx, _composition_args(batch, q, conf.hbar, z, D), conf.P, z)
-
-
-def _composition_args(batch, q, hbar, z, D):
-    """Add the arguments of composition_lax at the coupling hbar, other than
-    the position differences D, to the batch: hbar, the Cauchy matrix's
-    (cauchy._cauchy_args, of q + hbar and q at z) and hbar + D."""
-    return batch.add(hbar), cauchy._cauchy_args(batch, q + hbar, q, z), batch.add(hbar + D)
-
-
-def _composition(batch, D, args, P, z):
-    """composition_lax from the batch's values: D indexes the position
-    differences and args is _composition_args' at the coupling.  The checks
-    and their order are those of its former per-call route."""
-    hbar, cauchy_args, hD = args
-    P = np.asarray(P, dtype=complex)
+    D_idx, hbar_idx = batch.add(D), batch.add(hbar)
+    cauchy_args = cauchy._cauchy_args(batch, q + hbar, q, z)
+    hD = batch.add(hbar + D)
     with np.errstate(all="ignore"):
-        if batch.distance(hbar) < elliptic.POLE_TOL:
+        if batch.distance(hbar_idx) < elliptic.POLE_TOL:
             # Zero coupling: the transport is trivial and only momenta remain.
             return _lax_matrix(np.diag(np.exp(P)), z, P)
         if not P.size:
-            CauchyMatrixSpec((), (), batch.lat)  # raises: the Cauchy matrix needs n >= 1
+            CauchyMatrixSpec((), (), lat)  # raises: the Cauchy matrix needs n >= 1
         C = cauchy._cauchy_matrix(batch, cauchy_args, z)
-        prod_den, col = _transport_diagonals(batch, D, hD)
+        prod_den, col = _transport_diagonals(batch, D_idx, hD)
         entries = (np.exp(P) / prod_den)[:, None] * C.entries * col[None, :]
     return _lax_matrix(entries, z, P)
 
@@ -526,7 +510,7 @@ class _RuijsenaarsPlan(_Plan):
         """The entries at the position and exponent arrays (q, P)."""
         return self._evaluate(self._args(q), P)
 
-    def _jacobian(self, args, P):
+    def jacobian(self, args, P):
         """L' and its q-gradient map (see _evaluate)."""
         return self._evaluate(args, P, True)
 
@@ -697,27 +681,20 @@ def factorized_cm_lax(conf: CMConfig, z) -> SpectralMatrix:
     Its sigma and zeta values come from one reduction (elliptic._Batch).
     """
     z = complex(z)
+    if conf.lat.kind != elliptic.KIND_ELLIPTIC:
+        raise DegenerateConfiguration("factorized CM matrix requires an elliptic lattice")
+    n = conf.n
     D = _diff_matrix(conf.q)
     batch = elliptic._Batch(conf.lat)
-    return _factorized_cm(batch, (batch.add(z), batch.add(D), batch.add(z + D)), conf.p, z)
-
-
-def _factorized_cm(batch, args, p, z):
-    """factorized_cm_lax from the batch's values at args, the indices of z,
-    the position differences D and z + D, with the checks of its former
-    per-call route in their order."""
-    if batch.lat.kind != elliptic.KIND_ELLIPTIC:
-        raise DegenerateConfiguration("factorized CM matrix requires an elliptic lattice")
-    z_idx, D, zD = args
-    n = D.shape[0]
+    z_idx, D_idx, zD = batch.add(z), batch.add(D), batch.add(z + D)
     with np.errstate(all="ignore"):
         # zeta(z), then zeta(q_l - q_k) over l != k for each k in turn; zeta
         # raises PoleAtLattice if z is on the lattice.
-        zetas = batch.zeta(np.append(z_idx, D.T[~np.eye(n, dtype=bool)]))
-        S, A = batch.sigma(np.stack([D, zD]))
+        zetas = batch.zeta(np.append(z_idx, D_idx.T[~np.eye(n, dtype=bool)]))
+        S, A = batch.sigma(np.stack([D_idx, zD]))
         np.fill_diagonal(S, 1.0)
         c = S.prod(axis=0)
         T = A / (batch.sigma(z_idx) * S) * c / c[:, None]
         np.fill_diagonal(T, zetas[0] + zetas[1:].reshape(n, n - 1).sum(axis=1))
-    entries = np.diag(np.asarray(p, dtype=complex)) + T
+    entries = np.diag(np.asarray(conf.p, dtype=complex)) + T
     return SpectralMatrix(n, entries, z)

@@ -140,14 +140,12 @@ def cm_limit_sweep(conf: RSConfig, cmconf: CMConfig, hbar_values, z=_DEFAULT_Z) 
     """Residuals of the rescaled RS transport matrix against the factorized
     CM matrix over a sweep of hbar -> 0.
 
-    Per hbar the RS configuration is rebuilt with coupling hbar and momenta
-    P = hbar * p (hbar playing the role of the inverse light speed), and the
-    residual is ||(L(hbar) - I)/hbar - L_CM|| / ||L_CM|| at the spectral
-    point z.  First-order convergence gives fitted_order near 1.
-
-    The matrices are lax.composition_lax and lax.factorized_cm_lax, all from
-    one sigma pass (elliptic._Batch) when the two configurations share a
-    lattice.  The positions, shared and checked with conf, are not checked
+    Per hbar the RS matrix lax.composition_lax is taken at conf's positions
+    with coupling hbar and momenta P = hbar * p (hbar playing the role of
+    the inverse light speed), and the residual is ||(L(hbar) - I)/hbar -
+    L_CM|| / ||L_CM|| at the spectral point z, with L_CM =
+    lax.factorized_cm_lax(cmconf, z).  First-order convergence gives
+    fitted_order near 1.  The positions, checked with conf, are not checked
     again per hbar.
     """
     # The residual divides by hbar, and the order is fitted to log(hbar).
@@ -157,19 +155,12 @@ def cm_limit_sweep(conf: RSConfig, cmconf: CMConfig, hbar_values, z=_DEFAULT_Z) 
     z = complex(z)
     q = np.asarray(conf.q, dtype=complex)
     p = np.asarray(cmconf.p, dtype=complex)
-    D = lax._diff_matrix(q)
-    batch = elliptic._Batch(conf.lat)
-    D_idx = batch.add(D)
-    shared = cmconf.lat == conf.lat
-    cm = batch if shared else elliptic._Batch(cmconf.lat)
-    cm_args = (cm.add(z), D_idx if shared else cm.add(D), cm.add(z + D))
-    args = [lax._composition_args(batch, q, h, z, D) for h in values]
-    F = lax._factorized_cm(cm, cm_args, p, z).entries
+    F = lax.factorized_cm_lax(cmconf, z).entries
     normF = np.linalg.norm(F)
 
     errors = []
-    for h, a in zip(values, args):
-        L = lax._composition(batch, D_idx, a, h * p, z).entries
+    for h in values:
+        L = lax._composition(q, h * p, h, conf.lat, z).entries
         resc = (L - np.eye(conf.n)) / h
         errors.append(float(np.linalg.norm(resc - F) / normF))
 

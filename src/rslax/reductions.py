@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cauchy import _singular
 from .errors import (
     DegenerateConfiguration,
     NonDiagonalizable,
@@ -239,7 +240,7 @@ def solve_trig_rs(theta, orbit: OrbitSpec, diag_free) -> ReductionPair:
     if n > 1:
         W = np.outer(u, w)
         Y[off] = W[off] / (rho[off] - 1.0)
-    if abs(np.linalg.det(Y)) < 1e-12 * max(1.0, float(np.max(np.abs(Y))) ** n):
+    if _singular(Y):
         raise SingularY("solved Y is singular; multiplicative residual undefined")
     return ReductionPair(np.diag(x), Y, KIND_TRIG_RS)
 

@@ -3,6 +3,8 @@ against LU oracles, minor determinants, and the shifted inverse-product
 identity, including hypothesis property tests over random parameter draws.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from rslax.cauchy import (
     minor_determinant,
     shifted_inverse_product,
 )
-from rslax.errors import DegenerateConfiguration, PoleAtLattice, SingularMatrix
+from rslax.errors import DegenerateConfiguration, PoleAtLattice, SingularMatrix, ValueOverflow
 
 LAT = elliptic.lattice_from_periods(1.0, 0.4 + 1.9j)
 LAM = 0.21 + 0.17j
@@ -109,6 +111,24 @@ class TestFrobeniusDeterminant:
         d2 = frobenius_determinant(shifted, LAM)
         assert abs(d1 - d2) < 1e-10 * abs(d1)
 
+    @pytest.mark.parametrize(
+        "qs, rs, lam",
+        [
+            # sigma(71i) underflows to 0: a bare ZeroDivisionError before.
+            ((0.15 + 1.05j,), (0.0,), 71j),
+            # The numerator and denominator products both underflow to 0:
+            # nan+nanj with a RuntimeWarning before, where the LU
+            # determinant of the Cauchy matrix is 5.33 - 5.37i.
+            ((0.15 + 60j, 0.4), (0.0, 0.1), 0.3),
+        ],
+    )
+    def test_quotient_that_is_not_a_double_is_a_typed_error(self, qs, rs, lam):
+        spec = CauchyMatrixSpec(qs, rs, elliptic.lattice_from_periods(1.0, 0.3 + 2.1j))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueOverflow, match="sigma quotient in frobenius_determinant"):
+                frobenius_determinant(spec, lam)
+
 
 class TestMinors:
     @given(seed=st.integers(0, 10_000))
@@ -167,6 +187,15 @@ class TestShiftedInverseProduct:
         F = lambda z: np.array([[1.0 + z, 0.2], [0.1, 2.0 - z]], dtype=complex)
         out = shifted_inverse_product(F, 0.3, 0.0).entries
         assert np.max(np.abs(out - np.eye(2))) < 1e-12
+
+    def test_singularity_test_ignores_the_row_scale(self):
+        # The row scale of F cancels in F(z)^{-1} F(z + u); a test of det
+        # F(z) itself called this F(z) singular.
+        B = np.array([[2, 1, 0], [1, 3, 1], [0, 1, 4]], dtype=complex)
+        F = lambda z: np.diag([1e-5, 1e-5, 1e5]) @ (B + z * np.eye(3))
+        out = shifted_inverse_product(F, 0.1, 0.2).entries
+        expected = np.linalg.solve(B + 0.1 * np.eye(3), B + 0.3 * np.eye(3))
+        assert np.max(np.abs(out - expected)) < 1e-12
 
     def test_singular_base_point_rejected(self):
         F = lambda z: np.array([[z, z], [z, z]], dtype=complex)

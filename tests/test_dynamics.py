@@ -406,17 +406,13 @@ class TestFlowLoop:
             plan = original(conf, z)
 
             class Counted:
-                # A stage is a call of the plan, or of its trace for H = Tr L
-                # on the Hasegawa form.  The plan's other attributes, its
-                # batched Lax build for the spectra among them, pass
-                # through uncounted.
-                def __call__(self, q, P):
+                # A stage begins with one reduce of its arguments, for H =
+                # Tr L on the Hasegawa form too.  The plan's other
+                # attributes, its batched Lax build for the spectra among
+                # them, pass through uncounted.
+                def reduce(self, q, diagonal):
                     evaluations.append(q)
-                    return plan(q, P)
-
-                def trace(self, q, P):
-                    evaluations.append(q)
-                    return plan.trace(q, P)
+                    return plan.reduce(q, diagonal)
 
                 def __getattr__(self, name):
                     return getattr(plan, name)

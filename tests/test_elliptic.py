@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import oracles
 from rslax import elliptic
 from rslax.cauchy import CauchyMatrixSpec, frobenius_determinant, minor_determinant
-from rslax.errors import NonConvergent, PoleAtLattice, ValueOverflow
+from rslax.errors import NonConvergent, PoleAtLattice, RslaxError, ValueOverflow
 
 
 LAT = elliptic.lattice_from_periods(1.0, 0.3 + 2.1j)
@@ -391,22 +391,28 @@ def _sigma_expected(z, lat):
     return out[0].item() if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 
-def _outcome(fn, *args):
-    """oracles.outcome, with a ZeroDivisionError as its type and message:
-    frobenius_determinant divides by a sigma(lam) that may underflow to 0."""
+def _frobenius_expected(spec, lam):
+    """oracles.frobenius_determinant_reference with the one intended change:
+    ValueOverflow where its quotient is not a double, for a ZeroDivisionError
+    (sigma(lam) underflows to 0) or a value that is not finite (the sigma
+    products underflow or overflow)."""
     try:
-        return oracles.outcome(fn, *args)
-    except ZeroDivisionError as exc:
-        return type(exc), str(exc)
+        with np.errstate(all="ignore"):
+            det = oracles.frobenius_determinant_reference(spec, lam)
+    except ZeroDivisionError:
+        det = complex("nan")
+    if not cmath.isfinite(det):
+        raise ValueOverflow("the sigma quotient in frobenius_determinant is not a double")
+    return det
 
 
 def _assert_same_bits(new, ref, *args):
     """new(*args) and the per-call reference ref(*args) (with _sigma_expected
     for sigma) give the same bits, Python type and shape, or the same error
     type and message."""
-    got = _outcome(new, *args)
+    got = oracles.outcome(new, *args)
     with mock.patch.object(oracles, "sigma_reference", _sigma_expected):
-        want = _outcome(ref, *args)
+        want = oracles.outcome(ref, *args)
     assert type(got) is type(want)
     oracles.assert_same_outcome(got, want, rel=0.0)
     if not isinstance(want, tuple):
@@ -440,16 +446,16 @@ class TestPerCallReferences:
         qs, rs = (data.draw(st.lists(special_arguments(lat), min_size=n, max_size=n)) for _ in "qr")
         spec = CauchyMatrixSpec(qs, rs, lat)
         lam = data.draw(special_arguments(lat))
-        _assert_same_bits(frobenius_determinant, oracles.frobenius_determinant_reference, spec, lam)
+        _assert_same_bits(frobenius_determinant, _frobenius_expected, spec, lam)
         if n > 1:
             _assert_same_bits(minor_determinant, _minor_reference, spec, lam, 2, 1)
 
 
 def _minor_reference(spec, lam, k, l):
-    """minor_determinant through oracles.frobenius_determinant_reference."""
+    """minor_determinant through _frobenius_expected."""
     qs = tuple(q for i, q in enumerate(spec.qs, start=1) if i != k)
     rs = tuple(r for j, r in enumerate(spec.rs, start=1) if j != l)
-    return oracles.frobenius_determinant_reference(CauchyMatrixSpec(qs, rs, spec.lat), lam)
+    return _frobenius_expected(CauchyMatrixSpec(qs, rs, spec.lat), lam)
 
 
 class TestLegendreAndWp:
@@ -725,3 +731,80 @@ class TestReducedKernel:
         assert info.currsize == elliptic._WINDOW_CACHE_SIZE
         for arr in elliptic._theta1_window(1.5j):
             assert not arr.flags.writeable
+
+
+class TestContract:
+    """The special functions' contract: on any lattice and at any argument,
+    a finite value or an RslaxError, with no RuntimeWarning."""
+
+    @given(
+        kind=st.sampled_from(["elliptic", "elliptic", "trig", "rational"]),
+        omega1=st.builds(
+            lambda w, e: w * 10.0**e,
+            st.sampled_from([1.0, 0.7 + 0.1j, -0.3 + 1.2j]),
+            st.sampled_from([-100, 0, 0, 100]),
+        ),
+        tau=st.builds(lambda r, e: complex(r, 10.0**e), st.floats(-1.0, 1.0), st.floats(-320.0, 3.0)),
+        cell=st.one_of(
+            st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+            st.builds(complex, st.floats(-1e300, 1e300), st.floats(-1e300, 1e300)),
+        ),
+        ch=st.sampled_from([(0.5, 0.5), (0.0, 0.0), (0.25, -0.1)]),
+    )
+    # zeta and wp on elongated lattices: NaN.
+    @example(kind="elliptic", omega1=1.0, tau=300j, cell=0.1 + 140j, ch=(0.5, 0.5))
+    @example(kind="elliptic", omega1=1.0, tau=1e-5j, cell=0.1, ch=(0.5, 0.5))
+    # An argument whose reduction the doubles lost: zeta and wp NaN.
+    @example(
+        kind="elliptic", omega1=1.0, tau=0.3 + 2.1j,
+        cell=5.1590200471285626e299 + 2.551744652415609e298j, ch=(0.5, 0.5),
+    )
+    # Degenerate kinds far from the real axis: sin, sinh and squares overflowed.
+    @example(kind="trig", omega1=1.0, tau=1j, cell=0.55 + 634j, ch=(0.5, 0.5))
+    @example(kind="trig", omega1=1.0, tau=1j, cell=1.6e203 + 1.6e53j, ch=(0.5, 0.5))
+    @example(kind="rational", omega1=1.0, tau=1j, cell=1.9e231 + 1.3e274j, ch=(0.5, 0.5))
+    # Rounding left tau unreduced: a ValueError from numpy in
+    # lattice_from_periods, and an overflow at Im red_tau near 1e308.
+    @example(kind="elliptic", omega1=1e-100, tau=0.19724185735448718 + 1e-66j, cell=0.1, ch=(0.5, 0.5))
+    @example(kind="elliptic", omega1=1.0, tau=-0.5 + 4.816549831264695e-309j, cell=0.1, ch=(0.5, 0.5))
+    @settings(max_examples=100, deadline=None)
+    def test_finite_or_a_typed_error(self, kind, omega1, tau, cell, ch):
+        # cell is (u, v), the point u omega1 + v omega2, or an argument.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if kind == "elliptic":
+                # omega2 = omega1 tau rounds to 0, or to the wrong side of
+                # omega1, where Im tau is near the smallest doubles.
+                assume(omega1 * tau != 0 and ((omega1 * tau) / omega1).imag > 0)
+                try:
+                    lat = elliptic.lattice_from_periods(omega1, omega1 * tau)
+                except RslaxError:
+                    return
+            else:
+                lat = elliptic.trig_lattice() if kind == "trig" else elliptic.rational_lattice()
+            z = cell[0] * lat.omega1 + cell[1] * lat.omega2 if isinstance(cell, tuple) else cell
+            calls = [(getattr(elliptic, fn), z, lat) for fn in ("sigma", "zeta", "wp", "lattice_distance")]
+            calls.append((elliptic.theta_char, elliptic.ThetaCharacteristic(*ch), z, lat.tau))
+            for fn, *args in calls:
+                try:
+                    out = fn(*args)
+                except RslaxError:
+                    continue
+                assert np.isfinite(out), (fn.__name__, args, out)
+
+    def test_elongated_lattices_match_mpmath(self):
+        # zeta and wp summed theta terms up to exp(pi |Im xr|) unscaled: NaN
+        # with RuntimeWarnings at 0.1 + 140i on (1, 300i), and at 0.1 on
+        # (1, 1e-5 i), compared through the scaled lattice 1e-5 i (Z + 1e5 i Z).
+        c = 1e-5j
+        cases = [
+            ((1.0, 300j), 0.1 + 140j, oracles.weierstrass_mpmath(0.1 + 140j, 1.0, 300j, dps=400)[1:3]),
+            ((1.0, c), 0.1, [v / c**k for k, v in enumerate(
+                oracles.weierstrass_mpmath(0.1 / c, 1.0, 1e5j)[1:3], start=1)]),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for periods, z, (zeta_ref, wp_ref) in cases:
+                lat = elliptic.lattice_from_periods(*periods)
+                assert abs(elliptic.zeta(z, lat) - zeta_ref) <= 1e-14 * abs(zeta_ref)
+                assert abs(elliptic.wp(z, lat) - wp_ref) <= 1e-14 * abs(wp_ref)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rslax import elliptic, lax, reductions
-from rslax.errors import DegenerateConfiguration, NoSolution
+from rslax.errors import DegenerateConfiguration, NoSolution, SingularY
 
 ORB = reductions.OrbitSpec(g=0.7 + 0.2j)
 
@@ -120,6 +120,17 @@ class TestTrigRS:
         orb = reductions.OrbitSpec(g=0.0, u=u, v=v)
         with pytest.raises(NoSolution):
             reductions.solve_trig_rs(self.TH, orb, [0.9, 1.2, -0.4])
+
+    def test_singular_y_test_ignores_the_row_scale(self):
+        # Y's first row is 1e7 times the others, but Y divided by its row
+        # maxima has cond 1: a test of det Y raised SingularY.
+        theta = [0.1 + 0.05j, -0.4 + 0.2j, 0.7 - 0.1j]
+        orb = reductions.OrbitSpec(u=(1, 0, 0), v=(0, 0.4, -0.3))
+        pair = reductions.solve_trig_rs(theta, orb, [1e7, 1, 1])
+        assert reductions.moment_residual(pair, orb) < 1e-10
+        # A zero diagonal entry leaves Y singular at any row scale.
+        with pytest.raises(SingularY):
+            reductions.solve_trig_rs(theta, orb, [0, 1, 1])
 
 
 class TestDualize:
