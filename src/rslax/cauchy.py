@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elliptic
+from .elliptic import DISTINCT_TOL
 from .errors import DegenerateConfiguration, NonFiniteEntries, SingularMatrix, ValueOverflow
-
-DISTINCT_TOL = 1e-6
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,9 @@ import numpy as np
 from .errors import FitDegenerate, NonConvergent, PoleAtLattice, ValueOverflow
 
 POLE_TOL = 1e-8
+# Positions (lax) and Cauchy parameters (cauchy) closer than this modulo the
+# lattice are not distinct.
+DISTINCT_TOL = 1e-6
 # Theta windows kept, one per reduced tau.
 _WINDOW_CACHE_SIZE = 128
 
@@ -432,11 +435,14 @@ def _peak(args: _Args, lat: Lattice):
     Im(red_tau)/2).  It cancels from the ratios zeta and wp read; None
     where it would be 0, at |Im xr| <= 300/pi.  NonConvergent where |Im xr|
     > Im(red_tau): the doubles lost the reduction of an argument that
-    large."""
+    large; and where the rounding of the exponents, about pi |Im xr| eps,
+    exceeds 1e-11 relative, as theta's (_modular_factor)."""
     y = np.abs(args.xr.imag)
     top = y.max(initial=0.0)
     if top > lat.red_tau.imag:
         raise NonConvergent("special function argument is too large to reduce")
+    if np.pi * top * np.finfo(float).eps > 1e-11:
+        raise NonConvergent(f"zeta and wp at tau={lat.tau} cannot be summed to 1e-11 in doubles")
     return -np.maximum(np.pi * y - 300.0, 0.0) if np.pi * top > 300.0 else None
 
 

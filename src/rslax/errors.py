@@ -23,7 +23,8 @@ class ValueOverflow(RslaxError, OverflowError):
 
 
 class FitDegenerate(RslaxError):
-    """Gauge-factor fit sampled a zero, or validation residuals are too large."""
+    """The trivial-theta gauge was asked of a degenerate (trigonometric or
+    rational) lattice; nothing is fitted, the gauge has a closed form."""
 
 
 class DegenerateConfiguration(RslaxError):

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import cauchy, elliptic
 from .cauchy import CauchyMatrixSpec, SpectralMatrix
+from .elliptic import DISTINCT_TOL
 from .errors import (
     BranchCutWarning,
     DegenerateConfiguration,
@@ -27,7 +28,6 @@ from .errors import (
     ZeroMu,
 )
 
-DISTINCT_TOL = 1e-6
 # exp(P) overflows a double above this real part.
 _LOG_MAX = float(np.log(np.finfo(float).max))
 
@@ -153,13 +153,14 @@ def _exclusive_products(S):
     return out
 
 
-def intertwining_vector(lam_vec, j, k, z, lat: elliptic.Lattice) -> complex:
+def intertwining_vector(lam_vec, j, k, z, lat: elliptic.Lattice):
     """Theta-value entry of the intertwining construction.
 
     Returns theta[1/(2n) - j/n^2; 0](zz | tau) with
     zz = (z - n*<lam, ebar_k>)/omega1 + tau/2, where ebar_k is the k-th basis
     vector projected orthogonal to the diagonal, so <lam, ebar_k> =
-    lam_k - mean(lam).  j is taken modulo n; k is 0-based.
+    lam_k - mean(lam).  j is taken modulo n; k is 0-based, an index (a
+    complex result) or an index array (an array of the entries at each k).
     """
     if lat.kind != elliptic.KIND_ELLIPTIC:
         raise DegenerateConfiguration("intertwining vectors require an elliptic lattice")
@@ -175,12 +176,9 @@ def intertwining_vector(lam_vec, j, k, z, lat: elliptic.Lattice) -> complex:
 def xi_matrix(conf: RSConfig, z) -> SpectralMatrix:
     """Matrix of intertwining vectors Xi(z)_{i,j} with <lam, ebar_i> built
     from the particle positions (lam_i = q_i)."""
-    n = conf.n
-    entries = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            entries[i, j] = intertwining_vector(conf.q, j, i, z, conf.lat)
-    return SpectralMatrix(n, entries, complex(z))
+    n, rows = conf.n, np.arange(conf.n)
+    columns = [intertwining_vector(conf.q, j, rows, z, conf.lat) for j in range(n)]
+    return SpectralMatrix(n, np.stack(columns, axis=1), complex(z))
 
 
 def _exp_overflow(P):

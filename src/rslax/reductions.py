@@ -84,45 +84,60 @@ class ReductionPair:
             object.__setattr__(self, name, arr)
 
 
+def _vectors(**named):
+    """The named arguments as complex arrays; DegenerateConfiguration naming
+    the first that is not a vector of the length n >= 1 of the first."""
+    vecs = [np.asarray(v, dtype=complex) for v in named.values()]
+    n = vecs[0].size
+    for name, vec in zip(named, vecs):
+        if n < 1 or vec.shape != (n,):
+            raise DegenerateConfiguration(
+                f"{name} must be a vector of length n >= 1 (n = {n}), got shape {vec.shape}"
+            )
+    return vecs
+
+
+def _close_pair(vals, tol):
+    """Whether some two of vals lie within tol of each other."""
+    gaps = np.abs(vals[:, None] - vals[None, :])
+    return bool((gaps < tol)[~np.eye(vals.size, dtype=bool)].any())
+
+
 def _require_distinct(vals, what):
-    vals = np.asarray(vals, dtype=complex)
-    n = vals.size
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(vals[i] - vals[j]) < _DISTINCT_TOL:
-                raise DegenerateConfiguration(f"{what} are not pairwise distinct")
+    if _close_pair(vals, _DISTINCT_TOL):
+        raise DegenerateConfiguration(f"{what} are not pairwise distinct")
+
+
+def _rapidities(theta):
+    """(exp(theta), rho = exp(theta_i - theta_j), the mask i != j) of the RS
+    solvers; DegenerateConfiguration where two rapidities coincide."""
+    x = np.exp(theta)
+    _require_distinct(x, "exp(theta) values")
+    rho = np.exp(theta[:, None] - theta[None, :])
+    off = ~np.eye(theta.size, dtype=bool)
+    if np.min(np.abs(rho[off] - 1.0), initial=np.inf) < 1e-8:
+        raise DegenerateConfiguration("exp(theta_i - theta_j) too close to 1")
+    return x, rho, off
 
 
 def solve_rational_cm(q, p, orbit: OrbitSpec) -> ReductionPair:
     """Solve [X, Y] = O with X = diag(q); the off-diagonal entries of Y are
     forced to g/(q_i - q_j) and the diagonal carries the momenta."""
-    q = np.asarray(q, dtype=complex)
-    p = np.asarray(p, dtype=complex)
+    q, p = _vectors(q=q, p=p)
     _require_distinct(q, "positions")
-    n = q.size
-    Y = np.diag(p).astype(complex)
-    off = ~np.eye(n, dtype=bool)
-    if n > 1:
-        D = q[:, None] - q[None, :]
-        Y[off] = orbit.g / D[off]
+    off = ~np.eye(q.size, dtype=bool)
+    Y = np.diag(p)
+    Y[off] = orbit.g / (q[:, None] - q[None, :])[off]
     return ReductionPair(np.diag(q), Y, KIND_RATIONAL_CM)
 
 
 def solve_rational_rs(theta, orbit: OrbitSpec, diag_free) -> ReductionPair:
     """Solve X Y X^{-1} - Y = O with X = diag(exp(theta)); off-diagonal Y is
     forced to O_ij/(exp(theta_i - theta_j) - 1), the diagonal is free."""
-    theta = np.asarray(theta, dtype=complex)
-    n = theta.size
-    x = np.exp(theta)
-    _require_distinct(x, "exp(theta) values")
-    rho = np.exp(theta[:, None] - theta[None, :])
-    off = ~np.eye(n, dtype=bool)
-    if n > 1 and np.min(np.abs(rho[off] - 1.0)) < 1e-8:
-        raise DegenerateConfiguration("exp(theta_i - theta_j) too close to 1")
-    Y = np.diag(np.asarray(diag_free, dtype=complex)).astype(complex)
-    if n > 1:
-        O = orbit.o_matrix(n)
-        Y[off] = O[off] / (rho[off] - 1.0)
+    theta, d = _vectors(theta=theta, diag_free=diag_free)
+    x, rho, off = _rapidities(theta)
+    Y = np.diag(d)
+    Y[off] = orbit.o_matrix(theta.size)[off] / (rho[off] - 1.0)
     return ReductionPair(np.diag(x), Y, KIND_RATIONAL_RS)
 
 
@@ -142,48 +157,41 @@ def solve_trig_cm(q, orbit: OrbitSpec, gauge) -> ReductionPair:
     vanish and the column is normalized on its largest entry instead of the
     diagonal.  The construction satisfies the moment-map equation exactly.
     """
-    q = np.asarray(q, dtype=complex)
-    gauge = np.asarray(gauge, dtype=complex)
+    q, gauge = _vectors(q=q, gauge=gauge)
     _require_distinct(q, "positions")
     n = q.size
     g = complex(orbit.g)
     Y = np.diag(q)
     if abs(g) < 1e-14:
-        return ReductionPair(np.diag(gauge).astype(complex), Y, KIND_TRIG_CM)
+        return ReductionPair(np.diag(gauge), Y, KIND_TRIG_CM)
 
     res_tol = 1e-10
     denom = q[None, :] + g - q[:, None]  # [i, j] = q_j + g - q_i
     resonant = np.abs(denom) < res_tol
     alpha = np.where(resonant.any(axis=1), 0.0, 1.0).astype(complex)
 
-    X = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        col = np.zeros(n, dtype=complex)
-        col[~resonant[:, j]] = alpha[~resonant[:, j]] / denom[~resonant[:, j], j]
-        # Entries killed by both a resonance and alpha_i = 0 are free; pick 1
-        # to keep the column nonzero and X generically invertible.
-        col[resonant[:, j]] = 1.0
-        if abs(col[j]) > res_tol * np.max(np.abs(col)):
-            col = col / col[j] * gauge[j]
-        else:
-            k = int(np.argmax(np.abs(col)))
-            col = col / col[k] * gauge[j]
-        X[:, j] = col
+    # Entries killed by both a resonance and alpha_i = 0 are free; pick 1
+    # to keep the columns nonzero and X generically invertible.
+    C = np.divide(alpha[:, None], denom, out=np.ones((n, n), dtype=complex), where=~resonant)
+    # Column j takes gauge_j at its diagonal entry, or at its largest where
+    # the diagonal entry is negligible.
+    cols = np.arange(n)
+    mag = np.abs(C)
+    pivot = np.where(mag[cols, cols] > res_tol * mag.max(axis=0), cols, mag.argmax(axis=0))
+    X = C / C[pivot, cols] * gauge
 
     # The condition number does not depend on the scale of the columns, which
     # the gauge sets; |det X| does.
     if np.linalg.cond(X) > 1e12:
         raise NoSolution("constructed X is singular for this configuration")
 
-    # beta from beta^T x_j = s_j, where s_j is fixed by any non-resonant row
-    # with alpha_i != 0:  s_j = -(q_i - g - q_j) X_ij / alpha_i.
-    s = np.empty(n, dtype=complex)
-    for j in range(n):
-        rows = [i for i in range(n) if alpha[i] != 0 and not resonant[i, j]]
-        if not rows:
-            raise NoSolution("no usable row to close the rank-one factor")
-        i = rows[0]
-        s[j] = -(q[i] - g - q[j]) * X[i, j] / alpha[i]
+    # beta from beta^T x_j = s_j, where s_j is fixed by the first non-resonant
+    # row with alpha_i != 0:  s_j = -(q_i - g - q_j) X_ij / alpha_i.
+    usable = (alpha != 0)[:, None] & ~resonant
+    if not usable.any(axis=0).all():
+        raise NoSolution("no usable row to close the rank-one factor")
+    i = usable.argmax(axis=0)
+    s = -(q[i] - g - q) * X[i, cols] / alpha[i]
     beta = np.linalg.solve(X.T, s)
     M = np.outer(alpha, beta) - g * np.eye(n)
 
@@ -201,34 +209,20 @@ def solve_trig_rs(theta, orbit: OrbitSpec, diag_free) -> ReductionPair:
     w is determined by a scalar closure per column and the solution exists
     iff u_i w_i = 0 for every i.
     """
-    theta = np.asarray(theta, dtype=complex)
-    u = np.asarray(orbit.u, dtype=complex)
-    v = np.asarray(orbit.v, dtype=complex)
-    d = np.asarray(diag_free, dtype=complex)
+    theta, u, v, d = _vectors(theta=theta, u=orbit.u, v=orbit.v, diag_free=diag_free)
     n = theta.size
-    if u.size != n or v.size != n or d.size != n:
-        raise ValueError("u, v, diag_free must all have length n")
     if abs(1.0 + np.dot(v, u)) < 1e-12:
         raise DegenerateConfiguration("1 + v^T u = 0: orbit matrix is singular")
-    x = np.exp(theta)
-    _require_distinct(x, "exp(theta) values")
-    rho = np.exp(theta[:, None] - theta[None, :])
-    off = ~np.eye(n, dtype=bool)
-    if n > 1 and np.min(np.abs(rho[off] - 1.0)) < 1e-8:
-        raise DegenerateConfiguration("exp(theta_i - theta_j) too close to 1")
+    x, rho, off = _rapidities(theta)
 
-    # Column closure: w_j * (1 - sum_{i != j} v_i u_i/(rho_ij - 1)) = v_j d_j.
-    w = np.empty(n, dtype=complex)
-    for j in range(n):
-        s = sum(v[i] * u[i] / (rho[i, j] - 1.0) for i in range(n) if i != j)
-        coef = 1.0 - s
-        if abs(coef) < 1e-12:
-            if abs(v[j] * d[j]) < 1e-12:
-                w[j] = 0.0
-            else:
-                raise NoSolution("column closure for w is inconsistent")
-        else:
-            w[j] = v[j] * d[j] / coef
+    # Column closure: w_j * (1 - sum_{i != j} v_i u_i/(rho_ij - 1)) = v_j d_j,
+    # the sum running down the columns of a matrix with a zero diagonal.
+    terms = np.divide((v * u)[:, None], rho - 1.0, out=np.zeros((n, n), dtype=complex), where=off)
+    coef = 1.0 - terms.sum(axis=0)
+    free = np.abs(coef) < 1e-12
+    if not (np.abs(v * d)[free] < 1e-12).all():
+        raise NoSolution("column closure for w is inconsistent")
+    w = np.divide(v * d, coef, out=np.zeros(n, dtype=complex), where=~free)
 
     if np.max(np.abs(u * w)) > 1e-10 * max(1.0, float(np.max(np.abs(w)))):
         raise NoSolution(
@@ -236,13 +230,18 @@ def solve_trig_rs(theta, orbit: OrbitSpec, diag_free) -> ReductionPair:
             "gauge slice (note: a diagonal X forces v^T u = 0)"
         )
 
-    Y = np.diag(d).astype(complex)
-    if n > 1:
-        W = np.outer(u, w)
-        Y[off] = W[off] / (rho[off] - 1.0)
+    Y = np.diag(d)
+    Y[off] = np.outer(u, w)[off] / (rho[off] - 1.0)
     if _singular(Y):
         raise SingularY("solved Y is singular; multiplicative residual undefined")
     return ReductionPair(np.diag(x), Y, KIND_TRIG_RS)
+
+
+def _orbit_defect(M, g):
+    """(sigma_2(M + gI) + |Tr M|)/max(1, max|M|): 0 where M is in the orbit of
+    g*(ones - I), trace zero with M + gI of rank one; sigma_2 is 0 at n = 1."""
+    s = np.linalg.svd(M + g * np.eye(M.shape[0]), compute_uv=False)
+    return float((s[1:2].sum() + abs(np.trace(M))) / max(1.0, float(np.max(np.abs(M)))))
 
 
 def moment_residual(pair: ReductionPair, orbit: OrbitSpec) -> float:
@@ -257,33 +256,22 @@ def moment_residual(pair: ReductionPair, orbit: OrbitSpec) -> float:
     """
     X, Y = pair.X, pair.Y
     n = X.shape[0]
+    if pair.kind == KIND_TRIG_CM:
+        return _orbit_defect(X @ Y @ np.linalg.inv(X) - Y, orbit.g)
     if pair.kind == KIND_RATIONAL_CM:
         R = X @ Y - Y @ X - orbit.o_matrix(n)
-        entrywise = float(np.linalg.norm(R) / max(1.0, float(np.max(np.abs(X @ Y)))))
-        if entrywise < 1e-8 or n == 1:
-            return entrywise
-        C = X @ Y - Y @ X
-        scale = max(1.0, float(np.max(np.abs(C))))
-        best = entrywise
-        for sign in (1.0, -1.0):
-            s = np.linalg.svd(C + sign * orbit.g * np.eye(n), compute_uv=False)
-            best = min(best, float((s[1] + abs(np.trace(C))) / scale))
-        return best
     elif pair.kind == KIND_RATIONAL_RS:
         R = X @ Y @ np.linalg.inv(X) - Y - orbit.o_matrix(n)
-    elif pair.kind == KIND_TRIG_CM:
-        M = X @ Y @ np.linalg.inv(X) - Y
-        s = np.linalg.svd(M + orbit.g * np.eye(n), compute_uv=False)
-        rank_defect = s[1] if n > 1 else 0.0
-        return float(
-            (rank_defect + abs(np.trace(M))) / max(1.0, float(np.max(np.abs(M))))
-        )
     elif pair.kind == KIND_TRIG_RS:
         R = X @ Y @ np.linalg.inv(X) @ np.linalg.inv(Y) - orbit.o_prime()
     else:
         raise ValueError(f"unknown reduction kind {pair.kind!r}")
-    scale = max(1.0, float(np.max(np.abs(X @ Y))))
-    return float(np.linalg.norm(R) / scale)
+    residual = float(np.linalg.norm(R) / max(1.0, float(np.max(np.abs(X @ Y)))))
+    # At n = 1 the orbit is {0}, which the entrywise residual tests.
+    if pair.kind != KIND_RATIONAL_CM or residual < 1e-8 or n == 1:
+        return residual
+    C = X @ Y - Y @ X
+    return min(residual, *(_orbit_defect(C, sign * orbit.g) for sign in (1.0, -1.0)))
 
 
 def _canonical_eig(M):
@@ -292,18 +280,18 @@ def _canonical_eig(M):
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
     vecs = vecs[:, order]
-    for i in range(vals.size):
-        for j in range(i + 1, vals.size):
-            if abs(vals[i] - vals[j]) < 1e-8:
-                raise RepeatedEigenvalues("eigenvalues are not pairwise distinct")
+    if _close_pair(vals, 1e-8):
+        raise RepeatedEigenvalues("eigenvalues are not pairwise distinct")
     cond = np.linalg.cond(vecs)
     if not np.isfinite(cond) or cond > 1e10:
         raise NonDiagonalizable("eigenbasis is numerically defective")
     # Deterministic column scaling: largest component of each vector = 1.
-    for j in range(vecs.shape[1]):
-        k = int(np.argmax(np.abs(vecs[:, j])))
-        vecs[:, j] = vecs[:, j] / vecs[k, j]
-    return vals, vecs
+    cols = np.arange(vals.size)
+    return vals, vecs / vecs[np.abs(vecs).argmax(axis=0), cols]
+
+
+def _is_diagonal(M):
+    return np.all(np.abs(M - np.diag(np.diag(M))) < 1e-12 * max(1.0, np.max(np.abs(M))))
 
 
 def dualize(pair: ReductionPair) -> ReductionPair:
@@ -315,20 +303,8 @@ def dualize(pair: ReductionPair) -> ReductionPair:
     twice recovers the original position multiset.
     """
     X, Y = pair.X, pair.Y
-    n = X.shape[0]
-
-    def is_diag(M):
-        return np.all(np.abs(M - np.diag(np.diag(M))) < 1e-12 * max(1.0, np.max(np.abs(M))))
-
-    if is_diag(X):
-        diag_member, full_member = X, Y
-    elif is_diag(Y):
-        diag_member, full_member = Y, X
-    else:
-        # Diagonalize Y by convention when neither member is diagonal.
-        diag_member, full_member = X, Y
-    vals, S = _canonical_eig(full_member)
-    Sinv = np.linalg.inv(S)
-    new_X = np.diag(vals)
-    new_Y = Sinv @ diag_member @ S
-    return ReductionPair(new_X, new_Y, pair.kind)
+    # Y is diagonalized when X is diagonal, and by convention when neither is.
+    if not _is_diagonal(X) and _is_diagonal(Y):
+        X, Y = Y, X
+    vals, S = _canonical_eig(Y)
+    return ReductionPair(np.diag(vals), np.linalg.inv(S) @ X @ S, pair.kind)

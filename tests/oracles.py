@@ -5,8 +5,8 @@ lattice products, mpmath theta series, brute-force LU determinants, and
 finite-difference Hamiltonian vector fields and coupling derivatives.  The
 exceptions are theta_series_reference, the library's former unreduced theta
 series, and sigma_argument_moments_reference, jsonify_reference and the
-*_reference special functions, Lax builders and limit sweeps, frozen
-copies of library code that its rewrites must reproduce.
+*_reference special functions, Lax builders, limit sweeps and
+reductions, frozen copies of library code that its rewrites must reproduce.
 """
 
 from __future__ import annotations
@@ -655,3 +655,222 @@ def assert_same_outcome(got, want, rel=1e-15):
     ok = np.isfinite(want)
     assert np.array_equal(got[~ok], want[~ok], equal_nan=True)
     assert np.all(np.abs(got[ok] - want[ok]) <= rel * np.abs(want[ok]).max(initial=0.0))
+
+
+# ---------------------------------------------------------------------------
+# The moment-map solvers, moment_residual, _canonical_eig and dualize as they
+# were when they built their matrices entry by entry: the references of the
+# array forms, for bytes, exception types and messages, at n >= 1 and with
+# inputs of matching lengths.
+
+
+def _require_distinct_reference(vals, what):
+    from rslax.errors import DegenerateConfiguration
+
+    vals = np.asarray(vals, dtype=complex)
+    n = vals.size
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(vals[i] - vals[j]) < 1e-10:
+                raise DegenerateConfiguration(f"{what} are not pairwise distinct")
+
+
+def solve_rational_cm_reference(q, p, orbit):
+    """rslax.reductions.solve_rational_cm, entry by entry."""
+    from rslax.reductions import KIND_RATIONAL_CM, ReductionPair
+
+    q = np.asarray(q, dtype=complex)
+    p = np.asarray(p, dtype=complex)
+    _require_distinct_reference(q, "positions")
+    n = q.size
+    Y = np.diag(p).astype(complex)
+    off = ~np.eye(n, dtype=bool)
+    if n > 1:
+        D = q[:, None] - q[None, :]
+        Y[off] = orbit.g / D[off]
+    return ReductionPair(np.diag(q), Y, KIND_RATIONAL_CM)
+
+
+def solve_rational_rs_reference(theta, orbit, diag_free):
+    """rslax.reductions.solve_rational_rs, entry by entry."""
+    from rslax.errors import DegenerateConfiguration
+    from rslax.reductions import KIND_RATIONAL_RS, ReductionPair
+
+    theta = np.asarray(theta, dtype=complex)
+    n = theta.size
+    x = np.exp(theta)
+    _require_distinct_reference(x, "exp(theta) values")
+    rho = np.exp(theta[:, None] - theta[None, :])
+    off = ~np.eye(n, dtype=bool)
+    if n > 1 and np.min(np.abs(rho[off] - 1.0)) < 1e-8:
+        raise DegenerateConfiguration("exp(theta_i - theta_j) too close to 1")
+    Y = np.diag(np.asarray(diag_free, dtype=complex)).astype(complex)
+    if n > 1:
+        O = orbit.o_matrix(n)
+        Y[off] = O[off] / (rho[off] - 1.0)
+    return ReductionPair(np.diag(x), Y, KIND_RATIONAL_RS)
+
+
+def solve_trig_cm_reference(q, orbit, gauge):
+    """rslax.reductions.solve_trig_cm, column by column."""
+    from rslax.errors import NoSolution
+    from rslax.reductions import KIND_TRIG_CM, ReductionPair
+
+    q = np.asarray(q, dtype=complex)
+    gauge = np.asarray(gauge, dtype=complex)
+    _require_distinct_reference(q, "positions")
+    n = q.size
+    g = complex(orbit.g)
+    Y = np.diag(q)
+    if abs(g) < 1e-14:
+        return ReductionPair(np.diag(gauge).astype(complex), Y, KIND_TRIG_CM)
+    res_tol = 1e-10
+    denom = q[None, :] + g - q[:, None]
+    resonant = np.abs(denom) < res_tol
+    alpha = np.where(resonant.any(axis=1), 0.0, 1.0).astype(complex)
+    X = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        col = np.zeros(n, dtype=complex)
+        col[~resonant[:, j]] = alpha[~resonant[:, j]] / denom[~resonant[:, j], j]
+        col[resonant[:, j]] = 1.0
+        if abs(col[j]) > res_tol * np.max(np.abs(col)):
+            col = col / col[j] * gauge[j]
+        else:
+            k = int(np.argmax(np.abs(col)))
+            col = col / col[k] * gauge[j]
+        X[:, j] = col
+    if np.linalg.cond(X) > 1e12:
+        raise NoSolution("constructed X is singular for this configuration")
+    s = np.empty(n, dtype=complex)
+    for j in range(n):
+        rows = [i for i in range(n) if alpha[i] != 0 and not resonant[i, j]]
+        if not rows:
+            raise NoSolution("no usable row to close the rank-one factor")
+        i = rows[0]
+        s[j] = -(q[i] - g - q[j]) * X[i, j] / alpha[i]
+    beta = np.linalg.solve(X.T, s)
+    M = np.outer(alpha, beta) - g * np.eye(n)
+    residual = np.linalg.norm(X @ Y - (Y + M) @ X) / max(1.0, float(np.max(np.abs(X))))
+    if residual > 1e-8:
+        raise NoSolution("constructed X fails the moment-map equation")
+    return ReductionPair(X, Y, KIND_TRIG_CM)
+
+
+def solve_trig_rs_reference(theta, orbit, diag_free):
+    """rslax.reductions.solve_trig_rs, column by column."""
+    from rslax.cauchy import _singular
+    from rslax.errors import DegenerateConfiguration, NoSolution, SingularY
+    from rslax.reductions import KIND_TRIG_RS, ReductionPair
+
+    theta = np.asarray(theta, dtype=complex)
+    u = np.asarray(orbit.u, dtype=complex)
+    v = np.asarray(orbit.v, dtype=complex)
+    d = np.asarray(diag_free, dtype=complex)
+    n = theta.size
+    if u.size != n or v.size != n or d.size != n:
+        raise ValueError("u, v, diag_free must all have length n")
+    if abs(1.0 + np.dot(v, u)) < 1e-12:
+        raise DegenerateConfiguration("1 + v^T u = 0: orbit matrix is singular")
+    x = np.exp(theta)
+    _require_distinct_reference(x, "exp(theta) values")
+    rho = np.exp(theta[:, None] - theta[None, :])
+    off = ~np.eye(n, dtype=bool)
+    if n > 1 and np.min(np.abs(rho[off] - 1.0)) < 1e-8:
+        raise DegenerateConfiguration("exp(theta_i - theta_j) too close to 1")
+    w = np.empty(n, dtype=complex)
+    for j in range(n):
+        s = sum(v[i] * u[i] / (rho[i, j] - 1.0) for i in range(n) if i != j)
+        coef = 1.0 - s
+        if abs(coef) < 1e-12:
+            if abs(v[j] * d[j]) < 1e-12:
+                w[j] = 0.0
+            else:
+                raise NoSolution("column closure for w is inconsistent")
+        else:
+            w[j] = v[j] * d[j] / coef
+    if np.max(np.abs(u * w)) > 1e-10 * max(1.0, float(np.max(np.abs(w)))):
+        raise NoSolution(
+            "diagonal consistency u_i (v^T Y)_i = 0 fails; no Y exists on this "
+            "gauge slice (note: a diagonal X forces v^T u = 0)"
+        )
+    Y = np.diag(d).astype(complex)
+    if n > 1:
+        W = np.outer(u, w)
+        Y[off] = W[off] / (rho[off] - 1.0)
+    if _singular(Y):
+        raise SingularY("solved Y is singular; multiplicative residual undefined")
+    return ReductionPair(np.diag(x), Y, KIND_TRIG_RS)
+
+
+def moment_residual_reference(pair, orbit):
+    """rslax.reductions.moment_residual with its orbit test in each branch."""
+    from rslax import reductions as red
+
+    X, Y = pair.X, pair.Y
+    n = X.shape[0]
+    if pair.kind == red.KIND_RATIONAL_CM:
+        R = X @ Y - Y @ X - orbit.o_matrix(n)
+        entrywise = float(np.linalg.norm(R) / max(1.0, float(np.max(np.abs(X @ Y)))))
+        if entrywise < 1e-8 or n == 1:
+            return entrywise
+        C = X @ Y - Y @ X
+        scale = max(1.0, float(np.max(np.abs(C))))
+        best = entrywise
+        for sign in (1.0, -1.0):
+            s = np.linalg.svd(C + sign * orbit.g * np.eye(n), compute_uv=False)
+            best = min(best, float((s[1] + abs(np.trace(C))) / scale))
+        return best
+    elif pair.kind == red.KIND_RATIONAL_RS:
+        R = X @ Y @ np.linalg.inv(X) - Y - orbit.o_matrix(n)
+    elif pair.kind == red.KIND_TRIG_CM:
+        M = X @ Y @ np.linalg.inv(X) - Y
+        s = np.linalg.svd(M + orbit.g * np.eye(n), compute_uv=False)
+        rank_defect = s[1] if n > 1 else 0.0
+        return float((rank_defect + abs(np.trace(M))) / max(1.0, float(np.max(np.abs(M)))))
+    elif pair.kind == red.KIND_TRIG_RS:
+        R = X @ Y @ np.linalg.inv(X) @ np.linalg.inv(Y) - orbit.o_prime()
+    else:
+        raise ValueError(f"unknown reduction kind {pair.kind!r}")
+    scale = max(1.0, float(np.max(np.abs(X @ Y))))
+    return float(np.linalg.norm(R) / scale)
+
+
+def canonical_eig_reference(M):
+    """rslax.reductions._canonical_eig, pair by pair and column by column."""
+    from rslax.errors import NonDiagonalizable, RepeatedEigenvalues
+
+    vals, vecs = np.linalg.eig(M)
+    order = np.lexsort((vals.imag, vals.real))
+    vals = vals[order]
+    vecs = vecs[:, order]
+    for i in range(vals.size):
+        for j in range(i + 1, vals.size):
+            if abs(vals[i] - vals[j]) < 1e-8:
+                raise RepeatedEigenvalues("eigenvalues are not pairwise distinct")
+    cond = np.linalg.cond(vecs)
+    if not np.isfinite(cond) or cond > 1e10:
+        raise NonDiagonalizable("eigenbasis is numerically defective")
+    for j in range(vecs.shape[1]):
+        k = int(np.argmax(np.abs(vecs[:, j])))
+        vecs[:, j] = vecs[:, j] / vecs[k, j]
+    return vals, vecs
+
+
+def dualize_reference(pair):
+    """rslax.reductions.dualize with its three branches."""
+    from rslax.reductions import ReductionPair
+
+    X, Y = pair.X, pair.Y
+
+    def is_diag(M):
+        return np.all(np.abs(M - np.diag(np.diag(M))) < 1e-12 * max(1.0, np.max(np.abs(M))))
+
+    if is_diag(X):
+        diag_member, full_member = X, Y
+    elif is_diag(Y):
+        diag_member, full_member = Y, X
+    else:
+        diag_member, full_member = X, Y
+    vals, S = canonical_eig_reference(full_member)
+    Sinv = np.linalg.inv(S)
+    return ReductionPair(np.diag(vals), Sinv @ diag_member @ S, pair.kind)

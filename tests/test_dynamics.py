@@ -39,6 +39,22 @@ SPEC1 = dynamics.HamiltonianSpec("trace_power", 1)
 COORDS = dynamics._COORDINATES
 
 
+def drawn_point(rng, kind, n):
+    """(lattice, q, P, hbar): an elliptic lattice drawn with Im tau in [0.5,
+    4], or the degenerate kind's, with n positions spread over one period."""
+    if kind == "elliptic":
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.5, 4.0))
+        w1 = rng.uniform(0.8, 1.5) * np.exp(1j * rng.uniform(-0.3, 0.3))
+        lat = elliptic.lattice_from_periods(w1, w1 * tau)
+        q = (np.arange(n) + 0.3 * rng.uniform(size=n)) / n * w1 + rng.uniform(size=n) * w1 * tau
+    else:
+        lat = LATTICES[kind]
+        q = (np.arange(n) + 0.3 * rng.uniform(size=n)) / n * np.pi + 0.1j * rng.uniform(size=n)
+    P = 0.2 * rng.normal(size=n) + 0.1j * rng.normal(size=n)
+    hbar = complex(rng.uniform(0.02, 0.2), rng.uniform(-0.05, 0.05))
+    return lat, q, P, hbar
+
+
 class TestHamiltonian:
     def test_trace_power_one_is_trace(self):
         conf = mild_conf()
@@ -275,17 +291,7 @@ class TestDiagonalField:
         # 2 eta(w) hbar (l != j), w = m omega1 + k omega2: by sigma's
         # quasi-periodicity L changes by a diagonal conjugation, and the
         # momentum shift is constant, so the field of Tr L is unchanged.
-        rng = np.random.default_rng(seed)
-        if kind == "elliptic":
-            tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.5, 4.0))
-            w1 = rng.uniform(0.8, 1.5) * np.exp(1j * rng.uniform(-0.3, 0.3))
-            lat = elliptic.lattice_from_periods(w1, w1 * tau)
-            q = (np.arange(n) + 0.3 * rng.uniform(size=n)) / n * w1 + rng.uniform(size=n) * w1 * tau
-        else:
-            lat = elliptic.trig_lattice()
-            q = (np.arange(n) + 0.3 * rng.uniform(size=n)) / n * np.pi + 0.1j * rng.uniform(size=n)
-        P = 0.2 * rng.normal(size=n) + 0.1j * rng.normal(size=n)
-        hbar = complex(rng.uniform(0.02, 0.2), rng.uniform(-0.05, 0.05))
+        lat, q, P, hbar = drawn_point(np.random.default_rng(seed), kind, n)
         conf = lax.rs_config(q, P, hbar, lat)
         j = seed % n
         w, eta = m * lat.omega1 + k * lat.omega2, m * lat.eta1 + k * lat.eta2
@@ -318,6 +324,46 @@ class TestDiagonalField:
         finally:
             tracemalloc.stop()
         assert peak < 16 * n**3
+
+
+class TestPermutationCovariance:
+    @given(
+        kind=st.sampled_from(["elliptic", "trig", "rational"]),
+        n=st.integers(2, 4),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_relabelled_particles(self, kind, n, seed):
+        # Relabelling the particles by a permutation pi conjugates each Lax
+        # matrix by the permutation matrix, leaves H unchanged and permutes
+        # the field's components.
+        rng = np.random.default_rng(seed)
+        lat, q, P, hbar = drawn_point(rng, kind, n)
+        pi = rng.permutation(n)
+        conf = lax.rs_config(q, P, hbar, lat)
+        relabelled = lax.rs_config(q[pi], P[pi], hbar, lat)
+
+        def assert_close(got, want):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+        z, lam = 0.31 + 0.43j, 0.23 + 0.11j
+        for build, pt in [
+            (lax.hasegawa_lax, z), (lax.composition_lax, z), (lax.ruijsenaars_lax, lam)
+        ]:
+            L = build(conf, pt).entries
+            assert_close(build(relabelled, pt).entries, L[np.ix_(pi, pi)])
+        for spec in [
+            dynamics.HamiltonianSpec("trace_power", 2),
+            dynamics.HamiltonianSpec("hitchin", 2),
+            dynamics.HamiltonianSpec("rs_cosh"),
+        ]:
+            H = dynamics.hamiltonian(spec, conf)
+            assert_close(dynamics.hamiltonian(spec, relabelled), H)
+            dq, dp = dynamics.hamiltonian_vector_field(spec, dynamics.PhasePoint(q, P), conf)
+            field = dynamics.hamiltonian_vector_field(
+                spec, dynamics.PhasePoint(q[pi], P[pi]), relabelled
+            )
+            assert_close(np.concatenate(field), np.concatenate([dq[pi], dp[pi]]))
 
 
 class TestIntegrate:

@@ -767,6 +767,10 @@ class TestContract:
     # lattice_from_periods, and an overflow at Im red_tau near 1e308.
     @example(kind="elliptic", omega1=1e-100, tau=0.19724185735448718 + 1e-66j, cell=0.1, ch=(0.5, 0.5))
     @example(kind="elliptic", omega1=1.0, tau=-0.5 + 4.816549831264695e-309j, cell=0.1, ch=(0.5, 0.5))
+    # An ultra-thin lattice, Im red_tau = 1e153: the common exponent of zeta's
+    # and wp's terms, about pi 2e152, is beyond the doubles, and t1/t0
+    # overflowed.
+    @example(kind="elliptic", omega1=0.7 + 0.1j, tau=1e-153j, cell=29j, ch=(0.5, 0.5))
     @settings(max_examples=100, deadline=None)
     def test_finite_or_a_typed_error(self, kind, omega1, tau, cell, ch):
         # cell is (u, v), the point u omega1 + v omega2, or an argument.

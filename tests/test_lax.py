@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from rslax import elliptic, lax
+from rslax import cauchy, elliptic, lax
 from rslax.errors import (
     DegenerateConfiguration,
     NonConvergent,
@@ -42,6 +42,14 @@ class TestConfig:
     def test_coincident_positions_rejected(self):
         with pytest.raises(DegenerateConfiguration):
             lax.rs_config([0.1, 0.1], [0.0, 0.0], 0.1, LAT)
+
+    def test_one_distinctness_tolerance(self):
+        # Defined once, in elliptic; lax and cauchy import it.
+        assert lax.DISTINCT_TOL is cauchy.DISTINCT_TOL is elliptic.DISTINCT_TOL
+        tol = elliptic.DISTINCT_TOL
+        lax.rs_config([0.1, 0.1 + 2 * tol], [0.0, 0.0], 0.1, LAT)
+        with pytest.raises(DegenerateConfiguration):
+            lax.rs_config([0.1, 0.1 + tol / 2], [0.0, 0.0], 0.1, LAT)
 
 
 class TestHasegawaComposition:
@@ -216,6 +224,22 @@ class TestXiMatrix:
             assert np.max(np.abs(Xi2[:, j] - phase * Xi[:, j])) < 1e-10 * np.max(
                 np.abs(Xi[:, j])
             )
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 6))
+    @settings(max_examples=20, deadline=None)
+    def test_columns_equal_the_entries(self, seed, n):
+        # xi_matrix takes a column per call, k an index array; each entry
+        # keeps the bits of its own scalar call.
+        rng = np.random.default_rng(seed)
+        conf = make_conf(rng, n)
+        z = complex(0.3 * rng.normal(), 0.3 * rng.normal())
+        Xi = lax.xi_matrix(conf, z).entries
+        for j in range(n):
+            col = lax.intertwining_vector(conf.q, j, np.arange(n), z, conf.lat)
+            assert np.array_equal(col, Xi[:, j])
+            for i in range(n):
+                entry = lax.intertwining_vector(conf.q, j, i, z, conf.lat)
+                assert isinstance(entry, complex) and entry == Xi[i, j]
 
 
 class TestCMLax:

@@ -3,11 +3,14 @@ the position/action duality map and its involution, and the determinant
 identity for the multiplicative (trig RS) reduction.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from rslax import elliptic, lax, reductions
 from rslax.errors import DegenerateConfiguration, NoSolution, SingularY
 
@@ -163,3 +166,107 @@ class TestDualize:
         assert np.max(np.abs(evY - diag_dual)) < 1e-9
         ev_dualY = np.sort_complex(np.linalg.eigvals(dual.Y))
         assert np.max(np.abs(ev_dualY - np.sort_complex(q))) < 1e-9
+
+
+class TestArguments:
+    @pytest.mark.parametrize(
+        "solve,args,name",
+        [
+            (reductions.solve_rational_cm, ([0, 1, 2], [1, 2], ORB), "p"),
+            (reductions.solve_trig_cm, ([0, 1, 2], ORB, [1, 1]), "gauge"),
+            (reductions.solve_trig_cm, ([0, 1], reductions.OrbitSpec(g=0.0), [1]), "gauge"),
+            (reductions.solve_rational_rs, ([0.1, 0.5], ORB, [0.0]), "diag_free"),
+            (
+                reductions.solve_trig_rs,
+                ([0.1, 0.5], reductions.OrbitSpec(u=(1, 0), v=(0,)), [1, 1]),
+                "v",
+            ),
+            (reductions.solve_rational_cm, ([], [], ORB), "q"),
+            (reductions.solve_trig_cm, ([], ORB, []), "q"),
+            (reductions.solve_rational_rs, ([], ORB, []), "theta"),
+            (reductions.solve_trig_rs, ([], reductions.OrbitSpec(), []), "theta"),
+            (reductions.solve_rational_cm, ([[0, 1]], [[1, 2]], ORB), "q"),
+        ],
+    )
+    def test_lengths_are_checked_first(self, solve, args, name):
+        # These ended in bare IndexError, ValueError or LinAlgError.
+        with pytest.raises(DegenerateConfiguration, match=f"^{name} must be a vector of length n >= 1"):
+            solve(*args)
+
+
+def _draw(seed, kind, n, twist):
+    """Arguments of a solver of the given kind: random, or with the twist
+    (coincident, resonant or degenerate data) applied."""
+    rng = np.random.default_rng(seed)
+
+    def cnormal(size, scale=1.0):
+        return scale * (rng.normal(size=size) + 1j * rng.normal(size=size))
+
+    g = complex(0.7 + 0.3 * cnormal(1)[0])
+    if kind in ("rational_cm", "trig_cm"):
+        q = np.sort(rng.normal(size=n)) * 1.4 + 0.3j * rng.normal(size=n)
+        if twist == 1 and n > 1:
+            q[-1] = q[0] + (0.0 if seed % 2 else 5e-11)
+        if twist == 2 and n > 1:  # q_i = q_0 + i g: resonant pairs
+            q[: n // 2 + 1] = q[0] + g * np.arange(n // 2 + 1)
+        if twist == 3:
+            g = 0.0
+        if kind == "rational_cm":
+            return q, cnormal(n), reductions.OrbitSpec(g=g)
+        return q, reductions.OrbitSpec(g=g), 1.0 + 0.1 * cnormal(n)
+    theta = cnormal(n, 0.6)
+    if twist == 1 and n > 1:  # equal exp(theta), or exp(theta_1 - theta_0) near 1
+        theta[1] = theta[0] + (2j * np.pi if seed % 2 else 1e-9)
+        theta[0] += 0 if seed % 2 else 10.0
+        theta[1] += 0 if seed % 2 else 10.0
+    d = rng.normal(size=n) * (twist != 3)
+    if kind == "rational_rs":
+        return theta, reductions.OrbitSpec(g=g), d
+    u, v = np.zeros(n), cnormal(n)
+    u[0], v[0] = 1.0, 0.0  # the solvable stratum
+    if twist == 2:  # generic framing: v^T u != 0
+        u = cnormal(n)
+    if twist == 4:  # 1 + v^T u = 0
+        u = cnormal(n)
+        v = -u / np.dot(u, u)
+    if twist == 5 and n > 1:  # column 0's closure vanishes: w_0 is free
+        u, v = np.zeros(n, dtype=complex), cnormal(n)
+        u[1] = 1.0
+        v[1] = np.exp(theta[1] - theta[0]) - 1.0
+        v[2:] = 0.0
+        d[0] *= seed % 2
+    return theta, reductions.OrbitSpec(u=u, v=v), d
+
+
+def _outcomes(solve, moment_residual, dualize, args, orbit):
+    """Bytes of the pair, its residual, its dual and the dual's residual, or
+    the type and message of the first exception."""
+    out = []
+    try:
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            pair = solve(*args)
+            out.append((pair.X.tobytes(), pair.Y.tobytes(), pair.kind))
+            out.append(np.float64(moment_residual(pair, orbit)).tobytes())
+            dual = dualize(pair)
+            out.append((dual.X.tobytes(), dual.Y.tobytes(), dual.kind))
+            out.append(np.float64(moment_residual(dual, orbit)).tobytes())
+    except Exception as exc:  # noqa: BLE001 - numpy's errors are compared too
+        out.append((type(exc), str(exc)))
+    return out
+
+
+@pytest.mark.parametrize("twist", range(6))
+@pytest.mark.parametrize("kind", ["rational_cm", "trig_cm", "rational_rs", "trig_rs"])
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
+@settings(max_examples=10, deadline=None)
+def test_array_forms_match_the_entrywise_references(kind, twist, seed, n):
+    args = _draw(seed, kind, n, twist)
+    orbit = next(a for a in args if isinstance(a, reductions.OrbitSpec))
+    new = (getattr(reductions, f"solve_{kind}"), reductions.moment_residual, reductions.dualize)
+    ref = (
+        getattr(oracles, f"solve_{kind}_reference"),
+        oracles.moment_residual_reference,
+        oracles.dualize_reference,
+    )
+    assert _outcomes(*new, args, orbit) == _outcomes(*ref, args, orbit)
