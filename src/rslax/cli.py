@@ -3,15 +3,15 @@ integration, limit sweeps, and moment-map reductions, driven by a versioned
 JSON experiment config.
 
 Usage:
-    rslax <verify|lax|evolve|limit|reduce> --config path.json
+    rslax {verify,lax,evolve,limit,reduce} --config path.json
           [--seed N] [--out DIR] [--tol-scale X]
 
 All randomness flows from a single seeded NumPy PCG64 stream, so outputs are
 byte-identical across reruns with the same config and seed.  Tabular data is
 written as RFC-4180 CSV with complex values split into real/imaginary column
 pairs; summaries are JSON with complex values as {"re": ..., "im": ...}.
-Files are written atomically (temp file + rename).  Exit status is 0 iff
-every scheduled check passes.  RSLAX_THREADS caps BLAS/OpenMP parallelism.
+Each file is written to a new 0600 .tmp-rslax-<pid>-<n> (O_EXCL), then renamed over
+its target.  Exit status is 0 iff every check passes.  RSLAX_THREADS caps BLAS/OpenMP threads.
 """
 
 from __future__ import annotations
@@ -19,14 +19,14 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import itertools
 import json
 import math
 import os
 import sys
-import tempfile
 import time
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 # Honor the thread cap before numpy initializes its BLAS backend.
 _threads = os.environ.get("RSLAX_THREADS")
@@ -46,6 +46,8 @@ SCHEMA_VERSION = 1
 MAX_EVOLVE_STEPS = 100_000
 
 _encode_str = json.encoder.encode_basestring_ascii
+_tmp_seq = itertools.count()  # the n of the temporary names .tmp-rslax-<pid>-<n>
+_TMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC | os.O_NOFOLLOW  # as mkstemp's
 
 
 @dataclass(frozen=True)
@@ -155,6 +157,18 @@ def _json_float(x):
     return float.__repr__(x)
 
 
+_LEAF_TEXT = {  # the text of a value at the indent i by its exact type: the leaves of tolist()
+    complex: lambda z, i: (
+        f'{{\n{i}  "im": {_json_float(z.imag)},\n{i}  "re": {_json_float(z.real)}\n{i}}}'
+    ),
+    float: lambda x, i: _json_float(x),
+    int: lambda x, i: int.__repr__(x),
+    str: lambda x, i: _encode_str(x),
+    bool: lambda x, i: "true" if x else "false",
+    type(None): lambda x, i: "null",
+}
+
+
 def _json_text(obj, indent=""):
     """obj as JSON text with sorted keys and a 2-space indent, the text of
     json.dumps(..., sort_keys=True, indent=2, allow_nan=False) after
@@ -165,26 +179,22 @@ def _json_text(obj, indent=""):
         obj = obj.tolist()
     elif isinstance(obj, (np.floating, np.integer)):
         obj = obj.item()
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
+    leaf = _LEAF_TEXT.get(type(obj))
+    if leaf:
+        return leaf(obj, indent)
+    if isinstance(obj, str):  # from here on, subclasses of the leaf types
         return _encode_str(obj)
     if isinstance(obj, float):
         return _json_float(obj)
     if isinstance(obj, int):
         return int.__repr__(obj)
-    inner = indent + "  "
     if isinstance(obj, complex):
-        im, re = _json_float(obj.imag), _json_float(obj.real)
-        return f'{{\n{inner}"im": {im},\n{inner}"re": {re}\n{indent}}}'
+        return _LEAF_TEXT[complex](obj, indent)
+    inner = indent + "  "
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [_json_text(x, inner) for x in obj]
+        items = [_LEAF_TEXT.get(type(x), _json_text)(x, inner) for x in obj]
         return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
     if isinstance(obj, dict):
         if not obj:
@@ -194,15 +204,26 @@ def _json_text(obj, indent=""):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+def _open_temporary(d):
+    """(fd, name) of a new 0600 .tmp-rslax-<pid>-<n> in the directory d, past the taken names."""
+    for _ in range(os.TMP_MAX):
+        tmp = os.path.join(d, f".tmp-rslax-{os.getpid()}-{next(_tmp_seq)}")
+        try:
+            return os.open(tmp, _TMP_FLAGS, 0o600), tmp
+        except FileExistsError:
+            continue
+    raise FileExistsError("No usable temporary file name found")
+
+
 def _write_atomic(path, data: bytes):
     """Write data to path through a 0600 temporary file in its directory,
     made by the first write of a run, then rename it over path."""
     d = os.path.dirname(os.path.abspath(path))
     try:
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-rslax-")
+        fd, tmp = _open_temporary(d)
     except FileNotFoundError:
         os.makedirs(d, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-rslax-")
+        fd, tmp = _open_temporary(d)
     try:
         try:
             view = memoryview(data)
@@ -648,18 +669,11 @@ def _parser() -> argparse.ArgumentParser:
         prog="rslax",
         description="Numerical toolkit for Ruijsenaars-Schneider and Calogero-Moser Lax matrices.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _RUNNERS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", required=True, help="JSON experiment config")
-        sp.add_argument("--seed", type=int, default=None, help="override config seed")
-        sp.add_argument("--out", default=None, help="override output directory")
-        sp.add_argument(
-            "--tol-scale",
-            type=float,
-            default=1.0,
-            help="multiply every check tolerance by this factor",
-        )
+    parser.add_argument("command", choices=_RUNNERS)
+    parser.add_argument("--config", required=True, help="JSON experiment config")
+    parser.add_argument("--seed", type=int, default=None, help="override config seed")
+    parser.add_argument("--out", default=None, help="override output directory")
+    parser.add_argument("--tol-scale", type=float, default=1.0, help="scale every check tolerance")
     return parser
 
 
@@ -672,7 +686,8 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         _RUNNERS[args.command](cfg, report)
         wall_time = time.perf_counter() - t0
-        write_json(os.path.join(cfg.output_dir, "report.json"), asdict(report))
+        payload = {"command": cfg.command, "checks": [vars(c) for c in report.checks]}
+        write_json(os.path.join(cfg.output_dir, "report.json"), payload)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -112,10 +112,11 @@ def _lax_form(spec: HamiltonianSpec):
 def _inverse(L, P):
     """L^{-1}; SingularMatrix where K = diag(exp(-P)) L is numerically
     singular or not finite: a test of det L would depend on the row scaling
-    exp(P_k) of the Ruijsenaars matrix."""
+    exp(P_k) of the Ruijsenaars matrix.  K is scaled by its largest entry,
+    whose n-th power may overflow a double."""
     with np.errstate(all="ignore"):  # exp(-P) overflows where rows of L vanish
         K = np.exp(-P)[:, None] * L
-        if not abs(np.linalg.det(K)) >= 1e-12 * float(np.max(np.abs(K))) ** K.shape[0]:
+        if not abs(np.linalg.det(K / np.max(np.abs(K)))) >= 1e-12:
             raise SingularMatrix("Ruijsenaars matrix is singular; L^{-1} undefined")
     return np.linalg.inv(L)
 
@@ -129,30 +130,19 @@ def hamiltonian(spec: HamiltonianSpec, conf: lax.RSConfig) -> complex:
     return scale * complex(np.trace(np.linalg.matrix_power(L, k + 1))) / (k + 1)
 
 
-def _not_finite(p, step=None):
-    """The message of a Lax matrix that is not finite at the exponents p (at
-    a flow's step), naming the first exp(p_k) that overflows a double."""
+def _not_finite(p, step=None, what="the Lax matrix"):
+    """The message of a Lax matrix (or what) that is not finite at the
+    exponents p (at a flow's step), naming the first exp(p_k) that overflows
+    a double."""
     where = "" if step is None else f" at step {step}"
-    return "the Lax matrix is not finite" + where + lax._exp_overflow(p)
+    return f"{what} is not finite" + where + lax._exp_overflow(p)
 
 
-def _field(spec: HamiltonianSpec, plan, diagonal, q, p, step=None):
-    """(L, dq/dt, dp/dt, the smallest distance of two positions modulo the
-    lattice) at positions q and exponents p (complex arrays), for the plan
-    and diagonal of _lax_form(spec); CollisionImminent if q or p is not
-    finite, two positions are closer than COLLISION_MARGIN modulo the
-    lattice, or the entries the field reads are not finite (named with the
-    flow's step, if given).
-
-    Each family has dH = Tr(G dL) with G = scale * L^power for the trace
-    families (spec.scale_power) and G = I - L^{-2} for rs_cosh.  With
-    R = G^T, dH = sum_{kk'} R_{kk'} dL_{kk'}: dH/dp_k is the k-th row sum
-    of R * L (entrywise), and dH/dq is the Lax form's Jacobian map applied
-    to R.  That costs one Lax build plus sigma' values at the same
-    arguments.  Where G = scale * I on the Hasegawa form (diagonal), dH =
-    scale * Tr(dL) reads only the diagonal of L: plan.trace evaluates it
-    from sigma at the 2n(n - 1) arguments of its factors, and L is None.
-    """
+def _checked_args(plan, diagonal, q, p):
+    """(args, separation): plan.reduce's arguments at positions q and the
+    smallest distance of two positions modulo the lattice; CollisionImminent
+    if q or p is not finite or two positions are closer than
+    COLLISION_MARGIN modulo the lattice."""
     if not (np.isfinite(q).all() and np.isfinite(p).all()):
         raise CollisionImminent("positions or momenta are not finite")
     args, dist = plan.reduce(q, diagonal)
@@ -169,6 +159,26 @@ def _field(spec: HamiltonianSpec, plan, diagonal, q, p, step=None):
                 f"positions {i} and {j} are {dist[k]:.3e} apart modulo the "
                 f"lattice, below the collision margin {COLLISION_MARGIN:.1e}"
             )
+    return args, separation
+
+
+def _field(spec: HamiltonianSpec, plan, diagonal, q, p, step=None):
+    """(L, dq/dt, dp/dt, the smallest distance of two positions modulo the
+    lattice) at positions q and exponents p (complex arrays), for the plan
+    and diagonal of _lax_form(spec); CollisionImminent where _checked_args
+    fails, or where the entries the field reads or, on the routes that build
+    L, the rates are not finite (named with the flow's step, if given).
+
+    Each family has dH = Tr(G dL) with G = scale * L^power for the trace
+    families (spec.scale_power) and G = I - L^{-2} for rs_cosh.  With
+    R = G^T, dH = sum_{kk'} R_{kk'} dL_{kk'}: dH/dp_k is the k-th row sum
+    of R * L (entrywise), and dH/dq is the Lax form's Jacobian map applied
+    to R.  That costs one Lax build plus sigma' values at the same
+    arguments.  Where G = scale * I on the Hasegawa form (diagonal), dH =
+    scale * Tr(dL) reads only the diagonal of L: plan.trace evaluates it
+    from sigma at the 2n(n - 1) arguments of its factors, and L is None.
+    """
+    args, separation = _checked_args(plan, diagonal, q, p)
     if diagonal:
         d, grad = plan.trace(args, p)
         if not np.isfinite(d).all():
@@ -186,7 +196,10 @@ def _field(spec: HamiltonianSpec, plan, diagonal, q, p, step=None):
         G = scale * np.linalg.matrix_power(L, k)
     R = G.T
     dP = (R * L).sum(axis=1)
-    return L, dP, -grad_q(R, dP), separation
+    grad = grad_q(R, dP)
+    if not (np.isfinite(dP).all() and np.isfinite(grad).all()):
+        raise CollisionImminent(_not_finite(p, step, "the Hamiltonian vector field"))
+    return L, dP, -grad, separation
 
 
 def hamiltonian_vector_field(
@@ -247,7 +260,9 @@ def integrate(
     same trajectory up to integrator roundoff.
 
     A step evaluates the field four times: its first stage is the field at
-    the accepted point before it.  A stage that fails _field's checks raises
+    the accepted point before it.  No step reads the rates of the last
+    point, so there only _checked_args runs, and L is built where the stages
+    build it.  A stage that fails _field's checks raises
     CollisionImminent with the partial trajectory; one that moves a position
     by more than half the stage's smallest separation, dt |dq/dt| >
     separation / 2, raises its subclass StepTooLarge.
@@ -267,6 +282,7 @@ def integrate(
     _, plan, diagonal = _lax_form(spec)
     plan = plan(conf, spec.eval_z)
     theta = coordinates == "theta"
+    steps = int(round(t_end / dt))
     block = max(1, _BLOCK_ARGS // plan.c.size)
 
     def momenta(y):
@@ -327,7 +343,7 @@ def integrate(
         # _field check or in spectra(), so numpy need not warn about it.
         with np.errstate(all="ignore"):
             try:
-                for step in range(int(round(t_end / dt)) + 1):
+                for step in range(steps + 1):
                     if step:
                         checked(k1, separation)
                         k2 = checked(*stage(q + dt / 2 * k1[0], y + dt / 2 * k1[1])[1:])
@@ -336,7 +352,12 @@ def integrate(
                         q = q + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
                         y = y + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
                         p = momenta(y)
-                    L, k1, separation = stage(q, y)
+                    if step < steps:
+                        L, k1, separation = stage(q, y)
+                    else:
+                        ps = momenta(y)
+                        args = _checked_args(plan, diagonal, q, ps)[0]
+                        L = None if diagonal else plan.jacobian(args, ps)[0]
                     pending.append((q, p, L))
                     if len(pending) == block:
                         spectra()

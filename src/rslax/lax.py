@@ -130,15 +130,21 @@ def _diff_matrix(q):
 
 
 def _separation(q, lat):
-    """DegenerateConfiguration if two of the positions q are closer than
-    DISTINCT_TOL modulo the lattice."""
+    """DegenerateConfiguration, naming the closest pair, if two of the
+    positions q are closer than DISTINCT_TOL modulo the lattice."""
     n = len(q)
     if n < 2:
         return
     # Each pair in both orders: the distance of -d is that of d.
-    dist = elliptic.lattice_distance(_diff_matrix(q).reshape(-1)[_pairs(n)[2]], lat)
+    off = _pairs(n)[2]
+    dist = elliptic.lattice_distance(_diff_matrix(q).reshape(-1)[off], lat)
     if dist.min() < DISTINCT_TOL:
-        raise DegenerateConfiguration("positions are not pairwise distinct modulo the lattice")
+        k = int(dist.argmin())
+        i, j = divmod(int(off[k]), n)
+        raise DegenerateConfiguration(
+            "positions are not pairwise distinct modulo the lattice: positions "
+            f"{i} and {j} are {dist[k]:.3e} apart, below the tolerance {DISTINCT_TOL:.1e}"
+        )
 
 
 def _exclusive_products(S):

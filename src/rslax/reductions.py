@@ -36,6 +36,7 @@ from .errors import (
     NonDiagonalizable,
     NoSolution,
     RepeatedEigenvalues,
+    SingularMatrix,
     SingularY,
 )
 
@@ -244,6 +245,17 @@ def _orbit_defect(M, g):
     return float((s[1:2].sum() + abs(np.trace(M))) / max(1.0, float(np.max(np.abs(M)))))
 
 
+def _inverse(pair, name):
+    """The inverse of the pair's member name ("X" or "Y"); SingularMatrix
+    naming it where it is singular."""
+    try:
+        return np.linalg.inv(getattr(pair, name))
+    except np.linalg.LinAlgError:
+        raise SingularMatrix(
+            f"{name} of the {pair.kind} pair is singular; its moment residual is undefined"
+        ) from None
+
+
 def moment_residual(pair: ReductionPair, orbit: OrbitSpec) -> float:
     """Size-normalized Frobenius residual of the pair's moment-map equation.
 
@@ -257,13 +269,13 @@ def moment_residual(pair: ReductionPair, orbit: OrbitSpec) -> float:
     X, Y = pair.X, pair.Y
     n = X.shape[0]
     if pair.kind == KIND_TRIG_CM:
-        return _orbit_defect(X @ Y @ np.linalg.inv(X) - Y, orbit.g)
+        return _orbit_defect(X @ Y @ _inverse(pair, "X") - Y, orbit.g)
     if pair.kind == KIND_RATIONAL_CM:
         R = X @ Y - Y @ X - orbit.o_matrix(n)
     elif pair.kind == KIND_RATIONAL_RS:
-        R = X @ Y @ np.linalg.inv(X) - Y - orbit.o_matrix(n)
+        R = X @ Y @ _inverse(pair, "X") - Y - orbit.o_matrix(n)
     elif pair.kind == KIND_TRIG_RS:
-        R = X @ Y @ np.linalg.inv(X) @ np.linalg.inv(Y) - orbit.o_prime()
+        R = X @ Y @ _inverse(pair, "X") @ _inverse(pair, "Y") - orbit.o_prime()
     else:
         raise ValueError(f"unknown reduction kind {pair.kind!r}")
     residual = float(np.linalg.norm(R) / max(1.0, float(np.max(np.abs(X @ Y)))))

@@ -6,11 +6,14 @@ finite-difference Hamiltonian vector fields and coupling derivatives.  The
 exceptions are theta_series_reference, the library's former unreduced theta
 series, and sigma_argument_moments_reference, jsonify_reference and the
 *_reference special functions, Lax builders, limit sweeps and
-reductions, frozen copies of library code that its rewrites must reproduce.
+reductions, and report_json_reference, frozen copies of library code that
+its rewrites must reproduce.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 
 import mpmath as mp
@@ -320,6 +323,12 @@ def jsonify_reference(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonify_reference(x) for x in obj]
     return obj
+
+
+def report_json_reference(report):
+    """The bytes of report.json as rslax.cli.main wrote them before the
+    report became a plain dict: the JSON of dataclasses.asdict(report)."""
+    return (json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -805,6 +814,15 @@ def solve_trig_rs_reference(theta, orbit, diag_free):
 def moment_residual_reference(pair, orbit):
     """rslax.reductions.moment_residual with its orbit test in each branch."""
     from rslax import reductions as red
+    from rslax.errors import SingularMatrix
+
+    def inv(name):
+        try:
+            return np.linalg.inv(getattr(pair, name))
+        except np.linalg.LinAlgError:
+            raise SingularMatrix(
+                f"{name} of the {pair.kind} pair is singular; its moment residual is undefined"
+            ) from None
 
     X, Y = pair.X, pair.Y
     n = X.shape[0]
@@ -821,14 +839,14 @@ def moment_residual_reference(pair, orbit):
             best = min(best, float((s[1] + abs(np.trace(C))) / scale))
         return best
     elif pair.kind == red.KIND_RATIONAL_RS:
-        R = X @ Y @ np.linalg.inv(X) - Y - orbit.o_matrix(n)
+        R = X @ Y @ inv("X") - Y - orbit.o_matrix(n)
     elif pair.kind == red.KIND_TRIG_CM:
-        M = X @ Y @ np.linalg.inv(X) - Y
+        M = X @ Y @ inv("X") - Y
         s = np.linalg.svd(M + orbit.g * np.eye(n), compute_uv=False)
         rank_defect = s[1] if n > 1 else 0.0
         return float((rank_defect + abs(np.trace(M))) / max(1.0, float(np.max(np.abs(M)))))
     elif pair.kind == red.KIND_TRIG_RS:
-        R = X @ Y @ np.linalg.inv(X) @ np.linalg.inv(Y) - orbit.o_prime()
+        R = X @ Y @ inv("X") @ inv("Y") - orbit.o_prime()
     else:
         raise ValueError(f"unknown reduction kind {pair.kind!r}")
     scale = max(1.0, float(np.max(np.abs(X @ Y))))

@@ -6,6 +6,7 @@ contract, and output schema validity.
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -710,6 +711,32 @@ class TestWriteAtomic:
         assert target.read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["report.json"]
 
+    def test_taken_temporary_names_are_skipped(self, tmp_path, monkeypatch):
+        # The next two names hold a file and a symbolic link: O_EXCL opens
+        # neither, and the third name carries the artifact.
+        monkeypatch.setattr(cli, "_tmp_seq", itertools.count(7))
+        taken = tmp_path / f".tmp-rslax-{os.getpid()}-7"
+        taken.write_bytes(b"not ours")
+        victim = tmp_path / "victim"
+        victim.write_bytes(b"kept")
+        link = tmp_path / f".tmp-rslax-{os.getpid()}-8"
+        link.symlink_to(victim)
+        cli.write_json(str(tmp_path / "report.json"), {"a": 1})
+        assert (tmp_path / "report.json").read_bytes() == b'{\n  "a": 1\n}\n'
+        assert stat.S_IMODE((tmp_path / "report.json").stat().st_mode) == 0o600
+        assert taken.read_bytes() == b"not ours" and victim.read_bytes() == b"kept"
+        assert sorted(os.listdir(tmp_path)) == sorted([taken.name, link.name, "victim", "report.json"])
+        assert next(cli._tmp_seq) == 10
+
+    def test_retries_are_bounded(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_tmp_seq", itertools.count(0))
+        monkeypatch.setattr(os, "TMP_MAX", 2)
+        for k in range(2):
+            (tmp_path / f".tmp-rslax-{os.getpid()}-{k}").write_bytes(b"")
+        with pytest.raises(FileExistsError, match="No usable temporary file name found"):
+            cli.write_csv(str(tmp_path / "a.csv"), ["x"], [[1]])
+        assert len(os.listdir(tmp_path)) == 2
+
 
 def test_parser_is_built_once_and_reused(tmp_path):
     # Interleave runs that write artifacts with a config error (exit 2) and
@@ -755,6 +782,52 @@ def test_parser_is_built_once_and_reused(tmp_path):
         assert names == sorted(os.listdir(reused / run_dir)) == ["lax.csv", "lax.json", "report.json"]
         for name in names:
             assert (fresh / run_dir / name).read_bytes() == (reused / run_dir / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", sorted(cli._RUNNERS))
+def test_help_and_usage_errors(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "-h"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
+    for argv in ([command], [command + "x", "--config", "c.json"], [command, "--config"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"schema_version": 2, "params": {}},
+        {"schema_version": 1, "command": "lax", "params": dict(OUTPUTS["lax"][0], q="x")},
+    ],
+)
+def test_config_error_makes_no_output_directory(tmp_path, capsys, config):
+    cfg = write_config(tmp_path, "bad.json", config)
+    out = tmp_path / "never" / "made"
+    assert cli.main(["lax", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize(
+    "checks",
+    [[], ["rational_cm_moment"], ["rational_cm_moment", "trig_cm_moment", "rational_rs_moment"]],
+)
+def test_report_bytes_equal_the_asdict_serializer(tmp_path, monkeypatch, checks):
+    made = []
+
+    class Recorded(cli.RunReport):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(cli, "RunReport", Recorded)
+    assert cli.main(["verify", "--config", verify_cfg(tmp_path, checks=checks)]) == 0
+    assert len(made) == 1 and len(made[0].checks) == len(checks)
+    data = (tmp_path / "out" / "report.json").read_bytes()
+    assert data == oracles.report_json_reference(made[0])
 
 
 LIMIT_PARAMS = {

@@ -116,6 +116,37 @@ class TestHamiltonian:
         with pytest.raises(SingularMatrix, match="singular"):
             dynamics._inverse(L, np.array([5.0, -5.0], dtype=complex))
 
+    @staticmethod
+    def far_point():
+        """(conf, point) where |L| is about 1e142 in the Ruijsenaars form and
+        1e213 in the Hasegawa form, both finite."""
+        lat = elliptic.lattice_from_periods(153.16, -24.38 + 14.52j)
+        q = (-0.086 - 0.428j, -0.153 - 0.502j, 0.402 - 0.214j)
+        P = (0.0, -0.1995 - 0.0987j, 0.0)
+        conf = lax.rs_config(q, P, 506.95 + 156.28j, lat)
+        return conf, dynamics.PhasePoint(q, P)
+
+    def test_rs_cosh_where_the_size_of_l_overflows_its_power(self):
+        # max|K|^3 is not a double here: the singularity test of L^{-1}
+        # ended in a bare OverflowError.
+        conf, point = self.far_point()
+        spec = dynamics.HamiltonianSpec("rs_cosh")
+        L = lax.ruijsenaars_lax(conf, spec.eval_z).entries
+        ref = np.trace(L) + np.trace(np.linalg.inv(L))
+        assert abs(dynamics.hamiltonian(spec, conf) - ref) <= 1e-12 * abs(ref)
+        field = np.concatenate(dynamics.hamiltonian_vector_field(spec, point, conf))
+        fd = np.concatenate(oracles.fd_vector_field(spec, point, conf))
+        assert np.max(np.abs(field - fd)) <= 1e-8 * np.max(np.abs(fd))
+
+    @pytest.mark.parametrize("family,index", [("trace_power", 2), ("hitchin", 1)])
+    def test_rates_beyond_the_doubles_are_a_typed_error(self, family, index):
+        # L is finite, L^2 is not: the rates were NaN, with no error.
+        conf, point = self.far_point()
+        spec = dynamics.HamiltonianSpec(family, index)
+        with pytest.raises(CollisionImminent) as exc:
+            dynamics.hamiltonian_vector_field(spec, point, conf)
+        assert str(exc.value) == "the Hamiltonian vector field is not finite"
+
     @pytest.mark.parametrize("lax_family", ["hasegawa", "composition", "ruijsenaars"])
     def test_rs_cosh_is_the_ruijsenaars_form_for_every_lax_family(self, lax_family):
         # rs_cosh names the Ruijsenaars matrix whatever lax_family says; the
@@ -513,7 +544,43 @@ class TestFlowLoop:
         spec = dynamics.HamiltonianSpec(family, 1)
         start = dynamics.PhasePoint(conf.q, conf.P)
         dynamics.integrate(spec, start, conf, 0.02, 2e-3)
-        assert sizes == flow_constants + at_start + per_step * 10 + spectra
+        # No step reads the rates of the last accepted point: there the Tr L
+        # route makes no series, and the other routes build L only.
+        stages = (at_start + per_step * 10)[: -len(at_start)]
+        at_last = [] if family == "trace_power" else at_start
+        assert sizes == flow_constants + stages + at_last + spectra
+
+    @pytest.mark.parametrize(
+        "family,mu,method",
+        [("trace_power", None, "trace"), ("rs_cosh", 0.09 + 0.02j, "jacobian")],
+    )
+    def test_last_point_evaluates_no_rates(self, monkeypatch, family, mu, method):
+        # No step reads the rates of the last accepted point: 4 stages for
+        # each of the 10 steps, and the last point's checks and L only.
+        base = mild_conf()
+        conf = lax.rs_config(base.q, base.P, base.hbar, LAT, mu=mu)
+        spec = dynamics.HamiltonianSpec(family, 1)
+        _, plan_class, _ = dynamics._lax_form(spec)
+        calls, inverses = [], []
+        plan_method, inverse = getattr(plan_class, method), dynamics._inverse
+
+        def counted(plan, args, P):
+            calls.append(args.x.size)
+            return plan_method(plan, args, P)
+
+        def counted_inverse(L, P):
+            inverses.append(L.shape)
+            return inverse(L, P)
+
+        monkeypatch.setattr(plan_class, method, counted)
+        monkeypatch.setattr(dynamics, "_inverse", counted_inverse)
+        start = dynamics.PhasePoint(conf.q, conf.P)
+        traj = dynamics.integrate(spec, start, conf, 0.02, 2e-3)
+        assert len(traj.times) == 11
+        if family == "trace_power":
+            assert len(calls) == 4 * 10 and not inverses
+        else:  # the last point's L too, for its spectrum
+            assert len(calls) == 4 * 10 + 1 and len(inverses) == 4 * 10
 
     @pytest.mark.parametrize(
         "family,lax_family,mu,flow_constants",

@@ -43,6 +43,17 @@ class TestConfig:
         with pytest.raises(DegenerateConfiguration):
             lax.rs_config([0.1, 0.1], [0.0, 0.0], 0.1, LAT)
 
+    def test_coincident_positions_name_the_closest_pair(self):
+        with pytest.raises(DegenerateConfiguration) as exc:
+            lax.rs_config([0.1, 0.1 + 1e-7, 0.5], [0.0] * 3, 0.1, LAT)
+        assert str(exc.value) == (
+            "positions are not pairwise distinct modulo the lattice: positions 0 and 1 "
+            "are 1.000e-07 apart, below the tolerance 1.0e-06"
+        )
+        # Modulo the lattice: q_2 - q_0 is a period plus 3e-7.
+        with pytest.raises(DegenerateConfiguration, match=": positions 0 and 2 are 3.000e-07 apart"):
+            lax.rs_config([0.1, 0.5, 1.1 + 3e-7], [0.0] * 3, 0.1, LAT)
+
     def test_one_distinctness_tolerance(self):
         # Defined once, in elliptic; lax and cauchy import it.
         assert lax.DISTINCT_TOL is cauchy.DISTINCT_TOL is elliptic.DISTINCT_TOL

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from rslax import elliptic, lax, reductions
-from rslax.errors import DegenerateConfiguration, NoSolution, SingularY
+from rslax.errors import DegenerateConfiguration, NoSolution, SingularMatrix, SingularY
 
 ORB = reductions.OrbitSpec(g=0.7 + 0.2j)
 
@@ -166,6 +166,19 @@ class TestDualize:
         assert np.max(np.abs(evY - diag_dual)) < 1e-9
         ev_dualY = np.sort_complex(np.linalg.eigvals(dual.Y))
         assert np.max(np.abs(ev_dualY - np.sort_complex(q))) < 1e-9
+
+    def test_singular_member_of_a_dual_pair_is_named(self):
+        # dualize keeps the kind rational_rs, but the dual X is the spectrum
+        # of the old Y, here [[0]]: moment_residual ended in a bare
+        # LinAlgError("Singular matrix").
+        orbit = reductions.OrbitSpec(g=0.4)
+        dual = reductions.dualize(reductions.solve_rational_rs([0.3], orbit, [0.0]))
+        assert dual.kind == "rational_rs" and np.array_equal(dual.X, [[0.0]])
+        with pytest.raises(SingularMatrix) as exc:
+            reductions.moment_residual(dual, orbit)
+        assert str(exc.value) == (
+            "X of the rational_rs pair is singular; its moment residual is undefined"
+        )
 
 
 class TestArguments:
