@@ -10,8 +10,10 @@ All randomness flows from a single seeded NumPy PCG64 stream, so outputs are
 byte-identical across reruns with the same config and seed.  Tabular data is
 written as RFC-4180 CSV with complex values split into real/imaginary column
 pairs; summaries are JSON with complex values as {"re": ..., "im": ...}.
-Each file is written to a new 0600 .tmp-rslax-<pid>-<n> (O_EXCL), then renamed over
-its target.  Exit status is 0 iff every check passes.  RSLAX_THREADS caps BLAS/OpenMP threads.
+Runners return their artifacts as data; main writes them, then report.json, so a
+run stopped by an error writes nothing.  Each file is written to a new 0600
+.tmp-rslax-<pid>-<n> (O_EXCL), then renamed over its target.  Exit status is 0
+iff every check passes.  RSLAX_THREADS caps BLAS/OpenMP threads.
 """
 
 from __future__ import annotations
@@ -182,14 +184,9 @@ def _json_text(obj, indent=""):
     leaf = _LEAF_TEXT.get(type(obj))
     if leaf:
         return leaf(obj, indent)
-    if isinstance(obj, str):  # from here on, subclasses of the leaf types
-        return _encode_str(obj)
-    if isinstance(obj, float):
-        return _json_float(obj)
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, complex):
-        return _LEAF_TEXT[complex](obj, indent)
+    for kind, text in _LEAF_TEXT.items():  # subclasses of the leaf types
+        if isinstance(obj, kind):
+            return text(obj, indent)
     inner = indent + "  "
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -251,14 +248,12 @@ def write_csv(path, header, rows):
     _write_atomic(path, ("\r\n".join(lines) + "\r\n").encode("utf-8"))
 
 
-def _write_matrix_csv(path, M):
+def _matrix_table(M):
+    """(header, rows) of the matrix M: one row (row, col, re, im) per entry, row-major."""
     cols = M.shape[1]
     cells = enumerate(M.ravel().tolist())
-    write_csv(
-        path,
-        ["row", "col", "re", "im"],
-        [(*divmod(k, cols), float(v.real), float(v.imag)) for k, v in cells],
-    )
+    rows = [(*divmod(k, cols), float(v.real), float(v.imag)) for k, v in cells]
+    return ["row", "col", "re", "im"], rows
 
 
 def load_config(path, command, seed_override=None, out_override=None, tol_scale=1.0):
@@ -470,6 +465,7 @@ def run_verify(cfg: ExperimentConfig, report: RunReport):
         fn, tol = _VERIFY_CHECKS[name]
         rng = np.random.default_rng([cfg.seed, zlib.crc32(name.encode("utf-8"))])
         report.add(name, fn(rng), tol * cfg.tol_scale)
+    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -494,11 +490,10 @@ def run_lax(cfg: ExperimentConfig, report: RunReport):
     conf = make_conf()
     M = _LAX_BUILDERS[family](conf, z, lam)
 
-    _write_matrix_csv(os.path.join(cfg.output_dir, "lax.csv"), M.entries)
-    write_json(
-        os.path.join(cfg.output_dir, "lax.json"),
-        {"family": family, "n": conf.n, "z": z, "entries": M.entries},
-    )
+    return {
+        "lax.csv": _matrix_table(M.entries),
+        "lax.json": {"family": family, "n": conf.n, "z": z, "entries": M.entries},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -547,22 +542,20 @@ def run_evolve(cfg: ExperimentConfig, report: RunReport):
     table = np.column_stack(
         [traj.times, np.stack([qp.real, qp.imag], axis=2).reshape(len(qp), -1), traj.spectral_drift]
     )
-    write_csv(os.path.join(cfg.output_dir, "trajectory.csv"), header, table.tolist())
-
     max_drift = max((float(d) for d in traj.spectral_drift), default=0.0)
-    write_json(
-        os.path.join(cfg.output_dir, "summary.json"),
-        {
+    report.add("spectral_drift", max_drift, drift_tol)
+    # 1.0 is not below the tolerance 1.0: a collision fails the check.
+    report.add("completed", float(collided), 1.0)
+    return {
+        "trajectory.csv": (header, table.tolist()),
+        "summary.json": {
             "n": n,
             "steps": len(traj.times) - 1 if traj.times else 0,
             "t_end_reached": traj.times[-1] if traj.times else None,
             "max_spectral_drift": max_drift,
             "collision": collided,
         },
-    )
-    report.add("spectral_drift", max_drift, drift_tol)
-    # 1.0 is not below the tolerance 1.0: a collision fails the check.
-    report.add("completed", float(collided), 1.0)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -579,9 +572,7 @@ def run_limit(cfg: ExperimentConfig, report: RunReport):
         residual_tol = _as_real(p.get("residual_tolerance", 1e-8), "params.residual_tolerance")
         sweep = limits.degeneration_sweep(make_conf(), values)
         tail = [e for t, e in zip(sweep.values, sweep.errors) if t >= 5.0]
-        mono = 0.0
-        for a, b in zip(tail, tail[1:]):
-            mono = max(mono, b - a)
+        mono = max([0.0, *(b - a for a, b in zip(tail, tail[1:]))])
         report.add("tail_monotone", mono, 1e-12)
         report.add("final_residual", sweep.errors[-1], residual_tol * cfg.tol_scale)
     else:
@@ -594,20 +585,15 @@ def run_limit(cfg: ExperimentConfig, report: RunReport):
         if sweep.fitted_order is not None:
             report.add("fitted_order_near_one", abs(sweep.fitted_order - 1.0), 0.15 * cfg.tol_scale)
 
-    write_csv(
-        os.path.join(cfg.output_dir, "sweep.csv"),
-        ["parameter", "residual"],
-        list(zip((float(v) for v in sweep.values), (float(e) for e in sweep.errors))),
-    )
-    write_json(
-        os.path.join(cfg.output_dir, "sweep.json"),
-        {
+    return {
+        "sweep.csv": (["parameter", "residual"], list(zip(sweep.values, sweep.errors))),
+        "sweep.json": {
             "parameter": sweep.parameter,
             "values": list(sweep.values),
             "errors": list(sweep.errors),
             "fitted_order": sweep.fitted_order,
         },
-    )
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -639,14 +625,13 @@ def run_reduce(cfg: ExperimentConfig, report: RunReport):
         orb = reductions.OrbitSpec(g=0.0, u=tuple(u), v=tuple(v))
         pair = reductions.solve_trig_rs(th, orb, diag)
 
-    _write_matrix_csv(os.path.join(cfg.output_dir, "X.csv"), pair.X)
-    _write_matrix_csv(os.path.join(cfg.output_dir, "Y.csv"), pair.Y)
     residual = reductions.moment_residual(pair, orb)
-    write_json(
-        os.path.join(cfg.output_dir, "reduce.json"),
-        {"kind": kind, "residual": residual, "X": pair.X, "Y": pair.Y},
-    )
     report.add("moment_residual", residual, 1e-10 * cfg.tol_scale)
+    return {
+        "X.csv": _matrix_table(pair.X),
+        "Y.csv": _matrix_table(pair.Y),
+        "reduce.json": {"kind": kind, "residual": residual, "X": pair.X, "Y": pair.Y},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -684,10 +669,15 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.command, args.seed, args.out, args.tol_scale)
         report = RunReport(args.command)
         t0 = time.perf_counter()
-        _RUNNERS[args.command](cfg, report)
+        artifacts = _RUNNERS[args.command](cfg, report)
+        artifacts["report.json"] = {"command": cfg.command, "checks": list(map(vars, report.checks))}
+        for name, content in artifacts.items():
+            path = os.path.join(cfg.output_dir, name)
+            if name.endswith(".csv"):
+                write_csv(path, *content)
+            else:
+                write_json(path, content)
         wall_time = time.perf_counter() - t0
-        payload = {"command": cfg.command, "checks": [vars(c) for c in report.checks]}
-        write_json(os.path.join(cfg.output_dir, "report.json"), payload)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

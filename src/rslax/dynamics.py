@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lax
-from .errors import CollisionImminent, SingularMatrix, StepTooLarge
+from .errors import CollisionImminent, SingularMatrix, StepTooLarge, ValueOverflow
 
 # Smallest pairwise position distance (modulo the lattice) a flow may reach.
 COLLISION_MARGIN = 1e-4
@@ -122,12 +122,18 @@ def _inverse(L, P):
 
 
 def hamiltonian(spec: HamiltonianSpec, conf: lax.RSConfig) -> complex:
-    """Evaluate the conserved quantity described by spec at conf."""
+    """Evaluate the conserved quantity described by spec at conf;
+    ValueOverflow where its value is not finite."""
     L = _lax_form(spec)[0](conf, spec.eval_z).entries
-    if spec.scale_power is None:  # rs_cosh
-        return complex(np.trace(L) + np.trace(_inverse(L, np.asarray(conf.P, dtype=complex))))
-    scale, k = spec.scale_power
-    return scale * complex(np.trace(np.linalg.matrix_power(L, k + 1))) / (k + 1)
+    with np.errstate(all="ignore"):  # a non-finite value raises below
+        if spec.scale_power is None:  # rs_cosh
+            H = complex(np.trace(L) + np.trace(_inverse(L, np.asarray(conf.P, dtype=complex))))
+        else:
+            scale, k = spec.scale_power
+            H = scale * complex(np.trace(np.linalg.matrix_power(L, k + 1))) / (k + 1)
+    if not np.isfinite(H):
+        raise ValueOverflow(_not_finite(conf.P, what="the Hamiltonian"))
+    return H
 
 
 def _not_finite(p, step=None, what="the Lax matrix"):
@@ -152,9 +158,7 @@ def _checked_args(plan, diagonal, q, p):
         separation = float(dist[k])
         # Written so that a NaN distance fails too.
         if not separation >= COLLISION_MARGIN:
-            # dist holds q_i - q_j over j != i, n - 1 of them per row i.
-            i, j = divmod(k, q.size - 1)
-            j += j >= i
+            i, j = lax._off_pair(q.size, k)
             raise CollisionImminent(
                 f"positions {i} and {j} are {dist[k]:.3e} apart modulo the "
                 f"lattice, below the collision margin {COLLISION_MARGIN:.1e}"
@@ -261,8 +265,8 @@ def integrate(
 
     A step evaluates the field four times: its first stage is the field at
     the accepted point before it.  No step reads the rates of the last
-    point, so there only _checked_args runs, and L is built where the stages
-    build it.  A stage that fails _field's checks raises
+    point, so there only _checked_args runs, and plan.matrix builds L where
+    the stages build it.  A stage that fails _field's checks raises
     CollisionImminent with the partial trajectory; one that moves a position
     by more than half the stage's smallest separation, dt |dq/dt| >
     separation / 2, raises its subclass StepTooLarge.
@@ -356,8 +360,8 @@ def integrate(
                         L, k1, separation = stage(q, y)
                     else:
                         ps = momenta(y)
-                        args = _checked_args(plan, diagonal, q, ps)[0]
-                        L = None if diagonal else plan.jacobian(args, ps)[0]
+                        _checked_args(plan, diagonal, q, ps)
+                        L = None if diagonal else plan.matrix(q, ps)
                     pending.append((q, p, L))
                     if len(pending) == block:
                         spectra()

@@ -140,7 +140,7 @@ def _separation(q, lat):
     dist = elliptic.lattice_distance(_diff_matrix(q).reshape(-1)[off], lat)
     if dist.min() < DISTINCT_TOL:
         k = int(dist.argmin())
-        i, j = divmod(int(off[k]), n)
+        i, j = _off_pair(n, k)
         raise DegenerateConfiguration(
             "positions are not pairwise distinct modulo the lattice: positions "
             f"{i} and {j} are {dist[k]:.3e} apart, below the tolerance {DISTINCT_TOL:.1e}"
@@ -215,6 +215,11 @@ def _pairs(n):
     for arr in (rows, cols, off):
         arr.setflags(write=False)
     return rows, cols, off
+
+
+def _off_pair(n, k):
+    """(i, j) of the k-th of the n*(n-1) pairs with i != j, row-major."""
+    return divmod(int(_pairs(n)[2][k]), n)
 
 
 @functools.lru_cache(maxsize=32)

@@ -560,8 +560,8 @@ def test_csv_bytes_match_the_csv_module(tmp_path):
     cli.write_csv(str(tmp_path / "a.csv"), header, rows)
     assert (tmp_path / "a.csv").read_bytes() == buf.getvalue().encode("utf-8")
 
-    # _write_matrix_csv: the rows np.ndenumerate gave, for float and
-    # complex matrices.
+    # _matrix_table: the rows np.ndenumerate gave, for float and complex
+    # matrices.
     re = np.array([[0.0, -0.0, 5e-324], [1e308, 0.1 + 0.2, -2.5]])
     for M in (re, re + 1j * re[::-1], re.T.astype(complex), np.zeros((0, 0))):
         buf = io.StringIO()
@@ -569,7 +569,7 @@ def test_csv_bytes_match_the_csv_module(tmp_path):
         w.writerow(["row", "col", "re", "im"])
         for (i, j), v in np.ndenumerate(M):
             w.writerow([i, j, repr(float(v.real)), repr(float(v.imag))])
-        cli._write_matrix_csv(str(tmp_path / "m.csv"), M)
+        cli.write_csv(str(tmp_path / "m.csv"), *cli._matrix_table(M))
         assert (tmp_path / "m.csv").read_bytes() == buf.getvalue().encode("utf-8")
 
 
@@ -811,6 +811,22 @@ def test_config_error_makes_no_output_directory(tmp_path, capsys, config):
     assert not (tmp_path / "never").exists()
 
 
+# exp(-800) is 0, so X = [[0]] and the moment map's X^-1 is undefined.
+SINGULAR_REDUCE = {"kind": "rational_rs", "theta": [-800], "g": 0.4}
+
+
+def test_error_after_the_solve_writes_nothing(tmp_path, capsys):
+    # The solve succeeds and the residual fails: X.csv and Y.csv were
+    # written before the error, with no report.json.
+    cfg = write_config(
+        tmp_path, "c.json", {"schema_version": 1, "command": "reduce", "params": SINGULAR_REDUCE}
+    )
+    out = tmp_path / "never" / "made"
+    assert cli.main(["reduce", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: SingularMatrix: ")
+    assert not (tmp_path / "never").exists()
+
+
 @pytest.mark.parametrize(
     "checks",
     [[], ["rational_cm_moment"], ["rational_cm_moment", "trig_cm_moment", "rational_rs_moment"]],
@@ -995,12 +1011,14 @@ def _mutated_configs(draw):
 @example(case=("evolve", dict(EVOLVE_PARAMS, q=[], P=[])))
 @example(case=("reduce", {"kind": "rational_cm", "p": []}))
 @example(case=("verify", {"checks": [["x"]]}))
+@example(case=("reduce", SINGULAR_REDUCE))
 @settings(max_examples=60, deadline=None)
 def test_any_config_ends_in_an_exit_code(tmp_path_factory, case):
     # The CLI contract: whatever a config holds, a run ends in exit code 0,
-    # 1 or 2 without a traceback, and a config error writes nothing.
+    # 1 or 2 without a traceback, and a config error or a run stopped by an
+    # error writes nothing.
     code, err, out = _run_config(tmp_path_factory.mktemp("contract"), *case)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
-    if code == 2:
+    if code == 2 or (code == 1 and err.startswith("error: ")):
         assert not out.exists()

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import oracles
 import rslax
 from rslax import dynamics, elliptic, lax
-from rslax.errors import CollisionImminent, SingularMatrix, StepTooLarge
+from rslax.errors import CollisionImminent, SingularMatrix, StepTooLarge, ValueOverflow
 
 LAT = elliptic.lattice_from_periods(1.0, 0.2 + 2.4j)
 LATTICES = {
@@ -146,6 +146,18 @@ class TestHamiltonian:
         with pytest.raises(CollisionImminent) as exc:
             dynamics.hamiltonian_vector_field(spec, point, conf)
         assert str(exc.value) == "the Hamiltonian vector field is not finite"
+
+    @pytest.mark.parametrize("family,index", [("trace_power", 2), ("hitchin", 1)])
+    def test_value_beyond_the_doubles_is_a_typed_error(self, family, index):
+        # L is finite, Tr L^3 is not: the value was not finite, with only a
+        # RuntimeWarning from matrix_power.
+        conf, _ = self.far_point()
+        spec = dynamics.HamiltonianSpec(family, index)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueOverflow) as exc:
+                dynamics.hamiltonian(spec, conf)
+        assert str(exc.value) == "the Hamiltonian is not finite"
 
     @pytest.mark.parametrize("lax_family", ["hasegawa", "composition", "ruijsenaars"])
     def test_rs_cosh_is_the_ruijsenaars_form_for_every_lax_family(self, lax_family):
@@ -545,9 +557,10 @@ class TestFlowLoop:
         start = dynamics.PhasePoint(conf.q, conf.P)
         dynamics.integrate(spec, start, conf, 0.02, 2e-3)
         # No step reads the rates of the last accepted point: there the Tr L
-        # route makes no series, and the other routes build L only.
+        # route makes no series, and the rs_cosh route builds L only, wp at
+        # the differences and sigma (no sigma') at its 2n^2 arguments.
         stages = (at_start + per_step * 10)[: -len(at_start)]
-        at_last = [] if family == "trace_power" else at_start
+        at_last = [] if family == "trace_power" else [6, 18]
         assert sizes == flow_constants + stages + at_last + spectra
 
     @pytest.mark.parametrize(
@@ -556,31 +569,39 @@ class TestFlowLoop:
     )
     def test_last_point_evaluates_no_rates(self, monkeypatch, family, mu, method):
         # No step reads the rates of the last accepted point: 4 stages for
-        # each of the 10 steps, and the last point's checks and L only.
+        # each of the 10 steps, and the last point's checks only.  L is built
+        # once apart from the stages: by the Tr L route for the spectra of
+        # its block, by the rs_cosh route at the last point.
         base = mild_conf()
         conf = lax.rs_config(base.q, base.P, base.hbar, LAT, mu=mu)
         spec = dynamics.HamiltonianSpec(family, 1)
         _, plan_class, _ = dynamics._lax_form(spec)
-        calls, inverses = [], []
-        plan_method, inverse = getattr(plan_class, method), dynamics._inverse
+        calls, matrices, inverses = [], [], []
+        plan_method, matrix, inverse = getattr(plan_class, method), plan_class.matrix, dynamics._inverse
 
         def counted(plan, args, P):
             calls.append(args.x.size)
             return plan_method(plan, args, P)
+
+        def counted_matrix(plan, q, P):
+            matrices.append(q.shape)
+            return matrix(plan, q, P)
 
         def counted_inverse(L, P):
             inverses.append(L.shape)
             return inverse(L, P)
 
         monkeypatch.setattr(plan_class, method, counted)
+        monkeypatch.setattr(plan_class, "matrix", counted_matrix)
         monkeypatch.setattr(dynamics, "_inverse", counted_inverse)
         start = dynamics.PhasePoint(conf.q, conf.P)
         traj = dynamics.integrate(spec, start, conf, 0.02, 2e-3)
         assert len(traj.times) == 11
+        assert len(calls) == 4 * 10 and len(matrices) == 1
         if family == "trace_power":
-            assert len(calls) == 4 * 10 and not inverses
-        else:  # the last point's L too, for its spectrum
-            assert len(calls) == 4 * 10 + 1 and len(inverses) == 4 * 10
+            assert not inverses and matrices == [(3, 11)]
+        else:
+            assert len(inverses) == 4 * 10 and matrices == [(3,)]
 
     @pytest.mark.parametrize(
         "family,lax_family,mu,flow_constants",
