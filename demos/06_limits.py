@@ -23,9 +23,8 @@ print(f"fitted order in the small parameter exp(-2*pi*Im tau): {sweep.fitted_ord
 
 # RS -> CM: scale momenta with hbar and watch (L - I)/hbar approach the CM
 # Lax matrix linearly.
-conf_h = lax.rs_config(q, [0.0, 0.0], 1e-2, lat)
 cmc = lax.cm_config(q, [0.3, -0.2], 1.0, lat)
-sweep2 = limits.cm_limit_sweep(conf_h, cmc, [1e-2, 5e-3, 2.5e-3, 1.25e-3])
+sweep2 = limits.cm_limit_sweep(cmc, [1e-2, 5e-3, 2.5e-3, 1.25e-3])
 print("\nRS -> CM limit (parameter = hbar):")
 for h, err in zip(sweep2.values, sweep2.errors):
     print(f"  hbar = {h:.2e}   |(L - I)/hbar - L_CM| / |L_CM| = {err:.3e}")

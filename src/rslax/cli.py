@@ -434,8 +434,7 @@ def _check_cm_limit_order(rng):
     q = [0.1 + 0.03j, 0.45 - 0.02j, 0.8 + 0.01j]
     p = [0.3, -0.2, 0.1]
     lat = elliptic.lattice_from_periods(1.0, 2.5j)
-    conf = lax.rs_config(q, [0.0] * 3, 1e-2, lat)
-    sweep = limits.cm_limit_sweep(conf, lax.cm_config(q, p, 1.0, lat), [1e-2, 5e-3, 2.5e-3])
+    sweep = limits.cm_limit_sweep(lax.cm_config(q, p, 1.0, lat), [1e-2, 5e-3, 2.5e-3])
     return abs(sweep.fitted_order - 1.0)
 
 
@@ -579,9 +578,11 @@ def run_limit(cfg: ExperimentConfig, report: RunReport):
         # The order is fitted to log(hbar).
         values = _sweep_values(p, "hbar_values", positive=True)
         pvec = _complex_list(p.get("p", [0.0] * len(p["q"])), "params.p", len(p["q"]))
-        conf = make_conf()
-        cmc = lax.cm_config(conf.q, pvec, 1.0, conf.lat)
-        sweep = limits.cm_limit_sweep(conf, cmc, values)
+        # P, hbar and mu, checked with make_conf, enter no formula: each RS
+        # point is built from the CM configuration.
+        lattice = _lattice_from_params(p.get("lattice", {}), "params.lattice")
+        cmc = lax.cm_config(_complex_list(p["q"], "params.q"), pvec, 1.0, lattice())
+        sweep = limits.cm_limit_sweep(cmc, values)
         if sweep.fitted_order is not None:
             report.add("fitted_order_near_one", abs(sweep.fitted_order - 1.0), 0.15 * cfg.tol_scale)
 

@@ -211,6 +211,7 @@ def hamiltonian_vector_field(
 ):
     """Hamilton's equations dq_i/dt = dH/dp_i, dp_i/dt = -dH/dq_i at point,
     with conf's coupling, mu and lattice (see _field)."""
+    lax._sizes_agree("the phase point", point.n, conf)
     _, plan, diagonal = _lax_form(spec)
     q = np.asarray(point.q, dtype=complex)
     p = np.asarray(point.p, dtype=complex)
@@ -283,6 +284,7 @@ def integrate(
         raise ValueError("dt and t_end must be positive")
     if coordinates not in _COORDINATES:
         raise ValueError("coordinates must be 'p' or 'theta'")
+    lax._sizes_agree("the start", start.n, conf)
     _, plan, diagonal = _lax_form(spec)
     plan = plan(conf, spec.eval_z)
     theta = coordinates == "theta"

@@ -507,8 +507,9 @@ def _wp(args: _Args, lat: Lattice):
     _, eta = _unit_constants(lat.red_tau)
     t0, t1, t2 = _theta1_sums(args.xr, lat.red_tau, 3, _peak(args, lat))
     # wp = -(log sigma)'' = (-2 eta1_hat - (log theta1)'')/red_omega1^2, and
-    # log theta1(x) - log theta1(xr) is linear in x.
-    return (-2.0 * eta - (t2 * t0 - t1**2) / t0**2) / lat.red_omega1**2
+    # log theta1(x) - log theta1(xr) is linear in x.  red_omega1^2 overflows
+    # a double beyond |red_omega1| ~ 1.3e154, so it divides twice.
+    return (-2.0 * eta - (t2 * t0 - t1**2) / t0**2) / lat.red_omega1 / lat.red_omega1
 
 
 class _Batch:

@@ -24,6 +24,7 @@ from .errors import (
     DegenerateConfiguration,
     NonFiniteEntries,
     PoleAtLattice,
+    ValueOverflow,
     ZeroLambda,
     ZeroMu,
 )
@@ -144,6 +145,14 @@ def _separation(q, lat):
         raise DegenerateConfiguration(
             "positions are not pairwise distinct modulo the lattice: positions "
             f"{i} and {j} are {dist[k]:.3e} apart, below the tolerance {DISTINCT_TOL:.1e}"
+        )
+
+
+def _sizes_agree(what, size, conf):
+    """DegenerateConfiguration, naming both sizes, unless what has conf.n particles."""
+    if size != conf.n:
+        raise DegenerateConfiguration(
+            f"{what} has {size} particles but the configuration has {conf.n}"
         )
 
 
@@ -586,7 +595,10 @@ def ruijsenaars_equivalent_momenta(conf: RSConfig):
     wp_h = batch.wp(hbar) if n > 1 else None
     # There col and f vanish, and their quotient is not defined.
     batch.off_lattice(**{"hbar + q_l - q_k": hD})
-    d_row = np.exp(np.asarray(conf.P, dtype=complex)) / prod_den
+    P = np.asarray(conf.P, dtype=complex)
+    if np.any(P.real > _LOG_MAX):
+        raise ValueOverflow(f"ruijsenaars_equivalent_momenta{_exp_overflow(P)}")
+    d_row = np.exp(P) / prod_den
     args = batch.args.part(D_idx.reshape(-1)[_pairs(n)[2]])
     return np.log(d_row * col / (sig_h * _row_f(args, n, sig_h, wp_h, lat)[1]))
 
@@ -612,8 +624,11 @@ def krichever_lax(conf: RSConfig, z, lam) -> SpectralMatrix:
     batch.off_lattice(
         **{"lam + mu": lam_mu, "z - mu": z_minus, "z + mu": z_plus, "q_i - q_j - mu": D_mu}
     )
+    sigma_plus = batch.sigma(z_plus)
+    if sigma_plus == 0:  # it underflows far from the lattice
+        raise ValueOverflow(f"1/sigma(z + mu) is too large for a double at z + mu = {z + mu}")
     with np.errstate(all="ignore"):
-        ratio = batch.sigma(z_minus) / batch.sigma(z_plus)
+        ratio = batch.sigma(z_minus) / sigma_plus
         power = np.exp((D - mu) / (2.0 * mu) * np.log(ratio))
         entries = batch.sigma(lam_D) / (batch.sigma(lam_mu) * batch.sigma(D_mu)) * power
     return SpectralMatrix(conf.n, entries, lam)
@@ -627,6 +642,7 @@ def spin_lax(conf: RSConfig, spin: SpinFraming, z) -> SpectralMatrix:
 
     with u = n*hbar and f_{kk'} = (U0 V0)_{kk'} * (Uinf Vinf)_{k'k}.
     """
+    _sizes_agree("the spin framing", spin.U0.shape[0], conf)
     F0 = spin.U0 @ spin.V0
     Finf = spin.Uinf @ spin.Vinf
     # exp(P) = 1 leaves the kernel K itself.

@@ -111,14 +111,9 @@ def degeneration_sweep(conf: RSConfig, im_tau_values, z=_DEFAULT_Z) -> LimitSwee
     values = _positive(im_tau_values, "Im(tau)")
     z = complex(z)
     pi = np.pi
-    conf_trig = replace(
-        conf,
-        q=[pi * v for v in conf.q],
-        hbar=pi * conf.hbar,
-        mu=pi * conf.mu,
-        lat=elliptic.trig_lattice(),
-        q_inf=pi * conf.q_inf,
-        q_zero=pi * conf.q_zero,
+    # No Hasegawa formula reads mu, q_inf or q_zero.
+    conf_trig = lax.rs_config(
+        [pi * v for v in conf.q], conf.P, pi * conf.hbar, elliptic.trig_lattice()
     )
     L_trig = hasegawa_lax(conf_trig, pi * z).entries
     # A residual that is not finite raises in LimitSweep.
@@ -136,32 +131,30 @@ def degeneration_sweep(conf: RSConfig, im_tau_values, z=_DEFAULT_Z) -> LimitSwee
     return LimitSweep(PARAM_IM_TAU, values, tuple(errors), _fit_order(small, errors))
 
 
-def cm_limit_sweep(conf: RSConfig, cmconf: CMConfig, hbar_values, z=_DEFAULT_Z) -> LimitSweep:
+def cm_limit_sweep(cmconf: CMConfig, hbar_values, z=_DEFAULT_Z) -> LimitSweep:
     """Residuals of the rescaled RS transport matrix against the factorized
     CM matrix over a sweep of hbar -> 0.
 
-    Per hbar the RS matrix lax.composition_lax is taken at conf's positions
-    with coupling hbar and momenta P = hbar * p (hbar playing the role of
-    the inverse light speed), and the residual is ||(L(hbar) - I)/hbar -
-    L_CM|| / ||L_CM|| at the spectral point z, with L_CM =
-    lax.factorized_cm_lax(cmconf, z).  First-order convergence gives
-    fitted_order near 1.  The positions, checked with conf, are not checked
-    again per hbar.
+    Per hbar the RS matrix lax.composition_lax is taken at cmconf's
+    positions and lattice with coupling hbar and momenta P = hbar * p (hbar
+    playing the role of the inverse light speed), and the residual is
+    ||(L(hbar) - I)/hbar - L_CM|| / ||L_CM|| at the spectral point z, with
+    L_CM = lax.factorized_cm_lax(cmconf, z).  First-order convergence gives
+    fitted_order near 1.  The positions, checked with cmconf, are not
+    checked again per hbar.
     """
     # The residual divides by hbar, and the order is fitted to log(hbar).
     values = _positive(hbar_values, "hbar")
-    if tuple(conf.q) != tuple(cmconf.q):
-        raise DegenerateConfiguration("RS and CM configurations must share positions")
     z = complex(z)
-    q = np.asarray(conf.q, dtype=complex)
+    q = np.asarray(cmconf.q, dtype=complex)
     p = np.asarray(cmconf.p, dtype=complex)
     F = lax.factorized_cm_lax(cmconf, z).entries
     normF = np.linalg.norm(F)
 
     errors = []
     for h in values:
-        L = lax._composition(q, h * p, h, conf.lat, z).entries
-        resc = (L - np.eye(conf.n)) / h
+        L = lax._composition(q, h * p, h, cmconf.lat, z).entries
+        resc = (L - np.eye(cmconf.n)) / h
         errors.append(float(np.linalg.norm(resc - F) / normF))
 
     return LimitSweep(PARAM_HBAR, values, tuple(errors), _fit_order(values, errors))

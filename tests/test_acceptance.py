@@ -295,7 +295,7 @@ class TestCriterion9CMLimit:
             conf = mild_rs_config(rng, n, lat, hbar=1e-2)
             p = rng.normal(size=n) + 0.2j * rng.normal(size=n)
             cmc = lax.cm_config(conf.q, p, 1.0, lat)
-            sweep = limits.cm_limit_sweep(conf, cmc, [1e-2, 5e-3, 2.5e-3])
+            sweep = limits.cm_limit_sweep(cmc, [1e-2, 5e-3, 2.5e-3])
             assert 0.85 <= sweep.fitted_order <= 1.15
 
     def test_scalar_oracle(self):

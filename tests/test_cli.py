@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from rslax import cli
+from rslax import cli, lax
 
 
 def write_config(tmp_path, name, obj):
@@ -293,6 +293,21 @@ class TestLimit:
         assert cli.main(["limit", "--config", cfg]) == 0
         sweep = json.loads((tmp_path / "out" / "sweep.json").read_text())
         assert abs(sweep["fitted_order"] - 1.0) < 0.15
+
+    def test_cm_sweep_checks_the_positions_once(self, tmp_path, monkeypatch):
+        # One configuration is built, the CM one, so its positions are
+        # checked once; the RS fields P and hbar are read but build nothing.
+        calls = []
+        separation = lax._separation
+        monkeypatch.setattr(lax, "_separation", lambda q, lat: calls.append(q) or separation(q, lat))
+        params = {"sweep": "cm", "hbar_values": [1e-2, 5e-3], "q": [0.1, 0.45], "P": [0.0, 0.0], "hbar": 1e-2}
+        cfg = write_config(
+            tmp_path,
+            "l.json",
+            {"schema_version": 1, "command": "limit", "output_dir": str(tmp_path / "out"), "params": params},
+        )
+        assert cli.main(["limit", "--config", cfg]) == 0
+        assert len(calls) == 1
 
     def test_single_point_sweep_null_order(self, tmp_path):
         cfg = write_config(

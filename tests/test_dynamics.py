@@ -19,7 +19,13 @@ from hypothesis import strategies as st
 import oracles
 import rslax
 from rslax import dynamics, elliptic, lax
-from rslax.errors import CollisionImminent, SingularMatrix, StepTooLarge, ValueOverflow
+from rslax.errors import (
+    CollisionImminent,
+    DegenerateConfiguration,
+    SingularMatrix,
+    StepTooLarge,
+    ValueOverflow,
+)
 
 LAT = elliptic.lattice_from_periods(1.0, 0.2 + 2.4j)
 LATTICES = {
@@ -457,6 +463,16 @@ class TestIntegrate:
         with pytest.raises(CollisionImminent) as exc:
             dynamics.integrate(SPEC1, start, conf, 0.5, 1e-3)
         assert exc.value.trajectory.points == [start]
+
+    def test_point_of_another_size_is_rejected(self):
+        # A 2-position point with a 3-particle configuration ended in a bare
+        # IndexError from the plan's layout.
+        point = dynamics.PhasePoint([0.1, 0.4], [0.0, 0.0])
+        match = "has 2 particles but the configuration has 3"
+        with pytest.raises(DegenerateConfiguration, match=f"the phase point {match}"):
+            dynamics.hamiltonian_vector_field(SPEC1, point, mild_conf())
+        with pytest.raises(DegenerateConfiguration, match=f"the start {match}"):
+            dynamics.integrate(SPEC1, point, mild_conf(), 0.01, 1e-3)
 
     def test_drift_matches_spectra_optimally(self):
         # Greedy nearest-neighbour matching pairs 0 with 0.3, leaving 0.5

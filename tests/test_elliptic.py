@@ -479,6 +479,21 @@ class TestLegendreAndWp:
         z = 0.31 - 0.08j
         assert abs(elliptic.wp(z, LAT) - elliptic.wp(-z, LAT)) < 1e-10
 
+    @pytest.mark.parametrize("c", [2e154, 1e200, 1e300])
+    def test_wp_where_the_squared_period_overflows(self, c):
+        # wp(cz; c Lambda) = wp(z; Lambda)/c^2.  Squaring red_omega1 ended in
+        # a bare OverflowError from |red_omega1| ~ 1.3e154; sigma, zeta and
+        # lattice_distance were finite there.
+        unit = elliptic.lattice_from_periods(1.0, 0.2 + 2.4j)
+        lat = elliptic.lattice_from_periods(c, c * (0.2 + 2.4j))
+        expected = elliptic.wp(0.1, unit) / c / c
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = elliptic.wp(0.1 * c, lat)
+            for f in (elliptic.sigma, elliptic.zeta, elliptic.lattice_distance):
+                assert np.isfinite(f(0.1 * c, lat))
+        assert abs(value - expected) <= 1e-13 * abs(expected)
+
 
 class TestSectionPhi:
     def test_zero_and_pole_structure(self):

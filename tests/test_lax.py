@@ -20,6 +20,7 @@ from rslax.errors import (
     NonConvergent,
     NonFiniteEntries,
     PoleAtLattice,
+    ValueOverflow,
     ZeroLambda,
     ZeroMu,
 )
@@ -172,6 +173,16 @@ class TestRuijsenaars:
             with pytest.raises(PoleAtLattice, match=r"^hbar \+ q_l - q_k is on the lattice"):
                 lax.ruijsenaars_equivalent_momenta(conf)
 
+    def test_equivalent_momenta_name_an_overflowing_momentum_factor(self):
+        # exp(P_0) overflows: the exponent came out nan+nanj, with numpy
+        # overflow and invalid-value warnings.
+        lat = elliptic.lattice_from_periods(1.0, -0.467 + 0.423j)
+        conf = lax.rs_config([0.1, 0.35], [1218.77 - 901.25j, 0.1], 0.08 + 0.03j, lat)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueOverflow, match=r"exp\(P_0\) overflows \(Re P_0 = 1218.77\)"):
+                lax.ruijsenaars_equivalent_momenta(conf)
+
     def test_zero_mu_rejected(self):
         conf = lax.rs_config([0.1, 0.5], [0.0, 0.0], 0.1, LAT, mu=0.0)
         # sigma(mu) = 0 at mu = 0: the Ruijsenaars form reports the lattice
@@ -190,6 +201,17 @@ class TestKrichever:
         # Diagonal entries carry no position difference: all equal.
         d = np.diag(L)
         assert np.max(np.abs(d - d[0])) < 1e-10 * abs(d[0])
+
+    def test_underflowing_sigma_z_plus_mu_is_a_value_overflow(self):
+        # mu lies about 180 periods out, where sigma(z + mu) underflows to 0:
+        # the quotient ended in a bare ZeroDivisionError.
+        lat = elliptic.lattice_from_periods(0.0055, -0.0018 + 0.0245j)
+        mu = -0.7397 - 4.8999j
+        conf = lax.rs_config([0.0001, 0.0021], [0.0, 0.0], mu, lat, mu=mu)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueOverflow, match=r"1/sigma\(z \+ mu\)"):
+                lax.krichever_lax(conf, 0.0013 + 0.0007j, 0.0011 + 0.0003j)
 
 
 class TestSpin:
@@ -220,6 +242,19 @@ class TestSpin:
         L1 = lax.spin_lax(conf, lax.SpinFraming(k, U0, V0, Ui, Vi), Z).entries
         L2 = lax.spin_lax(conf, lax.SpinFraming(k, s * U0, V0, Ui, Vi), Z).entries
         assert np.max(np.abs(L2 - s * L1)) < 1e-12 * np.max(np.abs(L1))
+
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_framing_of_another_size_is_rejected(self, k):
+        # A 1-particle framing broadcast to a 3 x 3 matrix; a 2-particle one
+        # ended in numpy's bare broadcasting ValueError.
+        conf = make_conf(np.random.default_rng(8), 3)
+        ones = np.ones((k, 1))
+        spin = lax.SpinFraming(1, ones, ones.T, ones, ones.T)
+        with pytest.raises(
+            DegenerateConfiguration, match=f"framing has {k} particles but the configuration has 3"
+        ):
+            lax.spin_lax(conf, spin, Z)
 
 
 class TestXiMatrix:

@@ -75,15 +75,13 @@ class TestSigmaArgumentMoments:
 
 class TestCMLimitSweep:
     def test_first_order_convergence(self):
-        conf = base_conf(3)
-        cmc = lax.cm_config(conf.q, [0.3, -0.2, 0.1], 1.0, LAT)
-        sweep = limits.cm_limit_sweep(conf, cmc, [1e-2, 5e-3, 2.5e-3])
+        cmc = lax.cm_config(base_conf(3).q, [0.3, -0.2, 0.1], 1.0, LAT)
+        sweep = limits.cm_limit_sweep(cmc, [1e-2, 5e-3, 2.5e-3])
         assert 0.85 <= sweep.fitted_order <= 1.15
 
     def test_scalar_oracle_n1(self):
         # n = 1, p = 0: (L(h) - 1)/h -> sigma'(z)/sigma(z).
         z = 0.17 + 0.23j
-        conf = lax.rs_config([0.2], [0.0], 1e-4, LAT)
         cmc = lax.cm_config([0.2], [0.0], 1.0, LAT)
         h = 1e-4
         L = lax.composition_lax(lax.rs_config([0.2], [0.0], h, LAT), z).entries[0, 0]
@@ -92,15 +90,14 @@ class TestCMLimitSweep:
             np.log(elliptic.sigma(z + step, LAT)) - np.log(elliptic.sigma(z - step, LAT))
         ) / (2 * step)
         assert abs((L - 1.0) / h - logdiff) < 1e-3
-        sweep = limits.cm_limit_sweep(conf, cmc, [1e-4], z=z)
+        sweep = limits.cm_limit_sweep(cmc, [1e-4], z=z)
         assert sweep.errors[0] < 1e-3
         assert sweep.fitted_order is None  # single point: no slope
 
     def test_hbar_zero_rejected(self):
-        conf = base_conf()
-        cmc = lax.cm_config(conf.q, [0.1, 0.2], 1.0, LAT)
+        cmc = lax.cm_config(base_conf().q, [0.1, 0.2], 1.0, LAT)
         with pytest.raises(DegenerateConfiguration):
-            limits.cm_limit_sweep(conf, cmc, [1e-2, 0.0])
+            limits.cm_limit_sweep(cmc, [1e-2, 0.0])
 
     @pytest.mark.parametrize(
         "values,bad", [([-1e-2, -5e-3, -2.5e-3], -1e-2), ([1e-2, float("nan")], float("nan"))]
@@ -108,16 +105,9 @@ class TestCMLimitSweep:
     def test_nonpositive_hbar_rejected(self, values, bad):
         # Negative hbar ended in LAPACK's "SVD did not converge" when the
         # order was fitted to log(hbar).
-        conf = base_conf()
-        cmc = lax.cm_config(conf.q, [0.1, 0.2], 1.0, LAT)
+        cmc = lax.cm_config(base_conf().q, [0.1, 0.2], 1.0, LAT)
         with pytest.raises(DegenerateConfiguration, match=f"hbar sweep value {bad!r}"):
-            limits.cm_limit_sweep(conf, cmc, values)
-
-    def test_mismatched_positions_rejected(self):
-        conf = base_conf()
-        cmc = lax.cm_config([0.3, 0.9], [0.1, 0.2], 1.0, LAT)
-        with pytest.raises(DegenerateConfiguration):
-            limits.cm_limit_sweep(conf, cmc, [1e-2])
+            limits.cm_limit_sweep(cmc, values)
 
 
 class TestOnePassSweeps:
@@ -135,16 +125,17 @@ class TestOnePassSweeps:
     def test_cm_limit_sweep_matches_the_per_call_sweep(self, n, seed, z, cm_lattice, hbar):
         rng = np.random.default_rng(seed)
         q = 0.35 * np.arange(n) + 0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n))
-        conf = lax.rs_config(q, [0.0] * n, 1e-2, LAT)
         cm_lat = {
             "same": LAT,
             "other": elliptic.lattice_from_periods(1.0, 0.3 + 1.7j),
             "trig": elliptic.trig_lattice(),
         }[cm_lattice]
         cmc = lax.cm_config(q, rng.normal(size=n), 1.0, cm_lat)
+        # The reference takes the RS configuration on cmc's own lattice.
+        conf = lax.rs_config(q, [0.0] * n, 1e-2, cm_lat)
         z = {"cell": 0.17 + 0.23j, "node": LAT.omega2, "nan": complex("nan")}[z]
         oracles.assert_same_outcome(
-            oracles.outcome(limits.cm_limit_sweep, conf, cmc, hbar, z=z),
+            oracles.outcome(limits.cm_limit_sweep, cmc, hbar, z=z),
             oracles.outcome(oracles.cm_limit_sweep_reference, conf, cmc, hbar, z=z),
         )
 
@@ -190,13 +181,12 @@ class TestOnePassSweeps:
         def forbidden(*args, **kwargs):
             raise AssertionError("a configuration was rebuilt")
 
-        conf = base_conf(3)
-        cmc = lax.cm_config(conf.q, [0.3, -0.2, 0.1], 1.0, LAT)
+        cmc = lax.cm_config(base_conf(3).q, [0.3, -0.2, 0.1], 1.0, LAT)
         monkeypatch.setattr(lax, "rs_config", forbidden)
         monkeypatch.setattr(lax, "RSConfig", forbidden)
         monkeypatch.setattr(elliptic, "sigma", forbidden)
         monkeypatch.setattr(elliptic, "lattice_distance", forbidden)
-        sweep = limits.cm_limit_sweep(conf, cmc, [1e-2, 5e-3, 2.5e-3])
+        sweep = limits.cm_limit_sweep(cmc, [1e-2, 5e-3, 2.5e-3])
         assert 0.85 <= sweep.fitted_order <= 1.15
 
 
