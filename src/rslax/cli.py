@@ -271,7 +271,9 @@ def load_config(path, command, seed_override=None, out_override=None, tol_scale=
         raise ConfigInvalid(f"not valid JSON: {exc}", field="config")
     if not isinstance(raw, dict):
         raise ConfigInvalid("top level must be an object", field="config")
-    if raw.get("schema_version") != SCHEMA_VERSION:
+    # JSON true is not an integer, though Python reads it as 1.
+    version = raw.get("schema_version")
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise ConfigInvalid(
             f"schema_version must be {SCHEMA_VERSION}", field="schema_version"
         )
@@ -282,7 +284,7 @@ def load_config(path, command, seed_override=None, out_override=None, tol_scale=
             field="command",
         )
     seed = seed_override if seed_override is not None else raw.get("seed", 0)
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigInvalid("seed must be an integer", field="seed")
     out = out_override or raw.get("output_dir", ".")
     params = raw.get("params", {})

@@ -459,12 +459,16 @@ def _composition(q, P, hbar, lat, z):
     return _lax_matrix(entries, z, P)
 
 
-def _row_f(args, n, sigma_mu, wp_mu, lat):
-    """(f^2, prod_{l != i} f(q_i - q_l) per row i) from the reduced
-    arguments args of the differences over i != l (row-major), which the
-    caller keeps off the lattice, with f(q)^2 = sigma(mu)^2 * (wp(mu) -
-    wp(q)) and the principal square root taken factor by factor."""
-    f2 = sigma_mu**2 * (wp_mu - elliptic._wp(args, lat)) if n > 1 else args.x
+def _row_f(plus, minus, zero, n):
+    """(f^2, prod_{l != i} f(q_i - q_l) per row i) from sigma at q_i - q_l +
+    mu (plus), q_i - q_l - mu (minus) and q_i - q_l (zero) over i != l
+    (row-major), which the caller keeps off the lattice, with
+
+        f(q)^2 = sigma(mu)^2 (wp(mu) - wp(q)) = sigma(q + mu) sigma(q - mu) / sigma(q)^2
+
+    formed as two quotients, so that no sigma(q)^2 overflows, and the
+    principal square root taken factor by factor."""
+    f2 = plus / zero * (minus / zero)
     return f2, np.sqrt(f2).reshape(n, n - 1).prod(axis=1)
 
 
@@ -475,8 +479,9 @@ def ruijsenaars_lax(conf: RSConfig, lam) -> SpectralMatrix:
                   * sigma(q_i - q_j + lam) * sigma(mu)
                   / (sigma(lam) * sigma(q_i - q_j + mu))
 
-    with f(q)^2 = sigma(mu)^2 * (wp(mu) - wp(q)) and the principal square
-    root taken factor by factor.
+    with f(q)^2 = sigma(mu)^2 (wp(mu) - wp(q)) = sigma(q + mu) sigma(q - mu)
+    / sigma(q)^2, read from sigma alone, and the principal square root taken
+    factor by factor.
     """
     P = np.asarray(conf.P, dtype=complex)
     with np.errstate(all="ignore"):
@@ -488,20 +493,20 @@ class _RuijsenaarsPlan(_Plan):
     """ruijsenaars_lax laid out once for conf's n, mu and lattice and the
     spectral point lam (lam and mu checked here): the sigma arguments are
     the blocks q_i - q_k + lam and q_i - q_k + mu (all pairs), q_i - q_k -
-    mu and q_i - q_k (i != k); sigma(lam), sigma(mu) and wp(mu) are
-    evaluated here, from one reduction of lam and mu.  The q-gradient map
-    is R -> g, g_j = sum_{i,k} R_{ik} dL'_{ik}/dq_j.
+    mu and q_i - q_k (i != k), all read in one sigma pass; sigma(lam) and
+    sigma(mu) are evaluated here, from one reduction of lam and mu.  The
+    q-gradient map is R -> g, g_j = sum_{i,k} R_{ik} dL'_{ik}/dq_j.
 
-    The factor sigma(q_i - q_k + lam) vanishes where positions are spaced by
-    -lam, so it is differentiated as sigma' times the other factors.  The
-    other factors are kept off zero by the pole checks and enter through
-    their log-derivatives: -zeta(q + mu) for 1/sigma(q + mu) and, for f,
-    since wp(mu) - wp(q) = -sigma(mu + q) sigma(mu - q)/(sigma(mu)^2
-    sigma(q)^2) gives f(q)^2 = sigma(q + mu) sigma(q - mu)/sigma(q)^2, on any
-    square-root branch
+    By the addition theorem wp(mu) - wp(q) = sigma(q + mu) sigma(q - mu) /
+    (sigma(mu)^2 sigma(q)^2), so f(q)^2 = sigma(mu)^2 (wp(mu) - wp(q)) =
+    sigma(q + mu) sigma(q - mu) / sigma(q)^2 is read from the last three
+    blocks (_row_f).  The factor sigma(q_i - q_k + lam) vanishes where
+    positions are spaced by -lam, so it is differentiated as sigma' times
+    the other factors.  The other factors are kept off zero by the pole
+    checks and enter through their log-derivatives: -zeta(q + mu) for
+    1/sigma(q + mu) and, for f, on any square-root branch
 
-        d(log f)/dq = -wp'(q)/(2 (wp(mu) - wp(q)))
-                    = (zeta(q + mu) + zeta(q - mu))/2 - zeta(q).
+        d(log f)/dq = (zeta(q + mu) + zeta(q - mu))/2 - zeta(q).
     """
 
     def __init__(self, conf: RSConfig, lam):
@@ -513,7 +518,6 @@ class _RuijsenaarsPlan(_Plan):
         idx = batch.add([lam, mu])
         batch.off_lattice(lam=idx[0], mu=idx[1])
         self.sigma_lam, self.sigma_mu = batch.sigma(idx)
-        self.wp_mu = batch.wp(idx[1]) if n > 1 else None
         rows, cols, self.off = _pairs(n)
         m, o = n * n, self.off.size
         self.I = np.concatenate([rows, rows, rows[self.off], rows[self.off]])
@@ -535,22 +539,21 @@ class _RuijsenaarsPlan(_Plan):
     def _evaluate(self, args, P, jacobian=False):
         """L' at the arguments args of positions q and exponents P, and with
         jacobian also its q-gradient map (R, h) -> g, h = (R * L').sum(axis=1)."""
-        n, lat = self.n, self.lat
-        m, o = n * n, self.off.size
+        n, lat, s, ds = self.n, self.lat, self.s, self.ds
+        m = n * n
         if (elliptic._distance(args, lat, self.mu_off) < elliptic.POLE_TOL).any():
             raise PoleAtLattice("some q_i - q_j + mu is on the lattice")
+        elliptic._sigma_orders(args, lat, s, ds if jacobian else None)
         # The differences are kept off the lattice by the collision guard,
         # or, in matrix(), by RSConfig's distinctness check.
-        f2, row_f = _row_f(args.part(self.diffs), n, self.sigma_mu, self.wp_mu, lat)
+        minus, zero = s[2 * m :].reshape(2, -1)
+        f2, row_f = _row_f(s[self.mu_off], minus, zero, n)
         if np.any((f2.real < 0) & (np.abs(f2.imag) < 1e-9 * np.abs(f2))):
             warnings.warn(
                 "f^2 value near the negative real axis: principal square root "
                 "may be discontinuous",
                 BranchCutWarning,
             )
-        k = args.x.size if jacobian else 2 * m
-        s, ds = self.s[:k], self.ds[:k]
-        elliptic._sigma_orders(args.part(slice(k)), lat, s, ds if jacobian else None)
         S_mu = s[m : 2 * m].reshape(n, n)
         theta = np.exp(P)
         # L' without its factor sigma(q_i - q_k + lam).
@@ -584,23 +587,34 @@ def ruijsenaars_equivalent_momenta(conf: RSConfig):
 
     where conf' replaces P by the returned exponents.  The formula matches
     the diagonal factors of the two matrices row by row, absorbing the square
-    root branch choices into the momentum normalization.
+    root branch choices into the momentum normalization.  Its sigma values
+    come from one pass (elliptic._Batch); ValueOverflow where a sigma
+    product, and so exp(theta_k), underflows or overflows a double.
     """
     n, lat = conf.n, conf.lat
     D = _diff_matrix(conf.q)
+    off = _pairs(n)[2]
     batch = elliptic._Batch(lat)
     D_idx, hD, hbar = batch.add(D), batch.add(conf.hbar + D), batch.add(conf.hbar)
+    # q_i - q_l + hbar, q_i - q_l - hbar and q_i - q_l over i != l, for f.
+    f_idx = np.stack([hD.flat[off], batch.add(D.flat[off] - conf.hbar), D_idx.flat[off]])
     prod_den, col = _transport_diagonals(batch, D_idx, hD)
     sig_h = batch.sigma(hbar)
-    wp_h = batch.wp(hbar) if n > 1 else None
     # There col and f vanish, and their quotient is not defined.
     batch.off_lattice(**{"hbar + q_l - q_k": hD})
     P = np.asarray(conf.P, dtype=complex)
     if np.any(P.real > _LOG_MAX):
         raise ValueOverflow(f"ruijsenaars_equivalent_momenta{_exp_overflow(P)}")
-    d_row = np.exp(P) / prod_den
-    args = batch.args.part(D_idx.reshape(-1)[_pairs(n)[2]])
-    return np.log(d_row * col / (sig_h * _row_f(args, n, sig_h, wp_h, lat)[1]))
+    with np.errstate(all="ignore"):
+        x = np.exp(P) / prod_den * col / (sig_h * _row_f(*batch.sigma(f_idx), n)[1])
+    bad = np.flatnonzero(~np.isfinite(x) | (x == 0))
+    if bad.size:
+        k = bad[0]
+        raise ValueOverflow(
+            f"ruijsenaars_equivalent_momenta: exp(theta_{k}) is {x[k]:.3g}: its "
+            "sigma products underflow or overflow a double"
+        )
+    return np.log(x)
 
 
 def krichever_lax(conf: RSConfig, z, lam) -> SpectralMatrix:

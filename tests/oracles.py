@@ -64,19 +64,59 @@ def weierstrass_mpmath(z, omega1, omega2, dps=50):
     sigma is an mpmath number, which may lie outside the range of a double;
     the others are complex."""
     with mp.workdps(dps):
-        o1, o2, x = mp.mpc(omega1), mp.mpc(omega2), mp.mpc(z) / mp.mpc(omega1)
-        q = mp.exp(1j * mp.pi * o2 / o1)
-
-        def theta1(u, order):
-            return mp.pi**order * mp.jtheta(1, mp.pi * u, q, derivative=order)
-
-        eta_hat = -theta1(0, 3) / (6 * theta1(0, 1))
-        t0, t1, t2, t3 = (theta1(x, o) for o in range(4))
-        s = o1 * mp.exp(eta_hat * x * x) * t0 / theta1(0, 1)
-        ze = (2 * eta_hat * x + t1 / t0) / o1
-        wpv = (-2 * eta_hat - (t2 * t0 - t1**2) / t0**2) / o1**2
-        dwp = -(t3 / t0 - 3 * t1 * t2 / t0**2 + 2 * (t1 / t0) ** 3) / o1**3
+        s, ze, wpv, dwp = _weierstrass_mp(z, omega1, omega2)
         return +s, complex(ze), complex(wpv), complex(dwp)
+
+
+def _weierstrass_mp(z, omega1, omega2):
+    """weierstrass_mpmath's four values as mpmath numbers at the working
+    precision."""
+    o1, o2, x = mp.mpc(omega1), mp.mpc(omega2), mp.mpc(z) / mp.mpc(omega1)
+    q = mp.exp(1j * mp.pi * o2 / o1)
+
+    def theta1(u, order):
+        return mp.pi**order * mp.jtheta(1, mp.pi * u, q, derivative=order)
+
+    eta_hat = -theta1(0, 3) / (6 * theta1(0, 1))
+    t0, t1, t2, t3 = (theta1(x, o) for o in range(4))
+    s = o1 * mp.exp(eta_hat * x * x) * t0 / theta1(0, 1)
+    ze = (2 * eta_hat * x + t1 / t0) / o1
+    wpv = (-2 * eta_hat - (t2 * t0 - t1**2) / t0**2) / o1**2
+    dwp = -(t3 / t0 - 3 * t1 * t2 / t0**2 + 2 * (t1 / t0) ** 3) / o1**3
+    return s, ze, wpv, dwp
+
+
+def ruijsenaars_mpmath(q, P, mu, lam, periods=None, kind="elliptic", dps=50):
+    """The Ruijsenaars RS Lax matrix
+
+        L'_ij = exp(P_i) prod_{l != i} f(q_i - q_l)
+                * sigma(q_i - q_j + lam) sigma(mu) / (sigma(lam) sigma(q_i - q_j + mu))
+
+    and its f(q_i - q_l)^2 = sigma(mu)^2 (wp(mu) - wp(q_i - q_l)) over
+    i != l (row-major), at dps digits, with the principal square root of f^2
+    taken factor by factor.  sigma and wp are those of weierstrass_mpmath on
+    the lattice of periods, or the closed forms sin(z), 1/sin(z)^2 of the
+    trigonometric kind and z, 1/z^2 of the rational kind."""
+    with mp.workdps(dps):
+        if kind == "elliptic":
+            def sw(z):
+                return _weierstrass_mp(z, *periods)[::2]
+        elif kind == "trig":
+            def sw(z):
+                return mp.sin(mp.mpc(z)), 1 / mp.sin(mp.mpc(z)) ** 2
+        else:
+            def sw(z):
+                return mp.mpc(z), 1 / mp.mpc(z) ** 2
+        n = len(q)
+        s_mu, wp_mu = sw(mu)
+        f2 = [s_mu**2 * (wp_mu - sw(q[i] - q[l])[1]) for i in range(n) for l in range(n) if l != i]
+        L = np.empty((n, n), dtype=complex)
+        for i in range(n):
+            row = mp.exp(P[i]) * mp.fprod(mp.sqrt(v) for v in f2[i * (n - 1) : (i + 1) * (n - 1)])
+            for j in range(n):
+                d = q[i] - q[j]
+                L[i, j] = complex(row * sw(d + lam)[0] * s_mu / (sw(lam)[0] * sw(d + mu)[0]))
+        return L, np.array([complex(v) for v in f2])
 
 
 def hasegawa_mpmath(q, P, hbar, z, omega1, omega2):
@@ -465,14 +505,14 @@ def ruijsenaars_equivalent_momenta_reference(conf):
     """rslax.lax.ruijsenaars_equivalent_momenta, one public call per value."""
     from rslax import elliptic, lax
 
-    n, lat = conf.n, conf.lat
+    n, lat, hbar = conf.n, conf.lat, conf.hbar
     prod_den, col = _transport_diagonals_reference(conf)
     d_row = np.exp(np.asarray(conf.P, dtype=complex)) / prod_den
-    sig_h = elliptic.sigma(conf.hbar, lat)
-    wp_h = elliptic.wp(conf.hbar, lat) if n > 1 else None
-    _off_lattice_reference(lat, **{"hbar + q_l - q_k": conf.hbar + lax._diff_matrix(conf.q)})
-    args = elliptic._reduce(lax._diff_matrix(conf.q).reshape(-1)[lax._pairs(n)[2]], lat)
-    return np.log(d_row * col / (sig_h * lax._row_f(args, n, sig_h, wp_h, lat)[1]))
+    sig_h = elliptic.sigma(hbar, lat)
+    _off_lattice_reference(lat, **{"hbar + q_l - q_k": hbar + lax._diff_matrix(conf.q)})
+    d = lax._diff_matrix(conf.q).reshape(-1)[lax._pairs(n)[2]]
+    plus, minus, zero = (elliptic.sigma(v, lat) for v in (d + hbar, d - hbar, d))
+    return np.log(d_row * col / (sig_h * lax._row_f(plus, minus, zero, n)[1]))
 
 
 def degeneration_sweep_reference(conf, im_tau_values, z=0.17 + 0.23j):

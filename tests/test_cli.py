@@ -926,17 +926,20 @@ INVALID_CONFIGS = [
     ("lax", dict(LIMIT_PARAMS, hbar=True), "params.hbar"),
     ("lax", dict(LIMIT_PARAMS, hbar={"re": True}), "params.hbar"),
     ("lax", dict(LIMIT_PARAMS, q=[0.1, {"re": 0.45, "im": False}]), "params.q[1]"),
+    # Nor integers: true would read as 1.  For a top-level field, the
+    # second column holds the config's top-level fields, with empty params.
+    ("verify", {"seed": True}, "seed"),
+    ("verify", {"schema_version": True}, "schema_version"),
 ]
 
 
 @pytest.mark.parametrize("command,params,field", INVALID_CONFIGS)
 def test_invalid_field_is_a_config_error(tmp_path, capsys, command, params, field):
     out = tmp_path / "out"
-    cfg = write_config(
-        tmp_path,
-        "c.json",
-        {"schema_version": 1, "command": command, "output_dir": str(out), "params": params},
-    )
+    config = {"schema_version": 1, "command": command, "output_dir": str(out), "params": params}
+    if not field.startswith("params"):
+        config.update(params, params={})
+    cfg = write_config(tmp_path, "c.json", config)
     assert cli.main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}: ")

@@ -549,10 +549,10 @@ class TestFlowLoop:
             # each of the 11 accepted points, for their spectra, all in one
             # block.
             ("trace_power", None, [3], [12], [12] * 4, [11 * 21]),
-            # sigma at [lam, mu] and wp(mu); then wp at the n(n - 1)
-            # differences and sigma over the 2n^2 + 2n(n - 1) arguments; the
-            # spectra are those of the stages' L.
-            ("rs_cosh", 0.09 + 0.02j, [2, 1], [6, 30], [6, 30] * 4, []),
+            # sigma at [lam, mu]; then one series per stage over the 2n^2 +
+            # 2n(n - 1) arguments, f among them; the spectra are those of
+            # the stages' L.
+            ("rs_cosh", 0.09 + 0.02j, [2], [30], [30] * 4, []),
         ],
     )
     def test_theta_series_calls_per_stage(
@@ -573,10 +573,10 @@ class TestFlowLoop:
         start = dynamics.PhasePoint(conf.q, conf.P)
         dynamics.integrate(spec, start, conf, 0.02, 2e-3)
         # No step reads the rates of the last accepted point: there the Tr L
-        # route makes no series, and the rs_cosh route builds L only, wp at
-        # the differences and sigma (no sigma') at its 2n^2 arguments.
+        # route makes no series, and the rs_cosh route builds L only: one
+        # series (sigma, no sigma') over its 2n^2 + 2n(n - 1) arguments.
         stages = (at_start + per_step * 10)[: -len(at_start)]
-        at_last = [] if family == "trace_power" else [6, 18]
+        at_last = [] if family == "trace_power" else [30]
         assert sizes == flow_constants + stages + at_last + spectra
 
     @pytest.mark.parametrize(

@@ -183,6 +183,78 @@ class TestRuijsenaars:
             with pytest.raises(ValueOverflow, match=r"exp\(P_0\) overflows \(Re P_0 = 1218.77\)"):
                 lax.ruijsenaars_equivalent_momenta(conf)
 
+    @pytest.mark.parametrize(
+        "periods,q,P,hbar",
+        [
+            # sigma(hbar + q_0 - q_1) underflows to 0: theta_1 came out -inf.
+            (
+                (20.729 - 1.699j, -0.422 + 1.091j),
+                [-7.173 - 23.446j, 13.039 - 15.711j],
+                [-0.273 + 0.474j, -0.083 + 0.455j],
+                -5.615 - 7.170j,
+            ),
+            # sigma(q_0 - q_1) underflows to 0: every theta came out NaN.
+            (
+                (0.1377 - 0.0055j, -0.0672 + 0.0099j),
+                [0.0800 - 0.0596j, -0.4578 + 0.0953j, 0.0741 + 0.0909j, 0.0756 - 0.0302j],
+                [-0.09 + 0.09j, -0.37 - 0.13j, 0.29, -0.68 - 0.14j],
+                -0.0034 - 0.0256j,
+            ),
+        ],
+        ids=["log-of-zero", "nan"],
+    )
+    def test_equivalent_momenta_name_sigma_products_beyond_the_doubles(self, periods, q, P, hbar):
+        conf = lax.rs_config(q, P, hbar, elliptic.lattice_from_periods(*periods))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValueOverflow,
+                match=r"^ruijsenaars_equivalent_momenta: exp\(theta_0\) is .*: its sigma "
+                "products underflow or overflow a double$",
+            ):
+                lax.ruijsenaars_equivalent_momenta(conf)
+
+    @pytest.mark.parametrize(
+        "kind,periods,q,mu,lam",
+        [
+            # wp(mu) - wp(q) cancels: through wp, L'[0, 0] came out 8.9e-5
+            # off, relative.
+            (
+                "elliptic",
+                (0.061 - 0.0106j, 0.00156 + 0.00451j),
+                [-0.0210 + 0.0050j, 0.0],
+                -0.0161 + 0.0253j,
+                0.0191 - 0.0039j,
+            ),
+            ("elliptic", (1.0, 0.2 + 2.2j), [0.1 + 0.05j, 0.45 - 0.03j, 0.8 + 0.02j], 0.09 + 0.02j, Z),
+            ("trig", None, [0.1 + 0.05j, 0.45 - 0.03j, 0.8 + 0.02j], 0.09 + 0.02j, Z),
+            ("rational", None, [0.1 + 0.05j, 0.45 - 0.03j, 0.8 + 0.02j], 0.09 + 0.02j, Z),
+        ],
+        ids=["elliptic-wp-cancels", "elliptic", "trig", "rational"],
+    )
+    def test_f_matches_its_wp_form(self, monkeypatch, kind, periods, q, mu, lam):
+        # f^2 = sigma(mu)^2 (wp(mu) - wp(q)) at 50 digits (mpmath), against
+        # the f^2 that ruijsenaars_lax and the flow plan's jacobian read
+        # from sigma, and L' itself.
+        lat = {
+            "elliptic": lambda: elliptic.lattice_from_periods(*periods),
+            "trig": elliptic.trig_lattice,
+            "rational": elliptic.rational_lattice,
+        }[kind]()
+        P = [0.1, -0.2, 0.05][: len(q)]
+        conf = lax.rs_config(q, P, mu, lat)
+        L_ref, f2_ref = oracles.ruijsenaars_mpmath(q, P, mu, lam, periods, kind)
+        seen, row_f = [], lax._row_f
+        monkeypatch.setattr(lax, "_row_f", lambda *a: seen.append(row_f(*a)) or seen[-1])
+        L = lax.ruijsenaars_lax(conf, lam).entries
+        plan = lax._RuijsenaarsPlan(conf, lam)
+        qa, Pa = np.asarray(conf.q), np.asarray(conf.P)
+        assert plan.jacobian(plan.reduce(qa, False)[0], Pa)[0].tobytes() == L.tobytes()
+        assert len(seen) == 2
+        for f2, _ in seen:
+            assert np.all(np.abs(f2 - f2_ref) <= 1e-12 * np.abs(f2_ref))
+        assert np.all(np.abs(L - L_ref) <= 1e-12 * np.abs(L_ref).max())
+
     def test_zero_mu_rejected(self):
         conf = lax.rs_config([0.1, 0.5], [0.0, 0.0], 0.1, LAT, mu=0.0)
         # sigma(mu) = 0 at mu = 0: the Ruijsenaars form reports the lattice
