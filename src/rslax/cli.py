@@ -271,11 +271,11 @@ def load_config(path, command, seed_override=None, out_override=None, tol_scale=
         raise ConfigInvalid(f"not valid JSON: {exc}", field="config")
     if not isinstance(raw, dict):
         raise ConfigInvalid("top level must be an object", field="config")
-    # JSON true is not an integer, though Python reads it as 1.
+    # JSON true and 1.0 are not integers, though Python compares them equal to 1.
     version = raw.get("schema_version")
-    if isinstance(version, bool) or version != SCHEMA_VERSION:
+    if isinstance(version, bool) or not isinstance(version, int) or version != SCHEMA_VERSION:
         raise ConfigInvalid(
-            f"schema_version must be {SCHEMA_VERSION}", field="schema_version"
+            f"schema_version must be the integer {SCHEMA_VERSION}", field="schema_version"
         )
     cfg_command = raw.get("command", command)
     if cfg_command != command:

@@ -144,21 +144,22 @@ def _not_finite(p, step=None, what="the Lax matrix"):
     return f"{what} is not finite" + where + lax._exp_overflow(p)
 
 
-def _checked_args(plan, diagonal, q, p):
-    """(args, separation): plan.reduce's arguments at positions q and the
-    smallest distance of two positions modulo the lattice; CollisionImminent
-    if q or p is not finite or two positions are closer than
-    COLLISION_MARGIN modulo the lattice."""
-    if not (np.isfinite(q).all() and np.isfinite(p).all()):
+def _checked_args(plan, diagonal, X):
+    """(args, separation): plan.reduce's arguments at the positions q of the
+    phase point X = (q, p), one complex vector, and the smallest distance of
+    two positions modulo the lattice; CollisionImminent if X is not finite
+    or two positions are closer than COLLISION_MARGIN modulo the lattice."""
+    if not np.isfinite(X).all():
         raise CollisionImminent("positions or momenta are not finite")
-    args, dist = plan.reduce(q, diagonal)
+    n = X.size // 2
+    args, dist = plan.reduce(X[:n], diagonal)
     separation = np.inf
     if dist.size:
         k = int(dist.argmin())
         separation = float(dist[k])
         # Written so that a NaN distance fails too.
         if not separation >= COLLISION_MARGIN:
-            i, j = lax._off_pair(q.size, k)
+            i, j = lax._off_pair(n, k)
             raise CollisionImminent(
                 f"positions {i} and {j} are {dist[k]:.3e} apart modulo the "
                 f"lattice, below the collision margin {COLLISION_MARGIN:.1e}"
@@ -166,29 +167,30 @@ def _checked_args(plan, diagonal, q, p):
     return args, separation
 
 
-def _field(spec: HamiltonianSpec, plan, diagonal, q, p, step=None):
-    """(L, dq/dt, dp/dt, the smallest distance of two positions modulo the
-    lattice) at positions q and exponents p (complex arrays), for the plan
-    and diagonal of _lax_form(spec); CollisionImminent where _checked_args
-    fails, or where the entries the field reads or, on the routes that build
-    L, the rates are not finite (named with the flow's step, if given).
+def _field(spec: HamiltonianSpec, plan, diagonal, X, step=None):
+    """(L, the rates (dq/dt, dp/dt) as one vector, the smallest distance of
+    two positions modulo the lattice) at the phase point X = (q, p) (see
+    _checked_args), for the plan and diagonal of _lax_form(spec);
+    CollisionImminent where _checked_args fails, or where the entries the
+    field reads or, on the routes that build L, the rates are not finite
+    (named with the flow's step, if given).
 
     Each family has dH = Tr(G dL) with G = scale * L^power for the trace
     families (spec.scale_power) and G = I - L^{-2} for rs_cosh.  With
     R = G^T, dH = sum_{kk'} R_{kk'} dL_{kk'}: dH/dp_k is the k-th row sum
     of R * L (entrywise), and dH/dq is the Lax form's Jacobian map applied
     to R.  That costs one Lax build plus sigma' values at the same
-    arguments.  Where G = scale * I on the Hasegawa form (diagonal), dH =
-    scale * Tr(dL) reads only the diagonal of L: plan.trace evaluates it
+    arguments.  Where G = I on the Hasegawa form (diagonal: H = Tr L), dH =
+    Tr(dL) reads only the diagonal of L: plan.trace evaluates it and -dH/dq
     from sigma at the 2n(n - 1) arguments of its factors, and L is None.
     """
-    args, separation = _checked_args(plan, diagonal, q, p)
+    args, separation = _checked_args(plan, diagonal, X)
+    p = X[X.size // 2 :]
     if diagonal:
         d, grad = plan.trace(args, p)
         if not np.isfinite(d).all():
             raise CollisionImminent(_not_finite(p, step))
-        scale = spec.scale_power[0]
-        return None, scale * d, -scale * grad, separation
+        return None, np.concatenate((d, grad)), separation
     L, grad_q = plan.jacobian(args, p)
     if not np.isfinite(L).all():
         raise CollisionImminent(_not_finite(p, step))
@@ -203,7 +205,7 @@ def _field(spec: HamiltonianSpec, plan, diagonal, q, p, step=None):
     grad = grad_q(R, dP)
     if not (np.isfinite(dP).all() and np.isfinite(grad).all()):
         raise CollisionImminent(_not_finite(p, step, "the Hamiltonian vector field"))
-    return L, dP, -grad, separation
+    return L, np.concatenate((dP, -grad)), separation
 
 
 def hamiltonian_vector_field(
@@ -213,12 +215,11 @@ def hamiltonian_vector_field(
     with conf's coupling, mu and lattice (see _field)."""
     lax._sizes_agree("the phase point", point.n, conf)
     _, plan, diagonal = _lax_form(spec)
-    q = np.asarray(point.q, dtype=complex)
-    p = np.asarray(point.p, dtype=complex)
     plan = plan(conf, spec.eval_z)
     # A non-finite value ends in CollisionImminent, so numpy need not warn.
     with np.errstate(all="ignore"):
-        return _field(spec, plan, diagonal, q, p)[1:3]
+        rates = _field(spec, plan, diagonal, np.array(point.q + point.p, dtype=complex))[1]
+    return rates[: point.n], rates[point.n :]
 
 
 def _match_drift(ev0, ev):
@@ -262,7 +263,12 @@ def integrate(
     coordinates "p" evolves the canonical pair (q, p); coordinates "theta"
     evolves (q, theta = exp(p)) with dtheta/dt = theta * dp/dt, recording p =
     log theta on a branch continuous along the trajectory.  Both yield the
-    same trajectory up to integrator roundoff.
+    same trajectory up to integrator roundoff.  The state is one vector Y of
+    length 2n, (q, p) or (q, theta), so a stage's input Y + dt/2 K and the
+    RK4 combination are single vector operations, and each stage checks its
+    phase point (q, p) for finiteness once (_checked_args).  The plan keeps
+    what every stage reads: its argument index, the lattice's sigma
+    constants and one buffer of sigma and sigma'.
 
     A step evaluates the field four times: its first stage is the field at
     the accepted point before it.  No step reads the rates of the last
@@ -290,30 +296,35 @@ def integrate(
     theta = coordinates == "theta"
     steps = int(round(t_end / dt))
     block = max(1, _BLOCK_ARGS // plan.c.size)
+    n = start.n
 
-    def momenta(y):
+    def point(Y):
+        """The phase point (q, p) of the state Y."""
         if not theta:
-            return y
-        pv = np.log(y)
+            return Y
+        pv = np.log(Y[n:])
         # Keep the momentum branch continuous with the current p.
-        return pv + 2j * np.pi * np.round((p - pv).imag / (2 * np.pi))
+        p = pv + 2j * np.pi * np.round((X[n:] - pv).imag / (2 * np.pi))
+        return np.concatenate((Y[:n], p))
 
-    def stage(qs, ys):
-        """(L, (dq/dt, dy/dt), the smallest separation) at the stage (qs,
-        ys) of the step, y = p or theta; L is None on the diagonal route."""
-        L, dq, dp, separation = _field(spec, plan, diagonal, qs, momenta(ys), step)
-        return L, (dq, ys * dp if theta else dp), separation
+    def rates(Y):
+        """(L, the rates of Y, the smallest separation) at the stage Y of
+        the step; L is None on the diagonal route."""
+        L, K, separation = _field(spec, plan, diagonal, point(Y), step)
+        if theta:
+            K[n:] = Y[n:] * K[n:]
+        return L, K, separation
 
-    def checked(k, separation):
-        """k, the rates of a stage of the step with that separation."""
-        move = dt * float(np.abs(k[0]).max())
+    def checked(K, separation):
+        """K, the rates of a stage of the step with that separation."""
+        move = dt * float(np.abs(K[:n]).max())
         if not move <= separation / 2:
             raise StepTooLarge(
                 f"step {step}: dt = {dt:g} moves a position by {move:.3e}, "
                 f"more than half the smallest separation {separation:.3e} of "
                 "its stage"
             )
-        return k
+        return K
 
     traj, pending, ev0 = Trajectory(), [], None
 
@@ -322,28 +333,30 @@ def integrate(
         start, into traj; CollisionImminent at the first whose L is not
         finite."""
         nonlocal ev0
-        qs, ps, Ls = zip(*pending)
+        points, Ls = zip(*pending)
         pending.clear()
+        points = np.array(points)
         if diagonal:
-            L = np.moveaxis(plan.matrix(np.array(qs).T, np.array(ps).T), -1, 0)
+            L = np.moveaxis(plan.matrix(points[:, :n].T, points[:, n:].T), -1, 0)
         else:
             L = np.array(Ls)
         finite = np.isfinite(L).all(axis=(1, 2))
-        good = len(qs) if finite.all() else int(finite.argmin())
+        good = len(points) if finite.all() else int(finite.argmin())
         first = len(traj.times)
         if good:
             ev = np.linalg.eigvals(L[:good])
             if not first:
                 ev0 = ev[0]
             traj.times.extend((first + i) * dt for i in range(good))
-            traj.points.extend(PhasePoint(tuple(q), tuple(p)) for q, p in zip(qs, ps[:good]))
+            traj.points.extend(PhasePoint(x[:n], x[n:]) for x in points[:good].tolist())
             traj.spectral_drift.extend(_match_drift(ev0, ev).tolist())
-        if good < len(qs):
-            raise CollisionImminent(_not_finite(ps[good], first + good))
+        if good < len(points):
+            raise CollisionImminent(_not_finite(points[good, n:], first + good))
 
-    q = np.asarray(start.q, dtype=complex)
-    p = np.asarray(start.p, dtype=complex)
-    y = np.exp(p) if theta else p
+    X = np.array(start.q + start.p, dtype=complex)
+    Y = X.copy()
+    if theta:
+        Y[n:] = np.exp(Y[n:])
     try:
         # A non-finite value ends the flow as CollisionImminent at the next
         # _field check or in spectra(), so numpy need not warn about it.
@@ -351,20 +364,18 @@ def integrate(
             try:
                 for step in range(steps + 1):
                     if step:
-                        checked(k1, separation)
-                        k2 = checked(*stage(q + dt / 2 * k1[0], y + dt / 2 * k1[1])[1:])
-                        k3 = checked(*stage(q + dt / 2 * k2[0], y + dt / 2 * k2[1])[1:])
-                        k4 = checked(*stage(q + dt * k3[0], y + dt * k3[1])[1:])
-                        q = q + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-                        y = y + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-                        p = momenta(y)
+                        checked(K1, separation)
+                        K2 = checked(*rates(Y + dt / 2 * K1)[1:])
+                        K3 = checked(*rates(Y + dt / 2 * K2)[1:])
+                        K4 = checked(*rates(Y + dt * K3)[1:])
+                        Y = Y + dt / 6 * (K1 + 2 * K2 + 2 * K3 + K4)
+                        X = point(Y)
                     if step < steps:
-                        L, k1, separation = stage(q, y)
+                        L, K1, separation = rates(Y)
                     else:
-                        ps = momenta(y)
-                        _checked_args(plan, diagonal, q, ps)
-                        L = None if diagonal else plan.matrix(q, ps)
-                    pending.append((q, p, L))
+                        _checked_args(plan, diagonal, X)
+                        L = None if diagonal else plan.matrix(X[:n], X[n:])
+                    pending.append((X, L))
                     if len(pending) == block:
                         spectra()
             finally:

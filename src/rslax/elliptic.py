@@ -387,8 +387,19 @@ def sigma(z, lat: Lattice):
     return batch.sigma(batch.add(z))
 
 
-def _sigma_orders(args: _Args, lat: Lattice, s, ds=None):
-    """Write sigma into s and, given ds, sigma' into ds at args.
+def _sigma_constants(lat: Lattice):
+    """(eta1_hat, log(red_omega1/theta1'(0))), the constants _sigma_orders
+    reads on an elliptic lat (see there), or None on the degenerate kinds:
+    a caller that evaluates sigma on one lattice many times keeps them."""
+    if lat.kind != KIND_ELLIPTIC:
+        return None
+    t1, eta = _unit_constants(lat.red_tau)
+    return eta, cmath.log(lat.red_omega1 / t1)
+
+
+def _sigma_orders(args: _Args, lat: Lattice, s, ds=None, constants=None):
+    """Write sigma into s and, given ds, sigma' into ds at args, with
+    constants = _sigma_constants(lat) (looked up when None).
 
     On an elliptic lattice, with theta1(x) = (-1)^(m+n) exp(-i pi n (n tau
     + 2 xr)) theta1(xr) (tau = red_tau),
@@ -420,8 +431,8 @@ def _sigma_orders(args: _Args, lat: Lattice, s, ds=None):
         return
     x, xr, n, m = args
     w, tau = lat.red_omega1, lat.red_tau
-    t1, eta = _unit_constants(tau)
-    g = eta * x * x - 1j * np.pi * (n * (n * tau + 2.0 * xr) + m + n) + cmath.log(w / t1)
+    eta, log_scale = constants or _sigma_constants(lat)
+    g = eta * x * x - 1j * np.pi * (n * (n * tau + 2.0 * xr) + m + n) + log_scale
     sums = _theta1_sums(xr, tau, 2, g)
     s[...] = sums[0]
     if ds is not None:

@@ -162,7 +162,8 @@ def _exclusive_products(S):
     Prefix times suffix products, with no division, so zero entries are
     allowed.
     """
-    out = np.ones_like(S)
+    out = np.empty_like(S)
+    out[:1] = 1.0
     S[:-1].cumprod(axis=0, out=out[1:])
     out[:-1] *= S[:0:-1].cumprod(axis=0)[::-1]
     return out
@@ -240,8 +241,10 @@ def _hasegawa_layout(n):
     factors of the diagonal of L are its first 2n(n - 1) arguments.  layout
     (3, n, n) gathers the matrices A, B, S from the sigma values extended by
     [the diagonal of B, the diagonal of S]; xlayout (n, n, n) gathers
-    X[l, k, k'] = B[l, k'], and 1 (the diagonal of S) at l = k; tlayout
-    (2, n, n) gathers B with a unit diagonal, and S.
+    X[l, k, k'] = B[l, k'], and 1 (the diagonal of S) at l = k.  From the
+    flat buffer of those values followed by their sigma' (the plan's flat),
+    jlayout (6, n, n) gathers A, B, S and their sigma', and tlayout (4, n,
+    n) B with a unit diagonal, S and their sigma', each in one gather.
     """
     rows, cols, off = _pairs(n)
     m, o = n * n, off.size
@@ -254,9 +257,12 @@ def _hasegawa_layout(n):
     xlayout = np.where(np.eye(n, dtype=bool)[:, :, None], m + 2 * o + 1, layout[1][:, None, :])
     tlayout = layout[1:].copy()
     tlayout[0].flat[:: n + 1] = m + 2 * o + 1
-    for arr in (I, J, layout, xlayout, tlayout):
+    size = m + 2 * o + 2
+    jlayout = np.concatenate([layout, layout + size])
+    tlayout = np.concatenate([tlayout, tlayout + size])
+    for arr in (I, J, layout, xlayout, jlayout, tlayout):
         arr.setflags(write=False)
-    return I, J, layout, xlayout, tlayout
+    return I, J, layout, xlayout, jlayout, tlayout
 
 
 class _Plan:
@@ -265,17 +271,26 @@ class _Plan:
     are the differences q_a - q_b over a != b, row-major.  A stage reduces
     its arguments once (reduce), for both its collision distances and its
     sigma pass (jacobian, or trace), which writes sigma and sigma' into the
-    plan's buffers s and ds."""
+    plan's one buffer flat = (s, ds) with the lattice's sigma constants."""
 
-    def _args(self, q, k=None):
-        """The first k arguments (all with k None), reduced."""
-        return elliptic._reduce(q[self.I[:k]] - q[self.J[:k]] + self.c[:k], self.lat)
+    def _keep(self, lat, I, J, c, size, factors=None):
+        """Keep what every stage reads: lat and its sigma constants, the
+        argument index (I, J, c) and its first factors entries (all with
+        None), which a diagonal stage reads, and the buffer flat of sigma
+        and then sigma' at size points each."""
+        self.lat = lat
+        self.constants = elliptic._sigma_constants(lat)
+        self.I, self.J, self.c = I, J, c
+        self.factor_index = (I[:factors], J[:factors], c[:factors])
+        self.flat = np.empty(2 * size, dtype=complex)
+        self.s, self.ds = self.flat.reshape(2, size)
 
     def reduce(self, q, diagonal):
         """(args, dist): the reduced arguments of a stage at the positions q
         (only those of the factors of diag L where diagonal, for trace), and
         the distances of the differences from the lattice."""
-        args = self._args(q, self.factors if diagonal else None)
+        I, J, c = self.factor_index if diagonal else (self.I, self.J, self.c)
+        args = elliptic._reduce(q[I] - q[J] + c, self.lat)
         return args, elliptic._distance(args, self.lat, self.diffs)
 
 
@@ -299,21 +314,20 @@ class _HasegawaPlan(_Plan):
         z = complex(z)
         hbar = conf.hbar
         n = conf.n
-        self.lat = conf.lat
-        self.I, self.J, self.layout, self.xlayout, self.tlayout = _hasegawa_layout(n)
+        I, J, self.layout, self.xlayout, self.jlayout, self.tlayout = _hasegawa_layout(n)
         m, o = n * n, n * n - n
-        self.c = np.array([hbar, 0.0, z + hbar]).repeat([o, o, m])
+        c = np.array([hbar, 0.0, z + hbar]).repeat([o, o, m])
         self.diffs = slice(o, 2 * o)
-        self.factors = 2 * o  # the arguments of B and S
-        # The tails hold the diagonals of B and S, for sigma and for sigma'.
-        self.s, self.ds = np.empty((2, m + 2 * o + 2), dtype=complex)
+        # The factors of diag L are the arguments of B and S.  The buffer's
+        # tails hold the diagonals of B and S, for sigma and for sigma'.
+        self._keep(conf.lat, I, J, c, m + 2 * o + 2, factors=2 * o)
         batch = elliptic._Batch(self.lat)
         batch.add([hbar, z, z + hbar])  # the constants, at 0, 1 and 2
         batch.off_lattice(z=1)
         s, ds = np.empty((2, 3), dtype=complex)
         # A constant that is not a double makes the entries of L not finite.
         with np.errstate(all="ignore"):
-            elliptic._sigma_orders(batch.args, self.lat, s, ds)
+            elliptic._sigma_orders(batch.args, self.lat, s, ds, self.constants)
         self.s[-2], self.sigma_z, self.sigma_zh = s
         self.ds[-2] = ds[0]
         self.s[-1], self.ds[-1] = 1.0, 0.0
@@ -325,7 +339,7 @@ class _HasegawaPlan(_Plan):
         s = np.empty((x.shape[0] + 2, *x.shape[1:]), dtype=complex)
         s[-2], s[-1] = self.s[-2], self.s[-1]
         args = elliptic._reduce(x.reshape(-1), self.lat)
-        elliptic._sigma_orders(args, self.lat, s[:-2].reshape(-1))
+        elliptic._sigma_orders(args, self.lat, s[:-2].reshape(-1), constants=self.constants)
         return self._entries(s, P)
 
     def _entries(self, s, P):
@@ -336,7 +350,7 @@ class _HasegawaPlan(_Plan):
         return np.exp(P)[:, None] * (E[:, None] * A * _exclusive_products(B))
 
     def trace(self, args, P):
-        """diag L and d(Tr L)/dq at the arguments args of positions q and
+        """diag L and -d(Tr L)/dq at the arguments args of positions q and
         exponents P.
 
         L_kk = c_k N_kk with c_k = exp(P_k) sigma(z + hbar) E_k, so Tr L
@@ -346,17 +360,16 @@ class _HasegawaPlan(_Plan):
         l != k, without division, so a vanishing B stays exact.  The factors
         of Tr L at q_l - q_k weigh M[l, k] = c_k sigma'(B[l, k]) U[l, k] -
         L_kk zeta(S[l, k]), and d(Tr L)/dq = rowsum(M) - colsum(M) (see
-        jacobian, with R = I).
+        jacobian, with R = I), returned negated as the flow's dp/dt.
         """
         k = args.x.size
-        elliptic._sigma_orders(args, self.lat, self.s[:k], self.ds[:k])
-        B, S = self.s[self.tlayout]
-        dB, dS = self.ds[self.tlayout]
+        elliptic._sigma_orders(args, self.lat, self.s[:k], self.ds[:k], self.constants)
+        B, S, dB, dS = self.flat[self.tlayout]
         U = _exclusive_products(B)
         c = np.exp(P) * (self.sigma_zh / (self.sigma_z * S.prod(axis=0)))
         d = c * U.diagonal()
         M = c * dB * U - d * (dS / S)
-        return d, M.sum(axis=1) - M.sum(axis=0)
+        return d, M.sum(axis=0) - M.sum(axis=1)
 
     def jacobian(self, args, P):
         """L at the arguments args of positions q and exponents P, and the
@@ -374,10 +387,10 @@ class _HasegawaPlan(_Plan):
         inf there).  Only the denominator S, kept off zero by the collision
         guard, enters through zeta.
         """
-        s, ds = self.s, self.ds
+        s = self.s
         k = args.x.size
-        elliptic._sigma_orders(args, self.lat, s[:k], ds[:k])
-        A, B, S = s[self.layout]
+        elliptic._sigma_orders(args, self.lat, s[:k], self.ds[:k], self.constants)
+        A, B, S, dA, dB, dS = self.flat[self.jlayout]
         E = 1.0 / (self.sigma_z * S.prod(axis=0))
         # X[l, k, k'] = prod_{m not in {k, l}} B[m, k'] for l != k, and
         # N[k, k'] at l = k, zeroed: B[k, k'] is not a factor of L_{kk'}.
@@ -388,7 +401,6 @@ class _HasegawaPlan(_Plan):
         diagonal[...] = 0.0
         expP = np.exp(P)
         L = expP[:, None] * (E[:, None] * A * N)
-        dA, dB, dS = ds[self.layout]
         Z = dS / S  # zeta(q_l - q_k), 0 on the diagonal
         E = expP * E
 
@@ -513,24 +525,23 @@ class _RuijsenaarsPlan(_Plan):
         lam = complex(lam)
         mu = conf.mu
         self.n = n = conf.n
-        self.lat = conf.lat
-        batch = elliptic._Batch(self.lat)
+        batch = elliptic._Batch(conf.lat)
         idx = batch.add([lam, mu])
         batch.off_lattice(lam=idx[0], mu=idx[1])
         self.sigma_lam, self.sigma_mu = batch.sigma(idx)
         rows, cols, self.off = _pairs(n)
         m, o = n * n, self.off.size
-        self.I = np.concatenate([rows, rows, rows[self.off], rows[self.off]])
-        self.J = np.concatenate([cols, cols, cols[self.off], cols[self.off]])
-        self.c = np.array([lam, mu, -mu, 0.0]).repeat([m, m, o, o])
-        self.s, self.ds = np.empty((2, 2 * m + 2 * o), dtype=complex)
+        I = np.concatenate([rows, rows, rows[self.off], rows[self.off]])
+        J = np.concatenate([cols, cols, cols[self.off], cols[self.off]])
+        c = np.array([lam, mu, -mu, 0.0]).repeat([m, m, o, o])
+        self._keep(conf.lat, I, J, c, 2 * m + 2 * o)
         self.diffs = slice(2 * m + o, None)
         # The off-diagonal q_i - q_k + mu; the diagonal is mu, checked above.
         self.mu_off = m + self.off
 
     def matrix(self, q, P):
         """The entries at the position and exponent arrays (q, P)."""
-        return self._evaluate(self._args(q), P)
+        return self._evaluate(self.reduce(q, False)[0], P)
 
     def jacobian(self, args, P):
         """L' and its q-gradient map (see _evaluate)."""
@@ -543,7 +554,7 @@ class _RuijsenaarsPlan(_Plan):
         m = n * n
         if (elliptic._distance(args, lat, self.mu_off) < elliptic.POLE_TOL).any():
             raise PoleAtLattice("some q_i - q_j + mu is on the lattice")
-        elliptic._sigma_orders(args, lat, s, ds if jacobian else None)
+        elliptic._sigma_orders(args, lat, s, ds if jacobian else None, self.constants)
         # The differences are kept off the lattice by the collision guard,
         # or, in matrix(), by RSConfig's distinctness check.
         minus, zero = s[2 * m :].reshape(2, -1)
@@ -673,6 +684,8 @@ def cm_lax(conf: CMConfig, lam) -> SpectralMatrix:
     sigma-quotient section g * sigma(lam - q_ij)/(sigma(q_ij) * sigma(lam)),
     which reduces to the displayed rational entries when sigma(z) = z.
     lam may be None (or inf) in the rational kind to drop the spectral term.
+    ValueOverflow, naming the first entry, where a sigma in a denominator
+    underflows to 0 off the lattice or an entry is too large for a double.
     """
     lat = conf.lat
     n = conf.n
@@ -701,7 +714,21 @@ def cm_lax(conf: CMConfig, lam) -> SpectralMatrix:
         elif lat.kind == elliptic.KIND_RATIONAL:
             entries[off] += conf.g * (1.0 / D - 1.0 / lam)
         else:
-            entries[off] += conf.g * batch.sigma(num) / (batch.sigma(den) * batch.sigma(lam_idx))
+            S, S_lam = batch.sigma(den), batch.sigma(lam_idx)
+            with np.errstate(all="ignore"):  # an entry that is not a double raises below
+                F = conf.g * batch.sigma(num) / (S * S_lam)
+            bad = np.flatnonzero(~np.isfinite(F))
+            if bad.size:
+                k = bad[0]
+                i, j = _off_pair(n, k)
+                if S[k] == 0 or S_lam == 0:
+                    factor = f"sigma(q_{i} - q_{j})" if S[k] == 0 else "sigma(lam)"
+                    raise ValueOverflow(
+                        f"cm_lax: {factor} underflows to 0 off the lattice, so entry "
+                        f"({i}, {j}) is not a double"
+                    )
+                raise ValueOverflow(f"cm_lax: entry ({i}, {j}) is too large for a double")
+            entries[off] += F
     return SpectralMatrix(n, entries, 0.0 + 0.0j if spectral_free else lam)
 
 

@@ -930,6 +930,7 @@ INVALID_CONFIGS = [
     # second column holds the config's top-level fields, with empty params.
     ("verify", {"seed": True}, "seed"),
     ("verify", {"schema_version": True}, "schema_version"),
+    ("reduce", {"schema_version": 1.0}, "schema_version"),
 ]
 
 

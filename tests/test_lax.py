@@ -386,6 +386,22 @@ class TestCMLax:
         with pytest.raises(ZeroLambda):
             lax.cm_lax(conf, None)
 
+    def test_underflowing_sigma_is_a_value_overflow(self):
+        # On this elongated lattice sigma(q_0 - q_1) and sigma(lam - q_0 +
+        # q_1) both underflow to 0: the entry came out 0/0, with a warning,
+        # and the matrix raised NonFiniteEntries.
+        lat = elliptic.lattice_from_periods(1.0, 0.0027 + 0.042j)
+        q = [-0.1285 + 0.0176j, 1.3665 + 0.0452j, -0.6652 + 0.0047j]
+        conf = lax.cm_config(q, [0.0] * 3, 0.5 + 0.1j, lat)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValueOverflow,
+                match=r"^cm_lax: sigma\(q_0 - q_1\) underflows to 0 off the lattice, so "
+                r"entry \(0, 1\) is not a double$",
+            ):
+                lax.cm_lax(conf, 0.13 + 0.01j)
+
 
 class TestFactorizedCM:
     def test_scalar_oracle_n1(self):
