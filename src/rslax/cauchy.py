@@ -13,14 +13,13 @@ which brute-force LU determinants certify to machine precision.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import elliptic
 from .elliptic import DISTINCT_TOL
-from .errors import DegenerateConfiguration, NonFiniteEntries, SingularMatrix, ValueOverflow
+from .errors import DegenerateConfiguration, NonFiniteEntries, SingularMatrix
 
 
 @dataclass(frozen=True)
@@ -102,8 +101,8 @@ def _cauchy_matrix(batch, args, lam):
 
 def frobenius_determinant(spec: CauchyMatrixSpec, lam) -> complex:
     """Closed-form determinant of the elliptic Cauchy matrix, from one sigma
-    pass (elliptic._Batch); ValueOverflow where the quotient of sigma
-    products is not a double."""
+    pass (elliptic._Batch); ValueOverflow where it is not a double
+    (elliptic._Batch.quotient)."""
     lam = complex(lam)
     q = np.asarray(spec.qs, dtype=complex)
     r = np.asarray(spec.rs, dtype=complex)
@@ -123,21 +122,16 @@ def frobenius_determinant(spec: CauchyMatrixSpec, lam) -> complex:
         # A coincident pair makes a numerator factor an exact zero.
         return 0.0 + 0.0j
 
-    # Far from the lattice sigma(lam) or the products may underflow to 0.
-    overflow = ValueOverflow("the sigma quotient in frobenius_determinant is not a double")
-    head, s_lam = batch.sigma(head), batch.sigma(lam_idx)
-    if s_lam == 0:
-        raise overflow
-    head /= s_lam
-    num = 1.0 + 0.0j
-    if n > 1:
+    def direct():
+        head_lam = batch.sigma(head) / batch.sigma(lam_idx)
         num = np.prod(batch.sigma(qq)) * np.prod(batch.sigma(rr))
-    den = np.prod(batch.sigma(qr))
-    with np.errstate(all="ignore"):
-        det = complex(head * num / den)
-    if not cmath.isfinite(det):
-        raise overflow
-    return det
+        return complex(head_lam * num / np.prod(batch.sigma(qr)))
+
+    return batch.quotient(
+        direct,
+        lambda: batch.log_quotient([head, *qq, *rr], [lam_idx, *qr.flat]),
+        "frobenius_determinant: the sigma quotient",
+    )
 
 
 def minor_determinant(spec: CauchyMatrixSpec, lam, k: int, l: int) -> complex:
@@ -160,10 +154,12 @@ def minor_determinant(spec: CauchyMatrixSpec, lam, k: int, l: int) -> complex:
 
 def _singular(M) -> bool:
     """Whether the square matrix M, each row divided by its largest
-    magnitude, is numerically singular or not finite.  A test of det M
-    itself would depend on the scale of M's rows."""
-    with np.errstate(all="ignore"):  # a zero row divides by 0
+    magnitude and then each column by its, is numerically singular or not
+    finite.  A test of det M itself would depend on the scale of M's rows
+    and columns, so also on a diagonal conjugation of M."""
+    with np.errstate(all="ignore"):  # a zero row or column divides by 0
         K = M / np.abs(M).max(axis=1, keepdims=True)
+        K /= np.abs(K).max(axis=0, keepdims=True)
         return not abs(np.linalg.det(K)) >= 1e-12
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lax
+from . import cauchy, lax
 from .errors import CollisionImminent, SingularMatrix, StepTooLarge, ValueOverflow
 
 # Smallest pairwise position distance (modulo the lattice) a flow may reach.
@@ -109,15 +109,13 @@ def _lax_form(spec: HamiltonianSpec):
     return lax.hasegawa_lax, lax._HasegawaPlan, spec.scale_power[1] == 0
 
 
-def _inverse(L, P):
-    """L^{-1}; SingularMatrix where K = diag(exp(-P)) L is numerically
-    singular or not finite: a test of det L would depend on the row scaling
-    exp(P_k) of the Ruijsenaars matrix.  K is scaled by its largest entry,
-    whose n-th power may overflow a double."""
-    with np.errstate(all="ignore"):  # exp(-P) overflows where rows of L vanish
-        K = np.exp(-P)[:, None] * L
-        if not abs(np.linalg.det(K / np.max(np.abs(K)))) >= 1e-12:
-            raise SingularMatrix("Ruijsenaars matrix is singular; L^{-1} undefined")
+def _inverse(L):
+    """L^{-1}; SingularMatrix where L is numerically singular or not finite
+    (cauchy._singular): the test is blind to the row scaling exp(P_k) of
+    the Ruijsenaars matrix and to its diagonal conjugation by a period
+    shift of a position."""
+    if cauchy._singular(L):
+        raise SingularMatrix("Ruijsenaars matrix is singular; L^{-1} undefined")
     return np.linalg.inv(L)
 
 
@@ -127,7 +125,7 @@ def hamiltonian(spec: HamiltonianSpec, conf: lax.RSConfig) -> complex:
     L = _lax_form(spec)[0](conf, spec.eval_z).entries
     with np.errstate(all="ignore"):  # a non-finite value raises below
         if spec.scale_power is None:  # rs_cosh
-            H = complex(np.trace(L) + np.trace(_inverse(L, np.asarray(conf.P, dtype=complex))))
+            H = complex(np.trace(L) + np.trace(_inverse(L)))
         else:
             scale, k = spec.scale_power
             H = scale * complex(np.trace(np.linalg.matrix_power(L, k + 1))) / (k + 1)
@@ -195,7 +193,7 @@ def _field(spec: HamiltonianSpec, plan, diagonal, X, step=None):
     if not np.isfinite(L).all():
         raise CollisionImminent(_not_finite(p, step))
     if spec.scale_power is None:  # rs_cosh
-        Linv = _inverse(L, p)
+        Linv = _inverse(L)
         G = np.eye(L.shape[0]) - Linv @ Linv
     else:
         scale, k = spec.scale_power

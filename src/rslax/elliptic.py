@@ -429,14 +429,20 @@ def _sigma_orders(args: _Args, lat: Lattice, s, ds=None, constants=None):
         if ds is not None:
             ds.real, ds.imag = cos * cosh, -sin * sinh
         return
-    x, xr, n, m = args
+    x, xr, n, _ = args
     w, tau = lat.red_omega1, lat.red_tau
-    eta, log_scale = constants or _sigma_constants(lat)
-    g = eta * x * x - 1j * np.pi * (n * (n * tau + 2.0 * xr) + m + n) + log_scale
-    sums = _theta1_sums(xr, tau, 2, g)
+    constants = constants or _sigma_constants(lat)
+    sums = _theta1_sums(xr, tau, 2, _sigma_exponent(args, lat, constants))
     s[...] = sums[0]
     if ds is not None:
-        ds[...] = ((2.0 * eta * x - 2j * np.pi * n) * sums[0] + sums[1]) / w
+        ds[...] = ((2.0 * constants[0] * x - 2j * np.pi * n) * sums[0] + sums[1]) / w
+
+
+def _sigma_exponent(args: _Args, lat: Lattice, constants=None):
+    """g of _sigma_orders at args on an elliptic lat."""
+    x, xr, n, m = args
+    eta, log_scale = constants or _sigma_constants(lat)
+    return eta * x * x - 1j * np.pi * (n * (n * lat.red_tau + 2.0 * xr) + m + n) + log_scale
 
 
 def _peak(args: _Args, lat: Lattice):
@@ -534,7 +540,8 @@ class _Batch:
     caller's errors are raised in the order of its reads.  A read is shaped
     like its index, and a Python scalar where that is 0-d, as numpy's
     scalars round complex division otherwise.  sigma, zeta, wp and
-    lattice_distance are each a one-group batch."""
+    lattice_distance are each a one-group batch.  quotient is the one rule
+    for sigma quotients that leave the doubles."""
 
     def __init__(self, lat: Lattice):
         self.lat = lat
@@ -586,6 +593,49 @@ class _Batch:
                 raise ValueOverflow("sigma is too large for a double")
         return _item(out)
 
+    def log_sigma(self, idx):
+        """log sigma at idx, on any branch, finite where sigma is not a
+        double: g + t + log sum_k exp(gauss_k + w_k xr - t) with
+        _sigma_orders' g, and t = pi |Im xr| the real part of the largest
+        term's exponent, at k = 0 or -1."""
+        args = self._reduced(idx).part(np.ravel(idx))
+        with np.errstate(all="ignore"):
+            if args.xr is None:  # sigma is sin or z
+                return np.log(self.sigma(idx))
+            t = np.pi * np.abs(args.xr.imag)
+            sums = _theta1_sums(args.xr, self.lat.red_tau, 2, -t)
+            out = _sigma_exponent(args, self.lat) + t + np.log(sums[0])
+        return _item(out.reshape(np.shape(idx)))
+
+    def log_quotient(self, num, dens):
+        """(log of prod sigma(num) / prod sigma(dens), on any branch, sum of
+        |log sigma| over those factors) for lists of index arrays."""
+        logs = [self.log_sigma(i) for i in (*num, *dens)]
+        return sum(logs[: len(num)]) - sum(logs[len(num) :]), sum(map(np.abs, logs))
+
+    def quotient(self, direct, log_form, what):
+        """The quotient of sigma products that direct() forms, where that is
+        a finite non-zero double (NaN for a Python scalar divided by 0).
+        Elsewhere exp(log), (log, size) = log_form(), where that is a finite
+        non-zero double and trusted: its rounding, about eps*size relative,
+        within 1e-11, as _peak's.  Elsewhere direct() stands; ValueOverflow
+        naming what where the outcome is not finite."""
+        with np.errstate(all="ignore"):
+            try:
+                direct = direct()
+            except ZeroDivisionError:
+                direct = complex("nan")
+            bad = ~np.isfinite(direct) | (direct == 0)
+            if not bad.any():
+                return direct
+            log, size = log_form()
+            via = np.exp(log)
+        trusted = np.finfo(float).eps * size <= 1e-11
+        out = np.where(bad & trusted & np.isfinite(via) & (via != 0), via, direct)
+        if not np.isfinite(out).all():
+            raise ValueOverflow(f"{what} is not a double")
+        return _item(out)
+
     def off_lattice(self, **points):
         """PoleAtLattice naming the first named group of arguments (its
         index array) within POLE_TOL of the lattice."""
@@ -615,17 +665,23 @@ def _item(out):
     return out.item() if out.ndim == 0 else out
 
 
+def _principal(log):
+    """log with its imaginary part reduced to [-pi, pi], the principal log."""
+    return log - 2j * np.pi * np.round(log.imag / (2 * np.pi))
+
+
 def section_phi(q, z, lat: Lattice):
     """Section value sigma(z - q)/sigma(z); zero at z = q, pole at z = 0;
-    ValueOverflow where sigma(z) underflows to 0 off the lattice."""
+    ValueOverflow where it is not a double (_Batch.quotient)."""
     batch = _Batch(lat)
     z_idx, zq = batch.add(z), batch.add(np.asarray(z) - q)
     if np.min(batch.distance(z_idx)) < POLE_TOL:
         raise PoleAtLattice("section_phi evaluated at a lattice pole")
-    num, den = batch.sigma(zq), batch.sigma(z_idx)
-    if np.any(den == 0):
-        raise ValueOverflow("1/sigma(z) in section_phi is too large for a double")
-    return num / den
+    return batch.quotient(
+        lambda: batch.sigma(zq) / batch.sigma(z_idx),
+        lambda: batch.log_quotient([zq], [z_idx]),
+        "section_phi: sigma(z - q)/sigma(z)",
+    )
 
 
 def legendre_residual(lat: Lattice) -> float:

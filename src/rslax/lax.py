@@ -125,11 +125,6 @@ def cm_config(q, p, g, lat) -> CMConfig:
     return CMConfig(len(q), q, p, complex(g), lat)
 
 
-def _diff_matrix(q):
-    arr = np.asarray(q, dtype=complex)
-    return arr[:, None] - arr[None, :]
-
-
 def _separation(q, lat):
     """DegenerateConfiguration, naming the closest pair, if two of the
     positions q are closer than DISTINCT_TOL modulo the lattice."""
@@ -138,7 +133,7 @@ def _separation(q, lat):
         return
     # Each pair in both orders: the distance of -d is that of d.
     off = _pairs(n)[2]
-    dist = elliptic.lattice_distance(_diff_matrix(q).reshape(-1)[off], lat)
+    dist = elliptic.lattice_distance(cauchy._pairwise_diffs(q, q).reshape(-1)[off], lat)
     if dist.min() < DISTINCT_TOL:
         k = int(dist.argmin())
         i, j = _off_pair(n, k)
@@ -455,7 +450,7 @@ def _composition(q, P, hbar, lat, z):
     (elliptic._Batch); the positions are checked where their configuration
     was made."""
     batch = elliptic._Batch(lat)
-    D = _diff_matrix(q)
+    D = cauchy._pairwise_diffs(q, q)
     D_idx, hbar_idx = batch.add(D), batch.add(hbar)
     cauchy_args = cauchy._cauchy_args(batch, q + hbar, q, z)
     hD = batch.add(hbar + D)
@@ -599,33 +594,38 @@ def ruijsenaars_equivalent_momenta(conf: RSConfig):
     where conf' replaces P by the returned exponents.  The formula matches
     the diagonal factors of the two matrices row by row, absorbing the square
     root branch choices into the momentum normalization.  Its sigma values
-    come from one pass (elliptic._Batch); ValueOverflow where a sigma
-    product, and so exp(theta_k), underflows or overflows a double.
+    come from one pass (elliptic._Batch); ValueOverflow where an exp(P_k) or
+    an exp(theta_k) is not a double (elliptic._Batch.quotient, whose log
+    form reduces each log f^2 to the principal branch before halving).
     """
     n, lat = conf.n, conf.lat
-    D = _diff_matrix(conf.q)
+    D = cauchy._pairwise_diffs(conf.q, conf.q)
     off = _pairs(n)[2]
     batch = elliptic._Batch(lat)
     D_idx, hD, hbar = batch.add(D), batch.add(conf.hbar + D), batch.add(conf.hbar)
     # q_i - q_l + hbar, q_i - q_l - hbar and q_i - q_l over i != l, for f.
     f_idx = np.stack([hD.flat[off], batch.add(D.flat[off] - conf.hbar), D_idx.flat[off]])
-    prod_den, col = _transport_diagonals(batch, D_idx, hD)
+    with np.errstate(all="ignore"):  # products that are not doubles go to the log form
+        prod_den, col = _transport_diagonals(batch, D_idx, hD)
     sig_h = batch.sigma(hbar)
     # There col and f vanish, and their quotient is not defined.
     batch.off_lattice(**{"hbar + q_l - q_k": hD})
     P = np.asarray(conf.P, dtype=complex)
     if np.any(P.real > _LOG_MAX):
         raise ValueOverflow(f"ruijsenaars_equivalent_momenta{_exp_overflow(P)}")
-    with np.errstate(all="ignore"):
+
+    def direct():
         x = np.exp(P) / prod_den * col / (sig_h * _row_f(*batch.sigma(f_idx), n)[1])
-    bad = np.flatnonzero(~np.isfinite(x) | (x == 0))
-    if bad.size:
-        k = bad[0]
-        raise ValueOverflow(
-            f"ruijsenaars_equivalent_momenta: exp(theta_{k}) is {x[k]:.3g}: its "
-            "sigma products underflow or overflow a double"
-        )
-    return np.log(x)
+        return np.where(x == 0, np.nan, x)  # exp(theta) = 0 has no log
+
+    def log_form():
+        plus, minus, zero = f_idx.reshape(3, n, n - 1)
+        log_f2, f2_size = batch.log_quotient([plus, minus], [zero, zero])
+        below = D_idx.T[~np.eye(n, dtype=bool)].reshape(n, n - 1)  # q_l - q_k, l != k
+        log, size = batch.log_quotient(hD, [*below.T, hbar])
+        return P + log - 0.5 * elliptic._principal(log_f2).sum(axis=1), size + f2_size.sum(axis=1)
+
+    return np.log(batch.quotient(direct, log_form, "ruijsenaars_equivalent_momenta: exp(theta)"))
 
 
 def krichever_lax(conf: RSConfig, z, lam) -> SpectralMatrix:
@@ -634,14 +634,16 @@ def krichever_lax(conf: RSConfig, z, lam) -> SpectralMatrix:
         L''_{ij} = sigma(lam + q_i - q_j) / (sigma(lam + mu) * sigma(q_i - q_j - mu))
                    * [sigma(z - mu)/sigma(z + mu)]^{(q_i - q_j - mu)/(2 mu)}
 
-    with the principal branch of the complex power, from one sigma pass.
+    with the principal branch of the complex power, from one sigma pass;
+    ValueOverflow where an entry is not a double (elliptic._Batch.quotient,
+    whose log form takes the power's principal branch too).
     """
     mu = conf.mu
     z = complex(z)
     lam = complex(lam)
     if abs(mu) < 1e-12:
         raise ZeroMu("krichever matrix requires mu != 0")
-    D = _diff_matrix(conf.q)
+    D = cauchy._pairwise_diffs(conf.q, conf.q)
     batch = elliptic._Batch(conf.lat)
     lam_mu, z_minus, z_plus, D_mu, lam_D = map(
         batch.add, (lam + mu, z - mu, z + mu, D - mu, lam + D)
@@ -649,14 +651,19 @@ def krichever_lax(conf: RSConfig, z, lam) -> SpectralMatrix:
     batch.off_lattice(
         **{"lam + mu": lam_mu, "z - mu": z_minus, "z + mu": z_plus, "q_i - q_j - mu": D_mu}
     )
-    sigma_plus = batch.sigma(z_plus)
-    if sigma_plus == 0:  # it underflows far from the lattice
-        raise ValueOverflow(f"1/sigma(z + mu) is too large for a double at z + mu = {z + mu}")
     with np.errstate(all="ignore"):
-        ratio = batch.sigma(z_minus) / sigma_plus
-        power = np.exp((D - mu) / (2.0 * mu) * np.log(ratio))
-        entries = batch.sigma(lam_D) / (batch.sigma(lam_mu) * batch.sigma(D_mu)) * power
-    return SpectralMatrix(conf.n, entries, lam)
+        c = (D - mu) / (2.0 * mu)
+
+    def direct():
+        power = np.exp(c * np.log(batch.sigma(z_minus) / batch.sigma(z_plus)))
+        return batch.sigma(lam_D) / (batch.sigma(lam_mu) * batch.sigma(D_mu)) * power
+
+    def log_form():
+        log, size = batch.log_quotient([lam_D], [lam_mu, D_mu])
+        log_ratio, ratio_size = batch.log_quotient([z_minus], [z_plus])
+        return log + c * elliptic._principal(log_ratio), size + abs(c) * ratio_size
+
+    return SpectralMatrix(conf.n, batch.quotient(direct, log_form, "krichever_lax: an entry"), lam)
 
 
 def spin_lax(conf: RSConfig, spin: SpinFraming, z) -> SpectralMatrix:
@@ -684,52 +691,39 @@ def cm_lax(conf: CMConfig, lam) -> SpectralMatrix:
     sigma-quotient section g * sigma(lam - q_ij)/(sigma(q_ij) * sigma(lam)),
     which reduces to the displayed rational entries when sigma(z) = z.
     lam may be None (or inf) in the rational kind to drop the spectral term.
-    ValueOverflow, naming the first entry, where a sigma in a denominator
-    underflows to 0 off the lattice or an entry is too large for a double.
+    ValueOverflow where a sigma quotient is not a double
+    (elliptic._Batch.quotient).
     """
-    lat = conf.lat
-    n = conf.n
+    lat, n = conf.lat, conf.n
     off = ~np.eye(n, dtype=bool)
-    D = _diff_matrix(conf.q)[off]
-    spectral_free = lam is None or (np.isreal(lam) and np.isinf(np.real(lam)))
-    if spectral_free:
-        if lat.kind != elliptic.KIND_RATIONAL:
-            raise ZeroLambda(
-                "dropping the spectral term is defined for the rational kind only"
-            )
-    else:
-        lam = complex(lam)
-        if lat.kind == elliptic.KIND_RATIONAL:
-            if abs(lam) < 1e-12:
-                raise ZeroLambda("cm_lax requires lam != 0")
-        else:
-            batch = elliptic._Batch(lat)
-            lam_idx, num, den = batch.add(lam), batch.add(lam - D), batch.add(D)
-            batch.off_lattice(lam=lam_idx)
-
+    D = cauchy._pairwise_diffs(conf.q, conf.q)[off]
     entries = np.diag(np.asarray(conf.p, dtype=complex))
+    if lam is None or (np.isreal(lam) and np.isinf(np.real(lam))):
+        if lat.kind != elliptic.KIND_RATIONAL:
+            raise ZeroLambda("dropping the spectral term is defined for the rational kind only")
+        entries[off] += conf.g / D
+        return SpectralMatrix(n, entries, 0.0 + 0.0j)
+    lam = complex(lam)
+    if lat.kind == elliptic.KIND_RATIONAL:
+        if abs(lam) < 1e-12:
+            raise ZeroLambda("cm_lax requires lam != 0")
+        entries[off] += conf.g * (1.0 / D - 1.0 / lam)
+        return SpectralMatrix(n, entries, lam)
+    batch = elliptic._Batch(lat)
+    lam_idx, num, den = batch.add(lam), batch.add(lam - D), batch.add(D)
+    batch.off_lattice(lam=lam_idx)
+
+    def log_form():
+        log, size = batch.log_quotient([num], [den, lam_idx])
+        return log + np.log(conf.g), size + abs(np.log(conf.g))
+
     if n > 1:
-        if spectral_free:
-            entries[off] += conf.g / D
-        elif lat.kind == elliptic.KIND_RATIONAL:
-            entries[off] += conf.g * (1.0 / D - 1.0 / lam)
-        else:
-            S, S_lam = batch.sigma(den), batch.sigma(lam_idx)
-            with np.errstate(all="ignore"):  # an entry that is not a double raises below
-                F = conf.g * batch.sigma(num) / (S * S_lam)
-            bad = np.flatnonzero(~np.isfinite(F))
-            if bad.size:
-                k = bad[0]
-                i, j = _off_pair(n, k)
-                if S[k] == 0 or S_lam == 0:
-                    factor = f"sigma(q_{i} - q_{j})" if S[k] == 0 else "sigma(lam)"
-                    raise ValueOverflow(
-                        f"cm_lax: {factor} underflows to 0 off the lattice, so entry "
-                        f"({i}, {j}) is not a double"
-                    )
-                raise ValueOverflow(f"cm_lax: entry ({i}, {j}) is too large for a double")
-            entries[off] += F
-    return SpectralMatrix(n, entries, 0.0 + 0.0j if spectral_free else lam)
+        entries[off] += batch.quotient(
+            lambda: conf.g * batch.sigma(num) / (batch.sigma(den) * batch.sigma(lam_idx)),
+            log_form,
+            "cm_lax: an entry",
+        )
+    return SpectralMatrix(n, entries, lam)
 
 
 def factorized_cm_lax(conf: CMConfig, z) -> SpectralMatrix:
@@ -750,7 +744,7 @@ def factorized_cm_lax(conf: CMConfig, z) -> SpectralMatrix:
     if conf.lat.kind != elliptic.KIND_ELLIPTIC:
         raise DegenerateConfiguration("factorized CM matrix requires an elliptic lattice")
     n = conf.n
-    D = _diff_matrix(conf.q)
+    D = cauchy._pairwise_diffs(conf.q, conf.q)
     batch = elliptic._Batch(conf.lat)
     z_idx, D_idx, zD = batch.add(z), batch.add(D), batch.add(z + D)
     with np.errstate(all="ignore"):

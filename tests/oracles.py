@@ -86,6 +86,66 @@ def _weierstrass_mp(z, omega1, omega2):
     return s, ze, wpv, dwp
 
 
+def sigma_quotient_mpmath(num, den, lat, dps=50):
+    """(log, size): the log of prod sigma(num) / prod sigma(den) on the
+    rslax Lattice lat at dps digits (weierstrass_mpmath, sin or z), an
+    mpmath number on any branch, and the sum of |log sigma| over those
+    factors, a float.  size is inf, and log None, where an elliptic argument
+    lies more than 1000 reduced periods out: |log sigma| there exceeds 1e6,
+    and mpmath sums theta there slowly."""
+    if lat.kind == "elliptic" and max(map(abs, (*num, *den))) > 1e3 * abs(lat.red_omega1):
+        return None, math.inf
+    sigma = {
+        "elliptic": lambda v: _weierstrass_mp(v, lat.omega1, lat.omega2)[0],
+        "trigonometric": mp.sin,
+        "rational": mp.mpc,
+    }[lat.kind]
+    with mp.workdps(dps):
+        logs = [mp.log(sigma(mp.mpc(v))) for v in (*num, *den)]
+        return mp.fsum(logs[: len(num)]) - mp.fsum(logs[len(num) :]), float(mp.fsum(map(abs, logs)))
+
+
+def ruijsenaars_equivalent_momenta_mpmath(conf, dps=50):
+    """(theta, size): the exponents of rslax.lax.ruijsenaars_equivalent_momenta
+    at dps digits, principal, with each log f^2 principal before halving
+    (sigma_quotient_mpmath), and per exponent |P_k| plus the sum of |log
+    sigma| over its factors, halved for those of f^2."""
+    q, h, n = conf.q, conf.hbar, conf.n
+    theta, sizes = [], []
+    with mp.workdps(dps):
+        for k in range(n):
+            others = [l for l in range(n) if l != k]
+            num = [h + q[l] - q[k] for l in range(n)]
+            den = [q[l] - q[k] for l in others] + [h]
+            log, size = sigma_quotient_mpmath(num, den, conf.lat, dps)
+            for l in others:
+                d = q[k] - q[l]
+                log_f2, f2_size = sigma_quotient_mpmath([d + h, d - h], [d, d], conf.lat, dps)
+                log -= mp.log(mp.exp(log_f2)) / 2
+                size += f2_size / 2
+            theta.append(complex(mp.log(mp.exp(conf.P[k] + log))))
+            sizes.append(size + abs(conf.P[k]))
+    return np.array(theta), np.array(sizes)
+
+
+def frobenius_factors(qs, rs, lam):
+    """(num, den): the arguments of the sigma factors of the Frobenius
+    determinant of the elliptic Cauchy matrix of (qs, rs) at lam."""
+    q, r = np.asarray(qs, dtype=complex), np.asarray(rs, dtype=complex)
+    iu = np.triu_indices(q.size, k=1)
+    num = [lam + np.sum(q - r), *(q[:, None] - q)[iu], *(r - r[:, None])[iu]]
+    return num, [lam, *(q[:, None] - r).ravel()]
+
+
+def assert_log_form(got, log, size):
+    """got, a complex, is exp(log) within 4 eps size, relative: the rounding
+    bound of a sigma quotient summed in log form, for (log, size) of
+    sigma_quotient_mpmath; log must lie in the range of the doubles."""
+    want = complex(mp.exp(log))
+    assert want != 0 and np.isfinite(want)
+    assert abs(got - want) <= 4 * np.finfo(float).eps * size * abs(want)
+
+
 def ruijsenaars_mpmath(q, P, mu, lam, periods=None, kind="elliptic", dps=50):
     """The Ruijsenaars RS Lax matrix
 
@@ -400,9 +460,9 @@ def build_elliptic_cauchy_reference(spec, lam):
 
 
 def _transport_diagonals_reference(conf):
-    from rslax import elliptic, lax
+    from rslax import cauchy, elliptic, lax
 
-    D = lax._diff_matrix(conf.q)
+    D = cauchy._pairwise_diffs(conf.q, conf.q)
     S3 = np.atleast_2d(elliptic.sigma(D, conf.lat))
     prod_den = np.diag(lax._exclusive_products(S3))
     col = np.prod(np.atleast_2d(elliptic.sigma(conf.hbar + D, conf.lat)), axis=0)
@@ -437,7 +497,7 @@ def _off_lattice_reference(lat, **points):
 
 def krichever_lax_reference(conf, z, lam):
     """rslax.lax.krichever_lax, one public call per value."""
-    from rslax import elliptic, lax
+    from rslax import cauchy, elliptic, lax
     from rslax.cauchy import SpectralMatrix
     from rslax.errors import ZeroMu
 
@@ -445,7 +505,7 @@ def krichever_lax_reference(conf, z, lam):
     z, lam = complex(z), complex(lam)
     if abs(mu) < 1e-12:
         raise ZeroMu("krichever matrix requires mu != 0")
-    D = lax._diff_matrix(conf.q)
+    D = cauchy._pairwise_diffs(conf.q, conf.q)
     _off_lattice_reference(
         lat, **{"lam + mu": lam + mu, "z - mu": z - mu, "z + mu": z + mu, "q_i - q_j - mu": D - mu}
     )
@@ -461,7 +521,7 @@ def krichever_lax_reference(conf, z, lam):
 
 def factorized_cm_lax_reference(conf, z):
     """rslax.lax.factorized_cm_lax, one public call per value."""
-    from rslax import elliptic, lax
+    from rslax import cauchy, elliptic, lax
     from rslax.cauchy import SpectralMatrix
     from rslax.errors import DegenerateConfiguration
 
@@ -470,7 +530,7 @@ def factorized_cm_lax_reference(conf, z):
         raise DegenerateConfiguration("factorized CM matrix requires an elliptic lattice")
     z = complex(z)
     n = conf.n
-    D = lax._diff_matrix(conf.q)
+    D = cauchy._pairwise_diffs(conf.q, conf.q)
     zetas = elliptic.zeta(np.append(z, D.T[~np.eye(n, dtype=bool)]), lat)
     S, A = elliptic.sigma(np.stack([D, z + D]), lat)
     np.fill_diagonal(S, 1.0)
@@ -483,7 +543,7 @@ def factorized_cm_lax_reference(conf, z):
 def cm_lax_reference(conf, lam):
     """rslax.lax.cm_lax on an elliptic or trigonometric lattice with a
     spectral parameter, one public call per value."""
-    from rslax import elliptic, lax
+    from rslax import cauchy, elliptic, lax
     from rslax.cauchy import SpectralMatrix
 
     lat, n = conf.lat, conf.n
@@ -492,7 +552,7 @@ def cm_lax_reference(conf, lam):
     off = ~np.eye(n, dtype=bool)
     entries = np.diag(np.asarray(conf.p, dtype=complex))
     if n > 1:
-        D = lax._diff_matrix(conf.q)
+        D = cauchy._pairwise_diffs(conf.q, conf.q)
         entries[off] += (
             conf.g
             * elliptic.sigma(lam - D[off], lat)
@@ -503,14 +563,15 @@ def cm_lax_reference(conf, lam):
 
 def ruijsenaars_equivalent_momenta_reference(conf):
     """rslax.lax.ruijsenaars_equivalent_momenta, one public call per value."""
-    from rslax import elliptic, lax
+    from rslax import cauchy, elliptic, lax
 
     n, lat, hbar = conf.n, conf.lat, conf.hbar
     prod_den, col = _transport_diagonals_reference(conf)
     d_row = np.exp(np.asarray(conf.P, dtype=complex)) / prod_den
     sig_h = elliptic.sigma(hbar, lat)
-    _off_lattice_reference(lat, **{"hbar + q_l - q_k": hbar + lax._diff_matrix(conf.q)})
-    d = lax._diff_matrix(conf.q).reshape(-1)[lax._pairs(n)[2]]
+    D = cauchy._pairwise_diffs(conf.q, conf.q)
+    _off_lattice_reference(lat, **{"hbar + q_l - q_k": hbar + D})
+    d = D.reshape(-1)[lax._pairs(n)[2]]
     plus, minus, zero = (elliptic.sigma(v, lat) for v in (d + hbar, d - hbar, d))
     return np.log(d_row * col / (sig_h * lax._row_f(plus, minus, zero, n)[1]))
 

@@ -19,7 +19,7 @@ from rslax.cauchy import (
     minor_determinant,
     shifted_inverse_product,
 )
-from rslax.errors import DegenerateConfiguration, PoleAtLattice, SingularMatrix, ValueOverflow
+from rslax.errors import DegenerateConfiguration, PoleAtLattice, SingularMatrix
 
 LAT = elliptic.lattice_from_periods(1.0, 0.4 + 1.9j)
 LAM = 0.21 + 0.17j
@@ -114,20 +114,22 @@ class TestFrobeniusDeterminant:
     @pytest.mark.parametrize(
         "qs, rs, lam",
         [
-            # sigma(71i) underflows to 0: a bare ZeroDivisionError before.
+            # sigma(71i) underflows to 0: a bare ZeroDivisionError once, then
+            # a ValueOverflow.
             ((0.15 + 1.05j,), (0.0,), 71j),
             # The numerator and denominator products both underflow to 0:
-            # nan+nanj with a RuntimeWarning before, where the LU
-            # determinant of the Cauchy matrix is 5.33 - 5.37i.
+            # nan+nanj with a RuntimeWarning once, then a ValueOverflow, where
+            # the LU determinant of the Cauchy matrix is 5.33 - 5.37i.
             ((0.15 + 60j, 0.4), (0.0, 0.1), 0.3),
         ],
     )
-    def test_quotient_that_is_not_a_double_is_a_typed_error(self, qs, rs, lam):
+    def test_quotient_beyond_the_products_matches_mpmath(self, qs, rs, lam):
         spec = CauchyMatrixSpec(qs, rs, elliptic.lattice_from_periods(1.0, 0.3 + 2.1j))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueOverflow, match="sigma quotient in frobenius_determinant"):
-                frobenius_determinant(spec, lam)
+            det = frobenius_determinant(spec, lam)
+        factors = oracles.frobenius_factors(qs, rs, lam)
+        oracles.assert_log_form(det, *oracles.sigma_quotient_mpmath(*factors, spec.lat))
 
 
 class TestMinors:

@@ -8,6 +8,7 @@ import math
 import warnings
 from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -392,18 +393,57 @@ def _sigma_expected(z, lat):
 
 
 def _frobenius_expected(spec, lam):
-    """oracles.frobenius_determinant_reference with the one intended change:
-    ValueOverflow where its quotient is not a double, for a ZeroDivisionError
-    (sigma(lam) underflows to 0) or a value that is not finite (the sigma
-    products underflow or overflow)."""
+    """oracles.frobenius_determinant_reference, NaN for its ZeroDivisionError
+    (sigma(lam) underflows to 0), for _assert_same_quotient."""
     try:
-        with np.errstate(all="ignore"):
-            det = oracles.frobenius_determinant_reference(spec, lam)
+        return oracles.frobenius_determinant_reference(spec, lam)
     except ZeroDivisionError:
-        det = complex("nan")
-    if not cmath.isfinite(det):
-        raise ValueOverflow("the sigma quotient in frobenius_determinant is not a double")
-    return det
+        return complex("nan")
+
+
+def _section_phi_expected(q, z, lat):
+    """oracles.section_phi_reference, with its quotient also where it
+    raised for a sigma(z) that underflows to 0 (NaN for a scalar 0/0), for
+    _assert_same_quotient."""
+    try:
+        return oracles.section_phi_reference(q, z, lat)
+    except ValueOverflow as exc:
+        if "1/sigma(z)" not in str(exc):
+            raise
+    num, den = oracles.sigma_reference(np.asarray(z) - q, lat), oracles.sigma_reference(z, lat)
+    return num / den if np.ndim(num) or np.ndim(den) else complex("nan")
+
+
+def _assert_same_quotient(new, ref, factors, lat, *args):
+    """new(*args) against ref(*args), the per-call reference of a quotient
+    of sigma products (_assert_same_bits), with the one intended change
+    (elliptic._Batch.quotient): where ref has an entry that is not a finite
+    non-zero double, new's entry is ref's, or, where eps*size <= 1e-11 for
+    (log, size) of its factors (factors(*args), one (num, den) per entry)
+    at 50 digits, exp(log) within 4 eps size; ValueOverflow only where an
+    entry of ref is not finite and exp(log) is not trusted or not a finite
+    non-zero double."""
+    with mock.patch.object(oracles, "sigma_reference", _sigma_expected):
+        want = oracles.outcome(ref, *args)
+    if isinstance(want, tuple) or (np.isfinite(want) & (want != 0)).all():
+        return _assert_same_bits(new, ref, *args)
+    got, eps = oracles.outcome(new, *args), np.finfo(float).eps
+    error = isinstance(got, tuple)
+    if error:
+        assert got[0] is ValueOverflow
+        got = np.full(np.shape(want), complex("nan"))
+    for g, w, (num, den) in zip(np.ravel(got), np.ravel(want), factors(*args)):
+        if g == w or error and np.isfinite(w) and w != 0:
+            continue
+        assert not (np.isfinite(w) and w != 0)
+        log, size = oracles.sigma_quotient_mpmath(num, den, lat)
+        v = complex(mp.exp(log)) if eps * size <= 1e-11 else 0j
+        v = v if v != 0 else complex("nan")
+        if not error:
+            assert abs(g - v) <= 4 * eps * size * abs(v) + np.finfo(float).tiny
+        elif not (np.isfinite(w) or np.isfinite(v)):
+            return
+    assert not error
 
 
 def _assert_same_bits(new, ref, *args):
@@ -436,7 +476,9 @@ class TestPerCallReferences:
         if np.ndim(z) and data.draw(st.booleans()):
             q = data.draw(st.lists(special_arguments(lat), min_size=z.size, max_size=z.size))
             q = np.array(q).reshape(z.shape)
-        _assert_same_bits(elliptic.section_phi, oracles.section_phi_reference, q, z, lat)
+        _assert_same_quotient(
+            elliptic.section_phi, _section_phi_expected, _section_phi_factors, lat, q, z, lat
+        )
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -446,16 +488,35 @@ class TestPerCallReferences:
         qs, rs = (data.draw(st.lists(special_arguments(lat), min_size=n, max_size=n)) for _ in "qr")
         spec = CauchyMatrixSpec(qs, rs, lat)
         lam = data.draw(special_arguments(lat))
-        _assert_same_bits(frobenius_determinant, _frobenius_expected, spec, lam)
+        _assert_same_quotient(
+            frobenius_determinant, _frobenius_expected, _frobenius_factors, lat, spec, lam
+        )
         if n > 1:
-            _assert_same_bits(minor_determinant, _minor_reference, spec, lam, 2, 1)
+            minor = _minor(spec, 2, 1)
+            _assert_same_quotient(
+                lambda spec, lam: minor_determinant(spec, lam, 2, 1),
+                lambda spec, lam: _frobenius_expected(minor, lam),
+                lambda spec, lam: _frobenius_factors(minor, lam),
+                lat, spec, lam,
+            )
 
 
-def _minor_reference(spec, lam, k, l):
-    """minor_determinant through _frobenius_expected."""
+def _minor(spec, k, l):
+    """spec without q_k and r_l (1-based)."""
     qs = tuple(q for i, q in enumerate(spec.qs, start=1) if i != k)
     rs = tuple(r for j, r in enumerate(spec.rs, start=1) if j != l)
-    return _frobenius_expected(CauchyMatrixSpec(qs, rs, spec.lat), lam)
+    return CauchyMatrixSpec(qs, rs, spec.lat)
+
+
+def _frobenius_factors(spec, lam):
+    """The one entry's (num, den) of frobenius_determinant (oracles.frobenius_factors)."""
+    return [oracles.frobenius_factors(spec.qs, spec.rs, complex(lam))]
+
+
+def _section_phi_factors(q, z, lat):
+    """(num, den) of each entry of section_phi(q, z, lat)."""
+    zq, z = np.broadcast_arrays(np.asarray(z) - q, z)
+    return [([a], [b]) for a, b in zip(zq.ravel(), z.ravel())]
 
 
 class TestLegendreAndWp:
@@ -503,14 +564,17 @@ class TestSectionPhi:
             elliptic.section_phi(q, 0.0, LAT)
 
     @pytest.mark.parametrize("z", [0.5 + 48j, np.array([0.5 + 48j, 0.3])])
-    def test_underflowing_denominator_is_a_typed_error(self, z):
+    def test_underflowing_denominator_matches_mpmath(self, z):
         # sigma(0.5 + 48i) underflows to 0 far from the lattice; the quotient
-        # was a ZeroDivisionError (scalar) or nan+nanj with RuntimeWarnings.
+        # was a ZeroDivisionError (scalar) or nan+nanj with RuntimeWarnings
+        # once, then a ValueOverflow.
         lat = elliptic.lattice_from_periods(1.0, 0.2 + 2.4j)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueOverflow, match="1/sigma"):
-                elliptic.section_phi(0.0, z, lat)
+            got = elliptic.section_phi(0.2, z, lat)
+        assert np.shape(got) == np.shape(z)
+        for g, zz in zip(np.ravel(got), np.ravel(z)):
+            oracles.assert_log_form(g, *oracles.sigma_quotient_mpmath([zz - 0.2], [zz], lat))
 
 
 class TestTrivialThetaFit:

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -20,6 +20,7 @@ from rslax.errors import (
     NonConvergent,
     NonFiniteEntries,
     PoleAtLattice,
+    RslaxError,
     ValueOverflow,
     ZeroLambda,
     ZeroMu,
@@ -186,14 +187,16 @@ class TestRuijsenaars:
     @pytest.mark.parametrize(
         "periods,q,P,hbar",
         [
-            # sigma(hbar + q_0 - q_1) underflows to 0: theta_1 came out -inf.
+            # sigma(hbar + q_0 - q_1) underflows to 0: theta_1 came out -inf,
+            # then a ValueOverflow.
             (
                 (20.729 - 1.699j, -0.422 + 1.091j),
                 [-7.173 - 23.446j, 13.039 - 15.711j],
                 [-0.273 + 0.474j, -0.083 + 0.455j],
                 -5.615 - 7.170j,
             ),
-            # sigma(q_0 - q_1) underflows to 0: every theta came out NaN.
+            # sigma(q_0 - q_1) underflows to 0: every theta came out NaN, then
+            # a ValueOverflow.
             (
                 (0.1377 - 0.0055j, -0.0672 + 0.0099j),
                 [0.0800 - 0.0596j, -0.4578 + 0.0953j, 0.0741 + 0.0909j, 0.0756 - 0.0302j],
@@ -203,16 +206,15 @@ class TestRuijsenaars:
         ],
         ids=["log-of-zero", "nan"],
     )
-    def test_equivalent_momenta_name_sigma_products_beyond_the_doubles(self, periods, q, P, hbar):
+    def test_equivalent_momenta_beyond_the_sigma_products_match_mpmath(self, periods, q, P, hbar):
+        # exp(theta) within 4 eps sum|log sigma| of mpmath, relative: theta
+        # within that, absolute.
         conf = lax.rs_config(q, P, hbar, elliptic.lattice_from_periods(*periods))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(
-                ValueOverflow,
-                match=r"^ruijsenaars_equivalent_momenta: exp\(theta_0\) is .*: its sigma "
-                "products underflow or overflow a double$",
-            ):
-                lax.ruijsenaars_equivalent_momenta(conf)
+            theta = lax.ruijsenaars_equivalent_momenta(conf)
+        want, size = oracles.ruijsenaars_equivalent_momenta_mpmath(conf)
+        assert np.all(np.abs(theta - want) <= 4 * np.finfo(float).eps * size)
 
     @pytest.mark.parametrize(
         "kind,periods,q,mu,lam",
@@ -276,14 +278,19 @@ class TestKrichever:
 
     def test_underflowing_sigma_z_plus_mu_is_a_value_overflow(self):
         # mu lies about 180 periods out, where sigma(z + mu) underflows to 0:
-        # the quotient ended in a bare ZeroDivisionError.
+        # the quotient ended in a bare ZeroDivisionError.  The diagonal
+        # entry, sigma(lam)/(sigma(lam + mu) sigma(-mu)) [sigma(z - mu)/sigma(z
+        # + mu)]^(-1/2), is about 1e622008 at 50 digits: not a double.
         lat = elliptic.lattice_from_periods(0.0055, -0.0018 + 0.0245j)
-        mu = -0.7397 - 4.8999j
+        mu, z, lam = -0.7397 - 4.8999j, 0.0013 + 0.0007j, 0.0011 + 0.0003j
         conf = lax.rs_config([0.0001, 0.0021], [0.0, 0.0], mu, lat, mu=mu)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueOverflow, match=r"1/sigma\(z \+ mu\)"):
-                lax.krichever_lax(conf, 0.0013 + 0.0007j, 0.0011 + 0.0003j)
+            with pytest.raises(ValueOverflow, match="^krichever_lax: an entry is not a double$"):
+                lax.krichever_lax(conf, z, lam)
+        log, _ = oracles.sigma_quotient_mpmath([lam], [lam + mu, -mu], lat)
+        log_ratio, _ = oracles.sigma_quotient_mpmath([z - mu], [z + mu], lat)
+        assert (log - 0.5 * log_ratio).real > np.log(np.finfo(float).max)
 
 
 class TestSpin:
@@ -386,21 +393,23 @@ class TestCMLax:
         with pytest.raises(ZeroLambda):
             lax.cm_lax(conf, None)
 
-    def test_underflowing_sigma_is_a_value_overflow(self):
+    def test_underflowing_sigma_matches_mpmath(self):
         # On this elongated lattice sigma(q_0 - q_1) and sigma(lam - q_0 +
         # q_1) both underflow to 0: the entry came out 0/0, with a warning,
-        # and the matrix raised NonFiniteEntries.
+        # and the matrix raised NonFiniteEntries, then a ValueOverflow.  The
+        # entries range from 1e-190 to 1e191.
         lat = elliptic.lattice_from_periods(1.0, 0.0027 + 0.042j)
         q = [-0.1285 + 0.0176j, 1.3665 + 0.0452j, -0.6652 + 0.0047j]
-        conf = lax.cm_config(q, [0.0] * 3, 0.5 + 0.1j, lat)
+        g, lam = 0.5 + 0.1j, 0.13 + 0.01j
+        conf = lax.cm_config(q, [0.0] * 3, g, lat)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(
-                ValueOverflow,
-                match=r"^cm_lax: sigma\(q_0 - q_1\) underflows to 0 off the lattice, so "
-                r"entry \(0, 1\) is not a double$",
-            ):
-                lax.cm_lax(conf, 0.13 + 0.01j)
+            L = lax.cm_lax(conf, lam).entries
+        for i in range(3):
+            for j in {0, 1, 2} - {i}:
+                d = q[i] - q[j]
+                log, size = oracles.sigma_quotient_mpmath([lam - d], [d, lam], lat)
+                oracles.assert_log_form(L[i, j] / g, log, size)
 
 
 class TestFactorizedCM:
@@ -562,3 +571,100 @@ class TestOnePassBuilders:
                 NonFiniteEntries, match=r"exp\(P_0\) overflows \(Re P_0 = 800\)"
             ):
                 build(conf, Z)
+
+
+@st.composite
+def quotient_cases(draw):
+    """(periods, q, r, P, hbar, z, lam): a lattice with Im tau from 0.03 to
+    10 and periods scaled 1e-3 to 1e3, n = 1 to 4 positions q and Cauchy
+    parameters r, and the points hbar, z and lam, each within a cell of the
+    lattice or up to 60 periods out, and exponents P."""
+    w1 = 10.0 ** draw(st.floats(-3.0, 3.0)) * cmath.exp(1j * draw(st.floats(-3.1, 3.1)))
+    tau = complex(draw(st.floats(-0.5, 0.5)), 10.0 ** draw(st.floats(-1.5, 1.0)))
+    coordinate = st.one_of(st.floats(-0.5, 0.5), st.floats(-60.0, 60.0))
+    point = st.builds(lambda u, v: u * w1 + v * w1 * tau, coordinate, coordinate)
+    n = draw(st.integers(1, 4))
+    q, r = (draw(st.lists(point, min_size=n, max_size=n)) for _ in "qr")
+    P = draw(st.lists(st.builds(complex, st.floats(-1, 1), st.floats(-1, 1)), min_size=n, max_size=n))
+    return (w1, w1 * tau), q, r, P, draw(point), draw(point), draw(point)
+
+
+class TestQuotientContract:
+    """The builders of sigma quotients (elliptic._Batch.quotient): on any
+    lattice and at any points, a finite value or an RslaxError, with no
+    RuntimeWarning.  Each example is a reproducer of CHANGES.md."""
+
+    # frobenius_determinant: both sigma products underflow to 0; and
+    # sigma(lam) does.
+    @example(((1.0, 0.3 + 2.1j), [0.15 + 60j, 0.4], [0.0, 0.1], [0, 0], 0.1, 0.3, 0.3))
+    @example(((1.0, 0.3 + 2.1j), [0.15 + 1.05j], [0.0], [0], 0.1, 0.3, 71j))
+    # ruijsenaars_equivalent_momenta: sigma(hbar + q_0 - q_1), and sigma(q_0
+    # - q_1), underflow to 0; exp(P_0) overflows.
+    @example(
+        (
+            (20.729 - 1.699j, -0.422 + 1.091j), [-7.173 - 23.446j, 13.039 - 15.711j],
+            [0.0, 0.1], [-0.273 + 0.474j, -0.083 + 0.455j], -5.615 - 7.170j, 0.3, 0.3,
+        )
+    )
+    @example(
+        (
+            (0.1377 - 0.0055j, -0.0672 + 0.0099j),
+            [0.0800 - 0.0596j, -0.4578 + 0.0953j, 0.0741 + 0.0909j, 0.0756 - 0.0302j],
+            [0.0, 0.01, 0.02, 0.03], [-0.09 + 0.09j, -0.37 - 0.13j, 0.29, -0.68 - 0.14j],
+            -0.0034 - 0.0256j, 0.01, 0.02,
+        )
+    )
+    @example(
+        (
+            (1.0, -0.467 + 0.423j), [0.1, 0.35], [0.0, 0.1], [1218.77 - 901.25j, 0.1],
+            0.08 + 0.03j, 0.3, 0.3,
+        )
+    )
+    # ruijsenaars_equivalent_momenta: prod_l sigma(hbar + q_l - q_k)
+    # overflowed with a RuntimeWarning; exp(theta_1) is about e^1242.
+    @example(
+        (
+            (-0.1585 + 0.7859j, -0.2454 + 0.0911j),
+            [-3.2363 + 36.1197j, -0.576 + 2.9632j, -0.2187 + 1.013j], [0.0, 0.1, 0.2],
+            [-0.58 + 0.04j, 0.65 - 0.65j, -0.62 - 0.11j], -1.8254 + 0.4736j, 0.3, 0.3,
+        )
+    )
+    # cm_lax: sigma(q_0 - q_1) and sigma(lam - q_0 + q_1) underflow to 0.
+    @example(
+        (
+            (1.0, 0.0027 + 0.042j), [-0.1285 + 0.0176j, 1.3665 + 0.0452j, -0.6652 + 0.0047j],
+            [0.0, 0.1, 0.2], [0, 0, 0], 0.5 + 0.1j, 0.3, 0.13 + 0.01j,
+        )
+    )
+    # krichever_lax: sigma(z + mu) underflows to 0, 180 periods out.
+    @example(
+        (
+            (0.0055, -0.0018 + 0.0245j), [0.0001, 0.0021], [0.0, 0.001], [0, 0],
+            -0.7397 - 4.8999j, 0.0013 + 0.0007j, 0.0011 + 0.0003j,
+        )
+    )
+    # section_phi: sigma(z) underflows to 0.
+    @example(((1.0, 0.2 + 2.4j), [0.0], [0.1], [0], 0.1, 0.5 + 48j, 0.3))
+    @given(case=quotient_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_finite_or_a_typed_error(self, case):
+        periods, q, r, P, hbar, z, lam = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                lat = elliptic.lattice_from_periods(*periods)
+            except RslaxError:
+                return
+            calls = [
+                (lambda: lax.cm_lax(lax.cm_config(q, P, 0.5 + 0.1j, lat), lam).entries),
+                (lambda: lax.krichever_lax(lax.rs_config(q, P, hbar, lat), z, lam).entries),
+                (lambda: lax.ruijsenaars_equivalent_momenta(lax.rs_config(q, P, hbar, lat))),
+                (lambda: cauchy.frobenius_determinant(cauchy.CauchyMatrixSpec(q, r, lat), lam)),
+                (lambda: elliptic.section_phi(np.array(q), z, lat)),
+            ]
+            for call in calls:
+                try:
+                    out = call()
+                except RslaxError:
+                    continue
+                assert np.isfinite(out).all()
