@@ -10,10 +10,11 @@ All randomness flows from a single seeded NumPy PCG64 stream, so outputs are
 byte-identical across reruns with the same config and seed.  Tabular data is
 written as RFC-4180 CSV with complex values split into real/imaginary column
 pairs; summaries are JSON with complex values as {"re": ..., "im": ...}.
-Runners return their artifacts as data; main writes them, then report.json, so a
-run stopped by an error writes nothing.  Each file is written to a new 0600
-.tmp-rslax-<pid>-<n> (O_EXCL), then renamed over its target.  Exit status is 0
-iff every check passes.  RSLAX_THREADS caps BLAS/OpenMP threads.
+Runners return their artifacts as data; main makes the output directory and
+writes them, then report.json, so a run stopped by an error writes nothing.
+Each file is written to a new 0600 .tmp-rslax-<pid>-<n> (O_EXCL), then renamed
+over its target.  Exit status is 0 iff every check passes.  RSLAX_THREADS caps
+BLAS/OpenMP threads.
 """
 
 from __future__ import annotations
@@ -95,17 +96,20 @@ class RunReport:
 
 def _as_complex(v, field_name):
     """v as a finite complex: a number (not a bool), a complex string or {re, im}."""
-    try:
-        if any(isinstance(x, bool) for x in (v.values() if isinstance(v, dict) else (v,))):
+    if type(v) is dict and len(v) == 2 and type(v.get("re")) is float and type(v.get("im")) is float:
+        out = complex(v["re"], v["im"])  # the form configs are written in, tested first
+    else:
+        try:
+            if any(isinstance(x, bool) for x in (v.values() if isinstance(v, dict) else (v,))):
+                out = None
+            elif isinstance(v, dict) and set(v) <= {"re", "im"}:
+                out = complex(float(v.get("re", 0.0)), float(v.get("im", 0.0)))
+            else:
+                out = complex(v) if isinstance(v, (int, float, complex, str)) else None
+        except (TypeError, ValueError, OverflowError):
             out = None
-        elif isinstance(v, dict) and set(v) <= {"re", "im"}:
-            out = complex(float(v.get("re", 0.0)), float(v.get("im", 0.0)))
-        else:
-            out = complex(v) if isinstance(v, (int, float, complex, str)) else None
-    except (TypeError, ValueError, OverflowError):
-        out = None
-    if out is None:
-        raise ConfigInvalid("expected a number, a complex string, or {re, im}", field=field_name)
+        if out is None:
+            raise ConfigInvalid("expected a number, a complex string, or {re, im}", field=field_name)
     if not cmath.isfinite(out):
         raise ConfigInvalid("must be finite", field=field_name)
     return out
@@ -171,6 +175,20 @@ _LEAF_TEXT = {  # the text of a value at the indent i by its exact type: the lea
 }
 
 
+@functools.lru_cache(maxsize=64)
+def _complex_array_template(shape, indent):
+    """The _json_text of a complex array of the shape at the indent, with
+    %r for the imaginary and then the real part of each entry, row-major."""
+    if not shape[0]:
+        return "[]"
+    inner = indent + "  "
+    if len(shape) == 1:
+        item = f'{{\n{inner}  "im": %r,\n{inner}  "re": %r\n{inner}}}'
+    else:
+        item = _complex_array_template(shape[1:], inner)
+    return f"[\n{inner}" + f",\n{inner}".join([item] * shape[0]) + f"\n{indent}]"
+
+
 def _json_text(obj, indent=""):
     """obj as JSON text with sorted keys and a 2-space indent, the text of
     json.dumps(..., sort_keys=True, indent=2, allow_nan=False) after
@@ -178,6 +196,10 @@ def _json_text(obj, indent=""):
     Python numbers.  Keys must be str.  ValueError for a non-finite float,
     TypeError for a value JSON cannot hold."""
     if isinstance(obj, np.ndarray) and obj.ndim:
+        if obj.dtype == np.complex128:
+            parts = [x for z in obj.ravel().tolist() for x in (z.imag, z.real)]
+            if all(map(math.isfinite, parts)):
+                return _complex_array_template(obj.shape, indent) % tuple(parts)
         obj = obj.tolist()
     elif isinstance(obj, (np.floating, np.integer)):
         obj = obj.item()
@@ -214,13 +236,8 @@ def _open_temporary(d):
 
 def _write_atomic(path, data: bytes):
     """Write data to path through a 0600 temporary file in its directory,
-    made by the first write of a run, then rename it over path."""
-    d = os.path.dirname(os.path.abspath(path))
-    try:
-        fd, tmp = _open_temporary(d)
-    except FileNotFoundError:
-        os.makedirs(d, exist_ok=True)
-        fd, tmp = _open_temporary(d)
+    which must exist, then rename it over path."""
+    fd, tmp = _open_temporary(os.path.dirname(path))
     try:
         try:
             view = memoryview(data)
@@ -240,26 +257,35 @@ def write_json(path, obj):
 
 
 def write_csv(path, header, rows):
-    """The header and rows as CSV lines ending in CRLF.  Every cell is an
-    int, a float (written as its repr) or a header name, none of which holds
-    a comma, a quote or a line break, so csv's minimal quoting would quote
-    nothing."""
-    lines = [",".join(map(str, row)) for row in [header, *rows]]
+    """The header and rows as CSV lines ending in CRLF.  A row is its cells
+    or its text.  Every cell is an int, a float (written as its repr) or a
+    header name, none of which holds a comma, a quote or a line break, so
+    csv's minimal quoting would quote nothing."""
+    lines = [row if type(row) is str else ",".join(map(str, row)) for row in [header, *rows]]
     _write_atomic(path, ("\r\n".join(lines) + "\r\n").encode("utf-8"))
 
 
 def _matrix_table(M):
-    """(header, rows) of the matrix M: one row (row, col, re, im) per entry, row-major."""
+    """(header, rows) of the matrix M: the text of one row row,col,re,im per
+    entry, row-major."""
     cols = M.shape[1]
     cells = enumerate(M.ravel().tolist())
-    rows = [(*divmod(k, cols), float(v.real), float(v.imag)) for k, v in cells]
+    rows = [f"{k // cols},{k % cols},{v.real!r},{v.imag!r}" for k, v in cells]
     return ["row", "col", "re", "im"], rows
 
 
 def load_config(path, command, seed_override=None, out_override=None, tol_scale=1.0):
     try:
-        with open(path, "rb") as fh:
-            text = fh.read().decode("utf-8")
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            chunks = []
+            # A config is a few kB: a larger buffer would be allocated for
+            # every read and raise the peak memory of a long run.
+            while chunk := os.read(fd, 1 << 13):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+        text = b"".join(chunks).decode("utf-8")
         if "\r" in text:  # the newline translation of a text-mode read
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         raw = json.loads(text)
@@ -665,8 +691,25 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv):
+    """argv as _parser reads it.  COMMAND --config PATH [--out DIR], with no
+    value that starts with "-", is read without argparse, whose parse costs
+    more than loading a config."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    flags = argv[1::2]
+    if (
+        len(argv) in (3, 5)
+        and argv[0] in _RUNNERS
+        and flags == ["--config", "--out"][: len(flags)]
+        and not any(v.startswith("-") for v in argv[2::2])
+    ):
+        out = argv[4] if len(argv) == 5 else None
+        return argparse.Namespace(command=argv[0], config=argv[2], seed=None, out=out, tol_scale=1.0)
+    return _parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
 
     try:
         cfg = load_config(args.config, args.command, args.seed, args.out, args.tol_scale)
@@ -674,6 +717,7 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         artifacts = _RUNNERS[args.command](cfg, report)
         artifacts["report.json"] = {"command": cfg.command, "checks": list(map(vars, report.checks))}
+        os.makedirs(cfg.output_dir or ".", exist_ok=True)
         for name, content in artifacts.items():
             path = os.path.join(cfg.output_dir, name)
             if name.endswith(".csv"):

@@ -111,7 +111,7 @@ def _theta_series(a, b, z, tau):
     if not (cmath.isfinite(tau) and tau.imag > 0):
         raise NonConvergent(f"theta requires a finite tau with Im(tau) > 0, got tau={tau}")
     al, b = complex(a) - 0.5, complex(b)
-    lat = lattice_from_periods(1.0, tau)
+    lat = _unit_lattice(tau)
     zarr = np.asarray(z, dtype=complex).reshape(-1)
     y = zarr + (al * tau + b - 0.5)
     batch = _Batch(lat)
@@ -136,6 +136,13 @@ def theta_char(ch: ThetaCharacteristic, z, tau) -> complex:
 
 
 _UNIT_CACHE: dict[complex, tuple[complex, complex]] = {}
+
+
+@functools.lru_cache(maxsize=_WINDOW_CACHE_SIZE)
+def _unit_lattice(tau):
+    """lattice_from_periods(1, tau), kept per tau: the columns of
+    lax.xi_matrix call theta_char at one tau."""
+    return lattice_from_periods(1.0, tau)
 
 
 @functools.lru_cache(maxsize=_WINDOW_CACHE_SIZE)

@@ -101,6 +101,14 @@ class TestConfigValidation:
             cli.load_config(str(path), "verify")
         assert str(exc.value) == f"config: not valid JSON: {text_mode.value}"
 
+    def test_directory_config_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["lax", "--config", str(tmp_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_crlf_and_cr_newlines_are_read(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_bytes(b'{\r\n"schema_version": 1,\r"seed": 3,\n"params": {"a": [1,\r\n2]}}\r')
@@ -599,8 +607,12 @@ _KEYS = st.one_of(
 )
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _FLOATS = st.one_of(_FINITE, st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1 + 0.2]))
-_COMPLEX = st.complex_numbers(allow_nan=False, allow_infinity=False)
-_SHAPES = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)
+# Complex values also with the parts -0.0, 5e-324 and +-1e308, whose text
+# the complex-array path must write as json.dumps does.
+_COMPLEX = st.one_of(
+    st.complex_numbers(allow_nan=False, allow_infinity=False), st.builds(complex, _FLOATS, _FLOATS)
+)
+_SHAPES = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
 _SCALARS = st.one_of(
     _FLOATS,
     st.integers(min_value=-(2**100), max_value=2**100),
@@ -663,8 +675,13 @@ _NON_FINITE = st.sampled_from(
 )
 
 
+_EDGE_COMPLEX = np.array([-0.0, complex(0.0, -0.0), 5e-324j, -5e-324, 1e308 - 1e308j, 0.1 + 0.2j])
+
+
 class TestWriteJson:
     @given(obj=_PAYLOADS)
+    @example(obj={"X": _EDGE_COMPLEX.reshape(3, 1, 2), "Y": [_EDGE_COMPLEX[::-1], -_EDGE_COMPLEX]})
+    @example(obj=[np.zeros((2, 0, 3), complex), np.zeros((0, 4), complex), np.zeros(0, complex)])
     @settings(max_examples=200, deadline=None)
     def test_bytes_equal_the_json_module(self, tmp_path_factory, obj):
         path = tmp_path_factory.getbasetemp() / "payload.json"
@@ -799,6 +816,36 @@ def test_parser_is_built_once_and_reused(tmp_path):
             assert (fresh / run_dir / name).read_bytes() == (reused / run_dir / name).read_bytes()
 
 
+_ARGV_FLAGS = ["--config", "--out", "--seed", "--tol-scale", "--conf", "--out=o", "-h", "--", "lax"]
+_ARGV_VALUES = ["c.json", "lax", "3", "", "-", "-1", "-h", "a b", "-a b", "--out", "--config"]
+# A command-like first word, then (flag, value) pairs, maybe with the last value cut off.
+_ARGVS = st.tuples(
+    st.sampled_from(["lax", "reduce", "x", "-h", "--config"]),
+    st.lists(st.tuples(st.sampled_from(_ARGV_FLAGS), st.sampled_from(_ARGV_VALUES)), max_size=3),
+    st.booleans(),
+).map(lambda t: [t[0], *itertools.chain.from_iterable(t[1])][: None if t[2] else -1])
+
+
+def _parsed(parse, argv):
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return ("SystemExit", exc.code)
+
+
+@given(argv=_ARGVS)
+@example(argv=["lax", "--config", "c.json", "--out", "o"])
+@example(argv=["reduce", "--config", "", "--out", ""])
+@example(argv=["lax", "--config", "lax"])
+@example(argv=["lax", "--config", "c.json", "--out", "-1"])
+@example(argv=["lax", "--config", "-", "--out", "-a b"])
+@settings(max_examples=300, deadline=None)
+def test_direct_read_of_the_command_line_matches_argparse(argv):
+    # The common form skips argparse; every argv must read as argparse reads it.
+    assert _parsed(cli._parse_args, argv) == _parsed(cli._parser().parse_args, argv)
+
+
 @pytest.mark.parametrize("command", sorted(cli._RUNNERS))
 def test_help_and_usage_errors(command, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -931,7 +978,35 @@ INVALID_CONFIGS = [
     ("verify", {"seed": True}, "seed"),
     ("verify", {"schema_version": True}, "schema_version"),
     ("reduce", {"schema_version": 1.0}, "schema_version"),
+    # {re, im} with a third key, a part that is not finite (the JSON number
+    # 1e309 reads as inf) or a boolean part.
+    ("lax", dict(LIMIT_PARAMS, hbar={"re": 0.1, "im": 0.2, "x": 1}), "params.hbar"),
+    ("lax", dict(LIMIT_PARAMS, z={"re": 1e309, "im": 0.0}), "params.z"),
+    ("lax", dict(LIMIT_PARAMS, q=[0.1, {"re": 1, "im": True}]), "params.q[1]"),
 ]
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"re": 0.1, "im": 0.2, "x": 1}', "expected a number, a complex string, or {re, im}"),
+        ('{"re": 1e309, "im": 0.0}', "must be finite"),
+        ('{"re": 1, "im": true}', "expected a number, a complex string, or {re, im}"),
+        ('{"re": 0.1, "im": NaN}', "must be finite"),
+        ('{"re": 0.5}', None),
+        ('{"re": 0.25, "im": -0.0}', None),
+    ],
+)
+def test_complex_field_errors(text, message):
+    value = json.loads(text)
+    if message is None:
+        parts = (value.get("re", 0.0), value.get("im", 0.0))
+        assert cli._as_complex(value, "f") == complex(*parts)
+        assert math.copysign(1.0, cli._as_complex(value, "f").imag) == math.copysign(1.0, parts[1])
+    else:
+        with pytest.raises(cli.ConfigInvalid) as exc:
+            cli._as_complex(value, "f")
+        assert str(exc.value) == f"f: {message}"
 
 
 @pytest.mark.parametrize("command,params,field", INVALID_CONFIGS)
