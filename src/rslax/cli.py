@@ -96,20 +96,17 @@ class RunReport:
 
 def _as_complex(v, field_name):
     """v as a finite complex: a number (not a bool), a complex string or {re, im}."""
-    if type(v) is dict and len(v) == 2 and type(v.get("re")) is float and type(v.get("im")) is float:
-        out = complex(v["re"], v["im"])  # the form configs are written in, tested first
-    else:
-        try:
-            if any(isinstance(x, bool) for x in (v.values() if isinstance(v, dict) else (v,))):
-                out = None
-            elif isinstance(v, dict) and set(v) <= {"re", "im"}:
-                out = complex(float(v.get("re", 0.0)), float(v.get("im", 0.0)))
-            else:
-                out = complex(v) if isinstance(v, (int, float, complex, str)) else None
-        except (TypeError, ValueError, OverflowError):
+    try:
+        if any(isinstance(x, bool) for x in (v.values() if isinstance(v, dict) else (v,))):
             out = None
-        if out is None:
-            raise ConfigInvalid("expected a number, a complex string, or {re, im}", field=field_name)
+        elif isinstance(v, dict) and set(v) <= {"re", "im"}:
+            out = complex(float(v.get("re", 0.0)), float(v.get("im", 0.0)))
+        else:
+            out = complex(v) if isinstance(v, (int, float, complex, str)) else None
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None:
+        raise ConfigInvalid("expected a number, a complex string, or {re, im}", field=field_name)
     if not cmath.isfinite(out):
         raise ConfigInvalid("must be finite", field=field_name)
     return out
@@ -175,20 +172,6 @@ _LEAF_TEXT = {  # the text of a value at the indent i by its exact type: the lea
 }
 
 
-@functools.lru_cache(maxsize=64)
-def _complex_array_template(shape, indent):
-    """The _json_text of a complex array of the shape at the indent, with
-    %r for the imaginary and then the real part of each entry, row-major."""
-    if not shape[0]:
-        return "[]"
-    inner = indent + "  "
-    if len(shape) == 1:
-        item = f'{{\n{inner}  "im": %r,\n{inner}  "re": %r\n{inner}}}'
-    else:
-        item = _complex_array_template(shape[1:], inner)
-    return f"[\n{inner}" + f",\n{inner}".join([item] * shape[0]) + f"\n{indent}]"
-
-
 def _json_text(obj, indent=""):
     """obj as JSON text with sorted keys and a 2-space indent, the text of
     json.dumps(..., sort_keys=True, indent=2, allow_nan=False) after
@@ -196,10 +179,6 @@ def _json_text(obj, indent=""):
     Python numbers.  Keys must be str.  ValueError for a non-finite float,
     TypeError for a value JSON cannot hold."""
     if isinstance(obj, np.ndarray) and obj.ndim:
-        if obj.dtype == np.complex128:
-            parts = [x for z in obj.ravel().tolist() for x in (z.imag, z.real)]
-            if all(map(math.isfinite, parts)):
-                return _complex_array_template(obj.shape, indent) % tuple(parts)
         obj = obj.tolist()
     elif isinstance(obj, (np.floating, np.integer)):
         obj = obj.item()
@@ -257,35 +236,26 @@ def write_json(path, obj):
 
 
 def write_csv(path, header, rows):
-    """The header and rows as CSV lines ending in CRLF.  A row is its cells
-    or its text.  Every cell is an int, a float (written as its repr) or a
-    header name, none of which holds a comma, a quote or a line break, so
-    csv's minimal quoting would quote nothing."""
-    lines = [row if type(row) is str else ",".join(map(str, row)) for row in [header, *rows]]
+    """The header and rows as CSV lines ending in CRLF.  Every cell is an
+    int, a float (written as its repr) or a header name, none of which holds
+    a comma, a quote or a line break, so csv's minimal quoting would quote
+    nothing."""
+    lines = [",".join(map(str, row)) for row in [header, *rows]]
     _write_atomic(path, ("\r\n".join(lines) + "\r\n").encode("utf-8"))
 
 
 def _matrix_table(M):
-    """(header, rows) of the matrix M: the text of one row row,col,re,im per
-    entry, row-major."""
+    """(header, rows) of the matrix M: one row (row, col, re, im) per entry, row-major."""
     cols = M.shape[1]
     cells = enumerate(M.ravel().tolist())
-    rows = [f"{k // cols},{k % cols},{v.real!r},{v.imag!r}" for k, v in cells]
+    rows = [(*divmod(k, cols), float(v.real), float(v.imag)) for k, v in cells]
     return ["row", "col", "re", "im"], rows
 
 
 def load_config(path, command, seed_override=None, out_override=None, tol_scale=1.0):
     try:
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            chunks = []
-            # A config is a few kB: a larger buffer would be allocated for
-            # every read and raise the peak memory of a long run.
-            while chunk := os.read(fd, 1 << 13):
-                chunks.append(chunk)
-        finally:
-            os.close(fd)
-        text = b"".join(chunks).decode("utf-8")
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
         if "\r" in text:  # the newline translation of a text-mode read
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         raw = json.loads(text)
@@ -691,10 +661,17 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _defaults():
+    """The value _parser gives each option a command line leaves out."""
+    return {a.dest: a.default for a in _parser()._actions if a.default is not argparse.SUPPRESS}
+
+
 def _parse_args(argv):
     """argv as _parser reads it.  COMMAND --config PATH [--out DIR], with no
     value that starts with "-", is read without argparse, whose parse costs
-    more than loading a config."""
+    more than loading a config; the options it leaves out take _parser's
+    defaults."""
     argv = sys.argv[1:] if argv is None else list(argv)
     flags = argv[1::2]
     if (
@@ -703,8 +680,8 @@ def _parse_args(argv):
         and flags == ["--config", "--out"][: len(flags)]
         and not any(v.startswith("-") for v in argv[2::2])
     ):
-        out = argv[4] if len(argv) == 5 else None
-        return argparse.Namespace(command=argv[0], config=argv[2], seed=None, out=out, tol_scale=1.0)
+        given = dict(zip(["command", "config", "out"], argv[::2]))
+        return argparse.Namespace(**{**_defaults(), **given})
     return _parser().parse_args(argv)
 
 

@@ -743,6 +743,14 @@ class TestWriteAtomic:
         assert target.read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["report.json"]
 
+    def test_a_missing_directory_is_not_made(self, tmp_path):
+        # main makes the output directory; the writers take it as given.
+        with pytest.raises(FileNotFoundError):
+            cli.write_json(str(tmp_path / "new" / "report.json"), {"a": 1})
+        with pytest.raises(FileNotFoundError):
+            cli.write_csv(str(tmp_path / "new" / "a.csv"), ["x"], [[1]])
+        assert os.listdir(tmp_path) == []
+
     def test_taken_temporary_names_are_skipped(self, tmp_path, monkeypatch):
         # The next two names hold a file and a symbolic link: O_EXCL opens
         # neither, and the third name carries the artifact.
