@@ -96,7 +96,8 @@ class Lattice:
 # Keeps its old name: bench/tracer.py counts the calls to elliptic._theta_series.
 def _theta_series(a, b, z, tau):
     """theta[a;b](z|tau) = sum_k exp(i pi tau (k+a)^2 + 2 pi i (k+a)(z+b)),
-    vectorized over z.  With al = a - 1/2, y = z + al*tau + b - 1/2 and
+    vectorized over a, b and z, which broadcast against each other: one
+    pass for all entries.  With al = a - 1/2, y = z + al*tau + b - 1/2 and
     x = y/red_omega1 = xr + m + n*red_tau on the lattice (1, tau) (_reduce),
 
         theta[a;b](z|tau) = exp(i pi tau al^2 + 2 pi i al (z + b)) theta1(y|tau),
@@ -110,9 +111,9 @@ def _theta_series(a, b, z, tau):
     tau = complex(tau)
     if not (cmath.isfinite(tau) and tau.imag > 0):
         raise NonConvergent(f"theta requires a finite tau with Im(tau) > 0, got tau={tau}")
-    al, b = complex(a) - 0.5, complex(b)
+    a, b, z = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in (a, b, z)))
+    al, b, zarr = a.reshape(-1) - 0.5, b.reshape(-1), z.reshape(-1)
     lat = _unit_lattice(tau)
-    zarr = np.asarray(z, dtype=complex).reshape(-1)
     y = zarr + (al * tau + b - 0.5)
     batch = _Batch(lat)
     x, xr, n, m = batch._reduced(batch.add(y))
@@ -121,13 +122,14 @@ def _theta_series(a, b, z, tau):
     g = 1j * np.pi * (
         tau * al * al + 2.0 * al * (zarr + b) - c * y * x - n * (n * red + 2.0 * xr) - m - n
     ) + (log_scale + cmath.log(w))
-    return _item(_theta1_sums(xr, red, 2, g)[0].reshape(np.shape(z)))
+    return _item(_theta1_sums(xr, red, 2, g)[0].reshape(z.shape))
 
 
 def theta_char(ch: ThetaCharacteristic, z, tau) -> complex:
-    """Theta function with characteristics theta[a;b](z|tau) (_theta_series);
-    ValueOverflow where it is too large for a double, NonConvergent where z
-    is not finite or doubles cannot sum it to 1e-11 (_modular_factor)."""
+    """Theta function with characteristics theta[a;b](z|tau) (_theta_series),
+    ch.a, ch.b and z broadcast against each other; ValueOverflow where it
+    is too large for a double, NonConvergent where z is not finite or
+    doubles cannot sum it to 1e-11 (_modular_factor)."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = _theta_series(ch.a, ch.b, z, tau)
     if not np.isfinite(out).all():
@@ -140,8 +142,8 @@ _UNIT_CACHE: dict[complex, tuple[complex, complex]] = {}
 
 @functools.lru_cache(maxsize=_WINDOW_CACHE_SIZE)
 def _unit_lattice(tau):
-    """lattice_from_periods(1, tau), kept per tau: the columns of
-    lax.xi_matrix call theta_char at one tau."""
+    """lattice_from_periods(1, tau), kept per tau: the entries of
+    lax.intertwining_vector call theta_char at one tau."""
     return lattice_from_periods(1.0, tau)
 
 
@@ -457,14 +459,11 @@ def _peak(args: _Args, lat: Lattice):
     largest, exp(pi |Im xr|) at k = 0 or -1, at most exp(300), so that its
     square is a double too (on elongated lattices |Im xr| reaches
     Im(red_tau)/2).  It cancels from the ratios zeta and wp read; None
-    where it would be 0, at |Im xr| <= 300/pi.  NonConvergent where |Im xr|
-    > Im(red_tau): the doubles lost the reduction of an argument that
-    large; and where the rounding of the exponents, about pi |Im xr| eps,
-    exceeds 1e-11 relative, as theta's (_modular_factor)."""
+    where it would be 0, at |Im xr| <= 300/pi.  NonConvergent where the
+    rounding of the exponents, about pi |Im xr| eps, exceeds 1e-11
+    relative, as theta's (_modular_factor)."""
     y = np.abs(args.xr.imag)
     top = y.max(initial=0.0)
-    if top > lat.red_tau.imag:
-        raise NonConvergent("special function argument is too large to reduce")
     if np.pi * top * np.finfo(float).eps > 1e-11:
         raise NonConvergent(f"zeta and wp at tau={lat.tau} cannot be summed to 1e-11 in doubles")
     return -np.maximum(np.pi * y - 300.0, 0.0) if np.pi * top > 300.0 else None
@@ -566,12 +565,17 @@ class _Batch:
 
     def _reduced(self, idx):
         """The reduced arguments; NonConvergent if those at idx are not
-        finite, or are finite but overflow the reduced coordinate (beyond
-        about 1.8e308 |red_omega1|)."""
+        finite, or are finite but too large to reduce: the reduced
+        coordinate overflows (beyond about 1.8e308 |red_omega1|), or the
+        doubles lost its reduction, |Im xr| > Im(red_tau)."""
         if self.args is None:
             with np.errstate(all="ignore"):
                 self.args = _reduce(np.concatenate(self._parts), self.lat)
-            finite = np.isfinite(self.args.x if self.args.xr is None else self.args.xr)
+            xr = self.args.xr
+            if xr is None:
+                finite = np.isfinite(self.args.x)
+            else:
+                finite = np.isfinite(xr) & (np.abs(xr.imag) <= self.lat.red_tau.imag)
             self.finite = None if finite.all() else finite
         if self.finite is not None and not self.finite[idx].all():
             if np.isfinite(np.concatenate(self._parts)[idx]).all():

@@ -170,14 +170,15 @@ def intertwining_vector(lam_vec, j, k, z, lat: elliptic.Lattice):
     Returns theta[1/(2n) - j/n^2; 0](zz | tau) with
     zz = (z - n*<lam, ebar_k>)/omega1 + tau/2, where ebar_k is the k-th basis
     vector projected orthogonal to the diagonal, so <lam, ebar_k> =
-    lam_k - mean(lam).  j is taken modulo n; k is 0-based, an index (a
-    complex result) or an index array (an array of the entries at each k).
+    lam_k - mean(lam).  j is taken modulo n; j and k are 0-based, indices
+    (a complex result) or index arrays, broadcast against each other (an
+    array of the entries at each (k, j)).
     """
     if lat.kind != elliptic.KIND_ELLIPTIC:
         raise DegenerateConfiguration("intertwining vectors require an elliptic lattice")
     lam_vec = np.asarray(lam_vec, dtype=complex)
     n = lam_vec.size
-    j = int(j) % n
+    j = np.asarray(j) % n
     pairing = lam_vec[k] - lam_vec.mean()
     ch = elliptic.ThetaCharacteristic(1.0 / (2 * n) - j / n**2, 0.0)
     zz = (complex(z) - n * pairing) / lat.omega1 + lat.tau / 2.0
@@ -186,10 +187,10 @@ def intertwining_vector(lam_vec, j, k, z, lat: elliptic.Lattice):
 
 def xi_matrix(conf: RSConfig, z) -> SpectralMatrix:
     """Matrix of intertwining vectors Xi(z)_{i,j} with <lam, ebar_i> built
-    from the particle positions (lam_i = q_i)."""
-    n, rows = conf.n, np.arange(conf.n)
-    columns = [intertwining_vector(conf.q, j, rows, z, conf.lat) for j in range(n)]
-    return SpectralMatrix(n, np.stack(columns, axis=1), complex(z))
+    from the particle positions (lam_i = q_i), in one theta pass."""
+    n, idx = conf.n, np.arange(conf.n)
+    entries = intertwining_vector(conf.q, idx, idx[:, None], z, conf.lat)
+    return SpectralMatrix(n, entries, complex(z))
 
 
 def _exp_overflow(P):

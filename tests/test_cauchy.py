@@ -19,10 +19,24 @@ from rslax.cauchy import (
     minor_determinant,
     shifted_inverse_product,
 )
-from rslax.errors import DegenerateConfiguration, PoleAtLattice, SingularMatrix
+from rslax.errors import (
+    DegenerateConfiguration,
+    NonConvergent,
+    PoleAtLattice,
+    SingularMatrix,
+    ValueOverflow,
+)
 
 LAT = elliptic.lattice_from_periods(1.0, 0.4 + 1.9j)
 LAM = 0.21 + 0.17j
+NODE = LAT.omega1 - LAT.omega2
+SPEC_LATTICES = [
+    LAT,
+    elliptic.lattice_from_periods(0.7 + 0.1j, (0.7 + 0.1j) * (2.3 + 0.4j)),
+    elliptic.trig_lattice(),
+    elliptic.rational_lattice(),
+]
+DEGENERATE = "some q_i - r_j is within the distinctness threshold of the lattice"
 
 
 def make_spec(rng, n, lat=LAT):
@@ -56,30 +70,39 @@ class TestBuild:
             build_elliptic_cauchy(CauchyMatrixSpec(qs, qs, LAT), LAM)
 
 
-class TestOnePassBuild:
-    @given(
-        n=st.integers(1, 4),
-        seed=st.integers(0, 10_000),
-        r_on_lattice=st.booleans(),
-        lam=st.sampled_from(["cell", "node", "nan"]),
+class TestBuildAgainstMpmath:
+    """build_elliptic_cauchy per entry against sigma quotients at 50 digits,
+    its SpectralMatrix's types and shape, and its checks in their order."""
+
+    @pytest.mark.parametrize("lat", SPEC_LATTICES, ids=["elliptic", "skew-basis", "trig", "rational"])
+    def test_entries_match_mpmath(self, lat):
+        spec = make_spec(np.random.default_rng(2), 3, lat)
+        H = build_elliptic_cauchy(spec, LAM)
+        assert H.n == 3 and H.entries.shape == (3, 3) and H.entries.dtype == complex
+        assert not H.entries.flags.writeable and type(H.lam) is complex and H.lam == LAM
+        for i in range(3):
+            for j in range(3):
+                d = spec.qs[i] - spec.rs[j]
+                log, size = oracles.sigma_quotient_mpmath([LAM + d], [LAM, d], lat)
+                oracles.assert_log_form(H.entries[i, j], log, size)
+
+    @pytest.mark.parametrize(
+        "r_on_lattice,lam,error,message",
+        [
+            (True, LAM, DegenerateConfiguration, DEGENERATE),
+            (True, NODE, DegenerateConfiguration, DEGENERATE),
+            (True, complex("nan"), DegenerateConfiguration, DEGENERATE),
+            (False, NODE, PoleAtLattice, "spectral parameter lam is on the lattice"),
+            (False, complex("nan"), NonConvergent, "special function argument is not finite"),
+        ],
     )
-    @settings(max_examples=60, deadline=None)
-    def test_matches_the_per_call_build(self, n, seed, r_on_lattice, lam):
-        # Values, and the first error where a q_i - r_j or lam (or both)
-        # sits on the lattice, as the former route of one public call per
-        # value.
-        rng = np.random.default_rng(seed)
-        spec = make_spec(rng, n)
-        node = int(rng.integers(-1, 2)) * LAT.omega1 + int(rng.integers(-1, 2)) * LAT.omega2
-        if r_on_lattice:
-            rs = np.array(spec.rs)
-            rs[int(rng.integers(n))] = spec.qs[int(rng.integers(n))] - node
-            spec = CauchyMatrixSpec(spec.qs, tuple(rs), LAT)
-        lam = {"cell": LAM, "node": node, "nan": complex("nan")}[lam]
-        oracles.assert_same_outcome(
-            oracles.outcome(build_elliptic_cauchy, spec, lam),
-            oracles.outcome(oracles.build_elliptic_cauchy_reference, spec, lam),
-        )
+    def test_checks_in_order(self, r_on_lattice, lam, error, message):
+        spec = make_spec(np.random.default_rng(3), 3)
+        if r_on_lattice:  # q_2 - r_1 on the lattice
+            spec = CauchyMatrixSpec(spec.qs, (spec.rs[0], spec.qs[2] - NODE, spec.rs[2]), LAT)
+        with pytest.raises(error) as exc:
+            build_elliptic_cauchy(spec, lam)
+        assert str(exc.value) == message
 
 
 class TestFrobeniusDeterminant:
@@ -91,6 +114,39 @@ class TestFrobeniusDeterminant:
         closed = frobenius_determinant(spec, LAM)
         lu = oracles.brute_determinant(build_elliptic_cauchy(spec, LAM).entries)
         assert abs(closed - lu) < 1e-9 * max(abs(lu), 1e-30)
+
+    @pytest.mark.parametrize("lat", SPEC_LATTICES, ids=["elliptic", "skew-basis", "trig", "rational"])
+    def test_matches_mpmath_and_lu_on_each_kind(self, lat):
+        for n in (1, 3):
+            spec = make_spec(np.random.default_rng(n), n, lat)
+            det = frobenius_determinant(spec, LAM)
+            assert type(det) is complex
+            factors = oracles.frobenius_factors(spec.qs, spec.rs, LAM)
+            oracles.assert_log_form(det, *oracles.sigma_quotient_mpmath(*factors, lat))
+            lu = oracles.brute_determinant(build_elliptic_cauchy(spec, LAM).entries)
+            assert abs(det - lu) < 1e-9 * abs(lu)
+
+    @pytest.mark.parametrize(
+        "qs,rs,lam,want",
+        [
+            # q_1 - r_0 on the lattice, and q_0 = q_1 there too: the pole comes first.
+            ((0.3, 0.3 + NODE), (0.3 - NODE, 0.9), LAM,
+             (DegenerateConfiguration, "q_i - r_j hits the lattice: formula pole")),
+            # A coincident pair, before lam is read.
+            ((0.3, 0.3 + NODE), (0.1, 0.6), complex("nan"), 0j),
+            ((0.3, 0.7), (0.1, 0.1 - NODE), LAM, 0j),
+            ((0.3, 0.7), (0.1, 0.5), complex("nan"),
+             (NonConvergent, "special function argument is not finite")),
+            # On (1, 0.2+2.4i) the determinant is exp(-2382.2 - 5.19i) at 50
+            # digits, and both sigma products underflow to 0.
+            ((0.5 + 50j,), (0.0,), 0.5 + 70j,
+             (ValueOverflow, "frobenius_determinant: the sigma quotient is not a double")),
+        ],
+    )
+    def test_checks_in_order(self, qs, rs, lam, want):
+        lat = LAT if len(qs) > 1 else elliptic.lattice_from_periods(1.0, 0.2 + 2.4j)
+        got = oracles.outcome(frobenius_determinant, CauchyMatrixSpec(qs, rs, lat), lam)
+        assert got == want and type(got) is type(want)
 
     def test_n1_scalar(self):
         spec = CauchyMatrixSpec((0.3,), (0.05,), LAT)

@@ -6,7 +6,6 @@ Oracle values come from mpmath theta series and truncated lattice products.
 import cmath
 import math
 import warnings
-from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -16,7 +15,6 @@ from hypothesis import strategies as st
 
 import oracles
 from rslax import elliptic
-from rslax.cauchy import CauchyMatrixSpec, frobenius_determinant, minor_determinant
 from rslax.errors import NonConvergent, PoleAtLattice, RslaxError, ValueOverflow
 
 
@@ -370,153 +368,213 @@ def shaped_arguments(draw, lat):
     return np.array(values, dtype=complex).reshape(shape)
 
 
-_SIGMA_REFERENCE = oracles.sigma_reference
+# The checks of a special-function read, in the order elliptic._Batch makes
+# them (by a fragment of each message): an array fails the earliest check
+# that one of its entries fails alone.
+_CHECKS = {
+    "lattice_distance": ("not finite", "too large to reduce"),
+    "sigma": ("not finite", "too large to reduce", "sigma is too large"),
+    "zeta": ("not finite", "too large to reduce", "argument within", "cannot be summed"),
+    "wp": ("not finite", "too large to reduce", "argument within", "cannot be summed"),
+}
 
 
-def _sigma_expected(z, lat):
-    """oracles.sigma_reference with the one intended change: 0, not
-    ValueOverflow, at the arguments whose reduced coordinate is exactly 0
-    (exact lattice points far out)."""
-    try:
-        return _SIGMA_REFERENCE(z, lat)
-    except ValueOverflow:
-        if lat.kind != elliptic.KIND_ELLIPTIC:
-            raise
-    flat = np.asarray(z, dtype=complex).reshape(-1)
-    on = elliptic._reduce(flat, lat).xr == 0
-    far = on & [isinstance(oracles.outcome(_SIGMA_REFERENCE, v, lat), tuple) for v in flat]
-    # The others in one array, as their bits (the sign of an underflowed 0)
-    # may depend on the array.
-    out = _SIGMA_REFERENCE(np.where(far, 0.0, flat), lat)
-    out[far] = 0.0
-    return out[0].item() if np.ndim(z) == 0 else out.reshape(np.shape(z))
+def _first_error(errors, checks):
+    """The error of errors, (type, message) pairs, whose check comes first."""
+    ranks = [next((i for i, c in enumerate(checks) if c in e[1]), None) for e in errors]
+    assert None not in ranks, errors
+    return errors[int(np.argmin(ranks))]
 
 
-def _frobenius_expected(spec, lam):
-    """oracles.frobenius_determinant_reference, NaN for its ZeroDivisionError
-    (sigma(lam) underflows to 0), for _assert_same_quotient."""
-    try:
-        return oracles.frobenius_determinant_reference(spec, lam)
-    except ZeroDivisionError:
-        return complex("nan")
-
-
-def _section_phi_expected(q, z, lat):
-    """oracles.section_phi_reference, with its quotient also where it
-    raised for a sigma(z) that underflows to 0 (NaN for a scalar 0/0), for
-    _assert_same_quotient."""
-    try:
-        return oracles.section_phi_reference(q, z, lat)
-    except ValueOverflow as exc:
-        if "1/sigma(z)" not in str(exc):
-            raise
-    num, den = oracles.sigma_reference(np.asarray(z) - q, lat), oracles.sigma_reference(z, lat)
-    return num / den if np.ndim(num) or np.ndim(den) else complex("nan")
-
-
-def _assert_same_quotient(new, ref, factors, lat, *args):
-    """new(*args) against ref(*args), the per-call reference of a quotient
-    of sigma products (_assert_same_bits), with the one intended change
-    (elliptic._Batch.quotient): where ref has an entry that is not a finite
-    non-zero double, new's entry is ref's, or, where eps*size <= 1e-11 for
-    (log, size) of its factors (factors(*args), one (num, den) per entry)
-    at 50 digits, exp(log) within 4 eps size; ValueOverflow only where an
-    entry of ref is not finite and exp(log) is not trusted or not a finite
-    non-zero double."""
-    with mock.patch.object(oracles, "sigma_reference", _sigma_expected):
-        want = oracles.outcome(ref, *args)
-    if isinstance(want, tuple) or (np.isfinite(want) & (want != 0)).all():
-        return _assert_same_bits(new, ref, *args)
-    got, eps = oracles.outcome(new, *args), np.finfo(float).eps
-    error = isinstance(got, tuple)
-    if error:
-        assert got[0] is ValueOverflow
-        got = np.full(np.shape(want), complex("nan"))
-    for g, w, (num, den) in zip(np.ravel(got), np.ravel(want), factors(*args)):
-        if g == w or error and np.isfinite(w) and w != 0:
-            continue
-        assert not (np.isfinite(w) and w != 0)
-        log, size = oracles.sigma_quotient_mpmath(num, den, lat)
-        v = complex(mp.exp(log)) if eps * size <= 1e-11 else 0j
-        v = v if v != 0 else complex("nan")
-        if not error:
-            assert abs(g - v) <= 4 * eps * size * abs(v) + np.finfo(float).tiny
-        elif not (np.isfinite(w) or np.isfinite(v)):
-            return
-    assert not error
-
-
-def _assert_same_bits(new, ref, *args):
-    """new(*args) and the per-call reference ref(*args) (with _sigma_expected
-    for sigma) give the same bits, Python type and shape, or the same error
-    type and message."""
-    got = oracles.outcome(new, *args)
-    with mock.patch.object(oracles, "sigma_reference", _sigma_expected):
-        want = oracles.outcome(ref, *args)
+def _assert_same(got, want):
+    """The same error, or values of the same Python type, shape and bits."""
     assert type(got) is type(want)
-    oracles.assert_same_outcome(got, want, rel=0.0)
-    if not isinstance(want, tuple):
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert np.shape(got) == np.shape(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
-class TestPerCallReferences:
-    """The public functions, section_phi and frobenius_determinant, which
-    read through elliptic._Batch, against their former per-call routes
-    (oracles.*_reference)."""
+def _entries_alone(fn, z, *args):
+    """fn at each entry of z alone, as a 1-element array (or the Python
+    scalar z itself), and at the entries' first failed check where one
+    fails (oracles.outcome)."""
+    return [oracles.outcome(fn, np.array([v]) if np.ndim(z) else v, *args) for v in np.ravel(z)]
+
+
+class TestReadsAlone:
+    """The special functions read through elliptic._Batch: a value does not
+    depend on the arguments read with it, and an array fails the first
+    check that one of its entries fails alone."""
 
     @given(data=st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_special_functions(self, data):
+    @settings(max_examples=100, deadline=None)
+    def test_arrays_equal_their_entries(self, data):
         lat = data.draw(st.sampled_from(LATTICES))
         z = data.draw(shaped_arguments(lat))
-        for name in ("sigma", "zeta", "wp", "lattice_distance"):
-            ref = _sigma_expected if name == "sigma" else getattr(oracles, f"{name}_reference")
-            _assert_same_bits(getattr(elliptic, name), ref, z, lat)
-        q = data.draw(special_arguments(lat))
-        if np.ndim(z) and data.draw(st.booleans()):
-            q = data.draw(st.lists(special_arguments(lat), min_size=z.size, max_size=z.size))
-            q = np.array(q).reshape(z.shape)
-        _assert_same_quotient(
-            elliptic.section_phi, _section_phi_expected, _section_phi_factors, lat, q, z, lat
-        )
+        for name, checks in _CHECKS.items():
+            fn = getattr(elliptic, name)
+            alone = _entries_alone(fn, z, lat)
+            errors = [a for a in alone if isinstance(a, tuple)]
+            if errors:
+                want = _first_error(errors, checks)
+            elif np.ndim(z):
+                want = np.concatenate(alone).reshape(np.shape(z))
+            else:
+                want = alone[0]
+            _assert_same(oracles.outcome(fn, z, lat), want)
 
     @given(data=st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_frobenius_determinant(self, data):
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_batch_reads_equal_reads_alone(self, data):
         lat = data.draw(st.sampled_from(LATTICES))
-        n = data.draw(st.integers(1, 3))
-        qs, rs = (data.draw(st.lists(special_arguments(lat), min_size=n, max_size=n)) for _ in "qr")
-        spec = CauchyMatrixSpec(qs, rs, lat)
-        lam = data.draw(special_arguments(lat))
-        _assert_same_quotient(
-            frobenius_determinant, _frobenius_expected, _frobenius_factors, lat, spec, lam
-        )
-        if n > 1:
-            minor = _minor(spec, 2, 1)
-            _assert_same_quotient(
-                lambda spec, lam: minor_determinant(spec, lam, 2, 1),
-                lambda spec, lam: _frobenius_expected(minor, lam),
-                lambda spec, lam: _frobenius_factors(minor, lam),
-                lat, spec, lam,
+        groups = data.draw(st.lists(shaped_arguments(lat), min_size=1, max_size=3))
+        reads = data.draw(st.permutations([(g, name) for g in range(len(groups)) for name in _CHECKS]))
+        batch = elliptic._Batch(lat)
+        index = [batch.add(g) for g in groups]
+        for g, name in reads:
+            read = getattr(batch, "distance" if name == "lattice_distance" else name)
+            _assert_same(
+                oracles.outcome(read, index[g]), oracles.outcome(getattr(elliptic, name), groups[g], lat)
             )
 
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_section_phi_arrays_equal_their_entries(self, data):
+        lat = data.draw(st.sampled_from(LATTICES))
+        z = data.draw(shaped_arguments(lat))
+        q = data.draw(special_arguments(lat))
+        if np.ndim(z) and data.draw(st.booleans()):
+            q = np.array(data.draw(st.lists(special_arguments(lat), min_size=z.size, max_size=z.size)))
+            q = q.reshape(z.shape)
+        with np.errstate(invalid="ignore"):  # z - q at z = q = inf
+            alone = [
+                oracles.outcome(elliptic.section_phi, np.array([a]), np.array([b]), lat)
+                for a, b in zip(*map(np.ravel, np.broadcast_arrays(q, z)))
+            ]
+            got = oracles.outcome(elliptic.section_phi, q, z, lat)
+        errors = [a for a in alone if isinstance(a, tuple)]
+        if errors:
+            assert got in errors
+        elif np.ndim(z):
+            _assert_same(got, np.concatenate(alone).reshape(np.shape(z)))
+        else:
+            # A Python complex, whose division may round apart from numpy's.
+            assert type(got) is complex and abs(got - alone[0][0]) <= 4 * np.finfo(float).eps * abs(got)
 
-def _minor(spec, k, l):
-    """spec without q_k and r_l (1-based)."""
-    qs = tuple(q for i, q in enumerate(spec.qs, start=1) if i != k)
-    rs = tuple(r for j, r in enumerate(spec.rs, start=1) if j != l)
-    return CauchyMatrixSpec(qs, rs, spec.lat)
+
+def _closed_forms(lat, z):
+    """(sigma, zeta, wp) of the degenerate kinds at z, in mpmath."""
+    z = mp.mpc(z)
+    if lat.kind == elliptic.KIND_TRIG:
+        return mp.sin(z), mp.cot(z), 1 / mp.sin(z) ** 2
+    return z, 1 / z, 1 / z**2
 
 
-def _frobenius_factors(spec, lam):
-    """The one entry's (num, den) of frobenius_determinant (oracles.frobenius_factors)."""
-    return [oracles.frobenius_factors(spec.qs, spec.rs, complex(lam))]
+def _true_distance(lat, z):
+    """The distance from z to the zero set of sigma, by brute force over
+    the lattice points m omega1 + n omega2, |m|, |n| <= 6."""
+    w1, w2, p1, p2 = _periods(lat)
+    k = np.arange(-6, 7)
+    return np.abs(z - (k[:, None] * p1 + k[None, :] * p2)).min()
 
 
-def _section_phi_factors(q, z, lat):
-    """(num, den) of each entry of section_phi(q, z, lat)."""
-    zq, z = np.broadcast_arrays(np.asarray(z) - q, z)
-    return [([a], [b]) for a, b in zip(zq.ravel(), z.ravel())]
+class TestFixedPoints:
+    """sigma, zeta, wp, lattice_distance and section_phi at fixed points of
+    each lattice kind against mpmath and brute force, with Python scalars
+    for 0-d input and shapes kept."""
+
+    CELL = [(0.23, 0.11), (-0.41, 0.37), (0.3, -0.45), (0.02, 0.01)]
+
+    @pytest.mark.parametrize("lat", LATTICES, ids=["a", "b", "skew-basis", "scaled", "trig", "rational"])
+    def test_values(self, lat):
+        w1, w2, _, _ = _periods(lat)
+        scale = abs(lat.red_omega1) if lat.kind == elliptic.KIND_ELLIPTIC else 1.0
+        for u, v in self.CELL:
+            z = u * w1 + v * w2
+            if lat.kind == elliptic.KIND_ELLIPTIC:
+                TestReducedKernel.check(z, lat, lat.omega1, lat.omega2)
+            else:
+                # Each against its derivative's condition number (_within).
+                s, ze, wpv = map(complex, _closed_forms(lat, z))
+                assert _within(elliptic.sigma(z, lat), s, s * ze, z)
+                assert _within(elliptic.zeta(z, lat), ze, -wpv, z)
+                assert _within(elliptic.wp(z, lat), wpv, -2 * wpv * ze, z)
+            d, true = elliptic.lattice_distance(z, lat), _true_distance(lat, z)
+            assert d >= true - 1e-14 * scale
+            if true < 0.4 * scale:
+                assert abs(d - true) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("lat", LATTICES, ids=["a", "b", "skew-basis", "scaled", "trig", "rational"])
+    def test_scalars_and_shapes(self, lat):
+        w1, w2, _, _ = _periods(lat)
+        z = np.array([u * w1 + v * w2 for u, v in self.CELL])
+        for name in _CHECKS:
+            fn = getattr(elliptic, name)
+            kind = float if name == "lattice_distance" else complex
+            for arg in (complex(z[0]), z[0], np.array(z[0]), float(z[0].real)):
+                assert type(fn(arg, lat)) is kind
+            out = fn(z.reshape(2, 2), lat)
+            assert type(out) is np.ndarray and out.shape == (2, 2) and out.dtype == kind
+        phi = elliptic.section_phi(0.1 * w1, z, lat)
+        assert type(phi) is np.ndarray and phi.shape == (4,)
+        assert type(elliptic.section_phi(0.1 * w1, complex(z[0]), lat)) is complex
+        assert elliptic.section_phi(z.reshape(2, 2), z[0], lat).shape == (2, 2)
+
+    @pytest.mark.parametrize("lat", LATTICES, ids=["a", "b", "skew-basis", "scaled", "trig", "rational"])
+    def test_section_phi(self, lat):
+        w1, w2, _, _ = _periods(lat)
+        q = 0.17 * w1 - 0.05 * w2
+        z = np.array([u * w1 + v * w2 for u, v in self.CELL])
+        # A quotient formed directly: within sigma's 1e-13 (TestReducedKernel)
+        # once per factor, relative.
+        for got, zz in zip(elliptic.section_phi(q, z, lat), z):
+            want = complex(mp.exp(oracles.sigma_quotient_mpmath([zz - q], [zz], lat)[0]))
+            assert abs(got - want) <= 2e-13 * abs(want)
+
+
+class TestReadErrors:
+    """One crafted argument per error of the special functions' reads."""
+
+    @pytest.mark.parametrize("fn", ["lattice_distance", "sigma", "zeta", "wp"])
+    def test_lost_reduction_is_named(self, fn):
+        # x = z/red_omega1 rounds to an xr with Im 4.6e282, far beyond Im
+        # red_tau = 2.1: the doubles lost this argument's reduction, and
+        # lattice_distance returned 4.6e282 (every point is within |omega1|
+        # + |omega2| of the lattice) while sigma raised ValueOverflow.
+        z = 5.1590200471285626e299 + 2.551744652415609e298j
+        for arg in (z, np.array([0.3, z])):
+            with pytest.raises(NonConvergent, match="^special function argument is too large to reduce$"):
+                getattr(elliptic, fn)(arg, LAT)
+
+    @pytest.mark.parametrize("fn", ["zeta", "wp"])
+    def test_pole(self, fn):
+        with pytest.raises(PoleAtLattice, match=f"^{fn} argument within 1e-08 of a lattice point$"):
+            getattr(elliptic, fn)(np.array([0.3, LAT.omega2 + 1e-9]), LAT)
+
+    @pytest.mark.parametrize("fn", ["zeta", "wp"])
+    def test_rounding_beyond_the_bound(self, fn):
+        # On (1, 1e-12 i), 0.1 reduces to Im xr = -1e11: the exponents' rounding,
+        # about pi 1e11 eps, exceeds 1e-11.
+        lat = elliptic.lattice_from_periods(1.0, 1e-12j)
+        with pytest.raises(NonConvergent, match=r"^zeta and wp at tau=1e-12j cannot be summed to 1e-11 in doubles$"):
+            getattr(elliptic, fn)(0.1, lat)
+
+    def test_section_phi_pole(self):
+        with pytest.raises(PoleAtLattice, match="^section_phi evaluated at a lattice pole$"):
+            elliptic.section_phi(0.3, np.array([0.2, LAT.omega1]), LAT)
+
+    def test_section_phi_beyond_the_doubles(self):
+        # sigma(0.5 + 50i)/sigma(0.5 + 70i) is exp(806.2 - 1.5i) at 50 digits;
+        # both sigma values underflow to 0.
+        lat = elliptic.lattice_from_periods(1.0, 0.2 + 2.4j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueOverflow, match=r"^section_phi: sigma\(z - q\)/sigma\(z\) is not a double$"):
+                elliptic.section_phi(20j, 0.5 + 70j, lat)
+        log, _ = oracles.sigma_quotient_mpmath([0.5 + 50j], [0.5 + 70j], lat)
+        assert log.real > np.log(np.finfo(float).max)
 
 
 class TestLegendreAndWp:

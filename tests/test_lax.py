@@ -8,6 +8,7 @@ oracle.
 import cmath
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -28,6 +29,8 @@ from rslax.errors import (
 
 LAT = elliptic.lattice_from_periods(1.0, 0.2 + 2.2j)
 Z = 0.19 + 0.27j
+CAUCHY_POLE = "some q_i - r_j is within the distinctness threshold of the lattice"
+NOT_FINITE = (NonConvergent, "special function argument is not finite")
 
 
 def make_conf(rng, n, lat=LAT, hbar=0.11 + 0.04j):
@@ -439,116 +442,148 @@ class TestFactorizedCM:
             lax.factorized_cm_lax(conf, Z)
 
 
-@st.composite
-def one_pass_cases(draw):
-    """A lattice like cli-mix's, n <= 4 positions 0.3 apart in its basis,
-    and points each drawn in the cell or put where a check of the builders
-    fails: on the lattice, or a position difference (plus a lattice point)
-    away from it, so that often two checks fail at once."""
-    w1 = cmath.rect(draw(st.floats(0.8, 1.2)), draw(st.floats(-0.3, 0.3)))
-    w2 = w1 * complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(0.9, 3.0)))
-    lat = elliptic.lattice_from_periods(w1, w2)
-    n = draw(st.integers(1, 4))
-    noise = st.floats(-0.04, 0.04)
-    frac = [0.3 * k + complex(draw(noise), draw(noise)) for k in range(n)]
-    q = np.array([w1 * f.real + w2 * f.imag for f in frac])
-    cell = st.builds(lambda u, v: w1 * u + w2 * v, st.floats(0.05, 0.95), st.floats(0.05, 0.95))
-    node = st.builds(lambda m, k: m * w1 + k * w2, st.integers(-1, 1), st.integers(-1, 1))
-    diff = st.builds(lambda i, j, w: q[i] - q[j] + w, st.integers(0, n - 1), st.integers(0, n - 1), node)
-
-    def point(*special):
-        return draw(st.one_of(cell, node, *special))
-
-    mu = point(diff, st.just(0.0))
-    points = {
-        "hbar": point(diff, st.just(1e-9)),
-        "mu": mu,
-        "z": point(st.builds(lambda w: mu + w, node), st.builds(lambda w: w - mu, node)),
-        "lam": point(st.builds(lambda w: w - mu, node), diff),
-    }
-    return lat, q, points, draw(st.lists(st.floats(-1, 1), min_size=2 * n, max_size=2 * n))
+KINDS = {
+    "elliptic": LAT,
+    "skew-basis": elliptic.lattice_from_periods(0.7 + 0.1j, (0.7 + 0.1j) * (2.3 + 0.4j)),
+    "trig": elliptic.trig_lattice(),
+    "rational": elliptic.rational_lattice(),
+}
+Q3 = np.array([0.1 + 0.05j, 0.45 - 0.03j, 0.8 + 0.02j])
+P3 = np.array([0.1, -0.2, 0.05])
+LAM = 0.23 + 0.11j
 
 
-class TestOnePassBuilders:
-    """The builders that read their sigma, zeta, wp and distances from one
-    reduction (elliptic._Batch) against their former routes, one public call
-    per value (oracles.*_reference): the same values, and the same error
-    where checks fail, in the same order."""
+def assert_spectral_matrix(M, n, lam):
+    """M is an n x n SpectralMatrix of read-only complex entries at the
+    Python complex lam."""
+    assert M.n == n and M.entries.shape == (n, n) and M.entries.dtype == complex
+    assert not M.entries.flags.writeable and type(M.lam) is complex and M.lam == lam
 
-    @given(case=one_pass_cases())
-    @settings(max_examples=150, deadline=None)
-    def test_match_the_per_call_builders(self, case):
-        lat, q, pt, r = case
-        n = q.size
-        P = np.array(r[:n]) + 1j * np.array(r[n:])
-        conf = lax.rs_config(q, P, pt["hbar"], lat, mu=pt["mu"])
-        cmc = lax.cm_config(q, r[:n], 0.7, lat)
-        pairs = [
-            (lax.composition_lax, oracles.composition_lax_reference, (conf, pt["z"])),
-            (lax.krichever_lax, oracles.krichever_lax_reference, (conf, pt["z"], pt["lam"])),
-            (lax.factorized_cm_lax, oracles.factorized_cm_lax_reference, (cmc, pt["z"])),
-            (lax.cm_lax, oracles.cm_lax_reference, (cmc, pt["lam"])),
-        ]
-        if n > 1:
-            pairs.append(
-                (
-                    lax.ruijsenaars_equivalent_momenta,
-                    oracles.ruijsenaars_equivalent_momenta_reference,
-                    (conf,),
-                )
-            )
-        for new, ref, args in pairs:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                got = oracles.outcome(new, *args)
-            oracles.assert_same_outcome(got, oracles.outcome(ref, *args))
+
+class TestBuildersAgainstMpmath:
+    """The builders that read their sigma, zeta and distances from one
+    elliptic._Batch, entry by entry against 50-digit values (oracles), with
+    their types and shapes; their checks, in order, in the crafted cases
+    below."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_composition_is_the_hasegawa_matrix(self, kind):
+        lat = KINDS[kind]
+        conf = lax.rs_config(Q3, P3, 0.08 + 0.03j, lat)
+        L = lax.composition_lax(conf, Z)
+        assert_spectral_matrix(L, 3, Z)
+        ref = oracles.hasegawa_mpmath(Q3, P3, conf.hbar, Z, lat.omega1, lat.omega2, lat.kind)
+        assert np.all(np.abs(L.entries - ref) <= 1e-10 * np.abs(ref))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_krichever_entries(self, kind):
+        lat, mu = KINDS[kind], 0.09 + 0.02j
+        L = lax.krichever_lax(lax.rs_config(Q3, P3, 0.08, lat, mu=mu), Z, LAM)
+        assert_spectral_matrix(L, 3, LAM)
+        log_ratio, ratio_size = oracles.sigma_quotient_mpmath([Z - mu], [Z + mu], lat)
+        log_ratio -= 2j * mp.pi * mp.nint(log_ratio.imag / (2 * mp.pi))  # principal branch
+        for (i, j), entry in np.ndenumerate(L.entries):
+            d = Q3[i] - Q3[j]
+            c = (d - mu) / (2 * mu)
+            log, size = oracles.sigma_quotient_mpmath([LAM + d], [LAM + mu, d - mu], lat)
+            oracles.assert_log_form(entry, log + c * log_ratio, size + abs(c) * ratio_size)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_cm_entries(self, kind):
+        lat, g, p = KINDS[kind], 0.7 - 0.1j, [0.3, -0.2, 0.1]
+        L = lax.cm_lax(lax.cm_config(Q3, p, g, lat), LAM)
+        assert_spectral_matrix(L, 3, LAM)
+        assert np.array_equal(np.diag(L.entries), p)
+        for (i, j), entry in np.ndenumerate(L.entries):
+            if i != j:
+                d = Q3[i] - Q3[j]
+                log, size = oracles.sigma_quotient_mpmath([LAM - d], [d, LAM], lat)
+                oracles.assert_log_form(entry / g, log, size)
+
+    @pytest.mark.parametrize("kind", ["elliptic", "skew-basis"])
+    def test_factorized_cm_entries(self, kind):
+        lat, p = KINDS[kind], [0.3, -0.2, 0.1]
+        L = lax.factorized_cm_lax(lax.cm_config(Q3, p, 1.0, lat), Z)
+        assert_spectral_matrix(L, 3, Z)
+        ref = oracles.factorized_cm_mpmath(Q3, p, Z, lat.omega1, lat.omega2)
+        assert np.abs(L.entries - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_equivalent_momenta(self, kind):
+        conf = lax.rs_config(Q3, P3, 0.08 + 0.03j, KINDS[kind])
+        theta = lax.ruijsenaars_equivalent_momenta(conf)
+        assert theta.shape == (3,) and theta.dtype == complex
+        want, size = oracles.ruijsenaars_equivalent_momenta_mpmath(conf)
+        assert np.all(np.abs(theta - want) <= 4 * np.finfo(float).eps * size)
 
     @pytest.mark.parametrize(
-        "what,points",
+        "what,points,want",
         [
             # hbar = q_0 - q_1 puts q_1 + hbar - q_0 on the lattice, and z is
             # on it: the Cauchy factor's distinctness check comes first.
-            ("composition", lambda q: dict(hbar=q[0] - q[1], z=0.0)),
-            # Zero coupling returns before z is looked at.
-            ("composition", lambda q: dict(hbar=0.0, z=0.0)),
-            ("composition", lambda q: dict(hbar=complex("nan"), z=0.0)),
-            ("krichever", lambda q: dict(mu=0.0, z=0.0)),
-            ("krichever", lambda q: dict(mu=0.1, lam=-0.1, z=0.1)),
-            ("krichever", lambda q: dict(mu=q[0] - q[1], z=q[1] - q[0])),
-            ("krichever", lambda q: dict(mu=q[0] - q[1], z=complex("inf"))),
-            ("factorized", lambda q: dict(z=0.0, lat=elliptic.trig_lattice())),
-            ("factorized", lambda q: dict(z=1.0)),
-            ("cm", lambda q: dict(lam=complex("nan"))),
-        ],
-        ids=[
-            "composition-cauchy-before-z",
-            "composition-zero-coupling-before-z",
-            "composition-nan-coupling",
-            "krichever-zero-mu-before-z",
-            "krichever-lam-mu-before-z-mu",
-            "krichever-z-mu-before-differences",
-            "krichever-infinite-z-mu",
-            "factorized-kind-before-z",
-            "factorized-z-on-lattice",
-            "cm-nan-lam",
+            ("composition", dict(hbar=Q3[0] - Q3[1], z=0.0), (DegenerateConfiguration, CAUCHY_POLE)),
+            ("composition", dict(hbar=complex("nan"), z=0.0), NOT_FINITE),
+            ("composition", dict(z=LAT.omega2), (PoleAtLattice, "spectral parameter lam is on the lattice")),
+            ("composition", dict(z=complex("nan")), NOT_FINITE),
+            ("krichever", dict(mu=0.0, z=0.0), (ZeroMu, "krichever matrix requires mu != 0")),
+            ("krichever", dict(mu=0.1, lam=-0.1, z=0.1), (PoleAtLattice, "lam + mu is on the lattice")),
+            ("krichever", dict(mu=0.1, z=0.1), (PoleAtLattice, "z - mu is on the lattice")),
+            ("krichever", dict(mu=0.1, z=LAT.omega1 - 0.1), (PoleAtLattice, "z + mu is on the lattice")),
+            # z + mu and q_0 - q_1 - mu on the lattice.
+            ("krichever", dict(mu=Q3[0] - Q3[1], z=Q3[1] - Q3[0]), (PoleAtLattice, "z + mu is on the lattice")),
+            ("krichever", dict(mu=Q3[0] - Q3[1], z=complex("inf")), NOT_FINITE),
+            ("krichever", dict(mu=Q3[0] - Q3[1]), (PoleAtLattice, "q_i - q_j - mu is on the lattice")),
+            ("factorized", dict(z=0.0, lat=elliptic.trig_lattice()),
+             (DegenerateConfiguration, "factorized CM matrix requires an elliptic lattice")),
+            ("factorized", dict(z=1.0), (PoleAtLattice, "zeta argument within 1e-08 of a lattice point")),
+            ("factorized", dict(z=complex("nan")), NOT_FINITE),
+            ("cm", dict(lam=complex("nan")), NOT_FINITE),
+            ("cm", dict(lam=LAT.omega2), (PoleAtLattice, "lam is on the lattice")),
+            ("cm", dict(lam=None),
+             (ZeroLambda, "dropping the spectral term is defined for the rational kind only")),
+            ("cm", dict(lam=0.0, lat=elliptic.rational_lattice()), (ZeroLambda, "cm_lax requires lam != 0")),
+            # On the lattice, and exp(P_0) overflows: the pole is named.
+            ("momenta", dict(hbar=Q3[1] - Q3[0], P=[800.0, 0, 0]),
+             (PoleAtLattice, "hbar + q_l - q_k is on the lattice")),
+            ("momenta", dict(hbar=complex("nan")), NOT_FINITE),
         ],
     )
-    def test_first_failing_check_is_raised(self, what, points):
-        q = np.array([0.1 + 0.05j, 0.45 - 0.03j, 0.8 + 0.02j])
-        pt = {"hbar": 0.08, "mu": None, "z": Z, "lam": 0.23 + 0.11j, "lat": LAT, **points(q)}
-        conf = lax.rs_config(q, [0.1, -0.2, 0.05], pt["hbar"], pt["lat"], mu=pt["mu"])
-        cmc = lax.cm_config(q, [0.3, -0.2, 0.1], 1.0, pt["lat"])
-        new, ref, args = {
-            "composition": (lax.composition_lax, oracles.composition_lax_reference, (conf, pt["z"])),
-            "krichever": (
-                lax.krichever_lax, oracles.krichever_lax_reference, (conf, pt["z"], pt["lam"])
-            ),
-            "factorized": (
-                lax.factorized_cm_lax, oracles.factorized_cm_lax_reference, (cmc, pt["z"])
-            ),
-            "cm": (lax.cm_lax, oracles.cm_lax_reference, (cmc, pt["lam"])),
+    def test_first_failing_check_is_raised(self, what, points, want):
+        pt = {"hbar": 0.08, "mu": None, "z": Z, "lam": LAM, "lat": LAT, "P": P3, **points}
+        conf = lax.rs_config(Q3, pt["P"], pt["hbar"], pt["lat"], mu=pt["mu"])
+        cmc = lax.cm_config(Q3, [0.3, -0.2, 0.1], 1.0, pt["lat"])
+        call = {
+            "composition": lambda: lax.composition_lax(conf, pt["z"]),
+            "krichever": lambda: lax.krichever_lax(conf, pt["z"], pt["lam"]),
+            "factorized": lambda: lax.factorized_cm_lax(cmc, pt["z"]),
+            "cm": lambda: lax.cm_lax(cmc, pt["lam"]),
+            "momenta": lambda: lax.ruijsenaars_equivalent_momenta(conf),
         }[what]
-        oracles.assert_same_outcome(oracles.outcome(new, *args), oracles.outcome(ref, *args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert oracles.outcome(call) == want
+
+    def test_zero_coupling_returns_before_z_is_read(self):
+        conf = lax.rs_config(Q3, P3, 0.0, LAT)
+        L = lax.composition_lax(conf, 0.0)
+        assert_spectral_matrix(L, 3, 0j)
+        assert np.array_equal(L.entries, np.diag(np.exp(P3)))
+
+    def test_cm_entry_beyond_the_doubles(self):
+        # lam - q_0 + q_1 = 0.5 + 50i: the entry is exp(940.8 - 4.3i) at 50
+        # digits, and sigma(lam - d) and sigma(lam) underflow to 0.
+        lat = elliptic.lattice_from_periods(1.0, 0.2 + 2.4j)
+        conf = lax.cm_config([0.1, 0.1 + 20j], [0.0, 0.0], 0.7, lat)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueOverflow, match="^cm_lax: an entry is not a double$"):
+                lax.cm_lax(conf, 0.5 + 70j)
+        log, _ = oracles.sigma_quotient_mpmath([0.5 + 50j], [-20j, 0.5 + 70j], lat)
+        assert log.real > np.log(np.finfo(float).max)
+
+class TestOnePassBuilders:
+    """The plans' checks in the order of their former calls, and their named
+    overflows."""
 
     def test_plans_check_in_the_order_of_their_former_calls(self):
         # lam and mu both on the lattice: lam is named, as before.

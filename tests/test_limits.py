@@ -8,12 +8,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
 from rslax import elliptic, lax, limits
-from rslax.errors import DegenerateConfiguration, NonFiniteEntries
+from rslax.errors import DegenerateConfiguration, NonConvergent, NonFiniteEntries, PoleAtLattice
 
 LAT = elliptic.lattice_from_periods(1.0, 2.5j)
 
@@ -110,56 +108,100 @@ class TestCMLimitSweep:
             limits.cm_limit_sweep(cmc, values)
 
 
+def _fit_bound(small, errors, bounds):
+    """How far a least-squares slope of log errors against log small can
+    move when each error moves by at most its bound: 2 max(bound/error)
+    over the span of log small."""
+    span = abs(np.log(small[0]) - np.log(small[-1]))
+    return 2 * max(b / e for b, e in zip(bounds, errors)) / span
+
+
+class TestSweepsAgainstMpmath:
+    """The sweeps' residuals recomputed from 50-digit matrices (oracles), each
+    within the 1e-12 entry tolerance of the factorized CM matrix's oracle
+    test carried through the residual, and the fitted order within what
+    those bounds allow; then the sweeps' checks, in order."""
+
+    Q = np.array([0.11 + 0.03j, 0.46 - 0.02j])
+    Z = 0.17 + 0.23j
+
+    def test_cm_limit_sweep(self):
+        p = np.array([0.3, -0.2])
+        hbar = (1e-2, 5e-3, 2.5e-3)
+        sweep = limits.cm_limit_sweep(lax.cm_config(self.Q, p, 1.0, LAT), hbar, z=self.Z)
+        assert sweep.parameter == "Hbar" and sweep.values == hbar
+        F = oracles.factorized_cm_mpmath(self.Q, p, self.Z, 1.0, 2.5j)
+        norm = np.linalg.norm(F)
+        errors, bounds = [], []
+        for h, got in zip(hbar, sweep.errors):
+            L = oracles.hasegawa_mpmath(self.Q, h * p, h, self.Z, 1.0, 2.5j)
+            errors.append(np.linalg.norm((L - np.eye(2)) / h - F) / norm)
+            bounds.append(1e-12 * (np.linalg.norm(L) / h + 2 * np.abs(F).max()) / norm)
+            assert type(got) is float and abs(got - errors[-1]) <= bounds[-1]
+        order = np.polyfit(np.log(hbar), np.log(errors), 1)[0]
+        assert abs(sweep.fitted_order - order) <= _fit_bound(hbar, errors, bounds)
+
+    def test_cm_limit_sweep_below_the_pole_tolerance(self):
+        # hbar = 1e-9 is within POLE_TOL of the lattice: zero coupling, so
+        # L = diag(exp(hbar p)) and the residual is that of (L - I)/hbar.
+        p = np.array([0.3, -0.2])
+        sweep = limits.cm_limit_sweep(lax.cm_config(self.Q, p, 1.0, LAT), (1e-2, 1e-9), z=self.Z)
+        F = oracles.factorized_cm_mpmath(self.Q, p, self.Z, 1.0, 2.5j)
+        want = np.linalg.norm(np.diag(np.expm1(1e-9 * p) / 1e-9) - F) / np.linalg.norm(F)
+        assert abs(sweep.errors[1] - want) <= 1e-12 * (1e9 + 2) * np.abs(F).max() / np.linalg.norm(F)
+
+    def test_degeneration_sweep(self):
+        P, hbar, values = [0.1, -0.07], 0.08 + 0.02j, (2.0, 3.0)
+        sweep = limits.degeneration_sweep(lax.rs_config(self.Q, P, hbar, LAT), values, z=self.Z)
+        assert sweep.parameter == "ImTau" and sweep.values == values
+        L_trig = oracles.hasegawa_mpmath(
+            np.pi * self.Q, P, np.pi * hbar, np.pi * self.Z, kind="trigonometric"
+        )
+        _, delta2 = oracles.sigma_argument_moments_reference(self.Q, hbar, self.Z)
+        errors, bounds = [], []
+        for t, got in zip(values, sweep.errors):
+            L = oracles.hasegawa_mpmath(self.Q, P, hbar, self.Z, 1.0, 1j * t)
+            # eta1/omega1 on (1, i t): zeta(z + 1) = zeta(z) + 2 eta1.
+            zeta = [oracles.weierstrass_mpmath(0.3 + k, 1.0, 1j * t)[1] for k in (0, 1)]
+            pred = np.exp((zeta[1] - zeta[0]) / 2 * delta2) * L_trig
+            norm = np.linalg.norm(pred)
+            errors.append(np.linalg.norm(L - pred) / norm)
+            bounds.append(1e-12 * 2 * (np.abs(L).max() + np.abs(pred).max()) / norm)
+            assert type(got) is float and abs(got - errors[-1]) <= bounds[-1]
+        small = [np.exp(-2 * np.pi * t) for t in values]
+        order = np.polyfit(np.log(small), np.log(errors), 1)[0]
+        assert abs(sweep.fitted_order - order) <= _fit_bound(small, errors, bounds)
+
+    @pytest.mark.parametrize(
+        "lat,hbar,z,want",
+        [
+            (LAT, (1e-2, 0.0), LAT.omega2, (DegenerateConfiguration, "hbar sweep value 0.0 is not positive")),
+            (elliptic.trig_lattice(), (1e-2,), np.pi,
+             (DegenerateConfiguration, "factorized CM matrix requires an elliptic lattice")),
+            (LAT, (1e-2,), LAT.omega2, (PoleAtLattice, "zeta argument within 1e-08 of a lattice point")),
+            (LAT, (1e-2,), complex("nan"), (NonConvergent, "special function argument is not finite")),
+        ],
+    )
+    def test_cm_limit_sweep_checks_in_order(self, lat, hbar, z, want):
+        cmc = lax.cm_config(self.Q, [0.3, -0.2], 1.0, lat)
+        assert oracles.outcome(limits.cm_limit_sweep, cmc, hbar, z=z) == want
+
+    @pytest.mark.parametrize(
+        "values,z,want",
+        [
+            ((8.0, -1.0), 1.0, (DegenerateConfiguration, "Im(tau) sweep value -1.0 is not positive")),
+            # pi z on the trigonometric lattice, before any elliptic one.
+            ((5.0, 8.0), 1.0, (PoleAtLattice, "z is on the lattice")),
+            ((5.0, 8.0), 8j, (PoleAtLattice, "z is on the lattice")),
+            ((5.0, 8.0), complex("nan"), (NonConvergent, "special function argument is not finite")),
+        ],
+    )
+    def test_degeneration_sweep_checks_in_order(self, values, z, want):
+        conf = lax.rs_config(self.Q, [0.1, -0.07], 0.08 + 0.02j, LAT)
+        assert oracles.outcome(limits.degeneration_sweep, conf, values, z=z) == want
+
 class TestOnePassSweeps:
-    """The sweeps against their former routes (oracles.*_reference): the
-    same residuals and fitted order, and the same first error."""
-
-    @given(
-        n=st.integers(1, 4),
-        seed=st.integers(0, 10_000),
-        z=st.sampled_from(["cell", "node", "nan"]),
-        cm_lattice=st.sampled_from(["same", "other", "trig"]),
-        hbar=st.sampled_from([(1e-2, 5e-3, 2.5e-3), (1e-2, 1e-9), (2e-2,), (1e-2, 0.0)]),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_cm_limit_sweep_matches_the_per_call_sweep(self, n, seed, z, cm_lattice, hbar):
-        rng = np.random.default_rng(seed)
-        q = 0.35 * np.arange(n) + 0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n))
-        cm_lat = {
-            "same": LAT,
-            "other": elliptic.lattice_from_periods(1.0, 0.3 + 1.7j),
-            "trig": elliptic.trig_lattice(),
-        }[cm_lattice]
-        cmc = lax.cm_config(q, rng.normal(size=n), 1.0, cm_lat)
-        # The reference takes the RS configuration on cmc's own lattice.
-        conf = lax.rs_config(q, [0.0] * n, 1e-2, cm_lat)
-        z = {"cell": 0.17 + 0.23j, "node": LAT.omega2, "nan": complex("nan")}[z]
-        oracles.assert_same_outcome(
-            oracles.outcome(limits.cm_limit_sweep, cmc, hbar, z=z),
-            oracles.outcome(oracles.cm_limit_sweep_reference, conf, cmc, hbar, z=z),
-        )
-
-    @given(
-        n=st.integers(1, 4),
-        seed=st.integers(0, 10_000),
-        values=st.sampled_from([(5.0, 8.0, 12.0, 20.0), (2.0, 3.0), (8.0,), (8.0, -1.0)]),
-        z=st.sampled_from(["cell", "node", "trig node"]),
-        coincide=st.booleans(),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_degeneration_sweep_matches_the_per_call_sweep(self, n, seed, values, z, coincide):
-        # coincide puts q_1 - q_0 on the lattice (1, 8i) alone, and z
-        # "node" on every swept lattice: the positions are checked first.
-        rng = np.random.default_rng(seed)
-        q = 0.35 * np.arange(n) + 0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n))
-        if coincide and n > 1:
-            q[1] = q[0] + 8j
-        conf = lax.rs_config(q, 0.15 * rng.normal(size=n), 0.08 + 0.03j, LAT)
-        z = {"cell": 0.17 + 0.23j, "node": 8j, "trig node": 1.0}[z]
-        oracles.assert_same_outcome(
-            oracles.outcome(limits.degeneration_sweep, conf, values, z=z),
-            oracles.outcome(oracles.degeneration_sweep_reference, conf, values, z=z),
-        )
+    """The sweeps' checks on each lattice, and their one pass per hbar."""
 
     def test_residual_that_is_not_finite_is_a_typed_error(self):
         # At hbar = 32i the prediction exp(B Delta2) L_trig overflows; the

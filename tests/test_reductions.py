@@ -10,9 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import oracles
 from rslax import elliptic, lax, reductions
-from rslax.errors import DegenerateConfiguration, NoSolution, SingularMatrix, SingularY
+from rslax.errors import (
+    DegenerateConfiguration,
+    NonDiagonalizable,
+    NoSolution,
+    RepeatedEigenvalues,
+    RslaxError,
+    SingularMatrix,
+    SingularY,
+)
 
 ORB = reductions.OrbitSpec(g=0.7 + 0.2j)
 
@@ -251,35 +258,184 @@ def _draw(seed, kind, n, twist):
     return theta, reductions.OrbitSpec(u=u, v=v), d
 
 
-def _outcomes(solve, moment_residual, dualize, args, orbit):
-    """Bytes of the pair, its residual, its dual and the dual's residual, or
-    the type and message of the first exception."""
-    out = []
-    try:
-        with warnings.catch_warnings(), np.errstate(all="ignore"):
-            warnings.simplefilter("ignore")
-            pair = solve(*args)
-            out.append((pair.X.tobytes(), pair.Y.tobytes(), pair.kind))
-            out.append(np.float64(moment_residual(pair, orbit)).tobytes())
-            dual = dualize(pair)
-            out.append((dual.X.tobytes(), dual.Y.tobytes(), dual.kind))
-            out.append(np.float64(moment_residual(dual, orbit)).tobytes())
-    except Exception as exc:  # noqa: BLE001 - numpy's errors are compared too
-        out.append((type(exc), str(exc)))
-    return out
+def _equation_defect(kind, pair, orbit):
+    """The size of the kind's moment-map equation's defect at the pair, over
+    max(1, max |X Y|), each side written out here:
+
+    * rational CM: X Y - Y X = g (ones - I);
+    * rational RS: X Y X^-1 - Y = g (ones - I);
+    * trig RS: X Y X^-1 Y^-1 = I + u v^T;
+    * trig CM: M = X Y X^-1 - Y is conjugate to g (ones - I), that is Tr M
+      = 0 and M + g I has rank one (its second singular value is 0), over
+      max(1, max |M|)."""
+    X, Y = pair.X, pair.Y
+    n = X.shape[0]
+    O = orbit.g * (np.ones((n, n)) - np.eye(n))
+    if kind == "trig_cm":
+        M = X @ Y @ np.linalg.inv(X) - Y
+        s = np.linalg.svd(M + orbit.g * np.eye(n), compute_uv=False)
+        return (s[1:2].sum() + abs(np.trace(M))) / max(1.0, np.abs(M).max())
+    if kind == "rational_cm":
+        R = X @ Y - Y @ X - O
+    elif kind == "rational_rs":
+        R = X @ Y @ np.linalg.inv(X) - Y - O
+    else:
+        R = X @ Y @ np.linalg.inv(X) @ np.linalg.inv(Y) - np.eye(n) - np.outer(orbit.u, orbit.v)
+    return np.linalg.norm(R) / max(1.0, np.abs(X @ Y).max())
+
+
+def _assert_on_slice(kind, pair, args):
+    """The pair lies on the kind's gauge slice: its diagonal member carries
+    the positions or exp(theta), and the free data sit where the solver puts
+    them."""
+    n = np.size(args[0])
+    assert pair.kind == kind
+    for M in (pair.X, pair.Y):
+        assert M.shape == (n, n) and M.dtype == complex and not M.flags.writeable
+    if kind == "rational_cm":
+        q, p, _ = args
+        assert np.array_equal(pair.X, np.diag(q)) and np.array_equal(np.diag(pair.Y), p)
+    elif kind == "trig_cm":
+        q, _, gauge = args
+        assert np.array_equal(pair.Y, np.diag(q))
+        # gauge_j at the diagonal entry, or at the column's largest, to the
+        # rounding of a complex c/c * gauge_j.
+        tol = 4 * np.finfo(float).eps * np.abs(gauge)
+        largest = pair.X[np.abs(pair.X).argmax(axis=0), np.arange(n)]
+        assert ((np.abs(np.diag(pair.X) - gauge) <= tol) | (np.abs(largest - gauge) <= tol)).all()
+    else:
+        theta, _, d = args
+        assert np.array_equal(pair.X, np.diag(np.exp(theta)))
+        assert np.array_equal(np.diag(pair.Y), d)
+
+
+def _assert_dual(pair, dual):
+    """dual conjugates the pair by one matrix S so that the member that was
+    not diagonal (Y where X is diagonal) becomes diagonal, its spectrum
+    sorted by (Re, Im): the diagonal of dual.X is that spectrum, dual.Y has
+    the old diagonal member's entries as its spectrum, and the mixed traces
+    Tr(dual.X^a dual.Y) equal Tr(F^a D) for F the full member and D the
+    diagonal one."""
+    X, Y = pair.X, pair.Y
+    diagonal = [np.array_equal(M, np.diag(np.diag(M))) for M in (X, Y)]
+    D, F = (Y, X) if diagonal == [False, True] else (X, Y)
+    n = X.shape[0]
+    assert dual.kind == pair.kind and dual.X.shape == dual.Y.shape == (n, n)
+    vals = np.diag(dual.X)
+    assert np.array_equal(dual.X, np.diag(vals))
+    assert list(np.lexsort((vals.imag, vals.real))) == list(range(n))
+    scale = max(1.0, np.abs(F).max()) * max(1.0, np.abs(D).max())
+    assert np.abs(vals - np.sort_complex(np.linalg.eigvals(F))).max() <= 1e-8 * max(1.0, np.abs(F).max())
+    ev = np.sort_complex(np.linalg.eigvals(dual.Y))
+    assert np.abs(ev - np.sort_complex(np.diag(D))).max() <= 1e-8 * max(1.0, np.abs(D).max())
+    for a in (1, 2):
+        Fa = np.linalg.matrix_power(F, a)
+        want = np.trace(Fa @ D)
+        assert abs(np.trace(np.linalg.matrix_power(dual.X, a) @ dual.Y) - want) <= 1e-8 * scale ** a
 
 
 @pytest.mark.parametrize("twist", range(6))
 @pytest.mark.parametrize("kind", ["rational_cm", "trig_cm", "rational_rs", "trig_rs"])
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
 @settings(max_examples=10, deadline=None)
-def test_array_forms_match_the_entrywise_references(kind, twist, seed, n):
+def test_solutions_meet_their_moment_map_equations(kind, twist, seed, n):
+    # Random, coincident, resonant and degenerate data (_draw): a typed error,
+    # or a pair on the kind's gauge slice that meets its equation, whose
+    # residual says so, and whose dual is a conjugate pair.
     args = _draw(seed, kind, n, twist)
     orbit = next(a for a in args if isinstance(a, reductions.OrbitSpec))
-    new = (getattr(reductions, f"solve_{kind}"), reductions.moment_residual, reductions.dualize)
-    ref = (
-        getattr(oracles, f"solve_{kind}_reference"),
-        oracles.moment_residual_reference,
-        oracles.dualize_reference,
-    )
-    assert _outcomes(*new, args, orbit) == _outcomes(*ref, args, orbit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            pair = getattr(reductions, f"solve_{kind}")(*args)
+        except RslaxError:
+            return
+        _assert_on_slice(kind, pair, args)
+        assert _equation_defect(kind, pair, orbit) <= 1e-10
+        residual = reductions.moment_residual(pair, orbit)
+        assert type(residual) is float and residual <= 1e-10
+        dual = reductions.dualize(pair)
+        _assert_dual(pair, dual)
+        # The equations are not symmetric in X and Y: only the CM duals stay
+        # on the orbit (TestDualize); the RS duals' residuals are finite or
+        # name a singular member.
+        try:
+            residual = reductions.moment_residual(dual, orbit)
+        except SingularMatrix:
+            assert kind == "rational_rs" and np.abs(np.diag(pair.Y)).min() < 1e-8
+        else:
+            assert type(residual) is float and np.isfinite(residual)
+            assert residual <= 1e-8 or kind.endswith("_rs")
+
+
+ORB_U = reductions.OrbitSpec(u=(1, 0, 0), v=(0, 0.4, -0.3))
+THETA = [0.1 + 0.05j, -0.4 + 0.2j, 0.7 - 0.1j]
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: reductions.solve_rational_cm([0.1, 0.1 + 5e-11], [1, 2], ORB),
+         DegenerateConfiguration, "positions are not pairwise distinct"),
+        (lambda: reductions.solve_trig_cm([0.1, 0.1], ORB, [1, 1]),
+         DegenerateConfiguration, "positions are not pairwise distinct"),
+        (lambda: reductions.solve_rational_rs([0.3, 0.3 + 2j * np.pi], ORB, [1, 1]),
+         DegenerateConfiguration, "exp(theta) values are not pairwise distinct"),
+        (lambda: reductions.solve_trig_rs([10.0, 10.0 + 1e-9, 0.3], ORB_U, [1, 1, 1]),
+         DegenerateConfiguration, "exp(theta_i - theta_j) too close to 1"),
+        # q_1 - q_0 = 2e-10 against g = 1000: X's condition number is about g/2e-10.
+        (lambda: reductions.solve_trig_cm([0.0, 2e-10], reductions.OrbitSpec(g=1000.0), [1, 1]),
+         NoSolution, "constructed X is singular for this configuration"),
+        # |g| < 1e-10 makes every q_i resonant with itself, so alpha = 0.
+        (lambda: reductions.solve_trig_cm([0.0, 1.0], reductions.OrbitSpec(g=1e-12), [1, 1]),
+         NoSolution, "no usable row to close the rank-one factor"),
+        (lambda: reductions.solve_trig_rs(THETA, reductions.OrbitSpec(u=(1, 0, 0), v=(-1, 0, 0)), [1, 1, 1]),
+         DegenerateConfiguration, "1 + v^T u = 0: orbit matrix is singular"),
+        # v_1 = exp(theta_1 - theta_0) - 1 makes column 0's closure vanish, and v_0 d_0 != 0.
+        (lambda: reductions.solve_trig_rs(
+            THETA[:2], reductions.OrbitSpec(u=(0, 1), v=(1, np.exp(THETA[1] - THETA[0]) - 1)), [1, 1]),
+         NoSolution, "column closure for w is inconsistent"),
+        (lambda: reductions.solve_trig_rs(THETA, reductions.OrbitSpec(u=(1, 0.5, 0.2), v=(0.3, -0.4, 0.6)), [0.9, 1.2, -0.4]),
+         NoSolution, "diagonal consistency u_i (v^T Y)_i = 0 fails; no Y exists on this gauge slice "
+         "(note: a diagonal X forces v^T u = 0)"),
+        (lambda: reductions.solve_trig_rs(THETA, ORB_U, [0, 1, 1]),
+         SingularY, "solved Y is singular; multiplicative residual undefined"),
+        (lambda: reductions.moment_residual(
+            reductions.ReductionPair(np.diag([1.0, 2.0]), np.zeros((2, 2)), "trig_rs"), ORB_U),
+         SingularMatrix, "Y of the trig_rs pair is singular; its moment residual is undefined"),
+        (lambda: reductions.moment_residual(reductions.ReductionPair(np.eye(2), np.eye(2), "other"), ORB),
+         ValueError, "unknown reduction kind 'other'"),
+        (lambda: reductions.dualize(
+            reductions.ReductionPair(np.diag([1.0, 2.0]), np.array([[1, 1], [0, 1]]), "rational_cm")),
+         RepeatedEigenvalues, "eigenvalues are not pairwise distinct"),
+        # Eigenvalues 1 and 2, eigenvectors (1, 0) and (1, 1e-10).
+        (lambda: reductions.dualize(
+            reductions.ReductionPair(np.diag([1.0, 2.0]), np.array([[1, 1e10], [0, 2]]), "rational_cm")),
+         NonDiagonalizable, "eigenbasis is numerically defective"),
+    ],
+)
+def test_each_error_has_its_input(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "kind,pair,orbit,want",
+    [
+        # [diag(q), diag(p)] = 0, against O = g (ones - I): ||O|| = |g| sqrt(2),
+        # over max |q_i p_i| = 2; and the orbit test of C = 0 gives |g|.
+        ("rational_cm", (np.diag([1.0, 2.0]), np.diag([0.5, 1.0])), reductions.OrbitSpec(g=3.0),
+         min(3.0 * np.sqrt(2) / 2.0, 3.0)),
+        ("rational_rs", (np.diag([1.0, 2.0]), np.diag([0.5, 1.0])), reductions.OrbitSpec(g=0.4),
+         0.4 * np.sqrt(2) / 2.0),
+        # X Y X^-1 Y^-1 = I against I + u v^T: ||u v^T|| = 0.5, over max |X Y| = 2.
+        ("trig_rs", (np.diag([1.0, 2.0]), np.diag([0.5, 1.0])), reductions.OrbitSpec(u=(1, 0), v=(0, 0.5)),
+         0.5 / 2.0),
+        # M = 0: M + g I = g I has second singular value |g| = 0.3, over max(1, 0).
+        ("trig_cm", (np.diag([1.0, 2.0]), np.diag([0.5, 1.0])), reductions.OrbitSpec(g=0.3), 0.3),
+    ],
+)
+def test_residual_of_a_pair_off_its_orbit(kind, pair, orbit, want):
+    got = reductions.moment_residual(reductions.ReductionPair(*pair, kind), orbit)
+    assert type(got) is float and abs(got - want) <= 1e-15 * want
